@@ -23,9 +23,8 @@ from .debias import (
 )
 from .ensemble import EnsembleModel, fit_ensemble, predict_proba
 from .eo import (
-    HardDerivedPredictor,
+    DerivedPredictor,
     LossSpec,
-    SoftDerivedPredictor,
     apply_hard,
     apply_soft,
     expected_loss,
@@ -66,6 +65,7 @@ __all__ = [
     "CohortConfig",
     "DebiasResult",
     "DegenerateInputError",
+    "DerivedPredictor",
     "EmbeddingMatrix",
     "EmbeddingPlantConfig",
     "EmptyInputError",
@@ -76,10 +76,8 @@ __all__ = [
     "FormatError",
     "GroupMismatchError",
     "GroupRates",
-    "HardDerivedPredictor",
     "LabeledPredictions",
     "LossSpec",
-    "SoftDerivedPredictor",
     "ValidationError",
     "apply_hard",
     "apply_soft",

@@ -17,15 +17,18 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from . import __version__
-from .debias import hard_debias, load_embeddings, save_embeddings
+from .debias import DebiasResult, hard_debias, load_embeddings, save_embeddings
 from .ensemble import EnsembleModel, fit_ensemble, predict_proba
 from .eo import (
+    DerivedPredictor,
     LossSpec,
     apply_hard,
     apply_soft,
@@ -33,7 +36,6 @@ from .eo import (
     expected_rates,
     fit_eo_hard,
     fit_eo_soft,
-    load_derived_predictor,
 )
 from .errors import EquifairError, ValidationError
 from .metrics import FairnessReport, build_report
@@ -59,6 +61,15 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _write_text(path: Path, text: str) -> Path:
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _write_json(path: Path, doc) -> Path:
+    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path], seed: int | None) -> Path:
     manifest = {
         "command": command,
@@ -73,9 +84,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    return _write_json(out_dir / "manifest.json", manifest)
 
 
 def _resolve_seed(args) -> int:
@@ -115,19 +124,63 @@ def _load_cohort_config(args, seed: int) -> CohortConfig:
     )
 
 
-def _plot_data_csv(report: FairnessReport, classifier: str) -> str:
-    """Tidy (classifier, group, metric, value) rows for range plots."""
+def _plot_data_csv(reports: Mapping[str, FairnessReport]) -> str:
+    """Tidy (classifier, group, metric, value) rows for range plots, one
+    block per classifier."""
     lines = ["classifier,group,metric,value"]
-    if report.group_rates is not None:
-        for g, e in report.group_rates:
-            if e.tpr is not None:
-                lines.append(f"{classifier},{g},tpr,{e.tpr!r}")
-            if e.tnr is not None:
-                lines.append(f"{classifier},{g},tnr,{e.tnr!r}")
-    for g, auc in report.auc_roc_per_group.items():
-        if auc is not None:
-            lines.append(f"{classifier},{g},auc_roc,{auc!r}")
+    for classifier, report in reports.items():
+        if report.group_rates is not None:
+            for g, e in report.group_rates:
+                if e.tpr is not None:
+                    lines.append(f"{classifier},{g},tpr,{e.tpr!r}")
+                if e.tnr is not None:
+                    lines.append(f"{classifier},{g},tnr,{e.tnr!r}")
+        for g, auc in report.auc_roc_per_group.items():
+            if auc is not None:
+                lines.append(f"{classifier},{g},auc_roc,{auc!r}")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# stages shared by the subcommands and the pipeline
+
+
+def _eo_functions(variant: str):
+    """(fit, apply) of an EO variant; names are resolved at call time."""
+    return {"hard": (fit_eo_hard, apply_hard), "soft": (fit_eo_soft, apply_soft)}[variant]
+
+
+def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.ndarray, C: float) -> tuple[EnsembleModel, Path]:
+    """Fit the score combiner on the named constituent columns and write
+    ensemble_model.json."""
+    model = fit_ensemble(np.column_stack(list(features.values())), y_true, C=C)
+    return model, _write_json(out / "ensemble_model.json", {**model.to_dict(), "constituents": list(features)})
+
+
+def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
+    scores = predict_proba(model, features)
+    return replace(preds, scores=scores, y_hat=(scores >= threshold).astype(np.int8))
+
+
+def _debias_stage(out: Path, embeddings: Path, equality_sets: str, k: int | None) -> tuple[DebiasResult, list[Path]]:
+    """Hard-debias an embedding file; write the embeddings and the report."""
+    result = hard_debias(load_embeddings(embeddings), resolve_equality_sets(equality_sets), k=k)
+    emb_path = out / "debiased_embeddings.txt"
+    save_embeddings(result.embeddings, emb_path)
+    return result, [emb_path, _write_json(out / "debias_report.json", result.skip_report())]
+
+
+def _eo_fit_stage(out: Path, preds: LabeledPredictions, variant: str, loss: LossSpec) -> tuple[DerivedPredictor, Path]:
+    dp = _eo_functions(variant)[0](preds, loss)
+    return dp, _write_json(out / "derived_predictor.json", dp.to_dict())
+
+
+def _eo_apply_stage(out: Path, dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> tuple[LabeledPredictions, Path]:
+    """Apply a derived predictor and write postprocessed.csv (y_hat only)."""
+    post = replace(preds, scores=None, y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
+    path = out / "postprocessed.csv"
+    write_predictions(post, path)
+    return post, path
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +204,7 @@ def _cmd_synth(args) -> int:
         emb_path = out / "embeddings.txt"
         save_embeddings(emb, emb_path)
         outputs.append(emb_path)
-        sidecar = out / "planted_subspace.json"
-        sidecar.write_text(
-            json.dumps({"basis": planted.basis.tolist(), "noise": args.noise}, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        outputs.append(sidecar)
+        outputs.append(_write_json(out / "planted_subspace.json", {"basis": planted.basis.tolist(), "noise": args.noise}))
         _write_manifest(out, "synth", vars(args), [], outputs, seed)
         print(f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}")
         return 0
@@ -166,9 +214,7 @@ def _cmd_synth(args) -> int:
         path = out / f"modality_{m}.csv"
         write_predictions(preds, path)
         outputs.append(path)
-    sidecar = out / "analytic_rates.json"
-    sidecar.write_text(cohort.sidecar_json(), encoding="utf-8")
-    outputs.append(sidecar)
+    outputs.append(_write_text(out / "analytic_rates.json", cohort.sidecar_json()))
     _write_manifest(out, "synth", vars(args), [], outputs, seed)
     print(f"wrote {len(cohort.modalities)} modality file(s) to {out}")
     return 0
@@ -185,10 +231,8 @@ def _cmd_report(args) -> int:
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     report = build_report(preds, task=args.task, seed=getattr(args, "seed", None))
-    report_path = out / "report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
-    plot_path = out / "plot_data.csv"
-    plot_path.write_text(_plot_data_csv(report, args.task or "classifier"), encoding="utf-8")
+    report_path = _write_text(out / "report.json", report.to_json())
+    plot_path = _write_text(out / "plot_data.csv", _plot_data_csv({args.task or "classifier": report}))
     _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], getattr(args, "seed", None))
     print(f"wrote {report_path}")
     return 0
@@ -197,10 +241,7 @@ def _cmd_report(args) -> int:
 def _cmd_eo_fit(args) -> int:
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
-    loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-    dp = fit_eo_hard(preds, loss) if args.variant == "hard" else fit_eo_soft(preds, loss)
-    dp_path = out / "derived_predictor.json"
-    dp_path.write_text(dp.to_json(), encoding="utf-8")
+    dp, dp_path = _eo_fit_stage(out, preds, args.variant, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
     _write_manifest(out, "eo-fit", vars(args), [Path(args.input)], [dp_path], None)
     print(f"wrote {dp_path} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
     return 0
@@ -210,21 +251,8 @@ def _cmd_eo_apply(args) -> int:
     seed = _resolve_seed(args)
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
-    dp = load_derived_predictor(json.loads(Path(args.predictor).read_text(encoding="utf-8")))
-    if dp.to_dict()["variant"] == "hard":
-        y_tilde = apply_hard(dp, preds, seed)
-    else:
-        y_tilde = apply_soft(dp, preds, seed)
-    adjusted = LabeledPredictions(
-        ids=preds.ids,
-        y_true=preds.y_true,
-        groups=preds.groups,
-        scores=None,
-        y_hat=y_tilde,
-        universe=preds.universe,
-    )
-    out_path = out / "postprocessed.csv"
-    write_predictions(adjusted, out_path)
+    dp = DerivedPredictor.from_dict(json.loads(Path(args.predictor).read_text(encoding="utf-8")))
+    _, out_path = _eo_apply_stage(out, dp, preds, seed)
     _write_manifest(out, "eo-apply", vars(args), [Path(args.input), Path(args.predictor)], [out_path], seed)
     print(f"wrote {out_path}")
     return 0
@@ -232,15 +260,9 @@ def _cmd_eo_apply(args) -> int:
 
 def _cmd_debias(args) -> int:
     out = _out_dir(args)
-    emb = load_embeddings(Path(args.embeddings))
-    sets = resolve_equality_sets(args.equality_sets)
-    result = hard_debias(emb, sets, k=args.k)
-    emb_path = out / "debiased_embeddings.txt"
-    save_embeddings(result.embeddings, emb_path)
-    report_path = out / "debias_report.json"
-    report_path.write_text(json.dumps(result.skip_report(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_manifest(out, "debias", vars(args), [Path(args.embeddings)], [emb_path, report_path], None)
-    print(f"wrote {emb_path} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
+    result, outputs = _debias_stage(out, Path(args.embeddings), args.equality_sets, args.k)
+    _write_manifest(out, "debias", vars(args), [Path(args.embeddings)], outputs, None)
+    print(f"wrote {outputs[0]} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
     return 0
 
 
@@ -249,11 +271,7 @@ def _cmd_ensemble_fit(args) -> int:
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
-    model = fit_ensemble(pfile.feature_matrix(), pfile.predictions.y_true, C=args.C)
-    model_path = out / "ensemble_model.json"
-    doc = model.to_dict()
-    doc["constituents"] = list(pfile.constituent_names)
-    model_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    model, model_path = _ensemble_fit_stage(out, pfile.constituent_scores, pfile.predictions.y_true, args.C)
     _write_manifest(out, "ensemble-fit", vars(args), [Path(args.input)], [model_path], None)
     print(f"wrote {model_path} (converged={model.converged}, iterations={model.n_iter})")
     return 0
@@ -272,25 +290,18 @@ def _cmd_ensemble_predict(args) -> int:
         features = np.column_stack([pfile.constituent_scores[n] for n in names])
     else:
         features = pfile.feature_matrix()
-    scores = predict_proba(model, features)
-    combined = LabeledPredictions(
-        ids=pfile.predictions.ids,
-        y_true=pfile.predictions.y_true,
-        groups=pfile.predictions.groups,
-        scores=scores,
-        y_hat=(scores >= args.threshold).astype(np.int8),
-        universe=pfile.predictions.universe,
-    )
     out_path = out / "ensemble_predictions.csv"
-    write_predictions(combined, out_path)
+    write_predictions(_ensemble_scored(pfile.predictions, model, features, args.threshold), out_path)
     _write_manifest(out, "ensemble-predict", vars(args), [Path(args.input), Path(args.model)], [out_path], None)
     print(f"wrote {out_path}")
     return 0
 
 
-def _ensemble_scores(fit_preds, fit_features, eval_features, C: float):
-    model = fit_ensemble(fit_features, fit_preds.y_true, C=C)
-    return model, predict_proba(model, eval_features)
+def _modality_features(cohort) -> dict[str, np.ndarray]:
+    """Constituent scores of a multi-modality cohort, none for a single one."""
+    if len(cohort.modalities) == 1:
+        return {}
+    return {f"m{j}": m.scores for j, m in enumerate(cohort.modalities)}
 
 
 def _cmd_pipeline(args) -> int:
@@ -314,135 +325,56 @@ def _cmd_pipeline(args) -> int:
     # acquire fit and eval prediction sets
     if args.input:
         eval_file = read_prediction_file(Path(args.input), group_col=args.group_col)
-        inputs.append(Path(args.input))
-        if args.fit_input:
-            fit_file = read_prediction_file(Path(args.fit_input), group_col=args.group_col)
-            inputs.append(Path(args.fit_input))
-            metadata["fit_split"] = str(args.fit_input)
-        else:
-            fit_file = eval_file
-            metadata["fit_split"] = "eval (no separate fit input provided)"
+        fit_file = read_prediction_file(Path(args.fit_input), group_col=args.group_col) if args.fit_input else eval_file
+        inputs += [Path(p) for p in (args.input, args.fit_input) if p]
+        metadata["fit_split"] = str(args.fit_input) if args.fit_input else "eval (no separate fit input provided)"
         fit_preds, eval_preds = fit_file.predictions, eval_file.predictions
-        fit_features = fit_file.constituent_scores
-        eval_features = eval_file.constituent_scores
+        fit_features, eval_features = fit_file.constituent_scores, eval_file.constituent_scores
     else:
         base_cfg = _load_cohort_config(args, seed)
-        fit_cohort = generate_cohort(
-            CohortConfig.from_dict({**base_cfg.to_dict(), "seed": derive_seed(seed, "fit")})
-        )
-        eval_cohort = generate_cohort(
-            CohortConfig.from_dict({**base_cfg.to_dict(), "seed": derive_seed(seed, "eval")})
-        )
+        fit_cohort = generate_cohort(replace(base_cfg, seed=derive_seed(seed, "fit")))
+        eval_cohort = generate_cohort(replace(base_cfg, seed=derive_seed(seed, "eval")))
         metadata["fit_split"] = "synthetic (derived seed)"
-        if len(fit_cohort.modalities) == 1:
-            fit_preds, eval_preds = fit_cohort.modalities[0], eval_cohort.modalities[0]
-            fit_features = eval_features = {}
-        else:
-            fit_preds, eval_preds = fit_cohort.modalities[0], eval_cohort.modalities[0]
-            fit_features = {
-                f"m{j}": m.scores for j, m in enumerate(fit_cohort.modalities)
-            }
-            eval_features = {
-                f"m{j}": m.scores for j, m in enumerate(eval_cohort.modalities)
-            }
+        fit_preds, eval_preds = fit_cohort.modalities[0], eval_cohort.modalities[0]
+        fit_features, eval_features = _modality_features(fit_cohort), _modality_features(eval_cohort)
 
     # ensemble stage when constituent scores are available
     if fit_features and eval_features:
         names = sorted(set(fit_features) & set(eval_features))
         if not names:
             raise ValidationError("fit and eval constituent columns do not overlap")
-        model, scores = _ensemble_scores(
-            fit_preds,
-            np.column_stack([fit_features[n] for n in names]),
-            np.column_stack([eval_features[n] for n in names]),
-            args.C,
-        )
-        model_path = out / "ensemble_model.json"
-        doc = model.to_dict()
-        doc["constituents"] = names
-        model_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        model, model_path = _ensemble_fit_stage(out, {n: fit_features[n] for n in names}, fit_preds.y_true, args.C)
         outputs.append(model_path)
-        eval_preds = LabeledPredictions(
-            ids=eval_preds.ids,
-            y_true=eval_preds.y_true,
-            groups=eval_preds.groups,
-            scores=scores,
-            y_hat=(scores >= 0.5).astype(np.int8),
-            universe=eval_preds.universe,
-        )
-        fit_scores = predict_proba(model, np.column_stack([fit_features[n] for n in names]))
-        fit_preds = LabeledPredictions(
-            ids=fit_preds.ids,
-            y_true=fit_preds.y_true,
-            groups=fit_preds.groups,
-            scores=fit_scores,
-            y_hat=(fit_scores >= 0.5).astype(np.int8),
-            universe=fit_preds.universe,
-        )
+        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
+        fit_preds = _ensemble_scored(fit_preds, model, np.column_stack([fit_features[n] for n in names]), 0.5)
         metadata["ensemble"] = {"constituents": names, "C": args.C}
 
     # debias stage (embedding-space intervention; predictions pass through)
     if "debias" in interventions:
         if not args.embeddings:
             raise ValidationError("intervention 'debias' requires --embeddings")
-        emb = load_embeddings(Path(args.embeddings))
         inputs.append(Path(args.embeddings))
-        sets = resolve_equality_sets(args.equality_sets)
-        result = hard_debias(emb, sets, k=args.k)
-        emb_path = out / "debiased_embeddings.txt"
-        save_embeddings(result.embeddings, emb_path)
-        outputs.append(emb_path)
-        dreport_path = out / "debias_report.json"
-        dreport_path.write_text(json.dumps(result.skip_report(), indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        outputs.append(dreport_path)
+        result, debias_outputs = _debias_stage(out, Path(args.embeddings), args.equality_sets, args.k)
+        outputs.extend(debias_outputs)
         metadata["debias"] = {"equality_sets": args.equality_sets, "k": result.subspace.k}
 
     base_report = build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)
-    base_path = out / "base_report.json"
-    base_path.write_text(base_report.to_json(), encoding="utf-8")
-    outputs.append(base_path)
-    plot_rows = [_plot_data_csv(base_report, "base")]
+    outputs.append(_write_text(out / "base_report.json", base_report.to_json()))
+    plots = {"base": base_report}
 
     eo_variant = next((v for v in interventions if v.startswith("eo-")), None)
     if eo_variant:
         if fit_preds.y_hat is None and eo_variant == "eo-hard":
             raise ValidationError("eo-hard requires hard predictions in the fit split")
-        dp = fit_eo_hard(fit_preds, loss) if eo_variant == "eo-hard" else fit_eo_soft(fit_preds, loss)
-        dp_path = out / "derived_predictor.json"
-        dp_path.write_text(dp.to_json(), encoding="utf-8")
-        outputs.append(dp_path)
-        apply_seed = derive_seed(seed, "apply")
-        if eo_variant == "eo-hard":
-            y_tilde = apply_hard(dp, eval_preds, apply_seed)
-        else:
-            y_tilde = apply_soft(dp, eval_preds, apply_seed)
-        post_preds = LabeledPredictions(
-            ids=eval_preds.ids,
-            y_true=eval_preds.y_true,
-            groups=eval_preds.groups,
-            scores=None,
-            y_hat=y_tilde,
-            universe=eval_preds.universe,
-        )
-        post_csv = out / "postprocessed.csv"
-        write_predictions(post_preds, post_csv)
-        outputs.append(post_csv)
-        post_meta = dict(metadata)
-        post_meta["expected_rates"] = expected_rates(dp).to_dict()
-        post_meta["eo_objective"] = dp.objective
+        dp, dp_path = _eo_fit_stage(out, fit_preds, eo_variant.removeprefix("eo-"), loss)
+        post_preds, post_csv = _eo_apply_stage(out, dp, eval_preds, derive_seed(seed, "apply"))
+        outputs += [dp_path, post_csv]
+        post_meta = {**metadata, "expected_rates": expected_rates(dp).to_dict(), "eo_objective": dp.objective}
         post_report = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
-        post_path = out / "post_report.json"
-        post_path.write_text(post_report.to_json(), encoding="utf-8")
-        outputs.append(post_path)
-        plot_rows.append(_plot_data_csv(post_report, eo_variant))
+        outputs.append(_write_text(out / "post_report.json", post_report.to_json()))
+        plots[eo_variant] = post_report
 
-    plot_path = out / "plot_data.csv"
-    header, *_ = plot_rows[0].splitlines()
-    body = [header]
-    for block in plot_rows:
-        body.extend(block.splitlines()[1:])
-    plot_path.write_text("\n".join(body) + "\n", encoding="utf-8")
-    outputs.append(plot_path)
+    outputs.append(_write_text(out / "plot_data.csv", _plot_data_csv(plots)))
     _write_manifest(out, "pipeline", vars(args), inputs, outputs, seed)
     print(f"pipeline complete: {len(outputs)} artifact(s) in {out}")
     return 0
@@ -458,12 +390,8 @@ def _add_common_io(p, with_group=True):
         p.add_argument("--group-col", default="group", help="sensitive-attribute column name")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="equifair", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic cohort or planted embeddings")
+def _add_cohort_flags(p):
+    """Flags of a synthetic cohort (``synth`` and a ``pipeline`` without --input)."""
     p.add_argument("--preset", choices=sorted(GROUP_PRESETS), default="sex")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--positive-rate", type=float, default=0.131)
@@ -472,6 +400,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fpr", type=float, default=0.15)
     p.add_argument("--modality-windows", default="0:1", help='e.g. "0:0.5,0.5:1"')
     p.add_argument("--synth-config", help="JSON cohort config (overrides other flags)")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="equifair", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="generate a synthetic cohort or planted embeddings")
+    _add_cohort_flags(p)
     p.add_argument("--plant-embeddings", action="store_true", help="emit a planted-bias embedding file instead of a cohort")
     p.add_argument("--equality-sets", default="gender")
     p.add_argument("--vocab", type=int, default=50)
@@ -541,14 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings")
     p.add_argument("--equality-sets", default="gender")
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--preset", choices=sorted(GROUP_PRESETS), default="sex")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--positive-rate", type=float, default=0.131)
-    p.add_argument("--tpr-low", type=float, default=0.60)
-    p.add_argument("--tpr-high", type=float, default=0.85)
-    p.add_argument("--fpr", type=float, default=0.15)
-    p.add_argument("--modality-windows", default="0:1")
-    p.add_argument("--synth-config")
+    _add_cohort_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_pipeline)
@@ -563,10 +493,10 @@ def main(argv=None) -> int:
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"format-error: {exc}", file=sys.stderr)
         return 4
 

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import Mapping
+import math
+from dataclasses import asdict, dataclass, fields, replace
+from typing import ClassVar, Mapping, get_type_hints
 
 import numpy as np
 
-from .errors import GroupMismatchError, ValidationError
+from .errors import FormatError, GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
 from .metrics import GroupRateEntry, GroupRates, confusion_rates, roc_curve
 from .predictions import LabeledPredictions
@@ -55,14 +56,14 @@ class LossSpec:
     group_weights: Mapping[str, float] | None = None
 
     def __post_init__(self):
-        if self.cost_fp < 0 or self.cost_fn < 0:
-            raise ValidationError("loss costs must be non-negative")
+        if not all(math.isfinite(c) and c >= 0 for c in (self.cost_fp, self.cost_fn)):
+            raise ValidationError("loss costs must be finite and non-negative")
         if self.cost_fp == 0 and self.cost_fn == 0:
             raise ValidationError("loss costs must not both be zero")
         if self.group_weights is not None:
             gw = dict(self.group_weights)
-            if any(w < 0 for w in gw.values()) or sum(gw.values()) <= 0:
-                raise ValidationError("group weights must be non-negative with positive sum")
+            if not all(math.isfinite(w) and w >= 0 for w in gw.values()) or sum(gw.values()) <= 0:
+                raise ValidationError("group weights must be finite and non-negative with positive sum")
             object.__setattr__(self, "group_weights", gw)
 
     def to_dict(self) -> dict:
@@ -71,14 +72,6 @@ class LossSpec:
             "cost_fn": self.cost_fn,
             "group_weights": dict(self.group_weights) if self.group_weights else None,
         }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "LossSpec":
-        return LossSpec(
-            cost_fp=d.get("cost_fp", 1.0),
-            cost_fn=d.get("cost_fn", 1.0),
-            group_weights=d.get("group_weights"),
-        )
 
 
 def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -> dict[str, float]:
@@ -92,19 +85,29 @@ def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -
     return {g: (rates[g].n_pos + rates[g].n_neg) / total for g in groups}
 
 
-def loss_coefficients(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...] | None = None) -> tuple[float, float]:
-    """(k_fp, k_fn) such that a common operating point (x, y) costs
-    k_fp * x + k_fn * (1 - y)."""
+def _group_coefficients(
+    rates: GroupRates, loss: LossSpec, groups: tuple[str, ...] | None = None
+) -> dict[str, tuple[float, float]]:
+    """Per non-empty group, (k_fp, k_fn) such that its operating point
+    (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
     groups = groups or tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
     w = _group_weights(rates, loss, groups)
-    k_fp = k_fn = 0.0
+    out = {}
     for g in groups:
         e = rates[g]
         n = e.n_pos + e.n_neg
-        if n == 0:
-            continue
-        k_fp += loss.cost_fp * w[g] * (e.n_neg / n)
-        k_fn += loss.cost_fn * w[g] * (e.n_pos / n)
+        if n:
+            out[g] = (loss.cost_fp * w[g] * (e.n_neg / n), loss.cost_fn * w[g] * (e.n_pos / n))
+    return out
+
+
+def loss_coefficients(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...] | None = None) -> tuple[float, float]:
+    """(k_fp, k_fn) such that a common operating point (x, y) costs
+    k_fp * x + k_fn * (1 - y)."""
+    k_fp = k_fn = 0.0
+    for kf, kn in _group_coefficients(rates, loss, groups).values():
+        k_fp += kf
+        k_fn += kn
     return k_fp, k_fn
 
 
@@ -112,16 +115,12 @@ def expected_loss_of_rates(rates: GroupRates, loss: LossSpec) -> float:
     """Expected weighted loss of a predictor whose per-group operating
     points are given by ``rates``.  Groups with an undefined rate
     contribute nothing through that rate (its class share is zero)."""
-    groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
-    w = _group_weights(rates, loss, groups)
     total = 0.0
-    for g in groups:
-        e = rates[g]
-        n = e.n_pos + e.n_neg
-        if e.fpr is not None:
-            total += loss.cost_fp * w[g] * (e.n_neg / n) * e.fpr
-        if e.tpr is not None:
-            total += loss.cost_fn * w[g] * (e.n_pos / n) * (1.0 - e.tpr)
+    for g, (kf, kn) in _group_coefficients(rates, loss).items():
+        if rates[g].fpr is not None:
+            total += kf * rates[g].fpr
+        if rates[g].tpr is not None:
+            total += kn * (1.0 - rates[g].tpr)
     return total
 
 
@@ -157,56 +156,17 @@ class HardGroupPolicy:
     """Randomization probabilities for one group: p0 = P(output 1 | base
     prediction 0), p1 = P(output 1 | base prediction 1)."""
 
+    variant: ClassVar[str] = "hard"
     p0: float
     p1: float
 
-    def derived_point(self, base_fpr: float, base_tpr: float) -> tuple[float, float]:
+    def derived_point(self, base: GroupRateEntry) -> tuple[float, float]:
+        """Expected (fpr, tpr) of randomizing a base predictor with ``base``'s rates."""
+        if base.fpr is None or base.tpr is None:
+            raise GroupMismatchError("a hard policy needs defined base rates (both classes present)")
         return (
-            self.p0 * (1.0 - base_fpr) + self.p1 * base_fpr,
-            self.p0 * (1.0 - base_tpr) + self.p1 * base_tpr,
-        )
-
-
-@dataclass(frozen=True)
-class HardDerivedPredictor:
-    """Per-group output randomization achieving a common (fpr, tpr)."""
-
-    policies: Mapping[str, HardGroupPolicy]
-    target: tuple[float, float]
-    fit_rates: GroupRates
-    loss: LossSpec
-    objective: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "policies", dict(self.policies))
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.policies)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": "hard",
-            "target": {"fpr": self.target[0], "tpr": self.target[1]},
-            "objective": self.objective,
-            "loss": self.loss.to_dict(),
-            "fit_rates": self.fit_rates.to_dict(),
-            "groups": {
-                g: {"p0": p.p0, "p1": p.p1} for g, p in sorted(self.policies.items())
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "HardDerivedPredictor":
-        return HardDerivedPredictor(
-            policies={g: HardGroupPolicy(v["p0"], v["p1"]) for g, v in d["groups"].items()},
-            target=(d["target"]["fpr"], d["target"]["tpr"]),
-            fit_rates=GroupRates.from_dict(d["fit_rates"]),
-            loss=LossSpec.from_dict(d["loss"]),
-            objective=d["objective"],
+            self.p0 * (1.0 - base.fpr) + self.p1 * base.fpr,
+            self.p0 * (1.0 - base.tpr) + self.p1 * base.tpr,
         )
 
 
@@ -234,7 +194,7 @@ def _require_fit_groups(rates: GroupRates) -> tuple[str, ...]:
     return groups
 
 
-def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> HardDerivedPredictor:
+def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomization of hard predictions so that derived
     tpr and fpr are exactly equal across groups, minimizing expected loss."""
     rates = confusion_rates(preds)
@@ -257,7 +217,7 @@ def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> HardD
             p0 = min(max(p0, 0.0), 1.0) + 0.0  # +0.0 folds -0.0 into 0.0
             p1 = min(max(p1, 0.0), 1.0) + 0.0
         policies[g] = HardGroupPolicy(p0=p0, p1=p1)
-    return HardDerivedPredictor(
+    return DerivedPredictor(
         policies=policies,
         target=(x, y),
         fit_rates=rates,
@@ -266,7 +226,7 @@ def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> HardD
     )
 
 
-def apply_hard(dp: HardDerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
+def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
     """Randomize base hard predictions per the fitted policies.
 
     Deterministic in (dp, preds, seed); per-sample draws are derived from
@@ -303,6 +263,7 @@ class SoftGroupPolicy:
     group's achievable region, where no two-threshold mixture can reach it.
     """
 
+    variant: ClassVar[str] = "soft"
     t_lo: float
     t_hi: float
     lam: float
@@ -311,90 +272,15 @@ class SoftGroupPolicy:
     p_coin: float = 0.0
     coin_rate: float = 0.0
 
-    def derived_point(self) -> tuple[float, float]:
+    def derived_point(self, base: GroupRateEntry) -> tuple[float, float]:
+        """Expected (fpr, tpr): the stored operating points mixed as fitted;
+        ``base`` is not needed."""
         x = self.lam * self.point_lo[0] + (1.0 - self.lam) * self.point_hi[0]
         y = self.lam * self.point_lo[1] + (1.0 - self.lam) * self.point_hi[1]
         return (
             (1.0 - self.p_coin) * x + self.p_coin * self.coin_rate,
             (1.0 - self.p_coin) * y + self.p_coin * self.coin_rate,
         )
-
-
-@dataclass(frozen=True)
-class SoftDerivedPredictor:
-    """Per-group randomized thresholds achieving a common (fpr, tpr)."""
-
-    policies: Mapping[str, SoftGroupPolicy]
-    target: tuple[float, float]
-    fit_rates: GroupRates
-    loss: LossSpec
-    objective: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "policies", dict(self.policies))
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.policies)
-
-    def to_dict(self) -> dict:
-        return {
-            "variant": "soft",
-            "target": {"fpr": self.target[0], "tpr": self.target[1]},
-            "objective": self.objective,
-            "loss": self.loss.to_dict(),
-            "fit_rates": self.fit_rates.to_dict(),
-            "groups": {
-                g: {
-                    "t_lo": p.t_lo,
-                    "t_hi": p.t_hi,
-                    "lam": p.lam,
-                    "p_coin": p.p_coin,
-                    "coin_rate": p.coin_rate,
-                    "point_lo": list(p.point_lo),
-                    "point_hi": list(p.point_hi),
-                }
-                for g, p in sorted(self.policies.items())
-            },
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "SoftDerivedPredictor":
-        return SoftDerivedPredictor(
-            policies={
-                g: SoftGroupPolicy(
-                    t_lo=v["t_lo"],
-                    t_hi=v["t_hi"],
-                    lam=v["lam"],
-                    p_coin=v["p_coin"],
-                    coin_rate=v["coin_rate"],
-                    point_lo=tuple(v["point_lo"]),
-                    point_hi=tuple(v["point_hi"]),
-                )
-                for g, v in d["groups"].items()
-            },
-            target=(d["target"]["fpr"], d["target"]["tpr"]),
-            fit_rates=GroupRates.from_dict(d["fit_rates"]),
-            loss=LossSpec.from_dict(d["loss"]),
-            objective=d["objective"],
-        )
-
-
-def _upper_chain(points: np.ndarray) -> list[int]:
-    """Indices of the upper envelope of (x, y) points, left to right."""
-    order = np.lexsort((points[:, 1], points[:, 0]))
-    chain: list[int] = []
-    for i in order:
-        while len(chain) >= 2 and (
-            (points[chain[-1], 0] - points[chain[-2], 0]) * (points[i, 1] - points[chain[-2], 1])
-            - (points[chain[-1], 1] - points[chain[-2], 1]) * (points[i, 0] - points[chain[-2], 0])
-        ) >= -1e-15:
-            chain.pop()
-        chain.append(int(i))
-    return chain
 
 
 def _decompose_soft(
@@ -454,15 +340,16 @@ def _decompose_soft(
         return policy
     alpha = (y - x) / (mix_y - x)
     alpha = min(max(float(alpha), 0.0), 1.0)
-    return SoftGroupPolicy(
-        t_lo=policy.t_lo,
-        t_hi=policy.t_hi,
-        lam=policy.lam,
-        point_lo=policy.point_lo,
-        point_hi=policy.point_hi,
-        p_coin=1.0 - alpha,
-        coin_rate=float(x),
-    )
+    return replace(policy, p_coin=1.0 - alpha, coin_rate=float(x))
+
+
+def _upper_envelope(hull: list[int], last: int) -> list[int]:
+    """Upper chain of a CCW hull, left to right.  The hull starts at its
+    lexicographically smallest point, for an ROC curve (0, 0), runs along
+    the lower chain to the largest, ``last`` ((1, 1)), and comes back
+    along the upper chain."""
+    turn = hull.index(last)
+    return [hull[0], *hull[turn:][::-1]]
 
 
 def _soft_group_counts(preds: LabeledPredictions) -> GroupRates:
@@ -476,7 +363,7 @@ def _soft_group_counts(preds: LabeledPredictions) -> GroupRates:
     return GroupRates(out)
 
 
-def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> SoftDerivedPredictor:
+def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomized thresholds on scores so that derived tpr
     and fpr are exactly equal across groups, minimizing expected loss."""
     if preds.scores is None:
@@ -498,7 +385,7 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> SoftD
         pts = np.column_stack((curve.fpr, curve.tpr))
         hull = convex_hull_indices(pts)
         regions.append(pts[hull])
-        geoms[g] = (pts, curve.thresholds, _upper_chain(pts))
+        geoms[g] = (pts, curve.thresholds, _upper_envelope(hull, len(pts) - 1))
     vertices = intersect_regions(regions)
     if len(vertices) == 0:
         vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -506,7 +393,7 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> SoftD
     policies = {
         g: _decompose_soft(geoms[g][0], geoms[g][1], geoms[g][2], x, y) for g in groups
     }
-    return SoftDerivedPredictor(
+    return DerivedPredictor(
         policies=policies,
         target=(x, y),
         fit_rates=counts,
@@ -515,7 +402,7 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> SoftD
     )
 
 
-def apply_soft(dp: SoftDerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
+def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
     """Apply the fitted randomized-threshold policies to scores.
 
     Deterministic in (dp, preds, seed).  A degenerate single-threshold
@@ -544,11 +431,120 @@ def apply_soft(dp: SoftDerivedPredictor, preds: LabeledPredictions, seed: int) -
 
 
 # ---------------------------------------------------------------------------
+# the derived predictor and its JSON form
+
+
+_POLICIES = {"hard": HardGroupPolicy, "soft": SoftGroupPolicy}
+
+
+@dataclass(frozen=True)
+class DerivedPredictor:
+    """Per-group policies achieving a common (fpr, tpr).  The variant
+    follows from the policy type: hard policies randomize base
+    predictions, soft ones mix score thresholds."""
+
+    policies: Mapping[str, HardGroupPolicy | SoftGroupPolicy]
+    target: tuple[float, float]
+    fit_rates: GroupRates
+    loss: LossSpec
+    objective: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "policies", dict(self.policies))
+        if len({type(p) for p in self.policies.values()}) != 1:
+            raise ValidationError("a derived predictor needs policies of exactly one variant")
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        return tuple(self.policies)
+
+    @property
+    def variant(self) -> str:
+        return next(iter(self.policies.values())).variant
+
+    def to_dict(self) -> dict:
+        return {
+            "variant": self.variant,
+            "target": {"fpr": self.target[0], "tpr": self.target[1]},
+            "objective": self.objective,
+            "loss": self.loss.to_dict(),
+            "fit_rates": self.fit_rates.to_dict(),
+            "groups": {g: asdict(p) for g, p in sorted(self.policies.items())},
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+    @staticmethod
+    def from_dict(d: Mapping) -> "DerivedPredictor":
+        """Inverse of ``to_dict``.  A missing or ill-typed field raises
+        FormatError naming its path, e.g. ``groups.A.p0``."""
+        policy = _POLICIES.get(_field(d, "variant", hint=str))
+        if policy is None:
+            raise FormatError(f"derived predictor: field variant must be one of {sorted(_POLICIES)}")
+        if not _field(d, "groups", hint=dict):
+            raise FormatError("derived predictor: field groups is empty")
+        weights = _field(d, "loss", "group_weights", hint=dict | None)
+        return DerivedPredictor(
+            policies={g: _from_json(policy, d, "groups", g) for g in d["groups"]},
+            target=(_field(d, "target", "fpr"), _field(d, "target", "tpr")),
+            fit_rates=GroupRates(
+                {g: _from_json(GroupRateEntry, d, "fit_rates", g) for g in _field(d, "fit_rates", hint=dict)}
+            ),
+            loss=LossSpec(
+                cost_fp=_field(d, "loss", "cost_fp"),
+                cost_fn=_field(d, "loss", "cost_fn"),
+                group_weights=None if weights is None else {g: _field(d, "loss", "group_weights", g) for g in weights},
+            ),
+            objective=_field(d, "objective"),
+        )
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# field type -> (what the message calls it, check of a loaded JSON value)
+_JSON_TYPES = {
+    float: ("a number", _is_number),
+    float | None: ("a number or null", lambda v: v is None or _is_number(v)),
+    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("an object", lambda v: isinstance(v, Mapping)),
+    dict | None: ("an object or null", lambda v: v is None or isinstance(v, Mapping)),
+    tuple[float, float]: ("a pair of numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
+}
+
+
+def _field(doc, *path: str, hint=float):
+    """The value at ``path`` of a loaded derived-predictor document, checked
+    against the field type ``hint``; FormatError names the path otherwise."""
+    value = doc
+    for i, key in enumerate(path):
+        if not isinstance(value, Mapping):
+            raise FormatError(f"derived predictor: {'.'.join(path[:i]) or 'the document'} must be an object")
+        if key not in value:
+            raise FormatError(f"derived predictor: missing field {'.'.join(path[: i + 1])}")
+        value = value[key]
+    what, ok = _JSON_TYPES[hint]
+    if not ok(value):
+        raise FormatError(f"derived predictor: field {'.'.join(path)} must be {what}, got {value!r}")
+    return tuple(value) if hint == tuple[float, float] else value
+
+
+def _from_json(cls, doc, *path: str):
+    """Dataclass ``cls`` from the object at ``path``, its JSON keys being
+    its field names."""
+    hints = get_type_hints(cls)
+    return cls(**{f.name: _field(doc, *path, f.name, hint=hints[f.name]) for f in fields(cls)})
+
+
+# ---------------------------------------------------------------------------
 # expectations
 
 
 def expected_rates(
-    dp: HardDerivedPredictor | SoftDerivedPredictor, base_rates: GroupRates | None = None
+    dp: DerivedPredictor, base_rates: GroupRates | None = None
 ) -> GroupRates:
     """Closed-form expected derived rates per group.
 
@@ -564,20 +560,14 @@ def expected_rates(
     out: dict[str, GroupRateEntry] = {}
     for g in dp.groups:
         base = rates[g]
-        pol = dp.policies[g]
-        if isinstance(pol, HardGroupPolicy):
-            if base.fpr is None or base.tpr is None:
-                raise GroupMismatchError(f"group {g!r} lacks defined base rates")
-            fpr, tpr = pol.derived_point(base.fpr, base.tpr)
-        else:
-            fpr, tpr = pol.derived_point()
+        fpr, tpr = dp.policies[g].derived_point(base)
         out[g] = GroupRateEntry(
             tpr=tpr, tnr=1.0 - fpr, fpr=fpr, fnr=1.0 - tpr, n_pos=base.n_pos, n_neg=base.n_neg
         )
     return GroupRates(out)
 
 
-def expected_loss(dp: HardDerivedPredictor | SoftDerivedPredictor, loss: LossSpec | None = None) -> float:
+def expected_loss(dp: DerivedPredictor, loss: LossSpec | None = None) -> float:
     """Expected loss of the derived predictor under its fit-time frequencies."""
     return expected_loss_of_rates(expected_rates(dp), loss if loss is not None else dp.loss)
 
@@ -586,40 +576,9 @@ def unconstrained_optimum_loss(rates: GroupRates, loss: LossSpec, soft_regions: 
     """Loss of the best per-group derived predictor with no cross-group
     constraint: each group independently picks its optimal achievable
     point.  Lower-bounds every equalized-odds fit on the same data."""
-    groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
-    w = _group_weights(rates, loss, groups)
     total = 0.0
-    for g in groups:
-        e = rates[g]
-        n = e.n_pos + e.n_neg
-        kf = loss.cost_fp * w[g] * (e.n_neg / n)
-        kn = loss.cost_fn * w[g] * (e.n_pos / n)
-        if soft_regions is not None:
-            region = soft_regions[g]
-        else:
-            region = _hard_region(e.fpr, e.tpr)
+    for g, (kf, kn) in _group_coefficients(rates, loss).items():
+        region = soft_regions[g] if soft_regions is not None else _hard_region(rates[g].fpr, rates[g].tpr)
         x, y = argmin_linear(np.asarray(region, dtype=np.float64), kf, -kn)
         total += kf * x + kn * (1.0 - y)
     return total
-
-
-def soft_regions_of(preds: LabeledPredictions) -> dict[str, np.ndarray]:
-    """Convex achievable region (hull vertices) per group, from scores."""
-    if preds.scores is None:
-        raise ValidationError("scores required")
-    out = {}
-    for g in preds.present_groups():
-        m = preds.group_mask(g)
-        curve = roc_curve(preds.scores[m], preds.y_true[m])
-        pts = np.column_stack((curve.fpr, curve.tpr))
-        out[g] = pts[convex_hull_indices(pts)]
-    return out
-
-
-def load_derived_predictor(d: Mapping) -> HardDerivedPredictor | SoftDerivedPredictor:
-    variant = d.get("variant")
-    if variant == "hard":
-        return HardDerivedPredictor.from_dict(d)
-    if variant == "soft":
-        return SoftDerivedPredictor.from_dict(d)
-    raise ValidationError(f"unknown derived-predictor variant: {variant!r}")

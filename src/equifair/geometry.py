@@ -18,9 +18,22 @@ def cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _monotone_chain(pts: np.ndarray, order: list[int]) -> list[int]:
+    """Walk ``order``, keeping only strict left turns: the lower hull for
+    lexicographic order, the upper hull for its reverse."""
+    chain: list[int] = []
+    for i in order:
+        while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= EPS:
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
 def convex_hull_indices(points: np.ndarray) -> list[int]:
     """Monotone-chain hull of (n, 2) points; returns CCW vertex indices.
 
+    The hull starts at the lexicographically smallest point and runs along
+    the lower chain to the largest, then back along the upper chain.
     Collinear boundary points are dropped.  Degenerate inputs (all points
     collinear) yield the 2 extreme indices, or 1 for a single point.
     """
@@ -33,17 +46,7 @@ def convex_hull_indices(points: np.ndarray) -> list[int]:
         uniq.append(int(i))
     if len(uniq) <= 2:
         return uniq
-    lower: list[int] = []
-    for i in uniq:
-        while len(lower) >= 2 and cross(pts[lower[-2]], pts[lower[-1]], pts[i]) <= EPS:
-            lower.pop()
-        lower.append(i)
-    upper: list[int] = []
-    for i in reversed(uniq):
-        while len(upper) >= 2 and cross(pts[upper[-2]], pts[upper[-1]], pts[i]) <= EPS:
-            upper.pop()
-        upper.append(i)
-    hull = lower[:-1] + upper[:-1]
+    hull = _monotone_chain(pts, uniq)[:-1] + _monotone_chain(pts, uniq[::-1])[:-1]
     return hull if len(hull) >= 2 else uniq[:1]
 
 
@@ -120,19 +123,6 @@ def intersect_regions(polygons: list[np.ndarray]) -> np.ndarray:
             if len(region) == 0:
                 return region
     return region
-
-
-def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:
-    verts = np.asarray(vertices, dtype=np.float64)
-    if len(verts) == 1:
-        return bool(np.hypot(point[0] - verts[0, 0], point[1] - verts[0, 1]) <= tol)
-    if len(verts) == 2:
-        d = verts[1] - verts[0]
-        r = np.array([point[0] - verts[0, 0], point[1] - verts[0, 1]])
-        t = np.dot(r, d) / np.dot(d, d)
-        proj = verts[0] + np.clip(t, 0.0, 1.0) * d
-        return bool(np.hypot(point[0] - proj[0], point[1] - proj[1]) <= tol)
-    return all(cross(p, q, point) >= -tol for p, q in polygon_edges(verts))
 
 
 def argmin_linear(vertices: np.ndarray, cx: float, cy: float) -> tuple[float, float]:

@@ -195,12 +195,6 @@ class RocCurve:
     tpr: np.ndarray
     thresholds: np.ndarray
 
-    def points(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.fpr.tolist(), self.tpr.tolist(), self.thresholds.tolist()))
-
-    def trapezoid_area(self) -> float:
-        return float(np.trapezoid(self.tpr, self.fpr))
-
 
 def roc_curve(scores, y_true) -> RocCurve:
     """Exact empirical ROC operating points with their thresholds."""

@@ -82,23 +82,16 @@ class LabeledPredictions:
     def __len__(self) -> int:
         return len(self.ids)
 
-    @property
-    def group_array(self) -> np.ndarray:
-        return np.asarray(self.groups, dtype=object)
-
     def present_groups(self) -> tuple[str, ...]:
         """Universe members that actually occur in the data, universe order."""
         present = set(self.groups)
         return tuple(g for g in self.universe if g in present)
 
     def group_mask(self, group: str) -> np.ndarray:
-        return self.group_array == group
+        return np.asarray(self.groups, dtype=object) == group
 
     def with_y_hat(self, y_hat: np.ndarray) -> "LabeledPredictions":
         return replace(self, y_hat=np.asarray(y_hat, dtype=np.int8))
-
-    def with_scores(self, scores: np.ndarray) -> "LabeledPredictions":
-        return replace(self, scores=np.asarray(scores, dtype=np.float64))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,12 @@
 """Shipped equality-set presets for gender and race debiasing.
 
-The presets are also available as JSON files (``data/gender.json``,
-``data/race.json``) consumable by the CLI's ``--equality-sets`` flag.
-Race-debiased embeddings are conventionally reused when auditing
-insurance/SES groups, for which no word sets exist.
+The CLI's ``--equality-sets`` flag takes a preset by name (``gender``,
+``race``) or the path of a JSON file of sets.  Race-debiased embeddings
+are conventionally reused when auditing insurance/SES groups, for which
+no word sets exist.
 """
 
 from __future__ import annotations
-
-import json
-from importlib import resources
-from pathlib import Path
 
 from .debias import EqualitySets
 from .errors import ValidationError
@@ -64,21 +60,3 @@ def resolve_equality_sets(spec: str) -> EqualitySets:
         return preset_sets(spec)
     return EqualitySets.from_json_file(spec)
 
-
-def preset_json_path(name: str) -> Path:
-    """Filesystem path of a shipped preset JSON file."""
-    if name not in PRESETS:
-        raise ValidationError(f"unknown equality-set preset {name!r}")
-    return Path(str(resources.files("equifair").joinpath(f"data/{name}.json")))
-
-
-def dump_presets(directory: str | Path) -> list[Path]:
-    """Write all preset JSON files into a directory; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    out = []
-    for name, sets in PRESETS.items():
-        path = directory / f"{name}.json"
-        path.write_text(json.dumps([list(s) for s in sets], indent=2) + "\n", encoding="utf-8")
-        out.append(path)
-    return out

@@ -10,7 +10,9 @@ import math
 import numpy as np
 
 from equifair import LabeledPredictions
-from equifair.eo import _soft_group_counts, loss_coefficients, soft_regions_of
+from equifair.eo import _soft_group_counts, loss_coefficients
+
+from helpers import soft_regions_of
 
 
 def pairwise_auc_oracle(scores, y_true):
@@ -129,6 +131,22 @@ def soft_grid_oracle(preds, loss, resolution=1e-3):
             inside &= crossv >= -1e-9
     objective = k_fp * xx + k_fn * (1.0 - yy)
     return float(objective[inside].min())
+
+
+def upper_chain_oracle(points):
+    """Indices of the upper envelope of (x, y) points, left to right: a
+    monotone chain of its own, kept from before the soft fit read the
+    envelope off the convex hull."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    chain = []
+    for i in order:
+        while len(chain) >= 2 and (
+            (points[chain[-1], 0] - points[chain[-2], 0]) * (points[i, 1] - points[chain[-2], 1])
+            - (points[chain[-1], 1] - points[chain[-2], 1]) * (points[i, 0] - points[chain[-2], 0])
+        ) >= -1e-15:
+            chain.pop()
+        chain.append(int(i))
+    return chain
 
 
 def preds_from_counts(spec):

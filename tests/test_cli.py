@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,13 +8,17 @@ import pytest
 
 from equifair import (
     confusion_rates,
+    fit_eo_hard,
     gap_ranges,
 )
+from equifair.cli import main
 from equifair.debias import save_embeddings
 from equifair.metrics import FairnessReport
-from equifair.predictions import read_predictions
+from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS
+
+from oracles import preds_from_counts
 
 
 def run_cli(*args, env=None):
@@ -286,3 +291,96 @@ class TestPipeline:
         assert (tmp_path / "out/debiased_embeddings.txt").exists()
         report = FairnessReport.from_json((tmp_path / "out/base_report.json").read_text())
         assert report.metadata["debias"]["k"] == 1
+
+
+class TestPinnedArtifacts:
+    """sha256 of the EO artifacts of small seeded synthetic pipelines, as
+    written before the two derived-predictor classes became one; any change
+    to fitting, serialisation or the realised draws shows here."""
+
+    PINS = {
+        ("eo-hard",): {
+            "derived_predictor.json": "95e68f04b3ea7a1e3edeb13fbd4b7ca9b1a16e5cf8c545bad412b0e63652278e",
+            "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
+        },
+        ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
+            "derived_predictor.json": "50da32f885c15f58a7c2a7b73a558644bf0971664a3fba6d7d1b2124aa03fdfe",
+            "postprocessed.csv": "60fd79bd0dfe6249c561fbee65379713025f71bb74c38120d4ef34a236adaccb",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", list(PINS), ids=lambda v: v[0])
+    def test_artifact_hashes(self, variant, tmp_path):
+        res = run_cli(
+            "pipeline", "--intervention", *variant, "--preset", "ethnicity", "--n", "3000",
+            "--seed", "11", "--cost-fn", "3", "--out", tmp_path,
+        )
+        assert res.returncode == 0, res.stderr
+        for name, digest in self.PINS[variant].items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+def _without(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+def _with(key, value):
+    return lambda d: {**d, key: value}
+
+
+# case: (command, predictor edit or extra flags or input kind, exit code, category, text in the message)
+MALFORMED = {
+    "predictor-without-groups": ("eo-apply", _without("groups"), 4, "format-error", "groups"),
+    "predictor-without-variant": ("eo-apply", _without("variant"), 4, "format-error", "variant"),
+    "predictor-unknown-variant": ("eo-apply", _with("variant", "medium"), 4, "format-error", "variant"),
+    "predictor-ill-typed-policy": ("eo-apply", _with("groups", {"A": {"p0": "x", "p1": 1.0}}), 4, "format-error", "groups.A.p0"),
+    "predictor-missing-policy-field": ("eo-apply", _with("groups", {"A": {"p0": 0.5}}), 4, "format-error", "groups.A.p1"),
+    "predictor-ill-typed-target": ("eo-apply", _with("target", {"fpr": 0.1, "tpr": None}), 4, "format-error", "target.tpr"),
+    "predictor-ill-typed-fit-rates": ("eo-apply", _with("fit_rates", {"A": {"tpr": 0.5}}), 4, "format-error", "fit_rates.A"),
+    "predictor-ill-typed-objective": ("eo-apply", _with("objective", [0.1]), 4, "format-error", "objective"),
+    "predictor-not-an-object": ("eo-apply", lambda d: [d], 4, "format-error", "object"),
+    "predictor-nan-group-weight": (
+        "eo-apply", lambda d: {**d, "loss": {**d["loss"], "group_weights": {"A": float("nan"), "B": 1.0}}},
+        6, "invalid-input", "finite",
+    ),
+    "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
+    "cost-fp-nan": ("eo-fit", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
+    "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
+    "pipeline-cost-fp-nan": ("pipeline", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
+    "input-is-a-directory": ("metrics", "dir", 3, "missing-file", "Is a directory"),
+    "input-not-utf8": ("metrics", "latin-1", 4, "format-error", "utf-8"),
+}
+
+
+class TestMalformedInputs:
+    """Each malformed input gives exactly one ``<category>: <message>``
+    line on stderr and the category's exit code, never a traceback."""
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_one_line_and_exit_code(self, case, tmp_path, capsys):
+        command, arg, code, category, needle = MALFORMED[case]
+        preds = preds_from_counts({"A": (10, 8, 10, 2), "B": (10, 6, 10, 3)})
+        csv_path = tmp_path / "preds.csv"
+        write_predictions(preds, csv_path)
+        out = tmp_path / "out"
+        if command == "eo-apply":
+            predictor = tmp_path / "dp.json"
+            if arg == "dir":
+                predictor.mkdir()
+            else:
+                predictor.write_text(json.dumps(arg(fit_eo_hard(preds).to_dict())), encoding="utf-8")
+            argv = ["eo-apply", "--input", csv_path, "--predictor", predictor, "--out", out]
+        elif command == "eo-fit":
+            argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
+        elif command == "pipeline":
+            argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *arg, "--out", out]
+        elif arg == "dir":
+            argv = ["metrics", "--input", tmp_path]
+        else:
+            latin = tmp_path / "latin.csv"
+            latin.write_bytes("id,group,y_true,score,y_hat\n1,Zoë,1,,1\n".encode("latin-1"))
+            argv = ["metrics", "--input", latin]
+        assert main([str(a) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"{category}: "), err
+        assert needle in err

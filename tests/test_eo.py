@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equifair import (
@@ -16,17 +16,19 @@ from equifair import (
     fit_eo_hard,
     fit_eo_soft,
     gap_ranges,
+    roc_curve,
 )
 from equifair.eo import (
+    _upper_envelope,
     expected_loss_of_rates,
     sample_uniforms,
-    soft_regions_of,
     unconstrained_optimum_loss,
 )
-from equifair.geometry import point_in_convex_polygon
+from equifair.geometry import convex_hull_indices
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
-from oracles import hard_grid_oracle, preds_from_counts, soft_grid_oracle
+from helpers import point_in_convex_polygon, soft_regions_of
+from oracles import hard_grid_oracle, preds_from_counts, soft_grid_oracle, upper_chain_oracle
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -124,12 +126,12 @@ class TestFitHard:
             fit_eo_hard(preds)
 
     def test_serialization_round_trip(self):
-        from equifair.eo import HardDerivedPredictor
+        from equifair.eo import DerivedPredictor
         import json
 
         preds = preds_from_counts({"A": (10, 9, 10, 2), "B": (10, 6, 10, 3)})
         dp = fit_eo_hard(preds)
-        back = HardDerivedPredictor.from_dict(json.loads(dp.to_json()))
+        back = DerivedPredictor.from_dict(json.loads(dp.to_json()))
         assert back.target == dp.target
         assert back.policies == dp.policies
 
@@ -141,11 +143,11 @@ class TestApplyHard:
         np.testing.assert_array_equal(apply_hard(dp, preds, seed=1), preds.y_hat)
 
     def test_all_ones_policy(self):
-        from equifair.eo import HardDerivedPredictor, HardGroupPolicy
+        from equifair.eo import DerivedPredictor, HardGroupPolicy
 
         preds = preds_from_counts({"A": (5, 4, 5, 1), "B": (5, 3, 5, 2)})
         base = confusion_rates(preds)
-        dp = HardDerivedPredictor(
+        dp = DerivedPredictor(
             policies={"A": HardGroupPolicy(1.0, 1.0), "B": HardGroupPolicy(1.0, 1.0)},
             target=(1.0, 1.0),
             fit_rates=base,
@@ -255,7 +257,7 @@ class TestFitSoft:
         assert tpr_range <= 1e-9 and tnr_range <= 1e-9
         # every decomposition reproduces the common target
         for g, pol in dp.policies.items():
-            fpr, tpr = pol.derived_point()
+            fpr, tpr = pol.derived_point(dp.fit_rates[g])
             assert fpr == pytest.approx(dp.target[0], abs=1e-9)
             assert tpr == pytest.approx(dp.target[1], abs=1e-9)
 
@@ -273,23 +275,23 @@ class TestFitSoft:
     def test_serialization_round_trip(self):
         import json
 
-        from equifair.eo import SoftDerivedPredictor
+        from equifair.eo import DerivedPredictor
 
         dp = fit_eo_soft(scored_preds(seed=8))
-        back = SoftDerivedPredictor.from_dict(json.loads(dp.to_json()))
+        back = DerivedPredictor.from_dict(json.loads(dp.to_json()))
         assert back.target == dp.target
         assert back.policies == dp.policies
 
 
 class TestApplySoft:
     def test_threshold_zero_always_positive(self):
-        from equifair.eo import SoftDerivedPredictor, SoftGroupPolicy
+        from equifair.eo import DerivedPredictor, SoftGroupPolicy
 
         preds = scored_preds(seed=9, n=50)
         pol = SoftGroupPolicy(
             t_lo=0.0, t_hi=0.0, lam=1.0, point_lo=(1.0, 1.0), point_hi=(1.0, 1.0)
         )
-        dp = SoftDerivedPredictor(
+        dp = DerivedPredictor(
             policies={"A": pol, "B": pol},
             target=(1.0, 1.0),
             fit_rates=confusion_rates(preds),
@@ -299,13 +301,13 @@ class TestApplySoft:
         assert apply_soft(dp, preds, seed=0).all()
 
     def test_degenerate_single_threshold_is_plain_thresholding(self):
-        from equifair.eo import SoftDerivedPredictor, SoftGroupPolicy
+        from equifair.eo import DerivedPredictor, SoftGroupPolicy
 
         preds = scored_preds(seed=10, n=80)
         pol = SoftGroupPolicy(
             t_lo=0.5, t_hi=0.5, lam=1.0, point_lo=(0.2, 0.7), point_hi=(0.2, 0.7)
         )
-        dp = SoftDerivedPredictor(
+        dp = DerivedPredictor(
             policies={"A": pol, "B": pol},
             target=(0.2, 0.7),
             fit_rates=confusion_rates(preds),
@@ -423,6 +425,41 @@ class TestLossProperties:
             assert tnr_range <= 1e-9
 
 
+class TestLossSpec:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"cost_fp": float("nan")},
+            {"cost_fn": float("inf")},
+            {"group_weights": {"A": float("nan"), "B": 1.0}},
+            {"group_weights": {"A": float("inf"), "B": 1.0}},
+        ],
+    )
+    def test_rejects_non_finite(self, kwargs):
+        with pytest.raises(ValidationError):
+            LossSpec(**kwargs)
+
+
+class TestDerivedPredictor:
+    def test_variant_follows_policy_type(self):
+        preds = scored_preds(seed=12, n=300)
+        assert fit_eo_hard(preds).variant == "hard"
+        assert fit_eo_soft(preds).variant == "soft"
+
+    def test_mixed_policies_rejected(self):
+        from equifair.eo import DerivedPredictor
+
+        hard, soft = fit_eo_hard(scored_preds(seed=13, n=300)), fit_eo_soft(scored_preds(seed=13, n=300))
+        with pytest.raises(ValidationError):
+            DerivedPredictor(
+                policies={"A": hard.policies["A"], "B": soft.policies["B"]},
+                target=hard.target,
+                fit_rates=hard.fit_rates,
+                loss=hard.loss,
+                objective=hard.objective,
+            )
+
+
 class TestSampleUniforms:
     def test_deterministic(self):
         assert sample_uniforms(5, "x", "id1") == sample_uniforms(5, "x", "id1")
@@ -436,3 +473,38 @@ class TestSampleUniforms:
     def test_range(self):
         for u in sample_uniforms(1, "p", "q", n=3):
             assert 0.0 <= u < 1.0
+
+
+# ---------------------------------------------------------------------------
+# the soft fit's upper envelope, read off the convex hull
+
+
+@st.composite
+def roc_inputs(draw):
+    """Scores and labels with both classes: heavy ties (few score levels),
+    a single distinct score, curves below the diagonal and 2-row groups."""
+    n = draw(st.integers(2, 60))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n))
+    levels = draw(st.sampled_from([1, 2, 3, 5, 0]))  # 0: continuous scores
+    if levels:
+        scores = [draw(st.integers(0, levels - 1)) / levels for _ in range(n)]
+    else:
+        scores = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    if draw(st.booleans()):  # informative scores, optionally inverted below the diagonal
+        invert = draw(st.booleans())
+        scores = [min(1.0, 0.5 * s + 0.5 * (y != invert)) for s, y in zip(scores, labels)]
+    return np.array(scores), np.array(labels)
+
+
+class TestUpperEnvelope:
+    @settings(max_examples=300, deadline=None)
+    @given(roc_inputs())
+    @example((np.array([0.9, 0.1]), np.array([0, 1])))
+    @example((np.array([0.5, 0.5, 0.5]), np.array([0, 1, 1])))
+    @example((np.array([0.2, 0.8]), np.array([0, 1])))
+    def test_hull_envelope_equals_oracle(self, data):
+        scores, labels = data
+        curve = roc_curve(scores, labels)
+        pts = np.column_stack((curve.fpr, curve.tpr))
+        envelope = _upper_envelope(convex_hull_indices(pts), len(pts) - 1)
+        assert envelope == upper_chain_oracle(pts)

@@ -6,8 +6,9 @@ from equifair.geometry import (
     clip_polygon_halfplane,
     convex_hull_indices,
     intersect_regions,
-    point_in_convex_polygon,
 )
+
+from helpers import point_in_convex_polygon
 
 
 def as_set(vertices, nd=9):

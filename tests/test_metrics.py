@@ -17,6 +17,7 @@ from equifair import (
 from equifair.metrics import GroupRates
 from equifair.synth import generate_multilabel
 
+from helpers import roc_points, trapezoid_area
 from oracles import (
     pairwise_auc_oracle,
     prc_enumeration_oracle,
@@ -226,18 +227,18 @@ class TestAucPrc:
 class TestRocCurve:
     def test_perfect_separator_contains_corners(self):
         curve = roc_curve([0.1, 0.2, 0.8, 0.9], [0, 0, 1, 1])
-        pts = {(f, t) for f, t, _ in curve.points()}
+        pts = {(f, t) for f, t, _ in roc_points(curve)}
         assert {(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)} <= pts
 
     def test_all_ties_two_points(self):
         curve = roc_curve([0.5] * 4, [0, 1, 0, 1])
-        assert curve.points() == [(0.0, 0.0, np.inf), (1.0, 1.0, 0.5)]
+        assert roc_points(curve) == [(0.0, 0.0, np.inf), (1.0, 1.0, 0.5)]
 
     def test_six_sample_case_matches_sweep_oracle(self):
         scores = [0.9, 0.8, 0.8, 0.4, 0.3, 0.1]
         labels = [1, 0, 1, 1, 0, 0]
         curve = roc_curve(scores, labels)
-        assert {(f, t) for f, t, _ in curve.points()} == roc_sweep_oracle(scores, labels)
+        assert {(f, t) for f, t, _ in roc_points(curve)} == roc_sweep_oracle(scores, labels)
 
     def test_monotone(self):
         rng = np.random.default_rng(3)
@@ -256,7 +257,7 @@ class TestRocCurve:
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         curve = roc_curve(scores, labels)
-        assert curve.trapezoid_area() == pytest.approx(auc_roc(scores, labels), abs=1e-12)
+        assert trapezoid_area(curve) == pytest.approx(auc_roc(scores, labels), abs=1e-12)
 
 
 class TestMultilabelAuc:
