@@ -67,7 +67,12 @@ def _write_text(path: Path, text: str) -> Path:
 
 
 def _write_json(path: Path, doc) -> Path:
-    return _write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    """Write ``doc`` as strict JSON; a non-finite number is invalid input."""
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValidationError(f"{path.name}: {exc}") from None
+    return _write_text(path, text + "\n")
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path], seed: int | None) -> Path:
@@ -327,7 +332,8 @@ def _cmd_pipeline(args) -> int:
         eval_file = read_prediction_file(Path(args.input), group_col=args.group_col)
         fit_file = read_prediction_file(Path(args.fit_input), group_col=args.group_col) if args.fit_input else eval_file
         inputs += [Path(p) for p in (args.input, args.fit_input) if p]
-        metadata["fit_split"] = str(args.fit_input) if args.fit_input else "eval (no separate fit input provided)"
+        # the fit file's path is kept in manifest.json, not in the reports
+        metadata["fit_split"] = "separate fit input" if args.fit_input else "eval (no separate fit input provided)"
         fit_preds, eval_preds = fit_file.predictions, eval_file.predictions
         fit_features, eval_features = fit_file.constituent_scores, eval_file.constituent_scores
     else:

@@ -39,10 +39,13 @@ import numpy as np
 
 from .errors import FormatError, GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
-from .metrics import GroupRateEntry, GroupRates, confusion_rates, roc_curve
+from .metrics import GroupRateEntry, GroupRates, confusion_counts, confusion_rates, roc_curve
 from .predictions import LabeledPredictions
 
 _DIAG_TOL = 1e-12
+# threshold of the ROC point (0, 0): no score in [0, 1] reaches it, and
+# unlike +inf it is a finite number in a derived predictor's JSON
+_NEVER_POSITIVE = math.nextafter(1.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -182,6 +185,15 @@ def _hard_region(base_fpr: float, base_tpr: float) -> np.ndarray:
     return pts[convex_hull_indices(pts)]
 
 
+def _policies_by_code(dp: DerivedPredictor, preds: LabeledPredictions) -> list:
+    """The policy of each group code of ``preds`` (None for a universe
+    group without samples); every present group must have one."""
+    unknown = set(preds.present_groups()) - set(dp.policies)
+    if unknown:
+        raise GroupMismatchError(f"groups not covered by the derived predictor: {sorted(unknown)}")
+    return [dp.policies.get(g) for g in preds.universe]
+
+
 def _require_fit_groups(rates: GroupRates) -> tuple[str, ...]:
     groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
     if len(groups) < 2:
@@ -234,12 +246,10 @@ def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     """
     if preds.y_hat is None:
         raise ValidationError("apply_hard requires hard predictions (y_hat)")
-    unknown = set(preds.groups) - set(dp.policies)
-    if unknown:
-        raise GroupMismatchError(f"groups not covered by the derived predictor: {sorted(unknown)}")
+    policies = _policies_by_code(dp, preds)
     out = np.zeros(len(preds), dtype=np.int8)
     for i in range(len(preds)):
-        pol = dp.policies[preds.groups[i]]
+        pol = policies[preds.group_codes[i]]
         p = pol.p1 if preds.y_hat[i] == 1 else pol.p0
         (u,) = sample_uniforms(seed, "eo-hard", preds.ids[i], n=1)
         out[i] = 1 if u < p else 0
@@ -294,7 +304,7 @@ def _decompose_soft(
     thresholds.
     """
     if y - x <= _DIAG_TOL:
-        i_zero = chain[0]  # (0, 0) at threshold +inf
+        i_zero = chain[0]  # (0, 0), never positive
         i_all = int(np.argmin(thresholds))  # (1, 1) at the lowest threshold
         lam = min(max(y, 0.0), 1.0)
         return SoftGroupPolicy(
@@ -352,24 +362,18 @@ def _upper_envelope(hull: list[int], last: int) -> list[int]:
     return [hull[0], *hull[turn:][::-1]]
 
 
-def _soft_group_counts(preds: LabeledPredictions) -> GroupRates:
-    """Counts-only GroupRates (rates undefined) for loss weighting."""
-    out = {}
-    for g in preds.present_groups():
-        m = preds.group_mask(g)
-        n_pos = int(np.sum(preds.y_true[m] == 1))
-        n_neg = int(np.sum(preds.y_true[m] == 0))
-        out[g] = GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=n_neg)
-    return GroupRates(out)
-
-
 def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomized thresholds on scores so that derived tpr
     and fpr are exactly equal across groups, minimizing expected loss."""
     if preds.scores is None:
         raise ValidationError("fit_eo_soft requires scores")
-    counts = _soft_group_counts(preds)
-    groups = tuple(counts.groups)
+    classes = confusion_counts(preds).sum(axis=2).tolist()
+    counts = GroupRates({
+        g: GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=n_neg)
+        for g, (n_neg, n_pos) in zip(preds.universe, classes)
+        if n_pos + n_neg
+    })
+    groups = counts.groups
     if len(groups) < 2:
         raise ValidationError("equalized-odds fitting requires at least 2 groups")
     lacking = [g for g in groups if counts[g].n_pos == 0 or counts[g].n_neg == 0]
@@ -380,12 +384,13 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     geoms: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     regions: list[np.ndarray] = []
     for g in groups:
-        m = preds.group_mask(g)
+        m = preds.group_codes == preds.universe.index(g)
         curve = roc_curve(preds.scores[m], preds.y_true[m])
         pts = np.column_stack((curve.fpr, curve.tpr))
         hull = convex_hull_indices(pts)
         regions.append(pts[hull])
-        geoms[g] = (pts, curve.thresholds, _upper_envelope(hull, len(pts) - 1))
+        thresholds = np.minimum(curve.thresholds, _NEVER_POSITIVE)
+        geoms[g] = (pts, thresholds, _upper_envelope(hull, len(pts) - 1))
     vertices = intersect_regions(regions)
     if len(vertices) == 0:
         vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
@@ -410,12 +415,10 @@ def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     """
     if preds.scores is None:
         raise ValidationError("apply_soft requires scores")
-    unknown = set(preds.groups) - set(dp.policies)
-    if unknown:
-        raise GroupMismatchError(f"groups not covered by the derived predictor: {sorted(unknown)}")
+    policies = _policies_by_code(dp, preds)
     out = np.zeros(len(preds), dtype=np.int8)
     for i in range(len(preds)):
-        pol = dp.policies[preds.groups[i]]
+        pol = policies[preds.group_codes[i]]
         degenerate = pol.p_coin == 0.0 and (pol.lam in (0.0, 1.0) or pol.t_lo == pol.t_hi)
         if degenerate:
             t = pol.t_lo if pol.lam > 0.0 else pol.t_hi
@@ -473,7 +476,7 @@ class DerivedPredictor:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
     @staticmethod
     def from_dict(d: Mapping) -> "DerivedPredictor":

@@ -4,8 +4,9 @@ Rates are computed from exact integer counts.  A group with no positives
 (or no negatives) has the corresponding rate flagged as undefined rather
 than propagated as NaN, and undefined rates are excluded from gap ranges.
 
-AUC ROC follows the rank-statistic convention: ties between a positive and
-a negative score contribute one half.  AUC PRC is the step-wise
+AUC ROC is the trapezoid area under the ROC curve with tied scores grouped,
+which equals the rank statistic: ties between a positive and a negative
+score contribute one half.  AUC PRC is the step-wise
 average-precision sum over distinct score thresholds (no linear
 interpolation between operating points).
 """
@@ -75,6 +76,15 @@ class GroupRates:
         return GroupRates({g: GroupRateEntry(**e) for g, e in d.items()})
 
 
+def confusion_counts(preds: LabeledPredictions) -> np.ndarray:
+    """Samples per (group code, y_true, y_hat) cell, a (len(universe), 2, 2)
+    integer array; without ``y_hat`` every sample counts as y_hat = 0."""
+    cells = preds.group_codes.astype(np.intp) * 4 + 2 * preds.y_true
+    if preds.y_hat is not None:
+        cells += preds.y_hat
+    return np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 2, 2)
+
+
 def confusion_rates(preds: LabeledPredictions) -> GroupRates:
     """Exact per-group tpr/tnr/fpr/fnr from hard predictions.
 
@@ -83,19 +93,14 @@ def confusion_rates(preds: LabeledPredictions) -> GroupRates:
     """
     if preds.y_hat is None:
         raise ValidationError("confusion_rates requires hard predictions (y_hat)")
-    y, h = preds.y_true, preds.y_hat
     out: dict[str, GroupRateEntry] = {}
-    for g in preds.universe:
-        m = preds.group_mask(g)
-        n_pos = int(np.sum(y[m] == 1))
-        n_neg = int(np.sum(y[m] == 0))
-        tp = int(np.sum((y[m] == 1) & (h[m] == 1)))
-        tn = int(np.sum((y[m] == 0) & (h[m] == 0)))
+    for g, ((tn, fp), (fn, tp)) in zip(preds.universe, confusion_counts(preds).tolist()):
+        n_pos, n_neg = tp + fn, tn + fp
         out[g] = GroupRateEntry(
             tpr=tp / n_pos if n_pos else None,
             tnr=tn / n_neg if n_neg else None,
-            fpr=(n_neg - tn) / n_neg if n_neg else None,
-            fnr=(n_pos - tp) / n_pos if n_pos else None,
+            fpr=fp / n_neg if n_neg else None,
+            fnr=fn / n_pos if n_pos else None,
             n_pos=n_pos,
             n_neg=n_neg,
         )
@@ -129,35 +134,34 @@ def _check_binary_scores(scores, y_true) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def _average_ranks(s: np.ndarray) -> np.ndarray:
-    # 1-based ranks with ties assigned their average rank
-    order = np.argsort(s, kind="stable")
-    ranks = np.empty(s.size, dtype=np.float64)
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _threshold_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sort by descending score once: each distinct score as a threshold,
+    with the cumulative true and false positives of predicting positive
+    at or above it."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    # last index of each distinct-score block = the point traced at that threshold
+    block_end = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
+    tp = np.cumsum(y[order] == 1)[block_end]
+    return s_sorted[block_end], tp, block_end + 1 - tp
 
 
 def auc_roc(scores, y_true) -> float:
-    """Area under the ROC curve via the rank statistic.
+    """Area under the ROC curve: the trapezoid over the operating points
+    of the distinct thresholds, so tied scores form one diagonal segment.
 
-    Equals P(score of a random positive > score of a random negative)
-    plus half the tie probability.  Requires both classes.
+    Equals the rank statistic, P(score of a random positive > score of a
+    random negative) plus half the tie probability.  Computed as the
+    integer 2U over 2 * n_pos * n_neg, so the result is correctly rounded.
+    Requires both classes.
     """
     s, y = _check_binary_scores(scores, y_true)
-    n_pos = int(np.sum(y == 1))
-    n_neg = y.size - n_pos
+    _, tp, fp = _threshold_counts(s, y)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("auc_roc requires both classes present")
-    ranks = _average_ranks(s)
-    u = float(np.sum(ranks[y == 1])) - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    two_u = int(np.dot(np.diff(fp, prepend=0), tp + np.append(0, tp[:-1])))
+    return two_u / (2 * n_pos * n_neg)
 
 
 def auc_prc(scores, y_true) -> float:
@@ -167,20 +171,13 @@ def auc_prc(scores, y_true) -> float:
     and sums precision times recall increment.  Requires >= 1 positive.
     """
     s, y = _check_binary_scores(scores, y_true)
-    n_pos = int(np.sum(y == 1))
+    _, tp, fp = _threshold_counts(s, y)
+    n_pos = int(tp[-1])
     if n_pos == 0:
         raise ValidationError("auc_prc requires at least one positive")
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    tp_cum = np.cumsum(y_sorted == 1)
-    # last index of each distinct-score block = the point traced at that threshold
-    block_end = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    tp = tp_cum[block_end].astype(np.float64)
-    predicted = (block_end + 1).astype(np.float64)
-    precision = tp / predicted
+    precision = tp / (tp + fp)
     recall = tp / n_pos
-    delta = np.diff(np.concatenate(([0.0], recall)))
-    return float(np.sum(precision * delta))
+    return float(np.sum(precision * np.diff(recall, prepend=0.0)))
 
 
 @dataclass(frozen=True)
@@ -199,19 +196,15 @@ class RocCurve:
 def roc_curve(scores, y_true) -> RocCurve:
     """Exact empirical ROC operating points with their thresholds."""
     s, y = _check_binary_scores(scores, y_true)
-    n_pos = int(np.sum(y == 1))
-    n_neg = y.size - n_pos
+    thresholds, tp, fp = _threshold_counts(s, y)
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_curve requires both classes present")
-    order = np.argsort(-s, kind="stable")
-    s_sorted, y_sorted = s[order], y[order]
-    tp_cum = np.cumsum(y_sorted == 1)
-    fp_cum = np.cumsum(y_sorted == 0)
-    block_end = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    fpr = np.concatenate(([0.0], fp_cum[block_end] / n_neg))
-    tpr = np.concatenate(([0.0], tp_cum[block_end] / n_pos))
-    thresholds = np.concatenate(([np.inf], s_sorted[block_end]))
-    return RocCurve(fpr=fpr, tpr=tpr, thresholds=thresholds)
+    return RocCurve(
+        fpr=np.concatenate(([0.0], fp / n_neg)),
+        tpr=np.concatenate(([0.0], tp / n_pos)),
+        thresholds=np.concatenate(([np.inf], thresholds)),
+    )
 
 
 @dataclass(frozen=True)
@@ -284,7 +277,7 @@ class FairnessReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
 
     @staticmethod
     def from_dict(d: Mapping) -> "FairnessReport":
@@ -331,7 +324,7 @@ def build_report(
         auc_overall = auc_roc(preds.scores, preds.y_true)
         prc_overall = auc_prc(preds.scores, preds.y_true)
         for g in preds.present_groups():
-            m = preds.group_mask(g)
+            m = preds.group_codes == preds.universe.index(g)
             try:
                 per_group[g] = auc_roc(preds.scores[m], preds.y_true[m])
             except ValidationError:

@@ -9,8 +9,8 @@ extra ``score_<modelname>`` column per constituent model.
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,8 @@ class LabeledPredictions:
     truth, a group label per sample, and at least one of ``scores`` (reals
     in [0, 1]) or ``y_hat`` (binary).  ``universe`` is the declared set of
     admissible group labels; it defaults to the labels present.
+    ``group_codes`` holds each sample's group as its index into
+    ``universe``, in the narrowest unsigned dtype that fits.
     """
 
     ids: tuple[str, ...]
@@ -41,6 +43,7 @@ class LabeledPredictions:
     scores: np.ndarray | None = None
     y_hat: np.ndarray | None = None
     universe: tuple[str, ...] = ()
+    group_codes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = len(self.ids)
@@ -71,27 +74,29 @@ class LabeledPredictions:
                 raise ValidationError("y_hat must be binary")
             object.__setattr__(self, "y_hat", _readonly(h))
         universe = tuple(self.universe) or tuple(sorted(set(self.groups)))
+        index = {g: i for i, g in enumerate(universe)}
+        if len(index) != len(universe):
+            raise ValidationError("group universe labels must be unique")
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "groups", tuple(self.groups))
-        unknown = set(self.groups) - set(universe)
-        if unknown:
+        try:
+            codes = np.fromiter(
+                map(index.__getitem__, self.groups), dtype=np.min_scalar_type(len(universe) - 1), count=n
+            )
+        except KeyError:
+            unknown = set(self.groups) - set(universe)
             raise ValidationError(
                 f"group labels outside the declared universe: {sorted(unknown)}"
-            )
+            ) from None
+        object.__setattr__(self, "group_codes", _readonly(codes))
 
     def __len__(self) -> int:
         return len(self.ids)
 
     def present_groups(self) -> tuple[str, ...]:
         """Universe members that actually occur in the data, universe order."""
-        present = set(self.groups)
-        return tuple(g for g in self.universe if g in present)
-
-    def group_mask(self, group: str) -> np.ndarray:
-        return np.asarray(self.groups, dtype=object) == group
-
-    def with_y_hat(self, y_hat: np.ndarray) -> "LabeledPredictions":
-        return replace(self, y_hat=np.asarray(y_hat, dtype=np.int8))
+        rows = np.bincount(self.group_codes, minlength=len(self.universe))
+        return tuple(g for g, k in zip(self.universe, rows) if k)
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,6 @@ class PredictionFile:
 
     predictions: LabeledPredictions
     constituent_scores: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def constituent_names(self) -> tuple[str, ...]:
-        return tuple(self.constituent_scores)
 
     def feature_matrix(self) -> np.ndarray:
         """Constituent scores stacked as a (n, k) matrix, header order."""
@@ -204,31 +205,22 @@ def read_predictions(path: str | Path, group_col: str = "group", universe: tuple
     return read_prediction_file(path, group_col=group_col, universe=universe).predictions
 
 
-def format_prediction_csv(
-    preds: LabeledPredictions,
-    constituent_scores: dict[str, np.ndarray] | None = None,
-) -> str:
-    """Render predictions as CSV text, deterministically."""
-    consts = constituent_scores or {}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "group", "y_true", "score", "y_hat", *(f"score_{n}" for n in consts)])
-    for i in range(len(preds)):
-        row = [
-            preds.ids[i],
-            preds.groups[i],
-            str(int(preds.y_true[i])),
-            repr(float(preds.scores[i])) if preds.scores is not None else "",
-            str(int(preds.y_hat[i])) if preds.y_hat is not None else "",
-        ]
-        row.extend(repr(float(consts[n][i])) for n in consts)
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 def write_predictions(
     preds: LabeledPredictions,
     path: str | Path,
     constituent_scores: dict[str, np.ndarray] | None = None,
 ) -> None:
-    Path(path).write_text(format_prediction_csv(preds, constituent_scores), encoding="utf-8")
+    """Write predictions as CSV, deterministically, row by row."""
+    consts = constituent_scores or {}
+    columns = (
+        preds.ids,
+        preds.groups,
+        map(str, preds.y_true.tolist()),
+        map(repr, preds.scores.tolist()) if preds.scores is not None else repeat(""),
+        map(str, preds.y_hat.tolist()) if preds.y_hat is not None else repeat(""),
+        *(map(repr, np.asarray(v, dtype=np.float64).tolist()) for v in consts.values()),
+    )
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "group", "y_true", "score", "y_hat", *(f"score_{n}" for n in consts)])
+        writer.writerows(zip(*columns))

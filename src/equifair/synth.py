@@ -353,8 +353,8 @@ class EmbeddingPlantConfig:
             raise ValidationError("planting needs >= (largest set size - 1) directions")
         if self.dim < k + 1:
             raise ValidationError("dimension must exceed the number of planted directions")
-        if self.noise < 0:
-            raise ValidationError("noise scale must be non-negative")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValidationError("noise scale must be finite and non-negative")
         if not 0.0 < self.offset < 1.0:
             raise ValidationError("offset must lie strictly in (0, 1)")
         words = {w for s in sets for w in s}

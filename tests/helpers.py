@@ -20,13 +20,19 @@ def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> b
     return all(cross(p, q, point) >= -tol for p, q in polygon_edges(verts))
 
 
+def group_masks(preds) -> dict[str, np.ndarray]:
+    """Row mask of each group present in ``preds``, universe order, read
+    off the group codes."""
+    masks = {g: preds.group_codes == code for code, g in enumerate(preds.universe)}
+    return {g: m for g, m in masks.items() if m.any()}
+
+
 def soft_regions_of(preds) -> dict[str, np.ndarray]:
     """Convex achievable region (hull vertices) per group, from scores."""
     if preds.scores is None:
         raise ValidationError("scores required")
     out = {}
-    for g in preds.present_groups():
-        m = preds.group_mask(g)
+    for g, m in group_masks(preds).items():
         curve = roc_curve(preds.scores[m], preds.y_true[m])
         pts = np.column_stack((curve.fpr, curve.tpr))
         out[g] = pts[convex_hull_indices(pts)]

@@ -10,9 +10,10 @@ import math
 import numpy as np
 
 from equifair import LabeledPredictions
-from equifair.eo import _soft_group_counts, loss_coefficients
+from equifair.eo import loss_coefficients
+from equifair.metrics import GroupRateEntry, GroupRates
 
-from helpers import soft_regions_of
+from helpers import group_masks, soft_regions_of
 
 
 def pairwise_auc_oracle(scores, y_true):
@@ -50,10 +51,11 @@ def roc_sweep_oracle(scores, y_true):
     return points
 
 
-def tally_rates_oracle(ids, y_true, groups, y_hat):
-    """Per-sample confusion tally, one group at a time."""
+def tally_rates_oracle(ids, y_true, groups, y_hat, universe=()):
+    """Per-sample confusion tally, one group at a time, over ``universe``
+    (default: the groups present, sorted)."""
     out = {}
-    for g in sorted(set(groups)):
+    for g in universe or sorted(set(groups)):
         tp = fp = tn = fn = 0
         for y, gg, h in zip(y_true, groups, y_hat):
             if gg != g:
@@ -114,7 +116,11 @@ def soft_grid_oracle(preds, loss, resolution=1e-3):
     """Dense raster over [0,1]^2 kept to points inside every group's
     achievable region; returns the best objective over the raster."""
     regions = soft_regions_of(preds)
-    k_fp, k_fn = loss_coefficients(_soft_group_counts(preds), loss)
+    counts = {}
+    for g, m in group_masks(preds).items():
+        n_pos = int(preds.y_true[m].sum())
+        counts[g] = GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=int(m.sum()) - n_pos)
+    k_fp, k_fn = loss_coefficients(GroupRates(counts), loss)
     axis = np.arange(0.0, 1.0 + resolution / 2, resolution)
     xx, yy = np.meshgrid(axis, axis)
     inside = np.ones(xx.shape, dtype=bool)
@@ -172,9 +178,8 @@ def replicate_per_group(preds, per_group):
     """Tile each group's rows to at least ``per_group`` samples, whole
     copies only, so every group's empirical distribution is unchanged."""
     ids, y, g, s, h = [], [], [], [], []
-    for grp in preds.present_groups():
-        mask = preds.group_mask(grp)
-        rows = [i for i in range(len(preds)) if mask[i]]
+    for grp, mask in group_masks(preds).items():
+        rows = np.flatnonzero(mask).tolist()
         reps = math.ceil(per_group / len(rows))
         for r in range(reps):
             for i in rows:

@@ -206,6 +206,17 @@ class TestEnsembleCommands:
         combined = read_predictions(tmp_path / "p/ensemble_predictions.csv")
         assert combined.scores is not None and combined.y_hat is not None
 
+    def test_non_finite_threshold_is_invalid_input(self, tmp_path, capsys):
+        feats = self._features_csv(tmp_path)
+        assert main(["ensemble-fit", "--input", str(feats), "--out", str(tmp_path / "m")]) == 0
+        argv = [
+            "ensemble-predict", "--input", feats, "--model", tmp_path / "m/ensemble_model.json",
+            "--threshold", "nan", "--out", tmp_path / "p",
+        ]
+        assert main([str(a) for a in argv]) == 6
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("invalid-input: manifest.json: "), err
+
 
 class TestPipeline:
     def test_none_intervention_pure_metrics(self, tmp_path):
@@ -267,6 +278,22 @@ class TestPipeline:
             b = (tmp_path / "run2" / name).read_bytes()
             assert a == b, f"{name} differs between reruns"
 
+    def test_reports_do_not_depend_on_input_paths(self, tmp_path):
+        fit = preds_from_counts({"A": (10, 8, 10, 2), "B": (10, 6, 10, 3)})
+        ev = preds_from_counts({"A": (12, 9, 8, 2), "B": (9, 5, 11, 4)})
+        for where in ("a", "b/deeper"):
+            (tmp_path / where).mkdir(parents=True)
+            write_predictions(fit, tmp_path / where / "fit.csv")
+            write_predictions(ev, tmp_path / where / "eval.csv")
+            argv = [
+                "pipeline", "--intervention", "eo-hard", "--seed", "3",
+                "--fit-input", tmp_path / where / "fit.csv", "--input", tmp_path / where / "eval.csv",
+                "--out", tmp_path / where / "out",
+            ]
+            assert main([str(a) for a in argv]) == 0
+        for name in ("base_report.json", "post_report.json", "plot_data.csv"):
+            assert (tmp_path / "a/out" / name).read_bytes() == (tmp_path / "b/deeper/out" / name).read_bytes(), name
+
     def test_multimodal_pipeline_fits_ensemble(self, tmp_path):
         res = run_cli(
             "pipeline", "--intervention", "none", "--preset", "sex", "--n", "600",
@@ -294,18 +321,23 @@ class TestPipeline:
 
 
 class TestPinnedArtifacts:
-    """sha256 of the EO artifacts of small seeded synthetic pipelines, as
-    written before the two derived-predictor classes became one; any change
-    to fitting, serialisation or the realised draws shows here."""
+    """sha256 of the EO artifacts and reports of small seeded synthetic
+    pipelines, as written before the two derived-predictor classes became
+    one (reports: before group codes and the one-sort AUC); any change to
+    fitting, metrics, serialisation or the realised draws shows here."""
 
     PINS = {
         ("eo-hard",): {
             "derived_predictor.json": "95e68f04b3ea7a1e3edeb13fbd4b7ca9b1a16e5cf8c545bad412b0e63652278e",
             "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
+            "base_report.json": "a7f138c78377f6f1e154e13f88dc287f7409f3cba0a1e5e141914ba7e81404be",
+            "post_report.json": "5aadb68f2cdd977c1d951fa27fa9a2c19c69314891ffc8f266c62042ec83968e",
         },
         ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
             "derived_predictor.json": "50da32f885c15f58a7c2a7b73a558644bf0971664a3fba6d7d1b2124aa03fdfe",
             "postprocessed.csv": "60fd79bd0dfe6249c561fbee65379713025f71bb74c38120d4ef34a236adaccb",
+            "base_report.json": "7e501643ccd896bb00c879f9821a4d16d5a13dab92762a0dc17d85f1730e41e3",
+            "post_report.json": "3f03018e0429c40e8902355cdaa2b94fa4955960237c472c4e690a63b899b0af",
         },
     }
 
@@ -349,6 +381,7 @@ MALFORMED = {
     "pipeline-cost-fp-nan": ("pipeline", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "input-is-a-directory": ("metrics", "dir", 3, "missing-file", "Is a directory"),
     "input-not-utf8": ("metrics", "latin-1", 4, "format-error", "utf-8"),
+    "synth-noise-nan": ("synth", ["--plant-embeddings", "--noise", "nan"], 6, "invalid-input", "finite"),
 }
 
 
@@ -374,6 +407,8 @@ class TestMalformedInputs:
             argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
         elif command == "pipeline":
             argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *arg, "--out", out]
+        elif command == "synth":
+            argv = ["synth", *arg, "--out", out]
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:

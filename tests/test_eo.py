@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -193,7 +195,7 @@ class TestApplyHard:
             y_hat=np.tile(preds.y_hat, reps),
         )
         out = apply_hard(dp, big, seed=17)
-        derived = confusion_rates(big.with_y_hat(out))
+        derived = confusion_rates(replace(big, y_hat=out))
         expect = expected_rates(dp)
         for g in ("A", "B"):
             n_pos, n_neg = derived[g].n_pos, derived[g].n_neg
@@ -281,6 +283,25 @@ class TestFitSoft:
         back = DerivedPredictor.from_dict(json.loads(dp.to_json()))
         assert back.target == dp.target
         assert back.policies == dp.policies
+
+    def test_all_negative_target_is_strict_json(self):
+        import json
+
+        preds = LabeledPredictions(
+            ids=tuple("abcdefgh"),
+            y_true=np.array([0, 1, 0, 1, 1, 0, 1, 0]),
+            groups=tuple("AAAABBBB"),
+            scores=np.array([0.9, 0.8, 0.3, 0.2] * 2),
+        )
+        dp = fit_eo_soft(preds, LossSpec(cost_fp=50))
+        assert dp.target == (0.0, 0.0)
+
+        def reject(constant):
+            raise AssertionError(f"non-standard JSON constant {constant}")
+
+        doc = json.loads(dp.to_json(), parse_constant=reject)
+        assert all(doc["groups"][g]["t_hi"] > 1.0 for g in ("A", "B"))
+        assert not apply_soft(dp, preds, seed=0).any()
 
 
 class TestApplySoft:

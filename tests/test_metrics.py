@@ -17,7 +17,7 @@ from equifair import (
 from equifair.metrics import GroupRates
 from equifair.synth import generate_multilabel
 
-from helpers import roc_points, trapezoid_area
+from helpers import group_masks, roc_points, trapezoid_area
 from oracles import (
     pairwise_auc_oracle,
     prc_enumeration_oracle,
@@ -62,6 +62,23 @@ class TestConfusionRates:
             assert rates[g].tnr == e["tnr"]
             assert rates[g].n_pos == e["n_pos"]
             assert rates[g].n_neg == e["n_neg"]
+
+    def test_empty_universe_group_matches_tally_oracle(self):
+        ids = tuple(f"s{i}" for i in range(6))
+        y_true = [1, 0, 0, 1, 1, 0]
+        groups = ["g3", "g1", "g3", "g1", "g3", "g3"]
+        y_hat = [1, 1, 0, 0, 1, 1]
+        universe = ("g3", "g2", "g1")  # g2 has no rows; not in sorted order
+        expected = tally_rates_oracle(ids, y_true, groups, y_hat, universe=universe)
+        rates = confusion_rates(
+            LabeledPredictions(
+                ids=ids, y_true=np.array(y_true), groups=tuple(groups), y_hat=np.array(y_hat), universe=universe
+            )
+        )
+        assert rates.groups == universe
+        for g, e in expected.items():
+            assert (rates[g].tpr, rates[g].tnr, rates[g].n_pos, rates[g].n_neg) == (e["tpr"], e["tnr"], e["n_pos"], e["n_neg"])
+        assert rates["g2"].fpr is None and rates["g2"].fnr is None
 
     def test_single_class_group_flagged_undefined(self):
         preds = LabeledPredictions(
@@ -150,24 +167,27 @@ class TestAucRoc:
     def test_known_mixed_case(self):
         # pairwise oracle over the 4 pos/neg pairs: 3 wins of 4
         scores, labels = [0.1, 0.4, 0.35, 0.8], [0, 0, 1, 1]
-        assert auc_roc(scores, labels) == pytest.approx(0.75, abs=1e-15)
-        assert auc_roc(scores, labels) == pytest.approx(pairwise_auc_oracle(scores, labels), abs=1e-15)
+        assert auc_roc(scores, labels) == 0.75
+        assert auc_roc(scores, labels) == pairwise_auc_oracle(scores, labels)
 
     def test_single_class_raises(self):
         with pytest.raises(ValidationError):
             auc_roc([0.3, 0.4], [1, 1])
 
     @given(
-        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5, 0.75, 1.0]), min_size=2, max_size=40),
+        st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=6, unique=True),
         st.data(),
     )
-    def test_matches_pairwise_oracle(self, scores, data):
+    def test_matches_pairwise_oracle(self, pool, data):
+        # a pool of one to six distinct scores: heavy ties, down to a single score
+        scores = data.draw(st.lists(st.sampled_from(pool), min_size=2, max_size=60))
         labels = data.draw(
             st.lists(st.sampled_from([0, 1]), min_size=len(scores), max_size=len(scores))
         )
         if len(set(labels)) < 2:
             labels[0], labels[-1] = 0, 1
-        assert auc_roc(scores, labels) == pytest.approx(pairwise_auc_oracle(scores, labels), abs=1e-12)
+        # the trapezoid's exact 2U and the oracle's pair count give the same rational
+        assert auc_roc(scores, labels) == pairwise_auc_oracle(scores, labels)
 
     @given(st.integers(0, 2**32 - 1))
     def test_label_flip_symmetry(self, seed):
@@ -348,8 +368,7 @@ class TestBuildReport:
         assert report.tpr_range == tpr_range and report.tnr_range == tnr_range
         assert report.auc_roc_overall == auc_roc(preds.scores, preds.y_true)
         assert report.auc_prc_overall == auc_prc(preds.scores, preds.y_true)
-        for g in ("a", "b"):
-            m = preds.group_mask(g)
+        for g, m in group_masks(preds).items():
             assert report.auc_roc_per_group[g] == auc_roc(preds.scores[m], preds.y_true[m])
 
     def test_empty_metadata_still_valid(self):

@@ -3,7 +3,6 @@ import pytest
 
 from equifair import EmptyInputError, FormatError, LabeledPredictions, ValidationError
 from equifair.predictions import (
-    format_prediction_csv,
     read_prediction_file,
     read_predictions,
     write_predictions,
@@ -50,6 +49,21 @@ class TestValidation:
     def test_default_universe_is_sorted_present_groups(self):
         assert small_preds().universe == ("g1", "g2")
 
+    def test_duplicate_universe_labels_rejected(self):
+        with pytest.raises(ValidationError):
+            small_preds(universe=("g1", "g2", "g1"))
+
+    def test_group_codes_index_the_universe(self):
+        preds = small_preds(universe=("g2", "g0", "g1"))
+        assert preds.group_codes.dtype == np.uint8
+        assert [preds.universe[c] for c in preds.group_codes] == list(preds.groups)
+        assert preds.present_groups() == ("g2", "g1")
+
+    def test_group_codes_are_read_only(self):
+        preds = small_preds()
+        with pytest.raises(ValueError):
+            preds.group_codes[0] = 1
+
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
             small_preds(groups=("g1", "g1", "g2"))
@@ -69,11 +83,10 @@ class TestCsvRoundTrip:
 
     def test_round_trip_bytes_identical(self, tmp_path):
         preds = small_preds(scores=np.array([0.1, 0.30000000000000004, 1.0, 0.0]))
-        text = format_prediction_csv(preds)
-        path = tmp_path / "a.csv"
-        path.write_text(text, encoding="utf-8")
-        again = format_prediction_csv(read_predictions(path))
-        assert again == text
+        path, again = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_predictions(preds, path)
+        write_predictions(read_predictions(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_score_only_file(self, tmp_path):
         preds = small_preds(y_hat=None)
@@ -109,7 +122,7 @@ class TestCsvRoundTrip:
             encoding="utf-8",
         )
         pfile = read_prediction_file(path)
-        assert pfile.constituent_names == ("text", "tab")
+        assert tuple(pfile.constituent_scores) == ("text", "tab")
         mat = pfile.feature_matrix()
         np.testing.assert_allclose(mat, [[0.9, 0.7], [0.1, 0.3]])
 
