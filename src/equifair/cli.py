@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -283,6 +284,8 @@ def _cmd_ensemble_fit(args) -> int:
 
 
 def _cmd_ensemble_predict(args) -> int:
+    if not math.isfinite(args.threshold):
+        raise ValidationError(f"--threshold must be finite, got {args.threshold}")
     out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     doc = json.loads(Path(args.model).read_text(encoding="utf-8"))

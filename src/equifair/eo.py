@@ -33,7 +33,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
-from typing import ClassVar, Mapping, get_type_hints
+from typing import ClassVar, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -135,13 +135,23 @@ def expected_accuracy_of_rates(rates: GroupRates) -> float:
 # ---------------------------------------------------------------------------
 # counter-based randomness: one digest per (seed, purpose, sample id)
 
-def sample_uniforms(seed: int, purpose: str, sample_id: str, n: int = 3) -> tuple[float, ...]:
-    """n uniforms in [0, 1) derived from (seed, purpose, sample id)."""
-    msg = f"{seed}\x1f{purpose}\x1f{sample_id}".encode()
-    digest = hashlib.blake2b(msg, digest_size=8 * n).digest()
-    return tuple(
-        int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2.0**64 for i in range(n)
-    )
+_HASH_CHUNK = 1 << 16  # ids per joined digest buffer
+
+
+def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str], n: int = 3) -> np.ndarray:
+    """A (len(sample_ids), n) array of uniforms in [0, 1).  Row i is the
+    blake2b digest of (seed, purpose, sample_ids[i]) read as n big-endian
+    64-bit integers over 2**64, so it depends on that id alone."""
+    prefix = hashlib.blake2b(f"{seed}\x1f{purpose}\x1f".encode(), digest_size=8 * n)
+    out = np.empty((len(sample_ids), n))
+    for start in range(0, len(sample_ids), _HASH_CHUNK):
+        digests = []
+        for sample_id in sample_ids[start : start + _HASH_CHUNK]:
+            h = prefix.copy()  # cheaper than a new blake2b object per id
+            h.update(sample_id.encode())
+            digests.append(h.digest())
+        out[start : start + len(digests)] = (np.frombuffer(b"".join(digests), ">u8") / 2.0**64).reshape(-1, n)
+    return out
 
 
 def derive_seed(seed: int, tag: str) -> int:
@@ -185,13 +195,18 @@ def _hard_region(base_fpr: float, base_tpr: float) -> np.ndarray:
     return pts[convex_hull_indices(pts)]
 
 
-def _policies_by_code(dp: DerivedPredictor, preds: LabeledPredictions) -> list:
-    """The policy of each group code of ``preds`` (None for a universe
-    group without samples); every present group must have one."""
+def _policy_table(dp: DerivedPredictor, preds: LabeledPredictions, *names: str) -> np.ndarray:
+    """(universe groups, len(names)) array of the named policy fields of
+    each group code of ``preds``; every present group must have a policy,
+    and a universe group without samples, which no row reads, gets zeros."""
     unknown = set(preds.present_groups()) - set(dp.policies)
     if unknown:
         raise GroupMismatchError(f"groups not covered by the derived predictor: {sorted(unknown)}")
-    return [dp.policies.get(g) for g in preds.universe]
+    rows = []
+    for g in preds.universe:
+        p = dp.policies.get(g)
+        rows.append([getattr(p, f) for f in names] if p is not None else [0.0] * len(names))
+    return np.array(rows, dtype=np.float64)
 
 
 def _require_fit_groups(rates: GroupRates) -> tuple[str, ...]:
@@ -246,14 +261,8 @@ def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     """
     if preds.y_hat is None:
         raise ValidationError("apply_hard requires hard predictions (y_hat)")
-    policies = _policies_by_code(dp, preds)
-    out = np.zeros(len(preds), dtype=np.int8)
-    for i in range(len(preds)):
-        pol = policies[preds.group_codes[i]]
-        p = pol.p1 if preds.y_hat[i] == 1 else pol.p0
-        (u,) = sample_uniforms(seed, "eo-hard", preds.ids[i], n=1)
-        out[i] = 1 if u < p else 0
-    return out
+    p = _policy_table(dp, preds, "p0", "p1")[preds.group_codes, preds.y_hat]
+    return (sample_uniforms(seed, "eo-hard", preds.ids, n=1)[:, 0] < p).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -410,27 +419,23 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
 def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
     """Apply the fitted randomized-threshold policies to scores.
 
-    Deterministic in (dp, preds, seed).  A degenerate single-threshold
-    policy reduces to plain thresholding with no randomness involved.
+    Deterministic in (dp, preds, seed); per-sample draws are derived from
+    the sample id, so row order does not matter.  A degenerate
+    single-threshold policy reduces to plain thresholding: its rows draw
+    nothing.
     """
     if preds.scores is None:
         raise ValidationError("apply_soft requires scores")
-    policies = _policies_by_code(dp, preds)
-    out = np.zeros(len(preds), dtype=np.int8)
-    for i in range(len(preds)):
-        pol = policies[preds.group_codes[i]]
-        degenerate = pol.p_coin == 0.0 and (pol.lam in (0.0, 1.0) or pol.t_lo == pol.t_hi)
-        if degenerate:
-            t = pol.t_lo if pol.lam > 0.0 else pol.t_hi
-            out[i] = 1 if preds.scores[i] >= t else 0
-            continue
-        u_sel, u_coin, u_mix = sample_uniforms(seed, "eo-soft", preds.ids[i], n=3)
-        if pol.p_coin > 0.0 and u_sel < pol.p_coin:
-            out[i] = 1 if u_coin < pol.coin_rate else 0
-        else:
-            t = pol.t_lo if u_mix < pol.lam else pol.t_hi
-            out[i] = 1 if preds.scores[i] >= t else 0
-    return out
+    t_lo, t_hi, lam, p_coin, coin_rate = _policy_table(dp, preds, "t_lo", "t_hi", "lam", "p_coin", "coin_rate").T
+    degenerate = (p_coin == 0.0) & ((lam == 0.0) | (lam == 1.0) | (t_lo == t_hi))
+    codes, scores = preds.group_codes, preds.scores
+    out = scores >= np.where(lam > 0.0, t_lo, t_hi)[codes]  # the degenerate rule, kept for degenerate rows
+    rows = np.flatnonzero(~degenerate[codes])
+    u_sel, u_coin, u_mix = sample_uniforms(seed, "eo-soft", [preds.ids[i] for i in rows.tolist()], n=3).T
+    g = codes[rows]
+    threshold = np.where(u_mix < lam[g], t_lo[g], t_hi[g])
+    out[rows] = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], scores[rows] >= threshold)
+    return out.astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

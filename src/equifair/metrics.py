@@ -155,8 +155,11 @@ def auc_roc(scores, y_true) -> float:
     integer 2U over 2 * n_pos * n_neg, so the result is correctly rounded.
     Requires both classes.
     """
-    s, y = _check_binary_scores(scores, y_true)
-    _, tp, fp = _threshold_counts(s, y)
+    _, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
+    return _trapezoid_auc(tp, fp)
+
+
+def _trapezoid_auc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("auc_roc requires both classes present")
@@ -170,8 +173,11 @@ def auc_prc(scores, y_true) -> float:
     Traces one operating point per distinct score threshold (descending)
     and sums precision times recall increment.  Requires >= 1 positive.
     """
-    s, y = _check_binary_scores(scores, y_true)
-    _, tp, fp = _threshold_counts(s, y)
+    _, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
+    return _step_prc(tp, fp)
+
+
+def _step_prc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos = int(tp[-1])
     if n_pos == 0:
         raise ValidationError("auc_prc requires at least one positive")
@@ -321,10 +327,13 @@ def build_report(
     auc_overall = prc_overall = None
     per_group: dict[str, float | None] = {}
     if preds.scores is not None:
-        auc_overall = auc_roc(preds.scores, preds.y_true)
-        prc_overall = auc_prc(preds.scores, preds.y_true)
-        for g in preds.present_groups():
-            m = preds.group_codes == preds.universe.index(g)
+        _, tp, fp = _threshold_counts(preds.scores, preds.y_true)  # one sort for both overall areas
+        auc_overall = _trapezoid_auc(tp, fp)
+        prc_overall = _step_prc(tp, fp)
+        for code, g in enumerate(preds.universe):
+            m = preds.group_codes == code
+            if not m.any():
+                continue
             try:
                 per_group[g] = auc_roc(preds.scores[m], preds.y_true[m])
             except ValidationError:

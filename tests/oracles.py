@@ -5,12 +5,16 @@ threshold sweeps, grid searches) and shares no code with the library
 paths it checks.
 """
 
+import csv
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 
-from equifair import LabeledPredictions
+from equifair import EmptyInputError, FormatError, LabeledPredictions
 from equifair.eo import loss_coefficients
+from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.metrics import GroupRateEntry, GroupRates
 
 from helpers import group_masks, soft_regions_of
@@ -197,3 +201,120 @@ def replicate_per_group(preds, per_group):
         scores=np.array(s) if preds.scores is not None else None,
         y_hat=np.array(h, dtype=np.int8) if preds.y_hat is not None else None,
     )
+
+
+def _parse_binary_oracle(value, column, line):
+    if value in ("0", "1"):
+        return int(value)
+    raise FormatError(f"line {line}: column {column!r} must be 0 or 1, got {value!r}")
+
+
+def _parse_score_oracle(value, column, line):
+    try:
+        x = float(value)
+    except ValueError:
+        raise FormatError(f"line {line}: column {column!r} is not a number: {value!r}") from None
+    if not 0.0 <= x <= 1.0:
+        raise FormatError(f"line {line}: column {column!r} must lie in [0, 1], got {value!r}")
+    return x
+
+
+def read_prediction_file_oracle(path, group_col="group", universe=()):
+    """The prediction CSV parsed one csv.reader row at a time, as the
+    library did before it parsed by column."""
+    path = Path(path)
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: file is empty") from None
+        missing = [c for c in (*REQUIRED_COLUMNS, group_col) if c not in header]
+        if missing:
+            raise FormatError(f"{path}: header is missing columns {missing}")
+        col = {name: i for i, name in enumerate(header)}
+        extra = [name for name in header if name.startswith("score_")]
+
+        ids, groups, y_true, scores, y_hat = [], [], [], [], []
+        features = {name: [] for name in extra}
+        score_seen = hat_seen = False
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
+            ids.append(row[col["id"]])
+            groups.append(row[col[group_col]])
+            y_true.append(_parse_binary_oracle(row[col["y_true"]], "y_true", lineno))
+            s_raw, h_raw = row[col["score"]], row[col["y_hat"]]
+            if s_raw == "" and h_raw == "":
+                raise FormatError(f"{path}: line {lineno}: score and y_hat are both empty")
+            if s_raw != "":
+                score_seen = True
+                scores.append(_parse_score_oracle(s_raw, "score", lineno))
+            elif score_seen:
+                raise FormatError(f"{path}: line {lineno}: score column must be filled for all rows or none")
+            if h_raw != "":
+                hat_seen = True
+                y_hat.append(_parse_binary_oracle(h_raw, "y_hat", lineno))
+            elif hat_seen:
+                raise FormatError(f"{path}: line {lineno}: y_hat column must be filled for all rows or none")
+            for name in extra:
+                features[name].append(_parse_score_oracle(row[col[name]], name, lineno))
+        if not ids:
+            raise EmptyInputError(f"{path}: no data rows")
+        if score_seen and len(scores) != len(ids):
+            raise FormatError(f"{path}: score column must be filled for all rows or none")
+        if hat_seen and len(y_hat) != len(ids):
+            raise FormatError(f"{path}: y_hat column must be filled for all rows or none")
+
+    preds = LabeledPredictions(
+        ids=tuple(ids),
+        y_true=np.array(y_true, dtype=np.int8),
+        groups=tuple(groups),
+        scores=np.array(scores) if score_seen else None,
+        y_hat=np.array(y_hat, dtype=np.int8) if hat_seen else None,
+        universe=universe,
+    )
+    consts = {name.removeprefix("score_"): np.array(vals, dtype=np.float64) for name, vals in features.items()}
+    return PredictionFile(predictions=preds, constituent_scores=consts)
+
+
+def sample_uniforms_oracle(seed, purpose, sample_id, n=3):
+    """n uniforms in [0, 1) from one blake2b digest of (seed, purpose,
+    sample id): the per-row draw the library used to make."""
+    msg = f"{seed}\x1f{purpose}\x1f{sample_id}".encode()
+    digest = hashlib.blake2b(msg, digest_size=8 * n).digest()
+    return tuple(int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2.0**64 for i in range(n))
+
+
+def apply_hard_oracle(dp, preds, seed):
+    """Hard EO applied one row at a time, as the library did before it
+    drew every row's uniform in one batch."""
+    out = np.zeros(len(preds), dtype=np.int8)
+    for i in range(len(preds)):
+        pol = dp.policies[preds.groups[i]]
+        p = pol.p1 if preds.y_hat[i] == 1 else pol.p0
+        (u,) = sample_uniforms_oracle(seed, "eo-hard", preds.ids[i], n=1)
+        out[i] = 1 if u < p else 0
+    return out
+
+
+def apply_soft_oracle(dp, preds, seed):
+    """Soft EO applied one row at a time, as the library did before it
+    drew every row's uniforms in one batch."""
+    out = np.zeros(len(preds), dtype=np.int8)
+    for i in range(len(preds)):
+        pol = dp.policies[preds.groups[i]]
+        degenerate = pol.p_coin == 0.0 and (pol.lam in (0.0, 1.0) or pol.t_lo == pol.t_hi)
+        if degenerate:
+            t = pol.t_lo if pol.lam > 0.0 else pol.t_hi
+            out[i] = 1 if preds.scores[i] >= t else 0
+            continue
+        u_sel, u_coin, u_mix = sample_uniforms_oracle(seed, "eo-soft", preds.ids[i], n=3)
+        if pol.p_coin > 0.0 and u_sel < pol.p_coin:
+            out[i] = 1 if u_coin < pol.coin_rate else 0
+        else:
+            t = pol.t_lo if u_mix < pol.lam else pol.t_hi
+            out[i] = 1 if preds.scores[i] >= t else 0
+    return out

@@ -215,7 +215,8 @@ class TestEnsembleCommands:
         ]
         assert main([str(a) for a in argv]) == 6
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("invalid-input: manifest.json: "), err
+        assert err == "invalid-input: --threshold must be finite, got nan\n", err
+        assert not (tmp_path / "p/ensemble_predictions.csv").exists()
 
 
 class TestPipeline:
@@ -323,7 +324,9 @@ class TestPipeline:
 class TestPinnedArtifacts:
     """sha256 of the EO artifacts and reports of small seeded synthetic
     pipelines, as written before the two derived-predictor classes became
-    one (reports: before group codes and the one-sort AUC); any change to
+    one (reports: before group codes and the one-sort AUC), and of a
+    pipeline on a quoted CRLF input file, as written before the reader
+    parsed by column and the draws were batched; any change to reading,
     fitting, metrics, serialisation or the realised draws shows here."""
 
     PINS = {
@@ -350,6 +353,45 @@ class TestPinnedArtifacts:
         assert res.returncode == 0, res.stderr
         for name, digest in self.PINS[variant].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+    QUOTED_PINS = {
+        "eo-hard": {
+            "derived_predictor.json": "9d8cf45edc0ef4401021a93c8d0a18861c299ddf6900437101225886efb262c3",
+            "postprocessed.csv": "fddd65ee9814fc94291187c4869f0a8f50f5a5eb4799c7e0ee8681d3f0824284",
+            "base_report.json": "7c940c7377b992b18db07f0e935d7abb9e3329823cd846d23d55864dcf564606",
+            "post_report.json": "f9ac126c19d01e673c016972aa67151f919569eafcdab2110cd618873306d74f",
+        },
+        "eo-soft": {
+            "derived_predictor.json": "a4998da06d914b09dfaebee461156fd8eb2bb0b12a41f9701dd0db5d859eed00",
+            "postprocessed.csv": "38d59a52d9e2a61ba59755d155efb8003f587d22dcd466c948000dd215224046",
+            "base_report.json": "3388a6a25e6c8aadc711514fc06d8d003a1c556825c5c161d399f965575acad6",
+            "post_report.json": "52baaeefb2a71652e7897b5e4cb65b0bace99e722b36e74c340e1a716771a4dd",
+        },
+    }
+
+    @staticmethod
+    def _quoted_crlf_csv(path, split):
+        """CRLF prediction CSV whose ids are quoted, with a comma and a
+        doubled quote inside; scores and labels follow from the row number."""
+        lines = ["id,group,y_true,score,y_hat"]
+        for i in range(600):
+            y = int((i * 37 + split) % 11 < 4)
+            score = ((i * 7919 + split) % 1000 + 600 * y) / 1600
+            group = "A" if i % 5 == 0 else "B" if i % 3 else "C"
+            lines.append(f'"{split},{i} ""x""",{group},{y},{score!r},{int(score >= 0.5)}')
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+
+    @pytest.mark.parametrize("variant", list(QUOTED_PINS))
+    def test_quoted_crlf_input_hashes(self, variant, tmp_path):
+        self._quoted_crlf_csv(tmp_path / "fit.csv", 0)
+        self._quoted_crlf_csv(tmp_path / "eval.csv", 1)
+        res = run_cli(
+            "pipeline", "--intervention", variant, "--fit-input", tmp_path / "fit.csv",
+            "--input", tmp_path / "eval.csv", "--seed", "3", "--cost-fn", "2", "--out", tmp_path / "out",
+        )
+        assert res.returncode == 0, res.stderr
+        for name, digest in self.QUOTED_PINS[variant].items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 
 def _without(key):

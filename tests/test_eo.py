@@ -20,17 +20,31 @@ from equifair import (
     gap_ranges,
     roc_curve,
 )
+from equifair import eo
 from equifair.eo import (
+    _NEVER_POSITIVE,
+    DerivedPredictor,
+    HardGroupPolicy,
+    SoftGroupPolicy,
     _upper_envelope,
     expected_loss_of_rates,
     sample_uniforms,
     unconstrained_optimum_loss,
 )
 from equifair.geometry import convex_hull_indices
+from equifair.metrics import GroupRates
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
 from helpers import point_in_convex_polygon, soft_regions_of
-from oracles import hard_grid_oracle, preds_from_counts, soft_grid_oracle, upper_chain_oracle
+from oracles import (
+    apply_hard_oracle,
+    apply_soft_oracle,
+    hard_grid_oracle,
+    preds_from_counts,
+    sample_uniforms_oracle,
+    soft_grid_oracle,
+    upper_chain_oracle,
+)
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -483,17 +497,92 @@ class TestDerivedPredictor:
 
 class TestSampleUniforms:
     def test_deterministic(self):
-        assert sample_uniforms(5, "x", "id1") == sample_uniforms(5, "x", "id1")
+        assert np.array_equal(sample_uniforms(5, "x", ["id1"]), sample_uniforms(5, "x", ["id1"]))
 
     def test_varies_with_inputs(self):
-        base = sample_uniforms(5, "x", "id1")
-        assert base != sample_uniforms(6, "x", "id1")
-        assert base != sample_uniforms(5, "y", "id1")
-        assert base != sample_uniforms(5, "x", "id2")
+        base = sample_uniforms(5, "x", ["id1"])
+        assert not (base == sample_uniforms(6, "x", ["id1"])).any()
+        assert not (base == sample_uniforms(5, "y", ["id1"])).any()
+        assert not (base == sample_uniforms(5, "x", ["id2"])).any()
 
     def test_range(self):
-        for u in sample_uniforms(1, "p", "q", n=3):
-            assert 0.0 <= u < 1.0
+        u = sample_uniforms(1, "p", ["q", "r"], n=3)
+        assert u.shape == (2, 3)
+        assert ((0.0 <= u) & (u < 1.0)).all()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_batch_equals_per_id_oracle_across_chunks(self, n, monkeypatch):
+        monkeypatch.setattr(eo, "_HASH_CHUNK", 7)
+        ids = [f"id{i}" for i in range(30)] + ["", "é,\"x\"", "\x00"]
+        u = sample_uniforms(12, "eo-soft", ids, n=n)
+        expected = np.array([sample_uniforms_oracle(12, "eo-soft", i, n=n) for i in ids])
+        assert u.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batched apply against the per-row oracles
+
+_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)  # scores and thresholds share these, so ties occur
+_PROBS = st.one_of(st.sampled_from((0.0, 1.0, 0.5)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def apply_cases(draw):
+    """A derived predictor with random policies (every universe group,
+    including those without rows, gets one) and a prediction set whose
+    universe may hold groups without rows."""
+    universe = tuple(draw(st.permutations([f"g{i}" for i in range(draw(st.integers(1, 5)))])))
+    n = draw(st.integers(1, 50))
+    present = universe[: draw(st.integers(1, len(universe)))]
+    groups = draw(st.lists(st.sampled_from(present), min_size=n, max_size=n))
+    ids = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    scores = draw(st.lists(st.one_of(st.sampled_from(_LEVELS), st.floats(0.0, 1.0)), min_size=n, max_size=n))
+    preds = LabeledPredictions(
+        ids=tuple(ids),
+        y_true=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        groups=tuple(groups),
+        scores=np.array(scores),
+        y_hat=np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))),
+        universe=universe,
+    )
+    if draw(st.booleans()):
+        policies = {g: HardGroupPolicy(p0=draw(_PROBS), p1=draw(_PROBS)) for g in universe}
+    else:
+        policies = {}
+        for g in universe:
+            t_lo = draw(st.sampled_from(_LEVELS))
+            t_hi = t_lo if draw(st.booleans()) else draw(st.sampled_from(_LEVELS + (_NEVER_POSITIVE,)))
+            coin = draw(st.booleans())
+            policies[g] = SoftGroupPolicy(
+                t_lo=t_lo, t_hi=t_hi, lam=draw(_PROBS), point_lo=(0.0, 0.0), point_hi=(1.0, 1.0),
+                p_coin=draw(_PROBS) if coin else 0.0, coin_rate=draw(_PROBS) if coin else 0.0,
+            )
+    dp = DerivedPredictor(policies=policies, target=(0.5, 0.5), fit_rates=GroupRates({}), loss=LossSpec(), objective=0.0)
+    return dp, preds, draw(st.integers(0, 2**40))
+
+
+class TestBatchedApply:
+    @settings(max_examples=300, deadline=None)
+    @given(apply_cases(), st.randoms(use_true_random=False))
+    def test_equals_row_oracle_and_ignores_row_order(self, case, rnd):
+        dp, preds, seed = case
+        apply, oracle = (apply_hard, apply_hard_oracle) if dp.variant == "hard" else (apply_soft, apply_soft_oracle)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eo, "_HASH_CHUNK", 3)  # several digest buffers per call
+            out = apply(dp, preds, seed)
+        expected = oracle(dp, preds, seed)
+        assert out.dtype == np.int8 and out.tobytes() == expected.tobytes()
+        perm = list(range(len(preds)))
+        rnd.shuffle(perm)
+        shuffled = LabeledPredictions(
+            ids=tuple(preds.ids[i] for i in perm),
+            y_true=preds.y_true[perm],
+            groups=tuple(preds.groups[i] for i in perm),
+            scores=preds.scores[perm],
+            y_hat=preds.y_hat[perm],
+            universe=preds.universe[::-1],
+        )
+        assert apply(dp, shuffled, seed).tobytes() == out[perm].tobytes()
 
 
 # ---------------------------------------------------------------------------
