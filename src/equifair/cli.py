@@ -13,6 +13,7 @@ printed to stderr and the process exits with the category's code.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -111,22 +112,28 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _parse_window(text: str) -> tuple[float, float]:
+    """One ``lo:hi`` item of ``--modality-windows``."""
+    try:
+        lo, hi = (float(x) for x in text.split(":"))
+    except ValueError:
+        raise ValidationError(f"--modality-windows: {text!r} is not a lo:hi pair of numbers") from None
+    return lo, hi
+
+
 def _load_cohort_config(args, seed: int) -> CohortConfig:
     if getattr(args, "synth_config", None):
         doc = json.loads(Path(args.synth_config).read_text(encoding="utf-8"))
         return CohortConfig.from_dict(doc)
     groups = GROUP_PRESETS[args.preset]
     models = gapped_score_models(groups, tpr_low=args.tpr_low, tpr_high=args.tpr_high, fpr=args.fpr)
-    windows = tuple(
-        tuple(float(x) for x in w.split(":")) for w in args.modality_windows.split(",")
-    )
     return CohortConfig(
         groups=groups,
         positive_rate=args.positive_rate,
         score_models=models,
         n_samples=args.n,
         seed=seed,
-        modality_windows=windows,
+        modality_windows=tuple(_parse_window(w) for w in args.modality_windows.split(",")),
     )
 
 
@@ -505,7 +512,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, csv.Error) as exc:
         print(f"format-error: {exc}", file=sys.stderr)
         return 4
 

@@ -371,9 +371,32 @@ def _upper_envelope(hull: list[int], last: int) -> list[int]:
     return [hull[0], *hull[turn:][::-1]]
 
 
+def _roc_hull(pts: np.ndarray) -> list[int]:
+    """CCW hull indices into an ROC curve's (fpr, tpr) points.
+
+    Only the staircase corners go to ``convex_hull_indices``: the two end
+    points and every point whose two adjacent steps are not both vertical
+    or both horizontal.  A point inside a straight run lies on the segment
+    between the run's ends, so it is never a strict hull vertex.  The test
+    is exact on floats: equal fp (tp) counts give equal fpr (tpr).  Tied
+    scores make diagonal steps, and both end points of one are corners,
+    so a point where two diagonal steps of different slope meet is kept.
+    The result equals the hull of the whole curve whenever the chain's
+    ``EPS`` test decides every turn exactly, which holds while a group's
+    n_pos * n_neg stays below 1e11.
+    """
+    moves = np.diff(pts, axis=0) != 0.0  # does each step move in fpr, in tpr
+    inner = (moves[:-1] | moves[1:]).all(axis=1)
+    corners = np.flatnonzero(np.concatenate(([True], inner, [True])))
+    return corners[convex_hull_indices(pts[corners])].tolist()
+
+
 def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomized thresholds on scores so that derived tpr
-    and fpr are exactly equal across groups, minimizing expected loss."""
+    and fpr are exactly equal across groups, minimizing expected loss.
+
+    Each group's achievable region is the convex hull of its ROC curve,
+    built from the curve's staircase corners only (``_roc_hull``)."""
     if preds.scores is None:
         raise ValidationError("fit_eo_soft requires scores")
     classes = confusion_counts(preds).sum(axis=2).tolist()
@@ -396,7 +419,7 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
         m = preds.group_codes == preds.universe.index(g)
         curve = roc_curve(preds.scores[m], preds.y_true[m])
         pts = np.column_stack((curve.fpr, curve.tpr))
-        hull = convex_hull_indices(pts)
+        hull = _roc_hull(pts)
         regions.append(pts[hull])
         thresholds = np.minimum(curve.thresholds, _NEVER_POSITIVE)
         geoms[g] = (pts, thresholds, _upper_envelope(hull, len(pts) - 1))

@@ -13,18 +13,19 @@ import numpy as np
 EPS = 1e-12
 
 
-def cross(o, a, b) -> float:
-    """z-component of (a - o) x (b - o); positive for a left turn."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _monotone_chain(pts: np.ndarray, order: list[int]) -> list[int]:
+def _monotone_chain(xs: list[float], ys: list[float], order: list[int]) -> list[int]:
     """Walk ``order``, keeping only strict left turns: the lower hull for
-    lexicographic order, the upper hull for its reverse."""
+    lexicographic order, the upper hull for its reverse.  A turn o -> a ->
+    b is the z-component of (a - o) x (b - o), positive to the left."""
     chain: list[int] = []
     for i in order:
-        while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= EPS:
-            chain.pop()
+        bx, by = xs[i], ys[i]
+        while len(chain) >= 2:
+            o, a = chain[-2], chain[-1]
+            if (xs[a] - xs[o]) * (by - ys[o]) - (ys[a] - ys[o]) * (bx - xs[o]) <= EPS:
+                chain.pop()
+            else:
+                break
         chain.append(i)
     return chain
 
@@ -36,17 +37,24 @@ def convex_hull_indices(points: np.ndarray) -> list[int]:
     the lower chain to the largest, then back along the upper chain.
     Collinear boundary points are dropped.  Degenerate inputs (all points
     collinear) yield the 2 extreme indices, or 1 for a single point.
+
+    The dedup and the chain walk Python floats (``tolist()``): float64
+    arithmetic is the same on them as on numpy scalars, so the hull is
+    too, at a fraction of the cost.  Callers with many points on straight
+    runs, such as ROC staircases, pass only the run ends (see
+    ``eo._roc_hull``).
     """
     pts = np.asarray(points, dtype=np.float64)
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     uniq: list[int] = []
     for i in order:
-        if uniq and abs(pts[i, 0] - pts[uniq[-1], 0]) <= EPS and abs(pts[i, 1] - pts[uniq[-1], 1]) <= EPS:
+        if uniq and abs(xs[i] - xs[uniq[-1]]) <= EPS and abs(ys[i] - ys[uniq[-1]]) <= EPS:
             continue
-        uniq.append(int(i))
+        uniq.append(i)
     if len(uniq) <= 2:
         return uniq
-    hull = _monotone_chain(pts, uniq)[:-1] + _monotone_chain(pts, uniq[::-1])[:-1]
+    hull = _monotone_chain(xs, ys, uniq)[:-1] + _monotone_chain(xs, ys, uniq[::-1])[:-1]
     return hull if len(hull) >= 2 else uniq[:1]
 
 

@@ -3,8 +3,13 @@
 import numpy as np
 
 from equifair import ValidationError
-from equifair.geometry import convex_hull_indices, cross, polygon_edges
+from equifair.geometry import convex_hull_indices, polygon_edges
 from equifair.metrics import roc_curve
+
+
+def cross(o, a, b) -> float:
+    """z-component of (a - o) x (b - o); positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> bool:

@@ -15,7 +15,7 @@ import numpy as np
 from equifair import EmptyInputError, FormatError, LabeledPredictions
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
-from equifair.metrics import GroupRateEntry, GroupRates
+from equifair.metrics import GroupRateEntry, GroupRates, roc_curve
 
 from helpers import group_masks, soft_regions_of
 
@@ -157,6 +157,43 @@ def upper_chain_oracle(points):
             chain.pop()
         chain.append(int(i))
     return chain
+
+
+def convex_hull_oracle(points):
+    """``geometry.convex_hull_indices`` as it was before it walked Python
+    floats: the same dedup and monotone chain over numpy scalars."""
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain_of(pts, order):
+        chain = []
+        for i in order:
+            while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 1e-12:
+                chain.pop()
+            chain.append(i)
+        return chain
+
+    pts = np.asarray(points, dtype=np.float64)
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    uniq = []
+    for i in order:
+        if uniq and abs(pts[i, 0] - pts[uniq[-1], 0]) <= 1e-12 and abs(pts[i, 1] - pts[uniq[-1], 1]) <= 1e-12:
+            continue
+        uniq.append(int(i))
+    if len(uniq) <= 2:
+        return uniq
+    hull = chain_of(pts, uniq)[:-1] + chain_of(pts, uniq[::-1])[:-1]
+    return hull if len(hull) >= 2 else uniq[:1]
+
+
+def roc_hull_oracle(scores, y_true):
+    """The soft fit's hull of one group as it was before it kept only the
+    staircase corners: every ROC point through ``convex_hull_oracle``.
+    Returns the (fpr, tpr) points and the hull indices into them."""
+    curve = roc_curve(scores, y_true)
+    pts = np.column_stack((curve.fpr, curve.tpr))
+    return pts, convex_hull_oracle(pts)
 
 
 def preds_from_counts(spec):

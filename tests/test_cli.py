@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -402,7 +403,9 @@ def _with(key, value):
     return lambda d: {**d, key: value}
 
 
-# case: (command, predictor edit or extra flags or input kind, exit code, category, text in the message)
+HEADER = "id,group,y_true,score,y_hat\n"
+
+# case: (command, predictor edit or extra flags or input bytes, exit code, category, text in the message)
 MALFORMED = {
     "predictor-without-groups": ("eo-apply", _without("groups"), 4, "format-error", "groups"),
     "predictor-without-variant": ("eo-apply", _without("variant"), 4, "format-error", "variant"),
@@ -422,8 +425,14 @@ MALFORMED = {
     "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
     "pipeline-cost-fp-nan": ("pipeline", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "input-is-a-directory": ("metrics", "dir", 3, "missing-file", "Is a directory"),
-    "input-not-utf8": ("metrics", "latin-1", 4, "format-error", "utf-8"),
+    "input-not-utf8": ("metrics", f"{HEADER}1,Zoë,1,,1\n".encode("latin-1"), 4, "format-error", "utf-8"),
+    "input-field-over-csv-limit": (
+        "metrics", f"{HEADER}{'x' * (csv.field_size_limit() + 1)},A,1,,1\n".encode(), 4, "format-error", "field limit",
+    ),
     "synth-noise-nan": ("synth", ["--plant-embeddings", "--noise", "nan"], 6, "invalid-input", "finite"),
+    "synth-window-not-a-number": ("synth", ["--modality-windows", "abc"], 6, "invalid-input", "'abc'"),
+    "synth-window-one-bound": ("synth", ["--modality-windows", "0:0.5,0.5"], 6, "invalid-input", "'0.5'"),
+    "pipeline-window-three-bounds": ("pipeline", ["--modality-windows", "0:0.5:1"], 6, "invalid-input", "'0:0.5:1'"),
 }
 
 
@@ -454,9 +463,9 @@ class TestMalformedInputs:
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:
-            latin = tmp_path / "latin.csv"
-            latin.write_bytes("id,group,y_true,score,y_hat\n1,Zoë,1,,1\n".encode("latin-1"))
-            argv = ["metrics", "--input", latin]
+            bad = tmp_path / "bad.csv"
+            bad.write_bytes(arg)
+            argv = ["metrics", "--input", bad]
         assert main([str(a) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"{category}: "), err

@@ -26,6 +26,7 @@ from equifair.eo import (
     DerivedPredictor,
     HardGroupPolicy,
     SoftGroupPolicy,
+    _roc_hull,
     _upper_envelope,
     expected_loss_of_rates,
     sample_uniforms,
@@ -41,6 +42,7 @@ from oracles import (
     apply_soft_oracle,
     hard_grid_oracle,
     preds_from_counts,
+    roc_hull_oracle,
     sample_uniforms_oracle,
     soft_grid_oracle,
     upper_chain_oracle,
@@ -618,3 +620,49 @@ class TestUpperEnvelope:
         pts = np.column_stack((curve.fpr, curve.tpr))
         envelope = _upper_envelope(convex_hull_indices(pts), len(pts) - 1)
         assert envelope == upper_chain_oracle(pts)
+
+
+# ---------------------------------------------------------------------------
+# the soft fit's hull, built from the ROC staircase corners only
+
+
+@st.composite
+def pooled_roc_inputs(draw):
+    """Scores drawn from a pool of one to six distinct values, so ties of
+    every size make diagonal steps; labels with both classes.  The scores
+    may follow the labels, above the diagonal or below it."""
+    pool = sorted(draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]), min_size=1, max_size=6, unique=True)))
+    n = draw(st.integers(2, 80))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < n))
+    lean = draw(st.sampled_from([None, 1, 0]))  # the label whose scores sit in the upper half
+    high, low = pool[len(pool) // 2:], pool[: (len(pool) + 1) // 2]
+    scores = [
+        draw(st.sampled_from(pool if lean is None else high if y == lean else low)) for y in labels
+    ]
+    return np.array(scores), np.array(labels)
+
+
+class TestRocHull:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(pooled_roc_inputs(), roc_inputs()))
+    @example((np.array([0.9, 0.1]), np.array([0, 1])))
+    @example((np.array([0.5, 0.5]), np.array([0, 1])))
+    # two diagonal steps of different slope meet in a strict hull vertex
+    @example((np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), np.array([1, 1, 0, 1, 0, 0])))
+    def test_corner_hull_equals_full_curve_oracle(self, data):
+        scores, labels = data
+        pts, hull = roc_hull_oracle(scores, labels)
+        assert _roc_hull(pts) == hull
+
+    def test_only_corners_reach_the_hull(self, monkeypatch):
+        seen = []
+
+        def spy(pts):
+            seen.append(pts.tolist())
+            return convex_hull_indices(pts)
+
+        monkeypatch.setattr(eo, "convex_hull_indices", spy)
+        # (0,0) (0,1/3) (0,2/3) (0,1) (1/2,1) (1,1): a vertical run, then a horizontal one
+        curve = roc_curve([0.9, 0.8, 0.7, 0.2, 0.1], [1, 1, 1, 0, 0])
+        assert _roc_hull(np.column_stack((curve.fpr, curve.tpr))) == [0, 5, 3]
+        assert seen == [[[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]]

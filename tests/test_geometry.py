@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equifair.geometry import (
     argmin_linear,
@@ -9,6 +11,7 @@ from equifair.geometry import (
 )
 
 from helpers import point_in_convex_polygon
+from oracles import convex_hull_oracle
 
 
 def as_set(vertices, nd=9):
@@ -39,6 +42,26 @@ class TestConvexHull:
             for i in range(len(hull))
         )
         assert area2 > 0
+
+
+@st.composite
+def point_sets(draw):
+    """1-40 points: coordinates from a small pool holding offsets of less
+    than EPS (1e-12), exactly EPS and just past it, or grid values nudged
+    by such offsets, or arbitrary floats.  Duplicates, near-duplicates,
+    turns of exactly EPS and collinear runs are common."""
+    offsets = [0.0, 1e-13, -4e-13, 9e-13, 1e-12, 2e-12, -1e-9]
+    grid = st.builds(lambda base, nudge: base + nudge, st.sampled_from([0.2, 0.5, 1.0, 3.0]), st.sampled_from(offsets))
+    coord = st.one_of(st.sampled_from([*offsets, 0.5, 1.0]), grid, st.floats(-5.0, 5.0))
+    return np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40)), dtype=np.float64)
+
+
+class TestConvexHullOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(point_sets())
+    @example(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-12]]))  # a turn of exactly EPS
+    def test_equals_numpy_scalar_chain(self, pts):
+        assert convex_hull_indices(pts) == convex_hull_oracle(pts)
 
 
 class TestClipping:

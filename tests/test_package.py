@@ -1,7 +1,11 @@
-"""Package guards: every public name resolves, and the runtime imports
-nothing outside the standard library and numpy."""
+"""Package guards: every public name resolves, the runtime imports
+nothing outside the standard library and numpy, and the CLI sets its BLAS
+thread defaults before numpy loads."""
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +30,45 @@ def test_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# runs the package as ``python -m equifair --help`` does (runpy) and prints
+# the thread variables as they stood when numpy was first imported
+SPY = f"""
+import json, os, runpy, sys
+
+class Spy:
+    seen = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and Spy.seen is None:
+            Spy.seen = {{v: os.environ.get(v) for v in {THREAD_VARS!r}}}
+
+sys.meta_path.insert(0, Spy())
+sys.argv = ["equifair", "--help"]
+try:
+    runpy.run_module("equifair", run_name="__main__", alter_sys=True)
+except SystemExit:
+    pass
+print(json.dumps(Spy.seen))
+"""
+
+
+def _threads_at_numpy_import(**user) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    src = str(Path(equifair.__file__).parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", SPY], env={**env, **user}, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_cli_defaults_blas_threads_to_one_before_numpy_loads():
+    assert _threads_at_numpy_import() == dict.fromkeys(THREAD_VARS, "1")
+
+
+def test_cli_keeps_a_thread_count_the_user_set():
+    assert _threads_at_numpy_import(OPENBLAS_NUM_THREADS="2") == {
+        "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
+    }
