@@ -19,14 +19,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from . import __version__
+from . import __version__, schema
 from .debias import DebiasResult, hard_debias, load_embeddings, save_embeddings
 from .ensemble import EnsembleModel, fit_ensemble, predict_proba
 from .eo import (
@@ -123,8 +123,7 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 def _load_cohort_config(args, seed: int) -> CohortConfig:
     if getattr(args, "synth_config", None):
-        doc = json.loads(Path(args.synth_config).read_text(encoding="utf-8"))
-        return CohortConfig.from_dict(doc)
+        return schema.load(CohortConfig, schema.read(args.synth_config), "cohort config")
     groups = GROUP_PRESETS[args.preset]
     models = gapped_score_models(groups, tpr_low=args.tpr_low, tpr_high=args.tpr_high, fpr=args.fpr)
     return CohortConfig(
@@ -161,6 +160,13 @@ def _plot_data_csv(reports: Mapping[str, FairnessReport]) -> str:
 def _eo_functions(variant: str):
     """(fit, apply) of an EO variant; names are resolved at call time."""
     return {"hard": (fit_eo_hard, apply_hard), "soft": (fit_eo_soft, apply_soft)}[variant]
+
+
+@dataclass(frozen=True)
+class _EnsembleFile(EnsembleModel):
+    """ensemble_model.json: a model and the constituent columns it was fit on."""
+
+    constituents: tuple[str, ...] = ()
 
 
 def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.ndarray, C: float) -> tuple[EnsembleModel, Path]:
@@ -264,7 +270,7 @@ def _cmd_eo_apply(args) -> int:
     seed = _resolve_seed(args)
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
-    dp = DerivedPredictor.from_dict(json.loads(Path(args.predictor).read_text(encoding="utf-8")))
+    dp = DerivedPredictor.from_dict(schema.read(args.predictor))
     _, out_path = _eo_apply_stage(out, dp, preds, seed)
     _write_manifest(out, "eo-apply", vars(args), [Path(args.input), Path(args.predictor)], [out_path], seed)
     print(f"wrote {out_path}")
@@ -295,14 +301,12 @@ def _cmd_ensemble_predict(args) -> int:
         raise ValidationError(f"--threshold must be finite, got {args.threshold}")
     out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
-    doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    model = EnsembleModel.from_dict(doc)
-    names = doc.get("constituents")
-    if names:
-        missing = [n for n in names if n not in pfile.constituent_scores]
+    model = schema.load(_EnsembleFile, schema.read(args.model), "ensemble model")
+    if model.constituents:
+        missing = [n for n in model.constituents if n not in pfile.constituent_scores]
         if missing:
             raise ValidationError(f"input lacks constituent columns {missing}")
-        features = np.column_stack([pfile.constituent_scores[n] for n in names])
+        features = np.column_stack([pfile.constituent_scores[n] for n in model.constituents])
     else:
         features = pfile.feature_matrix()
     out_path = out / "ensemble_predictions.csv"
@@ -512,7 +516,7 @@ def main(argv=None) -> int:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3
-    except (json.JSONDecodeError, UnicodeDecodeError, csv.Error) as exc:
+    except (UnicodeDecodeError, csv.Error) as exc:
         print(f"format-error: {exc}", file=sys.stderr)
         return 4
 

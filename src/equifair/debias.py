@@ -16,7 +16,6 @@ single-space separators and round-trip decimal rendering.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -112,13 +111,6 @@ class EqualitySets:
             else:
                 dropped.append(s)
         return tuple(usable), tuple(dropped)
-
-    @staticmethod
-    def from_json_file(path: str | Path) -> "EqualitySets":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(data, list) or not all(isinstance(s, list) for s in data):
-            raise FormatError(f"{path}: expected a JSON list of word lists")
-        return EqualitySets(tuple(tuple(str(w) for w in s) for s in data))
 
 
 @dataclass(frozen=True)

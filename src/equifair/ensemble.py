@@ -9,9 +9,7 @@ The fit is deterministic.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,28 +55,10 @@ class EnsembleModel:
         return self.weights.shape[0]
 
     def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "C": self.C,
-            "n_iter": self.n_iter,
-            "grad_norm": self.grad_norm,
-            "converged": self.converged,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "EnsembleModel":
-        return EnsembleModel(
-            weights=np.array(d["weights"], dtype=np.float64),
-            intercept=float(d["intercept"]),
-            C=float(d["C"]),
-            n_iter=int(d["n_iter"]),
-            grad_norm=float(d["grad_norm"]),
-            converged=bool(d["converged"]),
-        )
+        """The JSON form: every field but ``loss_history``."""
+        d = asdict(self)
+        del d["loss_history"]
+        return {**d, "weights": self.weights.tolist()}
 
 
 def _check_features(features, n_expected: int | None = None) -> np.ndarray:

@@ -30,14 +30,14 @@ Randomized application derives all per-sample draws from
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from dataclasses import asdict, dataclass, fields, replace
-from typing import ClassVar, Mapping, Sequence, get_type_hints
+from dataclasses import asdict, dataclass, replace
+from typing import ClassVar, Literal, Mapping, Sequence
 
 import numpy as np
 
-from .errors import FormatError, GroupMismatchError, ValidationError
+from . import schema
+from .errors import GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
 from .metrics import GroupRateEntry, GroupRates, confusion_counts, confusion_rates, roc_curve
 from .predictions import LabeledPredictions
@@ -46,6 +46,13 @@ _DIAG_TOL = 1e-12
 # threshold of the ROC point (0, 0): no score in [0, 1] reaches it, and
 # unlike +inf it is a finite number in a derived predictor's JSON
 _NEVER_POSITIVE = math.nextafter(1.0, math.inf)
+
+
+def _require_unit(obj, *names: str) -> None:
+    """Each named field of ``obj``, a probability or an (fpr, tpr) pair, lies in [0, 1]."""
+    for name in names:
+        if not all(0.0 <= x <= 1.0 for x in np.ravel(getattr(obj, name))):
+            raise ValidationError(f"{type(obj).__name__}.{name} must lie in [0, 1], got {getattr(obj, name)}")
 
 
 @dataclass(frozen=True)
@@ -68,13 +75,6 @@ class LossSpec:
             if not all(math.isfinite(w) and w >= 0 for w in gw.values()) or sum(gw.values()) <= 0:
                 raise ValidationError("group weights must be finite and non-negative with positive sum")
             object.__setattr__(self, "group_weights", gw)
-
-    def to_dict(self) -> dict:
-        return {
-            "cost_fp": self.cost_fp,
-            "cost_fn": self.cost_fn,
-            "group_weights": dict(self.group_weights) if self.group_weights else None,
-        }
 
 
 def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -> dict[str, float]:
@@ -127,11 +127,6 @@ def expected_loss_of_rates(rates: GroupRates, loss: LossSpec) -> float:
     return total
 
 
-def expected_accuracy_of_rates(rates: GroupRates) -> float:
-    """Expected accuracy under empirical group/class frequencies."""
-    return 1.0 - expected_loss_of_rates(rates, LossSpec(1.0, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # counter-based randomness: one digest per (seed, purpose, sample id)
 
@@ -172,6 +167,9 @@ class HardGroupPolicy:
     variant: ClassVar[str] = "hard"
     p0: float
     p1: float
+
+    def __post_init__(self):
+        _require_unit(self, "p0", "p1")
 
     def derived_point(self, base: GroupRateEntry) -> tuple[float, float]:
         """Expected (fpr, tpr) of randomizing a base predictor with ``base``'s rates."""
@@ -290,6 +288,9 @@ class SoftGroupPolicy:
     point_hi: tuple[float, float]
     p_coin: float = 0.0
     coin_rate: float = 0.0
+
+    def __post_init__(self):
+        _require_unit(self, "lam", "p_coin", "coin_rate", "point_lo", "point_hi")
 
     def derived_point(self, base: GroupRateEntry) -> tuple[float, float]:
         """Expected (fpr, tpr): the stored operating points mixed as fitted;
@@ -465,9 +466,6 @@ def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
 # the derived predictor and its JSON form
 
 
-_POLICIES = {"hard": HardGroupPolicy, "soft": SoftGroupPolicy}
-
-
 @dataclass(frozen=True)
 class DerivedPredictor:
     """Per-group policies achieving a common (fpr, tpr).  The variant
@@ -484,6 +482,7 @@ class DerivedPredictor:
         object.__setattr__(self, "policies", dict(self.policies))
         if len({type(p) for p in self.policies.values()}) != 1:
             raise ValidationError("a derived predictor needs policies of exactly one variant")
+        _require_unit(self, "target")
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -498,76 +497,47 @@ class DerivedPredictor:
             "variant": self.variant,
             "target": {"fpr": self.target[0], "tpr": self.target[1]},
             "objective": self.objective,
-            "loss": self.loss.to_dict(),
+            "loss": asdict(self.loss),
             "fit_rates": self.fit_rates.to_dict(),
             "groups": {g: asdict(p) for g, p in sorted(self.policies.items())},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-
     @staticmethod
     def from_dict(d: Mapping) -> "DerivedPredictor":
-        """Inverse of ``to_dict``.  A missing or ill-typed field raises
-        FormatError naming its path, e.g. ``groups.A.p0``."""
-        policy = _POLICIES.get(_field(d, "variant", hint=str))
-        if policy is None:
-            raise FormatError(f"derived predictor: field variant must be one of {sorted(_POLICIES)}")
-        if not _field(d, "groups", hint=dict):
-            raise FormatError("derived predictor: field groups is empty")
-        weights = _field(d, "loss", "group_weights", hint=dict | None)
+        """Inverse of ``to_dict``.  A missing, unknown or ill-typed field
+        raises FormatError naming its path, e.g. ``groups.A.p0``."""
+        soft = isinstance(d, Mapping) and d.get("variant") == "soft"
+        doc = schema.load(_SoftForm if soft else _HardForm, d, "derived predictor")
         return DerivedPredictor(
-            policies={g: _from_json(policy, d, "groups", g) for g in d["groups"]},
-            target=(_field(d, "target", "fpr"), _field(d, "target", "tpr")),
-            fit_rates=GroupRates(
-                {g: _from_json(GroupRateEntry, d, "fit_rates", g) for g in _field(d, "fit_rates", hint=dict)}
-            ),
-            loss=LossSpec(
-                cost_fp=_field(d, "loss", "cost_fp"),
-                cost_fn=_field(d, "loss", "cost_fn"),
-                group_weights=None if weights is None else {g: _field(d, "loss", "group_weights", g) for g in weights},
-            ),
-            objective=_field(d, "objective"),
+            policies=doc.groups,
+            target=(doc.target.fpr, doc.target.tpr),
+            fit_rates=GroupRates(doc.fit_rates),
+            loss=doc.loss,
+            objective=doc.objective,
         )
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+@dataclass(frozen=True)
+class _Target:
+    fpr: float
+    tpr: float
 
 
-# field type -> (what the message calls it, check of a loaded JSON value)
-_JSON_TYPES = {
-    float: ("a number", _is_number),
-    float | None: ("a number or null", lambda v: v is None or _is_number(v)),
-    int: ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    dict: ("an object", lambda v: isinstance(v, Mapping)),
-    dict | None: ("an object or null", lambda v: v is None or isinstance(v, Mapping)),
-    tuple[float, float]: ("a pair of numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
-}
+@dataclass(frozen=True)
+class _HardForm:
+    """The JSON form of a hard DerivedPredictor, key for key."""
+
+    variant: Literal["hard", "soft"]
+    target: _Target
+    objective: float
+    loss: LossSpec
+    fit_rates: Mapping[str, GroupRateEntry]
+    groups: Mapping[str, HardGroupPolicy]
 
 
-def _field(doc, *path: str, hint=float):
-    """The value at ``path`` of a loaded derived-predictor document, checked
-    against the field type ``hint``; FormatError names the path otherwise."""
-    value = doc
-    for i, key in enumerate(path):
-        if not isinstance(value, Mapping):
-            raise FormatError(f"derived predictor: {'.'.join(path[:i]) or 'the document'} must be an object")
-        if key not in value:
-            raise FormatError(f"derived predictor: missing field {'.'.join(path[: i + 1])}")
-        value = value[key]
-    what, ok = _JSON_TYPES[hint]
-    if not ok(value):
-        raise FormatError(f"derived predictor: field {'.'.join(path)} must be {what}, got {value!r}")
-    return tuple(value) if hint == tuple[float, float] else value
-
-
-def _from_json(cls, doc, *path: str):
-    """Dataclass ``cls`` from the object at ``path``, its JSON keys being
-    its field names."""
-    hints = get_type_hints(cls)
-    return cls(**{f.name: _field(doc, *path, f.name, hint=hints[f.name]) for f in fields(cls)})
+@dataclass(frozen=True)
+class _SoftForm(_HardForm):
+    groups: Mapping[str, SoftGroupPolicy]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ interpolation between operating points).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -34,12 +34,6 @@ class GroupRateEntry:
     fnr: float | None
     n_pos: int
     n_neg: int
-
-    def to_dict(self) -> dict:
-        return {
-            "tpr": self.tpr, "tnr": self.tnr, "fpr": self.fpr, "fnr": self.fnr,
-            "n_pos": self.n_pos, "n_neg": self.n_neg,
-        }
 
 
 @dataclass(frozen=True)
@@ -65,15 +59,8 @@ class GroupRates:
         """Groups whose ``which`` rate is defined, with their values."""
         return {g: getattr(e, which) for g, e in self.rates.items() if getattr(e, which) is not None}
 
-    def total_samples(self) -> int:
-        return sum(e.n_pos + e.n_neg for e in self.rates.values())
-
     def to_dict(self) -> dict:
-        return {g: e.to_dict() for g, e in self.rates.items()}
-
-    @staticmethod
-    def from_dict(d: Mapping[str, Mapping]) -> "GroupRates":
-        return GroupRates({g: GroupRateEntry(**e) for g, e in d.items()})
+        return {g: asdict(e) for g, e in self.rates.items()}
 
 
 def confusion_counts(preds: LabeledPredictions) -> np.ndarray:
@@ -272,35 +259,10 @@ class FairnessReport:
     metadata: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "group_rates": self.group_rates.to_dict() if self.group_rates else None,
-            "tpr_range": self.tpr_range,
-            "tnr_range": self.tnr_range,
-            "auc_roc_overall": self.auc_roc_overall,
-            "auc_prc_overall": self.auc_prc_overall,
-            "auc_roc_per_group": self.auc_roc_per_group,
-            "metadata": self.metadata,
-        }
+        return {**asdict(self), "group_rates": self.group_rates.to_dict() if self.group_rates else None}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "FairnessReport":
-        gr = d.get("group_rates")
-        return FairnessReport(
-            group_rates=GroupRates.from_dict(gr) if gr else None,
-            tpr_range=d.get("tpr_range"),
-            tnr_range=d.get("tnr_range"),
-            auc_roc_overall=d.get("auc_roc_overall"),
-            auc_prc_overall=d.get("auc_prc_overall"),
-            auc_roc_per_group=dict(d.get("auc_roc_per_group") or {}),
-            metadata=dict(d.get("metadata") or {}),
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "FairnessReport":
-        return FairnessReport.from_dict(json.loads(text))
 
 
 def build_report(

@@ -15,10 +15,12 @@ import io
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import EmptyInputError, FormatError, ValidationError
+from .schema import decode_error
 
 REQUIRED_COLUMNS = ("id", "y_true", "score", "y_hat")
 
@@ -308,25 +310,29 @@ def read_prediction_file(
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters and
     parsed by column; a malformed file raises the message of its first bad
-    row, which names the row's line (its record number, header = 1)."""
+    row, which names the row's line (its record number, header = 1), or
+    the file offset and physical line of a byte that is not UTF-8."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise EmptyInputError(f"{path}: file is empty") from None
-        missing = [c for c in (*REQUIRED_COLUMNS, group_col) if c not in header]
-        if missing:
-            raise FormatError(f"{path}: header is missing columns {missing}")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise FormatError(f"{path}: header repeats columns {repeated}")
-        columns = _Columns(path, header, group_col)
-        lineno = 2
-        while block := fh.read(_BLOCK_CHARS):
-            count, fields, records = _tokenise(block + fh.readline(), fh, len(header))
-            columns.add(fields, records, lineno)
-            lineno += count
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise EmptyInputError(f"{path}: file is empty") from None
+            missing = [c for c in (*REQUIRED_COLUMNS, group_col) if c not in header]
+            if missing:
+                raise FormatError(f"{path}: header is missing columns {missing}")
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise FormatError(f"{path}: header repeats columns {repeated}")
+            columns = _Columns(path, header, group_col)
+            lineno = 2
+            while block := fh.read(_BLOCK_CHARS):
+                count, fields, records = _tokenise(block + fh.readline(), fh, len(header))
+                columns.add(fields, records, lineno)
+                lineno += count
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
     return columns.result(universe)
 
 
@@ -352,4 +358,6 @@ def write_predictions(
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "group", "y_true", "score", "y_hat", *(f"score_{n}" for n in consts)])
+        if "\r" in "".join((*preds.universe, *preds.ids)):  # csv quotes only its line terminator's characters
+            writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")), lineterminator="\r\n")
         writer.writerows(zip(*columns))

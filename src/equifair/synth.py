@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -60,6 +60,8 @@ class ScoreModel:
     sigma_pos: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.mu_neg, self.mu_pos, self.sigma_neg, self.sigma_pos))):
+            raise ValidationError("score-model parameters must be finite")
         if self.sigma_neg <= 0 or self.sigma_pos <= 0:
             raise ValidationError("score-model sigmas must be positive")
 
@@ -91,12 +93,6 @@ class ScoreModel:
         fpr = normal_cdf((self.mu_neg - cutoff) / self.sigma_neg)
         return tpr, fpr
 
-    def to_dict(self) -> dict:
-        return {
-            "mu_neg": self.mu_neg, "mu_pos": self.mu_pos,
-            "sigma_neg": self.sigma_neg, "sigma_pos": self.sigma_pos,
-        }
-
 
 @dataclass(frozen=True)
 class CohortConfig:
@@ -124,8 +120,8 @@ class CohortConfig:
         groups = dict(self.groups)
         if not groups:
             raise ValidationError("at least one group is required")
-        if any(p < 0 for p in groups.values()) or abs(sum(groups.values()) - 1.0) > 1e-9:
-            raise ValidationError("group proportions must be non-negative and sum to 1")
+        if not (all(p >= 0 for p in groups.values()) and abs(sum(groups.values()) - 1.0) <= 1e-9):
+            raise ValidationError("group proportions must be finite, non-negative and sum to 1")
         if not 0.0 < self.positive_rate < 1.0:
             raise ValidationError("positive rate must lie strictly in (0, 1)")
         if self.n_samples < 1:
@@ -146,27 +142,6 @@ class CohortConfig:
         object.__setattr__(self, "score_models", models)
         object.__setattr__(self, "modality_windows", tuple(tuple(w) for w in self.modality_windows))
 
-    def to_dict(self) -> dict:
-        return {
-            "groups": dict(self.groups),
-            "positive_rate": self.positive_rate,
-            "score_models": {g: m.to_dict() for g, m in self.score_models.items()},
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "modality_windows": [list(w) for w in self.modality_windows],
-            "calibrated": self.calibrated,
-            "id_prefix": self.id_prefix,
-        }
-
-    @staticmethod
-    def from_dict(d: Mapping) -> "CohortConfig":
-        kwargs = dict(d)
-        if "score_models" in kwargs and kwargs["score_models"] is not None:
-            kwargs["score_models"] = {g: ScoreModel(**m) for g, m in kwargs["score_models"].items()}
-        if "modality_windows" in kwargs:
-            kwargs["modality_windows"] = tuple(tuple(w) for w in kwargs["modality_windows"])
-        return CohortConfig(**kwargs)
-
 
 @dataclass(frozen=True)
 class CohortData:
@@ -178,7 +153,7 @@ class CohortData:
     config: CohortConfig
 
     def sidecar_json(self) -> str:
-        doc = {"analytic_rates": self.analytic_rates, "config": self.config.to_dict()}
+        doc = {"analytic_rates": self.analytic_rates, "config": asdict(self.config)}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 

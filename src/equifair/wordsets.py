@@ -8,6 +8,7 @@ no word sets exist.
 
 from __future__ import annotations
 
+from . import schema
 from .debias import EqualitySets
 from .errors import ValidationError
 
@@ -58,5 +59,5 @@ def resolve_equality_sets(spec: str) -> EqualitySets:
     """Interpret an --equality-sets value: a preset name or a JSON path."""
     if spec in PRESETS:
         return preset_sets(spec)
-    return EqualitySets.from_json_file(spec)
+    return EqualitySets(schema.load(tuple[tuple[str, ...], ...], schema.read(spec), "equality sets"))
 

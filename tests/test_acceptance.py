@@ -34,7 +34,7 @@ from equifair import (
     predict_proba,
 )
 from equifair.ensemble import logistic_loss_and_grad
-from equifair.eo import expected_accuracy_of_rates, expected_loss_of_rates
+from equifair.eo import expected_loss_of_rates
 from equifair.synth import (
     ETHNICITY_PROPORTIONS,
     SEX_PROPORTIONS,
@@ -42,6 +42,7 @@ from equifair.synth import (
     gapped_score_models,
 )
 from equifair.wordsets import GENDER_SETS
+from helpers import expected_accuracy_of_rates
 from oracles import (
     hard_grid_oracle,
     pairwise_auc_oracle,

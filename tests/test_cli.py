@@ -14,11 +14,11 @@ from equifair import (
 )
 from equifair.cli import main
 from equifair.debias import save_embeddings
-from equifair.metrics import FairnessReport
 from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS
 
+from helpers import report_from_json
 from oracles import preds_from_counts
 
 
@@ -99,7 +99,7 @@ class TestReportCommand:
     def test_report_matches_library_recomputation(self, cohort_csv, tmp_path):
         res = run_cli("report", "--input", cohort_csv, "--task", "t", "--out", tmp_path)
         assert res.returncode == 0, res.stderr
-        report = FairnessReport.from_json((tmp_path / "report.json").read_text())
+        report = report_from_json((tmp_path / "report.json").read_text())
         preds = read_predictions(cohort_csv)
         tpr_range, tnr_range = gap_ranges(confusion_rates(preds))
         assert report.tpr_range == tpr_range
@@ -227,7 +227,7 @@ class TestPipeline:
             "--seed", "4", "--out", tmp_path,
         )
         assert res.returncode == 0, res.stderr
-        report = FairnessReport.from_json((tmp_path / "base_report.json").read_text())
+        report = report_from_json((tmp_path / "base_report.json").read_text())
         assert report.metadata["interventions"] == ["none"]
         assert not (tmp_path / "post_report.json").exists()
         # recomputation oracle: rebuild the eval cohort and recompute the range
@@ -252,8 +252,8 @@ class TestPipeline:
             "--positive-rate", "0.3", "--seed", "11", "--out", tmp_path,
         )
         assert res.returncode == 0, res.stderr
-        base = FairnessReport.from_json((tmp_path / "base_report.json").read_text())
-        post = FairnessReport.from_json((tmp_path / "post_report.json").read_text())
+        base = report_from_json((tmp_path / "base_report.json").read_text())
+        post = report_from_json((tmp_path / "post_report.json").read_text())
         expected = post.metadata["expected_rates"]
         tprs = [e["tpr"] for e in expected.values()]
         assert max(tprs) - min(tprs) <= 1e-9
@@ -303,7 +303,7 @@ class TestPipeline:
         )
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "ensemble_model.json").exists()
-        report = FairnessReport.from_json((tmp_path / "base_report.json").read_text())
+        report = report_from_json((tmp_path / "base_report.json").read_text())
         assert report.metadata["ensemble"]["constituents"] == ["m0", "m1"]
 
     def test_debias_intervention_in_pipeline(self, tmp_path):
@@ -318,7 +318,7 @@ class TestPipeline:
         )
         assert res.returncode == 0, res.stderr
         assert (tmp_path / "out/debiased_embeddings.txt").exists()
-        report = FairnessReport.from_json((tmp_path / "out/base_report.json").read_text())
+        report = report_from_json((tmp_path / "out/base_report.json").read_text())
         assert report.metadata["debias"]["k"] == 1
 
 
@@ -403,7 +403,24 @@ def _with(key, value):
     return lambda d: {**d, key: value}
 
 
+def _policies(**edit):
+    return lambda d: {**d, "groups": {g: {**p, **edit} for g, p in d["groups"].items()}}
+
+
+SOFT_POLICY = {"t_lo": 0.4, "t_hi": 0.6, "lam": 0.5, "point_lo": [0.3, 0.8], "point_hi": [0.1, 0.5]}
+
+
+def _soft(**edit):
+    return lambda d: {**d, "variant": "soft", "groups": {g: {**SOFT_POLICY, **edit} for g in d["groups"]}}
+
+
 HEADER = "id,group,y_true,score,y_hat\n"
+# a bad byte in the second block the prediction reader decodes
+DEEP = HEADER + "".join(f"r{i},A,1,,1\n" for i in range(8000))
+ENSEMBLE_MODEL = {
+    "weights": [1.0, -0.5], "intercept": 0.1, "C": 1.0, "n_iter": 3, "grad_norm": 1e-9, "converged": True,
+    "constituents": ["m0", "m1"],
+}
 
 # case: (command, predictor edit or extra flags or input bytes, exit code, category, text in the message)
 MALFORMED = {
@@ -418,14 +435,41 @@ MALFORMED = {
     "predictor-not-an-object": ("eo-apply", lambda d: [d], 4, "format-error", "object"),
     "predictor-nan-group-weight": (
         "eo-apply", lambda d: {**d, "loss": {**d["loss"], "group_weights": {"A": float("nan"), "B": 1.0}}},
+        4, "format-error", "NaN",
+    ),
+    "predictor-negative-group-weight": (
+        "eo-apply", lambda d: {**d, "loss": {**d["loss"], "group_weights": {"A": -1.0, "B": 1.0}}},
         6, "invalid-input", "finite",
     ),
+    "predictor-nan-p0": ("eo-apply", _policies(p0=float("nan")), 4, "format-error", "NaN"),
+    "predictor-p0-above-one": ("eo-apply", _policies(p0=2.0), 6, "invalid-input", "p0"),
+    "predictor-soft-lam-above-one": ("eo-apply", _soft(lam=5.0), 6, "invalid-input", "lam"),
+    "predictor-soft-nan-t-lo": ("eo-apply", _soft(t_lo=float("nan")), 4, "format-error", "NaN"),
+    "predictor-infinite-target": ("eo-apply", _with("target", {"fpr": float("inf"), "tpr": 0.5}), 4, "format-error", "Infinity"),
+    "predictor-nan-objective": ("eo-apply", _with("objective", float("nan")), 4, "format-error", "NaN"),
+    "predictor-unknown-field": ("eo-apply", _with("bogus", 1), 4, "format-error", "unknown field bogus"),
+    "predictor-not-utf8": ("eo-apply", b'{"variant": "h\xe9rd"}', 4, "format-error", "byte offset 14 (line 1)"),
+    "synth-config-groups-not-an-object": ("synth-config", '{"groups": 3}', 4, "format-error", "field groups"),
+    "synth-config-fractional-n-samples": ("synth-config", '{"n_samples": 10.5}', 4, "format-error", "n_samples"),
+    "synth-config-unknown-field": ("synth-config", '{"bogus": 1}', 4, "format-error", "unknown field bogus"),
+    "synth-config-not-an-object": ("synth-config", "[]", 4, "format-error", "object"),
+    "synth-config-nan-proportion": ("synth-config", '{"groups": {"A": NaN, "B": 0.5}}', 4, "format-error", "NaN"),
+    "model-weights-not-a-list": ("ensemble-predict", _with("weights", "x"), 4, "format-error", "field weights"),
+    "model-not-an-object": ("ensemble-predict", lambda d: [], 4, "format-error", "object"),
+    "model-null-c": ("ensemble-predict", _with("C", None), 4, "format-error", "field C"),
+    "model-without-grad-norm": ("ensemble-predict", _without("grad_norm"), 4, "format-error", "grad_norm"),
+    "model-converged-a-string": ("ensemble-predict", _with("converged", "false"), 4, "format-error", "converged"),
+    "model-constituents-a-string": ("ensemble-predict", _with("constituents", "m0"), 4, "format-error", "constituents"),
+    "equality-set-number": ("debias", '[["he", "she"], ["his", 3]]', 4, "format-error", "field 1.1"),
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
     "cost-fp-nan": ("eo-fit", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
     "pipeline-cost-fp-nan": ("pipeline", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "input-is-a-directory": ("metrics", "dir", 3, "missing-file", "Is a directory"),
     "input-not-utf8": ("metrics", f"{HEADER}1,Zoë,1,,1\n".encode("latin-1"), 4, "format-error", "utf-8"),
+    "input-not-utf8-past-first-block": (
+        "metrics", f"{DEEP}x,Zoë,1,,1\n".encode("latin-1"), 4, "format-error", f"byte offset {len(DEEP) + 4} (line 8002)",
+    ),
     "input-field-over-csv-limit": (
         "metrics", f"{HEADER}{'x' * (csv.field_size_limit() + 1)},A,1,,1\n".encode(), 4, "format-error", "field limit",
     ),
@@ -451,6 +495,8 @@ class TestMalformedInputs:
             predictor = tmp_path / "dp.json"
             if arg == "dir":
                 predictor.mkdir()
+            elif isinstance(arg, bytes):
+                predictor.write_bytes(arg)
             else:
                 predictor.write_text(json.dumps(arg(fit_eo_hard(preds).to_dict())), encoding="utf-8")
             argv = ["eo-apply", "--input", csv_path, "--predictor", predictor, "--out", out]
@@ -460,6 +506,19 @@ class TestMalformedInputs:
             argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *arg, "--out", out]
         elif command == "synth":
             argv = ["synth", *arg, "--out", out]
+        elif command == "synth-config":
+            (tmp_path / "cohort.json").write_text(arg, encoding="utf-8")
+            argv = ["synth", "--synth-config", tmp_path / "cohort.json", "--out", out]
+        elif command == "ensemble-predict":
+            (tmp_path / "model.json").write_text(json.dumps(arg(ENSEMBLE_MODEL)), encoding="utf-8")
+            argv = ["ensemble-predict", "--input", csv_path, "--model", tmp_path / "model.json", "--out", out]
+        elif command == "debias":
+            emb, _, _ = generate_embeddings(
+                EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=20, dim=8, noise=0.01, seed=1)
+            )
+            save_embeddings(emb, tmp_path / "emb.txt")
+            (tmp_path / "sets.json").write_text(arg, encoding="utf-8")
+            argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--equality-sets", tmp_path / "sets.json", "--out", out]
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:

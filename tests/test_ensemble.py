@@ -124,14 +124,6 @@ class TestPredictProba:
         with pytest.raises(ValidationError):
             predict_proba(model, np.array([[0.5]]))
 
-    def test_serialization_round_trip(self):
-        model = EnsembleModel(weights=np.array([1.5, -0.25]), intercept=0.75, C=2.0, n_iter=7, grad_norm=1e-9, converged=True)
-        import json
-
-        back = EnsembleModel.from_dict(json.loads(model.to_json()))
-        np.testing.assert_array_equal(back.weights, model.weights)
-        assert back.intercept == model.intercept and back.C == model.C
-
 
 class TestComplementarySignals:
     def test_ensemble_lift_over_constituents(self):

@@ -143,16 +143,6 @@ class TestFitHard:
         with pytest.raises(ValidationError):
             fit_eo_hard(preds)
 
-    def test_serialization_round_trip(self):
-        from equifair.eo import DerivedPredictor
-        import json
-
-        preds = preds_from_counts({"A": (10, 9, 10, 2), "B": (10, 6, 10, 3)})
-        dp = fit_eo_hard(preds)
-        back = DerivedPredictor.from_dict(json.loads(dp.to_json()))
-        assert back.target == dp.target
-        assert back.policies == dp.policies
-
 
 class TestApplyHard:
     def test_identity_returns_input(self):
@@ -296,7 +286,7 @@ class TestFitSoft:
         from equifair.eo import DerivedPredictor
 
         dp = fit_eo_soft(scored_preds(seed=8))
-        back = DerivedPredictor.from_dict(json.loads(dp.to_json()))
+        back = DerivedPredictor.from_dict(json.loads(json.dumps(dp.to_dict())))
         assert back.target == dp.target
         assert back.policies == dp.policies
 
@@ -315,7 +305,7 @@ class TestFitSoft:
         def reject(constant):
             raise AssertionError(f"non-standard JSON constant {constant}")
 
-        doc = json.loads(dp.to_json(), parse_constant=reject)
+        doc = json.loads(json.dumps(dp.to_dict()), parse_constant=reject)
         assert all(doc["groups"][g]["t_hi"] > 1.0 for g in ("A", "B"))
         assert not apply_soft(dp, preds, seed=0).any()
 
@@ -495,6 +485,28 @@ class TestDerivedPredictor:
                 loss=hard.loss,
                 objective=hard.objective,
             )
+
+    @pytest.mark.parametrize(
+        "policy, field",
+        [
+            (lambda: HardGroupPolicy(p0=2.0, p1=0.5), "p0"),
+            (lambda: HardGroupPolicy(p0=0.5, p1=float("nan")), "p1"),
+            (lambda: SoftGroupPolicy(0.4, 0.6, lam=5.0, point_lo=(0.3, 0.8), point_hi=(0.1, 0.5)), "lam"),
+            (lambda: SoftGroupPolicy(0.4, 0.6, 0.5, (0.3, 0.8), (0.1, 0.5), p_coin=-0.1), "p_coin"),
+            (lambda: SoftGroupPolicy(0.4, 0.6, 0.5, (0.3, 0.8), (0.1, 0.5), coin_rate=1.5), "coin_rate"),
+            (lambda: SoftGroupPolicy(0.4, 0.6, 0.5, (0.3, 1.2), (0.1, 0.5)), "point_lo"),
+            (lambda: SoftGroupPolicy(0.4, 0.6, 0.5, (0.3, 0.8), (-0.1, 0.5)), "point_hi"),
+        ],
+    )
+    def test_policy_probabilities_lie_in_unit_interval(self, policy, field):
+        with pytest.raises(ValidationError, match=f"{field} must lie in"):
+            policy()
+
+    @pytest.mark.parametrize("target", [(0.5, 1.5), (float("nan"), 0.5)])
+    def test_target_lies_in_unit_square(self, target):
+        dp = fit_eo_hard(preds_from_counts({"A": (10, 9, 10, 2), "B": (10, 6, 10, 3)}))
+        with pytest.raises(ValidationError, match="target must lie in"):
+            replace(dp, target=target)
 
 
 class TestSampleUniforms:

@@ -1,6 +1,7 @@
 """Package guards: every public name resolves, the runtime imports
-nothing outside the standard library and numpy, and the CLI sets its BLAS
-thread defaults before numpy loads."""
+nothing outside the standard library and numpy, only the schema module
+parses JSON, and the CLI sets its BLAS thread defaults before numpy
+loads."""
 
 import ast
 import json
@@ -30,6 +31,18 @@ def test_imports_only_stdlib_and_numpy():
                 continue
             foreign += [f"{path.name}: {m}" for m in modules if m.split(".")[0] not in ALLOWED]
     assert foreign == []
+
+
+def test_json_is_parsed_only_by_the_schema_module():
+    """Every JSON input goes through ``schema.read`` and ``schema.load``."""
+    parsers = []
+    for path in sorted(Path(equifair.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json":
+                parsers.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                parsers += [f"{path.name}:{node.lineno}" for a in node.names if a.name in ("load", "loads")]
+    assert parsers and all(p.startswith("schema.py:") for p in parsers), parsers
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -95,6 +95,18 @@ class TestCsvRoundTrip:
         write_predictions(read_predictions(path), again)
         assert again.read_bytes() == path.read_bytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), block_chars=st.integers(1, 200))
+    def test_save_load_save_is_byte_identical(self, csv_path, data, block_chars):
+        preds, consts = data.draw(labeled_predictions())
+        again = csv_path.with_name("again.csv")
+        write_predictions(preds, csv_path, consts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictions, "_BLOCK_CHARS", block_chars)
+            back = read_prediction_file(csv_path)
+        write_predictions(back.predictions, again, back.constituent_scores)
+        assert again.read_bytes() == csv_path.read_bytes()
+
     def test_score_only_file(self, tmp_path):
         preds = small_preds(y_hat=None)
         path = tmp_path / "p.csv"
@@ -190,6 +202,26 @@ def _assert_same(got, expected):
     assert list(got.constituent_scores) == list(expected.constituent_scores)
     for name, a in got.constituent_scores.items():
         assert a.tobytes() == expected.constituent_scores[name].tobytes(), name
+
+
+@st.composite
+def labeled_predictions(draw):
+    """A prediction set whose ids and group labels hold commas, quotes,
+    line breaks and NULs, with its constituent scores."""
+    n = draw(st.integers(1, 12))
+    text = st.text(alphabet='ab ,"\n\r\x00é', max_size=5)
+    labels = draw(st.lists(text, min_size=1, max_size=3))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(np.array)
+    reals = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+    filled = draw(st.sampled_from([("scores",), ("y_hat",), ("scores", "y_hat")]))
+    preds = LabeledPredictions(
+        ids=tuple(draw(st.lists(text, min_size=n, max_size=n, unique=True))),
+        y_true=draw(bits),
+        groups=tuple(draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))),
+        scores=draw(reals) if "scores" in filled else None,
+        y_hat=draw(bits) if "y_hat" in filled else None,
+    )
+    return preds, draw(st.dictionaries(st.sampled_from(["m0", "m1"]), reals))
 
 
 @st.composite

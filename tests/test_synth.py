@@ -30,10 +30,15 @@ class TestCohortConfig:
         with pytest.raises(ValidationError):
             CohortConfig(groups={"a": 0.5, "b": 0.6})
 
-    def test_json_round_trip(self):
-        cfg = CohortConfig(groups={"a": 0.25, "b": 0.75}, n_samples=50, seed=4)
-        back = CohortConfig.from_dict(cfg.to_dict())
-        assert back == cfg
+    @pytest.mark.parametrize("share", [float("nan"), float("inf")])
+    def test_non_finite_proportion_is_rejected(self, share):
+        with pytest.raises(ValidationError, match="finite"):
+            CohortConfig(groups={"a": share, "b": 0.5})
+
+    @pytest.mark.parametrize("field", ["mu_neg", "mu_pos", "sigma_neg", "sigma_pos"])
+    def test_non_finite_score_model_is_rejected(self, field):
+        with pytest.raises(ValidationError, match="finite"):
+            ScoreModel(**{field: float("nan")})
 
 
 class TestGenerateCohort:
