@@ -324,22 +324,15 @@ def _modality_features(cohort) -> dict[str, np.ndarray]:
 
 
 def _cmd_pipeline(args) -> int:
+    intervention = args.intervention
+    if intervention not in INTERVENTIONS:
+        raise ValidationError(f"unknown intervention {intervention!r}; expected exactly one of {list(INTERVENTIONS)}")
     seed = _resolve_seed(args)
     out = _out_dir(args)
-    interventions = [v for v in args.intervention.split("+") if v]
-    for v in interventions:
-        if v not in INTERVENTIONS:
-            raise ValidationError(f"unknown intervention {v!r}")
-    if len(interventions) != 1 and not args.allow_composition:
-        raise ValidationError(
-            "exactly one intervention per run; pass --allow-composition to override"
-        )
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
     inputs: list[Path] = []
     outputs: list[Path] = []
-    metadata: dict = {"interventions": interventions, "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
-    if not set(interventions) <= {"none", "debias"} and args.allow_composition and "debias" in interventions:
-        metadata["composition_warning"] = "combining embedding debiasing with output post-processing is out-of-protocol usage"
+    metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
     # acquire fit and eval prediction sets
     if args.input:
@@ -370,7 +363,7 @@ def _cmd_pipeline(args) -> int:
         metadata["ensemble"] = {"constituents": names, "C": args.C}
 
     # debias stage (embedding-space intervention; predictions pass through)
-    if "debias" in interventions:
+    if intervention == "debias":
         if not args.embeddings:
             raise ValidationError("intervention 'debias' requires --embeddings")
         inputs.append(Path(args.embeddings))
@@ -382,17 +375,16 @@ def _cmd_pipeline(args) -> int:
     outputs.append(_write_text(out / "base_report.json", base_report.to_json()))
     plots = {"base": base_report}
 
-    eo_variant = next((v for v in interventions if v.startswith("eo-")), None)
-    if eo_variant:
-        if fit_preds.y_hat is None and eo_variant == "eo-hard":
+    if intervention.startswith("eo-"):
+        if fit_preds.y_hat is None and intervention == "eo-hard":
             raise ValidationError("eo-hard requires hard predictions in the fit split")
-        dp, dp_path = _eo_fit_stage(out, fit_preds, eo_variant.removeprefix("eo-"), loss)
+        dp, dp_path = _eo_fit_stage(out, fit_preds, intervention.removeprefix("eo-"), loss)
         post_preds, post_csv = _eo_apply_stage(out, dp, eval_preds, derive_seed(seed, "apply"))
         outputs += [dp_path, post_csv]
         post_meta = {**metadata, "expected_rates": expected_rates(dp).to_dict(), "eo_objective": dp.objective}
         post_report = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
         outputs.append(_write_text(out / "post_report.json", post_report.to_json()))
-        plots[eo_variant] = post_report
+        plots[intervention] = post_report
 
     outputs.append(_write_text(out / "plot_data.csv", _plot_data_csv(plots)))
     _write_manifest(out, "pipeline", vars(args), inputs, outputs, seed)
@@ -490,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="eval prediction CSV (omit to synthesize)")
     p.add_argument("--fit-input", help="prediction CSV for fitting stages")
     p.add_argument("--group-col", default="group")
-    p.add_argument("--intervention", default="none", help="none | eo-hard | eo-soft | debias (combine with + and --allow-composition)")
-    p.add_argument("--allow-composition", action="store_true")
+    p.add_argument("--intervention", default="none", help="exactly one of: " + " | ".join(INTERVENTIONS))
     p.add_argument("--cost-fp", type=float, default=1.0)
     p.add_argument("--cost-fn", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ValidationError
+from .schema import decode_error
 
 NEUTRALIZE_EPS = 1e-8
 
@@ -320,38 +321,41 @@ def hard_debias(
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     """Parse a plain-text embedding file."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
-        parts = header.split()
-        if len(parts) != 2:
-            raise FormatError(f"{path}: line 1: header must be '<vocab_size> <dimension>'")
-        try:
-            vocab_size, dim = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise FormatError(f"{path}: line 1: header fields must be integers") from None
-        if vocab_size < 1 or dim < 1:
-            raise FormatError(f"{path}: line 1: header values must be positive")
-        tokens: list[str] = []
-        rows: list[list[float]] = []
-        seen: set[str] = set()
-        for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(" ")
-            if len(fields) != dim + 1:
-                raise FormatError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(fields) - 1}"
-                )
-            tok = fields[0]
-            if tok in seen:
-                raise FormatError(f"{path}: line {lineno}: duplicate token {tok!r}")
-            seen.add(tok)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = fh.readline()
+            parts = header.split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}: line 1: header must be '<vocab_size> <dimension>'")
             try:
-                rows.append([float(v) for v in fields[1:]])
+                vocab_size, dim = int(parts[0]), int(parts[1])
             except ValueError:
-                raise FormatError(f"{path}: line {lineno}: non-numeric vector value") from None
-            tokens.append(tok)
+                raise FormatError(f"{path}: line 1: header fields must be integers") from None
+            if vocab_size < 1 or dim < 1:
+                raise FormatError(f"{path}: line 1: header values must be positive")
+            tokens: list[str] = []
+            rows: list[list[float]] = []
+            seen: set[str] = set()
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(" ")
+                if len(fields) != dim + 1:
+                    raise FormatError(
+                        f"{path}: line {lineno}: expected {dim} values, got {len(fields) - 1}"
+                    )
+                tok = fields[0]
+                if tok in seen:
+                    raise FormatError(f"{path}: line {lineno}: duplicate token {tok!r}")
+                seen.add(tok)
+                try:
+                    rows.append([float(v) for v in fields[1:]])
+                except ValueError:
+                    raise FormatError(f"{path}: line {lineno}: non-numeric vector value") from None
+                tokens.append(tok)
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
     if len(tokens) != vocab_size:
         raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
     return EmbeddingMatrix(tokens=tuple(tokens), vectors=np.array(rows, dtype=np.float64))

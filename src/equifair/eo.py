@@ -88,27 +88,24 @@ def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -
     return {g: (rates[g].n_pos + rates[g].n_neg) / total for g in groups}
 
 
-def _group_coefficients(
-    rates: GroupRates, loss: LossSpec, groups: tuple[str, ...] | None = None
-) -> dict[str, tuple[float, float]]:
+def _group_coefficients(rates: GroupRates, loss: LossSpec) -> dict[str, tuple[float, float]]:
     """Per non-empty group, (k_fp, k_fn) such that its operating point
     (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
-    groups = groups or tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
+    groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
     w = _group_weights(rates, loss, groups)
     out = {}
     for g in groups:
         e = rates[g]
         n = e.n_pos + e.n_neg
-        if n:
-            out[g] = (loss.cost_fp * w[g] * (e.n_neg / n), loss.cost_fn * w[g] * (e.n_pos / n))
+        out[g] = (loss.cost_fp * w[g] * (e.n_neg / n), loss.cost_fn * w[g] * (e.n_pos / n))
     return out
 
 
-def loss_coefficients(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...] | None = None) -> tuple[float, float]:
-    """(k_fp, k_fn) such that a common operating point (x, y) costs
-    k_fp * x + k_fn * (1 - y)."""
+def loss_coefficients(rates: GroupRates, loss: LossSpec) -> tuple[float, float]:
+    """(k_fp, k_fn) such that a common operating point (x, y) of every
+    non-empty group costs k_fp * x + k_fn * (1 - y)."""
     k_fp = k_fn = 0.0
-    for kf, kn in _group_coefficients(rates, loss, groups).values():
+    for kf, kn in _group_coefficients(rates, loss).values():
         k_fp += kf
         k_fn += kn
     return k_fp, k_fn
@@ -207,29 +204,36 @@ def _policy_table(dp: DerivedPredictor, preds: LabeledPredictions, *names: str) 
     return np.array(rows, dtype=np.float64)
 
 
-def _require_fit_groups(rates: GroupRates) -> tuple[str, ...]:
+def _fit_groups(rates: GroupRates) -> tuple[str, ...]:
+    """The groups of ``rates`` that have samples: at least 2, each with both classes."""
     groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
     if len(groups) < 2:
         raise ValidationError("equalized-odds fitting requires at least 2 groups")
-    undefined = [g for g in groups if rates[g].tpr is None or rates[g].fpr is None]
-    if undefined:
-        raise ValidationError(
-            f"groups with undefined base rates (missing a class): {undefined}"
-        )
+    lacking = [g for g in groups if rates[g].n_pos == 0 or rates[g].n_neg == 0]
+    if lacking:
+        raise ValidationError(f"groups missing a class: {lacking}")
     return groups
+
+
+def _common_target(rates: GroupRates, loss: LossSpec, regions: list[np.ndarray]) -> tuple[float, float, float]:
+    """The (fpr, tpr) of least expected loss in the achievable region of
+    each group of ``_fit_groups(rates)``, in order, and that loss.  Every
+    region holds the diagonal, so an intersection too thin to clip falls
+    back to it."""
+    k_fp, k_fn = loss_coefficients(rates, loss)
+    vertices = intersect_regions(regions)
+    if len(vertices) == 0:
+        vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
+    x, y = argmin_linear(vertices, k_fp, -k_fn)
+    return x, y, k_fp * x + k_fn * (1.0 - y)
 
 
 def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomization of hard predictions so that derived
     tpr and fpr are exactly equal across groups, minimizing expected loss."""
     rates = confusion_rates(preds)
-    groups = _require_fit_groups(rates)
-    k_fp, k_fn = loss_coefficients(rates, loss, groups)
-    regions = [_hard_region(rates[g].fpr, rates[g].tpr) for g in groups]
-    vertices = intersect_regions(regions)
-    if len(vertices) == 0:
-        vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
-    x, y = argmin_linear(vertices, k_fp, -k_fn)
+    groups = _fit_groups(rates)
+    x, y, objective = _common_target(rates, loss, [_hard_region(rates[g].fpr, rates[g].tpr) for g in groups])
     policies: dict[str, HardGroupPolicy] = {}
     for g in groups:
         f, t = rates[g].fpr, rates[g].tpr
@@ -242,13 +246,7 @@ def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
             p0 = min(max(p0, 0.0), 1.0) + 0.0  # +0.0 folds -0.0 into 0.0
             p1 = min(max(p1, 0.0), 1.0) + 0.0
         policies[g] = HardGroupPolicy(p0=p0, p1=p1)
-    return DerivedPredictor(
-        policies=policies,
-        target=(x, y),
-        fit_rates=rates,
-        loss=loss,
-        objective=k_fp * x + k_fn * (1.0 - y),
-    )
+    return DerivedPredictor(policies=policies, target=(x, y), fit_rates=rates, loss=loss, objective=objective)
 
 
 def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
@@ -406,38 +404,18 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
         for g, (n_neg, n_pos) in zip(preds.universe, classes)
         if n_pos + n_neg
     })
-    groups = counts.groups
-    if len(groups) < 2:
-        raise ValidationError("equalized-odds fitting requires at least 2 groups")
-    lacking = [g for g in groups if counts[g].n_pos == 0 or counts[g].n_neg == 0]
-    if lacking:
-        raise ValidationError(f"groups missing a class: {lacking}")
-    k_fp, k_fn = loss_coefficients(counts, loss, groups)
-
-    geoms: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
-    regions: list[np.ndarray] = []
-    for g in groups:
+    curves: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+    for g in _fit_groups(counts):
         m = preds.group_codes == preds.universe.index(g)
         curve = roc_curve(preds.scores[m], preds.y_true[m])
         pts = np.column_stack((curve.fpr, curve.tpr))
-        hull = _roc_hull(pts)
-        regions.append(pts[hull])
-        thresholds = np.minimum(curve.thresholds, _NEVER_POSITIVE)
-        geoms[g] = (pts, thresholds, _upper_envelope(hull, len(pts) - 1))
-    vertices = intersect_regions(regions)
-    if len(vertices) == 0:
-        vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
-    x, y = argmin_linear(vertices, k_fp, -k_fn)
+        curves[g] = (pts, np.minimum(curve.thresholds, _NEVER_POSITIVE), _roc_hull(pts))
+    x, y, objective = _common_target(counts, loss, [pts[hull] for pts, _, hull in curves.values()])
     policies = {
-        g: _decompose_soft(geoms[g][0], geoms[g][1], geoms[g][2], x, y) for g in groups
+        g: _decompose_soft(pts, thresholds, _upper_envelope(hull, len(pts) - 1), x, y)
+        for g, (pts, thresholds, hull) in curves.items()
     }
-    return DerivedPredictor(
-        policies=policies,
-        target=(x, y),
-        fit_rates=counts,
-        loss=loss,
-        objective=k_fp * x + k_fn * (1.0 - y),
-    )
+    return DerivedPredictor(policies=policies, target=(x, y), fit_rates=counts, loss=loss, objective=objective)
 
 
 def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
@@ -94,6 +95,14 @@ class ScoreModel:
         return tpr, fpr
 
 
+def _require_integers(obj, *names: str) -> None:
+    """Each named field of ``obj`` is None or an int or numpy integer; a bool or a float is not."""
+    for name in names:
+        v = getattr(obj, name)
+        if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
+            raise ValidationError(f"{type(obj).__name__}.{name} must be an integer, got {v!r}")
+
+
 @dataclass(frozen=True)
 class CohortConfig:
     """Specification of a synthetic prediction cohort.
@@ -117,6 +126,7 @@ class CohortConfig:
     id_prefix: str = "s"
 
     def __post_init__(self):
+        _require_integers(self, "n_samples", "seed")
         groups = dict(self.groups)
         if not groups:
             raise ValidationError("at least one group is required")
@@ -318,6 +328,7 @@ class EmbeddingPlantConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_integers(self, "vocab_size", "dim", "n_directions", "seed")
         sets = tuple(tuple(s) for s in self.equality_sets)
         if not sets or any(len(s) < 2 for s in sets):
             raise ValidationError("equality sets must be non-empty tuples of >= 2 words")

@@ -267,6 +267,14 @@ class TestPipeline:
         assert res.returncode == 6
         assert res.stderr.startswith("invalid-input:")
 
+    def test_interventions_do_not_compose(self, tmp_path):
+        res = run_cli(
+            "pipeline", "--intervention", "eo-hard+eo-soft", "--allow-composition", "--n", "200",
+            "--seed", "1", "--out", tmp_path,
+        )
+        assert res.returncode != 0
+        assert not (tmp_path / "derived_predictor.json").exists()
+
     def test_byte_identical_reruns(self, tmp_path):
         args = (
             "pipeline", "--intervention", "eo-hard", "--preset", "ethnicity", "--n", "2000",
@@ -417,6 +425,8 @@ def _soft(**edit):
 HEADER = "id,group,y_true,score,y_hat\n"
 # a bad byte in the second block the prediction reader decodes
 DEEP = HEADER + "".join(f"r{i},A,1,,1\n" for i in range(8000))
+# an embedding file whose bad byte lies past the decoder's first chunk
+EMBEDDINGS = "2001 1\n" + "".join(f"w{i} 0.5\n" for i in range(2000))
 ENSEMBLE_MODEL = {
     "weights": [1.0, -0.5], "intercept": 0.1, "C": 1.0, "n_iter": 3, "grad_norm": 1e-9, "converged": True,
     "constituents": ["m0", "m1"],
@@ -461,6 +471,10 @@ MALFORMED = {
     "model-converged-a-string": ("ensemble-predict", _with("converged", "false"), 4, "format-error", "converged"),
     "model-constituents-a-string": ("ensemble-predict", _with("constituents", "m0"), 4, "format-error", "constituents"),
     "equality-set-number": ("debias", '[["he", "she"], ["his", 3]]', 4, "format-error", "field 1.1"),
+    "embeddings-not-utf8": (
+        "debias-embeddings", f"{EMBEDDINGS}sh\xe9 0.5\n".encode("latin-1"), 4, "format-error",
+        f"emb.txt: byte offset {len(EMBEDDINGS) + 2} (line 2002)",
+    ),
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
     "cost-fp-nan": ("eo-fit", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
@@ -476,6 +490,9 @@ MALFORMED = {
     "synth-noise-nan": ("synth", ["--plant-embeddings", "--noise", "nan"], 6, "invalid-input", "finite"),
     "synth-window-not-a-number": ("synth", ["--modality-windows", "abc"], 6, "invalid-input", "'abc'"),
     "synth-window-one-bound": ("synth", ["--modality-windows", "0:0.5,0.5"], 6, "invalid-input", "'0.5'"),
+    "pipeline-intervention-pair": (
+        "pipeline", ["--intervention", "eo-hard+eo-soft"], 6, "invalid-input", "unknown intervention 'eo-hard+eo-soft'",
+    ),
     "pipeline-window-three-bounds": ("pipeline", ["--modality-windows", "0:0.5:1"], 6, "invalid-input", "'0:0.5:1'"),
 }
 
@@ -519,6 +536,9 @@ class TestMalformedInputs:
             save_embeddings(emb, tmp_path / "emb.txt")
             (tmp_path / "sets.json").write_text(arg, encoding="utf-8")
             argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--equality-sets", tmp_path / "sets.json", "--out", out]
+        elif command == "debias-embeddings":
+            (tmp_path / "emb.txt").write_bytes(arg)
+            argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--out", out]
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:

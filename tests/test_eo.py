@@ -423,15 +423,20 @@ class TestLossProperties:
             assert h2.policies[new].p1 == pytest.approx(h1.policies[old].p1, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(2, 4))
-    def test_exactness_property(self, seed, n_groups):
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.none() | st.integers(0, 5))
+    @example(seed=0, n_groups=6, one_class=None)
+    @example(seed=1, n_groups=3, one_class=4)
+    def test_exactness_property(self, seed, n_groups, one_class):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 40))
         names = [f"g{j}" for j in range(n_groups)]
+        lacking = None if one_class is None else one_class % n_groups  # the group left with one class
         ids, y, g, s = [], [], [], []
         for j, name in enumerate(names):
             labels = rng.integers(0, 2, n)
             labels[0], labels[1] = 0, 1  # both classes per group
+            if j == lacking:
+                labels[:] = rng.integers(0, 2)
             scores = rng.choice([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95], n)
             ids.extend(f"{name}-{i}" for i in range(n))
             y.extend(labels.tolist())
@@ -446,6 +451,10 @@ class TestLossProperties:
         )
         loss = LossSpec(cost_fp=float(rng.uniform(0.1, 2)), cost_fn=float(rng.uniform(0.1, 2)))
         for fit in (fit_eo_hard, fit_eo_soft):
+            if lacking is not None:
+                with pytest.raises(ValidationError, match=rf"^groups missing a class: \['g{lacking}'\]$"):
+                    fit(preds, loss)
+                continue
             dp = fit(preds, loss)
             tpr_range, tnr_range = gap_ranges(expected_rates(dp))
             assert tpr_range <= 1e-9

@@ -1,7 +1,7 @@
 """Package guards: every public name resolves, the runtime imports
 nothing outside the standard library and numpy, only the schema module
-parses JSON, and the CLI sets its BLAS thread defaults before numpy
-loads."""
+parses JSON, both equalized-odds fits share one solver, and the CLI sets
+its BLAS thread defaults before numpy loads."""
 
 import ast
 import json
@@ -43,6 +43,22 @@ def test_json_is_parsed_only_by_the_schema_module():
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 parsers += [f"{path.name}:{node.lineno}" for a in node.names if a.name in ("load", "loads")]
     assert parsers and all(p.startswith("schema.py:") for p in parsers), parsers
+
+
+def test_one_equalized_odds_solver():
+    """Both EO fits find their common operating point through
+    ``eo._common_target``, the one caller of ``intersect_regions``."""
+    sites = []
+    for path in sorted(Path(equifair.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "intersect_regions" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
+                where = max(inner, key=lambda d: d.lineno).name if inner else "<module>"
+                sites.append(f"{path.stem}.{where}")
+    assert sites == ["eo._common_target"], sites
 
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

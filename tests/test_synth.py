@@ -165,3 +165,24 @@ class TestGenerateEmbeddings:
     def test_vocab_size_must_cover_set_words(self):
         with pytest.raises(ValidationError):
             EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=5, dim=25)
+
+
+@pytest.mark.parametrize(
+    "config, field, bad, good",
+    [
+        (CohortConfig, "n_samples", 10.5, np.int64(10)),
+        (CohortConfig, "n_samples", True, 10),
+        (CohortConfig, "n_samples", float("nan"), 10),
+        (CohortConfig, "seed", 3.0, np.int32(3)),
+        (EmbeddingPlantConfig, "vocab_size", 60.5, np.int64(60)),
+        (EmbeddingPlantConfig, "dim", 10.0, np.int64(10)),
+        (EmbeddingPlantConfig, "n_directions", 1.0, np.int64(1)),
+        (EmbeddingPlantConfig, "seed", False, np.uint8(3)),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else str(v),
+)
+def test_integer_fields_take_only_integers(config, field, bad, good):
+    required = {"equality_sets": GENDER_SETS} if config is EmbeddingPlantConfig else {}
+    with pytest.raises(ValidationError, match=f"{config.__name__}.{field} must be an integer"):
+        config(**required, **{field: bad})
+    assert getattr(config(**required, **{field: good}), field) == good
