@@ -12,7 +12,7 @@ BLAS thread defaults before that happens (see ``__main__``).
 
 from importlib import import_module
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 _EXPORTS = {
     "debias": (
@@ -29,7 +29,7 @@ _EXPORTS = {
         "ValidationError",
     ),
     "metrics": (
-        "FairnessReport", "GroupRates", "auc_prc", "auc_roc", "build_report", "confusion_rates", "gap_ranges",
+        "FairnessReport", "GroupRateEntry", "auc_prc", "auc_roc", "build_report", "confusion_rates", "gap_ranges",
         "multilabel_auc", "roc_curve",
     ),
     "predictions": ("LabeledPredictions", "read_predictions", "write_predictions"),

@@ -15,11 +15,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Mapping
@@ -63,18 +62,10 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_text(path: Path, text: str) -> Path:
-    path.write_text(text, encoding="utf-8")
-    return path
-
-
 def _write_json(path: Path, doc) -> Path:
-    """Write ``doc`` as strict JSON; a non-finite number is invalid input."""
-    try:
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValidationError(f"{path.name}: {exc}") from None
-    return _write_text(path, text + "\n")
+    """Write ``doc`` as ``schema.dumps`` gives it; a non-finite number is invalid input."""
+    path.write_text(schema.dumps(doc, path.name), encoding="ascii")
+    return path
 
 
 def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path], seed: int | None) -> Path:
@@ -136,21 +127,21 @@ def _load_cohort_config(args, seed: int) -> CohortConfig:
     )
 
 
-def _plot_data_csv(reports: Mapping[str, FairnessReport]) -> str:
-    """Tidy (classifier, group, metric, value) rows for range plots, one
-    block per classifier."""
-    lines = ["classifier,group,metric,value"]
-    for classifier, report in reports.items():
-        if report.group_rates is not None:
-            for g, e in report.group_rates:
-                if e.tpr is not None:
-                    lines.append(f"{classifier},{g},tpr,{e.tpr!r}")
-                if e.tnr is not None:
-                    lines.append(f"{classifier},{g},tnr,{e.tnr!r}")
-        for g, auc in report.auc_roc_per_group.items():
-            if auc is not None:
-                lines.append(f"{classifier},{g},auc_roc,{auc!r}")
-    return "\n".join(lines) + "\n"
+def _write_plot_data(path: Path, reports: Mapping[str, FairnessReport]) -> Path:
+    """Tidy (classifier, group, metric, value) CSV rows for range plots,
+    one block per classifier."""
+    with path.open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["classifier", "group", "metric", "value"])
+        for classifier, report in reports.items():
+            for g, e in (report.group_rates or {}).items():
+                for metric, value in (("tpr", e.tpr), ("tnr", e.tnr)):
+                    if value is not None:
+                        writer.writerow((classifier, g, metric, value))
+            for g, auc in report.auc_roc_per_group.items():
+                if auc is not None:
+                    writer.writerow((classifier, g, "auc_roc", auc))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +157,7 @@ def _eo_functions(variant: str):
 class _EnsembleFile(EnsembleModel):
     """ensemble_model.json: a model and the constituent columns it was fit on."""
 
-    constituents: tuple[str, ...] = ()
+    constituents: tuple[str, ...] = field(kw_only=True)
 
 
 def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.ndarray, C: float) -> tuple[EnsembleModel, Path]:
@@ -233,7 +224,7 @@ def _cmd_synth(args) -> int:
         path = out / f"modality_{m}.csv"
         write_predictions(preds, path)
         outputs.append(path)
-    outputs.append(_write_text(out / "analytic_rates.json", cohort.sidecar_json()))
+    outputs.append(_write_json(out / "analytic_rates.json", {"analytic_rates": cohort.analytic_rates, "config": cohort.config}))
     _write_manifest(out, "synth", vars(args), [], outputs, seed)
     print(f"wrote {len(cohort.modalities)} modality file(s) to {out}")
     return 0
@@ -242,7 +233,7 @@ def _cmd_synth(args) -> int:
 def _cmd_metrics(args) -> int:
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     report = build_report(preds, task=args.task)
-    sys.stdout.write(report.to_json())
+    sys.stdout.write(schema.dumps(report, "metrics report"))
     return 0
 
 
@@ -250,8 +241,8 @@ def _cmd_report(args) -> int:
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     report = build_report(preds, task=args.task, seed=getattr(args, "seed", None))
-    report_path = _write_text(out / "report.json", report.to_json())
-    plot_path = _write_text(out / "plot_data.csv", _plot_data_csv({args.task or "classifier": report}))
+    report_path = _write_json(out / "report.json", report)
+    plot_path = _write_plot_data(out / "plot_data.csv", {args.task or "classifier": report})
     _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], getattr(args, "seed", None))
     print(f"wrote {report_path}")
     return 0
@@ -302,13 +293,12 @@ def _cmd_ensemble_predict(args) -> int:
     out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     model = schema.load(_EnsembleFile, schema.read(args.model), "ensemble model")
-    if model.constituents:
-        missing = [n for n in model.constituents if n not in pfile.constituent_scores]
-        if missing:
-            raise ValidationError(f"input lacks constituent columns {missing}")
-        features = np.column_stack([pfile.constituent_scores[n] for n in model.constituents])
-    else:
-        features = pfile.feature_matrix()
+    if not model.constituents:
+        raise ValidationError("ensemble model: field constituents must not be empty")
+    missing = [n for n in model.constituents if n not in pfile.constituent_scores]
+    if missing:
+        raise ValidationError(f"input lacks constituent columns {missing}")
+    features = np.column_stack([pfile.constituent_scores[n] for n in model.constituents])
     out_path = out / "ensemble_predictions.csv"
     write_predictions(_ensemble_scored(pfile.predictions, model, features, args.threshold), out_path)
     _write_manifest(out, "ensemble-predict", vars(args), [Path(args.input), Path(args.model)], [out_path], None)
@@ -372,7 +362,7 @@ def _cmd_pipeline(args) -> int:
         metadata["debias"] = {"equality_sets": args.equality_sets, "k": result.subspace.k}
 
     base_report = build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)
-    outputs.append(_write_text(out / "base_report.json", base_report.to_json()))
+    outputs.append(_write_json(out / "base_report.json", base_report))
     plots = {"base": base_report}
 
     if intervention.startswith("eo-"):
@@ -381,12 +371,12 @@ def _cmd_pipeline(args) -> int:
         dp, dp_path = _eo_fit_stage(out, fit_preds, intervention.removeprefix("eo-"), loss)
         post_preds, post_csv = _eo_apply_stage(out, dp, eval_preds, derive_seed(seed, "apply"))
         outputs += [dp_path, post_csv]
-        post_meta = {**metadata, "expected_rates": expected_rates(dp).to_dict(), "eo_objective": dp.objective}
+        post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
         post_report = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
-        outputs.append(_write_text(out / "post_report.json", post_report.to_json()))
+        outputs.append(_write_json(out / "post_report.json", post_report))
         plots[intervention] = post_report
 
-    outputs.append(_write_text(out / "plot_data.csv", _plot_data_csv(plots)))
+    outputs.append(_write_plot_data(out / "plot_data.csv", plots))
     _write_manifest(out, "pipeline", vars(args), inputs, outputs, seed)
     print(f"pipeline complete: {len(outputs)} artifact(s) in {out}")
     return 0
@@ -396,10 +386,9 @@ def _cmd_pipeline(args) -> int:
 # parser
 
 
-def _add_common_io(p, with_group=True):
+def _add_common_io(p):
     p.add_argument("--input", required=True, help="prediction CSV path")
-    if with_group:
-        p.add_argument("--group-col", default="group", help="sensitive-attribute column name")
+    p.add_argument("--group-col", default="group", help="sensitive-attribute column name")
 
 
 def _add_cohort_flags(p):

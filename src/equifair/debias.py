@@ -364,7 +364,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 def format_embeddings(emb: EmbeddingMatrix) -> str:
     lines = [f"{len(emb)} {emb.dim}"]
     for i, tok in enumerate(emb.tokens):
-        if " " in tok or "\n" in tok:
+        if " " in tok or "\n" in tok or "\r" in tok:  # the reader splits lines on \r too
             raise FormatError(f"token {tok!r} contains whitespace; not serializable")
         lines.append(tok + " " + " ".join(repr(float(v)) for v in emb.vectors[i]))
     return "\n".join(lines) + "\n"

@@ -39,7 +39,7 @@ import numpy as np
 from . import schema
 from .errors import GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
-from .metrics import GroupRateEntry, GroupRates, confusion_counts, confusion_rates, roc_curve
+from .metrics import GroupRateEntry, confusion_counts, confusion_rates, roc_curve
 from .predictions import LabeledPredictions
 
 _DIAG_TOL = 1e-12
@@ -77,7 +77,7 @@ class LossSpec:
             object.__setattr__(self, "group_weights", gw)
 
 
-def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -> dict[str, float]:
+def _group_weights(rates: Mapping[str, GroupRateEntry], loss: LossSpec, groups: tuple[str, ...]) -> dict[str, float]:
     if loss.group_weights is not None:
         missing = [g for g in groups if g not in loss.group_weights]
         if missing:
@@ -88,10 +88,10 @@ def _group_weights(rates: GroupRates, loss: LossSpec, groups: tuple[str, ...]) -
     return {g: (rates[g].n_pos + rates[g].n_neg) / total for g in groups}
 
 
-def _group_coefficients(rates: GroupRates, loss: LossSpec) -> dict[str, tuple[float, float]]:
+def _group_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> dict[str, tuple[float, float]]:
     """Per non-empty group, (k_fp, k_fn) such that its operating point
     (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
-    groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
+    groups = tuple(g for g, e in rates.items() if e.n_pos + e.n_neg > 0)
     w = _group_weights(rates, loss, groups)
     out = {}
     for g in groups:
@@ -101,7 +101,7 @@ def _group_coefficients(rates: GroupRates, loss: LossSpec) -> dict[str, tuple[fl
     return out
 
 
-def loss_coefficients(rates: GroupRates, loss: LossSpec) -> tuple[float, float]:
+def loss_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> tuple[float, float]:
     """(k_fp, k_fn) such that a common operating point (x, y) of every
     non-empty group costs k_fp * x + k_fn * (1 - y)."""
     k_fp = k_fn = 0.0
@@ -111,7 +111,7 @@ def loss_coefficients(rates: GroupRates, loss: LossSpec) -> tuple[float, float]:
     return k_fp, k_fn
 
 
-def expected_loss_of_rates(rates: GroupRates, loss: LossSpec) -> float:
+def expected_loss_of_rates(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> float:
     """Expected weighted loss of a predictor whose per-group operating
     points are given by ``rates``.  Groups with an undefined rate
     contribute nothing through that rate (its class share is zero)."""
@@ -204,9 +204,9 @@ def _policy_table(dp: DerivedPredictor, preds: LabeledPredictions, *names: str) 
     return np.array(rows, dtype=np.float64)
 
 
-def _fit_groups(rates: GroupRates) -> tuple[str, ...]:
+def _fit_groups(rates: Mapping[str, GroupRateEntry]) -> tuple[str, ...]:
     """The groups of ``rates`` that have samples: at least 2, each with both classes."""
-    groups = tuple(g for g in rates.groups if rates[g].n_pos + rates[g].n_neg > 0)
+    groups = tuple(g for g, e in rates.items() if e.n_pos + e.n_neg > 0)
     if len(groups) < 2:
         raise ValidationError("equalized-odds fitting requires at least 2 groups")
     lacking = [g for g in groups if rates[g].n_pos == 0 or rates[g].n_neg == 0]
@@ -215,7 +215,7 @@ def _fit_groups(rates: GroupRates) -> tuple[str, ...]:
     return groups
 
 
-def _common_target(rates: GroupRates, loss: LossSpec, regions: list[np.ndarray]) -> tuple[float, float, float]:
+def _common_target(rates: Mapping[str, GroupRateEntry], loss: LossSpec, regions: list[np.ndarray]) -> tuple[float, float, float]:
     """The (fpr, tpr) of least expected loss in the achievable region of
     each group of ``_fit_groups(rates)``, in order, and that loss.  Every
     region holds the diagonal, so an intersection too thin to clip falls
@@ -399,11 +399,11 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     if preds.scores is None:
         raise ValidationError("fit_eo_soft requires scores")
     classes = confusion_counts(preds).sum(axis=2).tolist()
-    counts = GroupRates({
+    counts = {
         g: GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=n_neg)
         for g, (n_neg, n_pos) in zip(preds.universe, classes)
         if n_pos + n_neg
-    })
+    }
     curves: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     for g in _fit_groups(counts):
         m = preds.group_codes == preds.universe.index(g)
@@ -452,7 +452,7 @@ class DerivedPredictor:
 
     policies: Mapping[str, HardGroupPolicy | SoftGroupPolicy]
     target: tuple[float, float]
-    fit_rates: GroupRates
+    fit_rates: Mapping[str, GroupRateEntry]
     loss: LossSpec
     objective: float
 
@@ -476,7 +476,7 @@ class DerivedPredictor:
             "target": {"fpr": self.target[0], "tpr": self.target[1]},
             "objective": self.objective,
             "loss": asdict(self.loss),
-            "fit_rates": self.fit_rates.to_dict(),
+            "fit_rates": {g: asdict(e) for g, e in self.fit_rates.items()},
             "groups": {g: asdict(p) for g, p in sorted(self.policies.items())},
         }
 
@@ -489,7 +489,7 @@ class DerivedPredictor:
         return DerivedPredictor(
             policies=doc.groups,
             target=(doc.target.fpr, doc.target.tpr),
-            fit_rates=GroupRates(doc.fit_rates),
+            fit_rates=doc.fit_rates,
             loss=doc.loss,
             objective=doc.objective,
         )
@@ -523,8 +523,8 @@ class _SoftForm(_HardForm):
 
 
 def expected_rates(
-    dp: DerivedPredictor, base_rates: GroupRates | None = None
-) -> GroupRates:
+    dp: DerivedPredictor, base_rates: Mapping[str, GroupRateEntry] | None = None
+) -> dict[str, GroupRateEntry]:
     """Closed-form expected derived rates per group.
 
     For a hard predictor the expectation is taken over the given base
@@ -533,7 +533,7 @@ def expected_rates(
     supplies group counts.
     """
     rates = base_rates if base_rates is not None else dp.fit_rates
-    missing = [g for g in dp.groups if g not in rates.groups]
+    missing = [g for g in dp.groups if g not in rates]
     if missing:
         raise GroupMismatchError(f"base rates missing groups: {missing}")
     out: dict[str, GroupRateEntry] = {}
@@ -543,7 +543,7 @@ def expected_rates(
         out[g] = GroupRateEntry(
             tpr=tpr, tnr=1.0 - fpr, fpr=fpr, fnr=1.0 - tpr, n_pos=base.n_pos, n_neg=base.n_neg
         )
-    return GroupRates(out)
+    return out
 
 
 def expected_loss(dp: DerivedPredictor, loss: LossSpec | None = None) -> float:
@@ -551,7 +551,7 @@ def expected_loss(dp: DerivedPredictor, loss: LossSpec | None = None) -> float:
     return expected_loss_of_rates(expected_rates(dp), loss if loss is not None else dp.loss)
 
 
-def unconstrained_optimum_loss(rates: GroupRates, loss: LossSpec, soft_regions: Mapping[str, np.ndarray] | None = None) -> float:
+def unconstrained_optimum_loss(rates: Mapping[str, GroupRateEntry], loss: LossSpec, soft_regions: Mapping[str, np.ndarray] | None = None) -> float:
     """Loss of the best per-group derived predictor with no cross-group
     constraint: each group independently picks its optimal achievable
     point.  Lower-bounds every equalized-odds fit on the same data."""

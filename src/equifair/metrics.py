@@ -13,8 +13,7 @@ interpolation between operating points).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -36,33 +35,6 @@ class GroupRateEntry:
     n_neg: int
 
 
-@dataclass(frozen=True)
-class GroupRates:
-    """Per-group confusion rates keyed by group label."""
-
-    rates: Mapping[str, GroupRateEntry]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rates", dict(self.rates))
-
-    def __iter__(self):
-        return iter(self.rates.items())
-
-    def __getitem__(self, group: str) -> GroupRateEntry:
-        return self.rates[group]
-
-    @property
-    def groups(self) -> tuple[str, ...]:
-        return tuple(self.rates)
-
-    def defined(self, which: str = "tpr") -> dict[str, float]:
-        """Groups whose ``which`` rate is defined, with their values."""
-        return {g: getattr(e, which) for g, e in self.rates.items() if getattr(e, which) is not None}
-
-    def to_dict(self) -> dict:
-        return {g: asdict(e) for g, e in self.rates.items()}
-
-
 def confusion_counts(preds: LabeledPredictions) -> np.ndarray:
     """Samples per (group code, y_true, y_hat) cell, a (len(universe), 2, 2)
     integer array; without ``y_hat`` every sample counts as y_hat = 0."""
@@ -72,8 +44,9 @@ def confusion_counts(preds: LabeledPredictions) -> np.ndarray:
     return np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 2, 2)
 
 
-def confusion_rates(preds: LabeledPredictions) -> GroupRates:
-    """Exact per-group tpr/tnr/fpr/fnr from hard predictions.
+def confusion_rates(preds: LabeledPredictions) -> dict[str, GroupRateEntry]:
+    """Exact per-group tpr/tnr/fpr/fnr from hard predictions, keyed by
+    group label in universe order.
 
     Requires ``y_hat``.  Groups from the declared universe with no samples
     appear with zero counts and all rates undefined.
@@ -91,17 +64,17 @@ def confusion_rates(preds: LabeledPredictions) -> GroupRates:
             n_pos=n_pos,
             n_neg=n_neg,
         )
-    return GroupRates(out)
+    return out
 
 
-def gap_ranges(rates: GroupRates) -> tuple[float | None, float | None]:
+def gap_ranges(rates: Mapping[str, GroupRateEntry]) -> tuple[float | None, float | None]:
     """Max-minus-min of tpr and tnr over groups where each is defined.
 
     A component with a single defined group yields 0.0; a component with no
     defined group yields None.  Raises if neither rate is defined anywhere.
     """
-    tprs = list(rates.defined("tpr").values())
-    tnrs = list(rates.defined("tnr").values())
+    tprs = [e.tpr for e in rates.values() if e.tpr is not None]
+    tnrs = [e.tnr for e in rates.values() if e.tnr is not None]
     if not tprs and not tnrs:
         raise ValidationError("no group has a defined rate")
     tpr_range = (max(tprs) - min(tprs)) if tprs else None
@@ -248,9 +221,9 @@ def multilabel_auc(scores, y_true) -> MultilabelAucResult:
 
 @dataclass(frozen=True)
 class FairnessReport:
-    """Serializable audit summary for one prediction set."""
+    """Audit summary for one prediction set; ``schema.dumps`` writes its JSON form."""
 
-    group_rates: GroupRates | None
+    group_rates: Mapping[str, GroupRateEntry] | None
     tpr_range: float | None
     tnr_range: float | None
     auc_roc_overall: float | None
@@ -258,16 +231,10 @@ class FairnessReport:
     auc_roc_per_group: dict[str, float | None]
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "group_rates": self.group_rates.to_dict() if self.group_rates else None}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False) + "\n"
-
 
 def build_report(
     preds: LabeledPredictions,
-    rates: GroupRates | None = None,
+    rates: Mapping[str, GroupRateEntry] | None = None,
     task: str = "",
     seed: int | None = None,
     timestamp: str | None = None,

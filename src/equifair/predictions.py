@@ -112,12 +112,6 @@ class PredictionFile:
     predictions: LabeledPredictions
     constituent_scores: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def feature_matrix(self) -> np.ndarray:
-        """Constituent scores stacked as a (n, k) matrix, header order."""
-        if not self.constituent_scores:
-            raise ValidationError("file has no score_<name> constituent columns")
-        return np.column_stack([self.constituent_scores[n] for n in self.constituent_scores])
-
 
 def _parse_binary(value: str, column: str, line: int) -> int:
     if value in ("0", "1"):

@@ -1,12 +1,15 @@
-"""Checked loading of JSON inputs.
+"""The JSON format of every artifact and input, in both directions.
 
-``read`` parses a file as strict JSON.  ``load`` builds a value of a type
-hint, usually a dataclass, from the parsed document: a dataclass is an
-object keyed by its field names, fields with defaults may be omitted, and
-numbers must be finite.  A malformed file or a missing, unknown or
-ill-typed field is a FormatError naming the file or the field's path, e.g.
-``derived predictor: field groups.A.p0 must be a number, got 'x'``.  Value
-constraints (ranges, sums) stay with the dataclasses (ValidationError).
+``dumps`` writes strict JSON: sorted keys, two-space indent, non-ASCII
+escaped as ``\\uXXXX``, a dataclass as ``dataclasses.asdict`` and no NaN
+or Infinity.  ``read`` parses a file as strict JSON.  ``load`` builds a
+value of a type hint, usually a dataclass, from the parsed document: a
+dataclass is an object keyed by its field names, fields with defaults may
+be omitted, and numbers must be finite.  A malformed file or a missing,
+unknown or ill-typed field is a FormatError naming the file or the field's
+path, e.g. ``derived predictor: field groups.A.p0 must be a number, got
+'x'``.  Value constraints (ranges, sums) stay with the dataclasses
+(ValidationError).
 """
 
 from __future__ import annotations
@@ -15,13 +18,13 @@ import json
 import reprlib
 import sys
 from collections.abc import Mapping
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
 from typing import Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def decode_error(path: Path) -> FormatError:
@@ -35,6 +38,15 @@ def decode_error(path: Path) -> FormatError:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         return FormatError(f"{path}: byte offset {exc.start} (line {line}): not valid utf-8 (0x{data[exc.start]:02x})")
+
+
+def dumps(value, what: str) -> str:
+    """``value`` as strict JSON text ending in a newline; ``what`` names
+    the document in the ValidationError raised for a non-finite number."""
+    try:
+        return json.dumps(value, indent=2, sort_keys=True, allow_nan=False, default=asdict) + "\n"
+    except ValueError as exc:
+        raise ValidationError(f"{what}: {exc}") from None
 
 
 def _reject_constant(name: str):

@@ -10,10 +10,9 @@ pure functions of their config, including the seed.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -161,10 +160,6 @@ class CohortData:
     modalities: tuple[LabeledPredictions, ...]
     analytic_rates: dict[str, dict[str, float]]
     config: CohortConfig
-
-    def sidecar_json(self) -> str:
-        doc = {"analytic_rates": self.analytic_rates, "config": asdict(self.config)}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def gapped_score_models(
@@ -362,10 +357,30 @@ def _simplex_directions(c: int, k: int) -> np.ndarray:
     return out
 
 
+def _word_sharing_components(sets: tuple[tuple[str, ...], ...]) -> list[int]:
+    """For each set, a label of its connected component in the graph whose
+    edges join sets sharing a word."""
+    parent = list(range(len(sets)))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    holder: dict[str, int] = {}  # word -> the first set holding it
+    for i, s in enumerate(sets):
+        for w in s:
+            parent[root(holder.setdefault(w, i))] = root(i)
+    return [root(i) for i in range(len(sets))]
+
+
 def generate_embeddings(
     cfg: EmbeddingPlantConfig,
 ) -> tuple[EmbeddingMatrix, EqualitySets, BiasSubspace]:
-    """Draw a planted-bias embedding matrix deterministically."""
+    """Draw a planted-bias embedding matrix deterministically.
+
+    Sets joined by shared words share one centre, so the members of every
+    set differ only along the planted directions, plus noise."""
     rng = np.random.default_rng(cfg.seed)
     k, d = cfg.n_directions, cfg.dim
     raw = rng.standard_normal((d, k))
@@ -381,15 +396,17 @@ def generate_embeddings(
     rows: list[np.ndarray] = []
     center_scale = math.sqrt(1.0 - cfg.offset**2)
     seen: set[str] = set()
-    for s in cfg.equality_sets:
-        center = center_scale * orth_unit()
+    centers: dict[int, np.ndarray] = {}
+    for s, component in zip(cfg.equality_sets, _word_sharing_components(cfg.equality_sets)):
+        if component not in centers:  # drawn in the order the components first appear
+            centers[component] = center_scale * orth_unit()
         dirs = _simplex_directions(len(s), k) @ basis  # (c, d), unit, zero-mean
         for j, w in enumerate(s):
             if w in seen:
                 continue
             seen.add(w)
             tokens.append(w)
-            rows.append(center + cfg.offset * dirs[j])
+            rows.append(centers[component] + cfg.offset * dirs[j])
     n_neutral = cfg.vocab_size - len(tokens)
     for i in range(n_neutral):
         tokens.append(f"neutral{i:03d}")

@@ -8,7 +8,7 @@ import numpy as np
 from equifair import LossSpec, ValidationError, schema
 from equifair.eo import expected_loss_of_rates
 from equifair.geometry import convex_hull_indices, polygon_edges
-from equifair.metrics import FairnessReport, GroupRateEntry, GroupRates, roc_curve
+from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
 
 
 def cross(o, a, b) -> float:
@@ -57,22 +57,20 @@ def trapezoid_area(curve) -> float:
     return float(np.trapezoid(curve.tpr, curve.fpr))
 
 
-def expected_accuracy_of_rates(rates: GroupRates) -> float:
+def expected_accuracy_of_rates(rates: Mapping[str, GroupRateEntry]) -> float:
     """Expected accuracy under empirical group/class frequencies."""
     return 1.0 - expected_loss_of_rates(rates, LossSpec(1.0, 1.0))
 
 
-def total_samples(rates: GroupRates) -> int:
-    return sum(e.n_pos + e.n_neg for _, e in rates)
+def total_samples(rates: Mapping[str, GroupRateEntry]) -> int:
+    return sum(e.n_pos + e.n_neg for e in rates.values())
 
 
-def group_rates_from_dict(d) -> GroupRates:
-    """GroupRates from its JSON form, ``GroupRates.to_dict``."""
-    return GroupRates(schema.load(Mapping[str, GroupRateEntry], d, "group rates"))
+def group_rates_from_dict(d) -> dict[str, GroupRateEntry]:
+    """Group rates from their JSON form."""
+    return schema.load(Mapping[str, GroupRateEntry], d, "group rates")
 
 
 def report_from_json(text: str) -> FairnessReport:
-    """FairnessReport from its JSON form, ``FairnessReport.to_json``."""
-    d = json.loads(text)
-    rates = d["group_rates"]
-    return FairnessReport(**{**d, "group_rates": group_rates_from_dict(rates) if rates else None})
+    """FairnessReport from its JSON form, ``schema.dumps(report)``."""
+    return schema.load(FairnessReport, json.loads(text), "report")

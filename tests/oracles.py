@@ -15,7 +15,7 @@ import numpy as np
 from equifair import EmptyInputError, FormatError, LabeledPredictions
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
-from equifair.metrics import GroupRateEntry, GroupRates, roc_curve
+from equifair.metrics import GroupRateEntry, roc_curve
 
 from helpers import group_masks, soft_regions_of
 
@@ -85,7 +85,7 @@ def hard_grid_oracle(rates, loss, step=0.02):
     """Exhaustive search over on-grid randomizations of each group in turn,
     with the remaining groups solved exactly for the implied common target.
     Returns the best objective over constraint-satisfying combinations."""
-    groups = list(rates.groups)
+    groups = list(rates)
     k_fp, k_fn = loss_coefficients(rates, loss)
     grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
     best = np.inf
@@ -124,7 +124,7 @@ def soft_grid_oracle(preds, loss, resolution=1e-3):
     for g, m in group_masks(preds).items():
         n_pos = int(preds.y_true[m].sum())
         counts[g] = GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=int(m.sum()) - n_pos)
-    k_fp, k_fn = loss_coefficients(GroupRates(counts), loss)
+    k_fp, k_fn = loss_coefficients(counts, loss)
     axis = np.arange(0.0, 1.0 + resolution / 2, resolution)
     xx, yy = np.meshgrid(axis, axis)
     inside = np.ones(xx.shape, dtype=bool)

@@ -94,6 +94,13 @@ class TestMetricsCommand:
         assert set(doc["group_rates"]) == {"ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"}
         assert 0.0 <= doc["auc_roc_overall"] <= 1.0
 
+    def test_non_ascii_group_under_an_ascii_stdout(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text(HEADER + "1,\u00e9,1,,1\n2,\u00e9,0,,0\n3,e,1,,0\n4,e,0,,1\n", encoding="utf-8")
+        res = run_cli("metrics", "--input", path, env={"PYTHONIOENCODING": "ascii"})
+        assert res.returncode == 0, res.stderr
+        assert set(json.loads(res.stdout)["group_rates"]) == {"\u00e9", "e"}
+
 
 class TestReportCommand:
     def test_report_matches_library_recomputation(self, cohort_csv, tmp_path):
@@ -107,6 +114,17 @@ class TestReportCommand:
         plot = (tmp_path / "plot_data.csv").read_text().splitlines()
         assert plot[0] == "classifier,group,metric,value"
         assert len(plot) > 5
+
+    def test_plot_data_quotes_labels(self, tmp_path):
+        labels = ["a,b", 'q"r']
+        path = tmp_path / "preds.csv"
+        write_predictions(preds_from_counts({g: (3, 2, 3, 1) for g in labels}), path)
+        assert main(["report", "--input", str(path), "--task", 'x, "y"', "--out", str(tmp_path / "r")]) == 0
+        with open(tmp_path / "r/plot_data.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["classifier", "group", "metric", "value"]
+        assert len(rows) > 1 and all(len(r) == 4 for r in rows)
+        assert {r[0] for r in rows[1:]} == {'x, "y"'} and {r[1] for r in rows[1:]} == set(labels)
 
     def test_empty_input_exit_code_and_category(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -470,6 +488,8 @@ MALFORMED = {
     "model-without-grad-norm": ("ensemble-predict", _without("grad_norm"), 4, "format-error", "grad_norm"),
     "model-converged-a-string": ("ensemble-predict", _with("converged", "false"), 4, "format-error", "converged"),
     "model-constituents-a-string": ("ensemble-predict", _with("constituents", "m0"), 4, "format-error", "constituents"),
+    "model-without-constituents": ("ensemble-predict", _without("constituents"), 4, "format-error", "missing field constituents"),
+    "model-empty-constituents": ("ensemble-predict", _with("constituents", []), 6, "invalid-input", "constituents"),
     "equality-set-number": ("debias", '[["he", "she"], ["his", 3]]', 4, "format-error", "field 1.1"),
     "embeddings-not-utf8": (
         "debias-embeddings", f"{EMBEDDINGS}sh\xe9 0.5\n".encode("latin-1"), 4, "format-error",

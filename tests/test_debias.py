@@ -285,3 +285,10 @@ class TestEmbeddingIO:
         path.write_text("3 2\nfoo 0.1 0.2\nbar 1.0 0.5\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize("token", ["a b", "a\nb", "a\rb"], ids=["space", "lf", "cr"])
+    def test_token_the_reader_would_split_is_refused(self, tmp_path, token):
+        emb = EmbeddingMatrix(tokens=(token, "c"), vectors=np.eye(2))
+        with pytest.raises(FormatError, match="whitespace"):
+            save_embeddings(emb, tmp_path / "emb.txt")
+        assert not (tmp_path / "emb.txt").exists()

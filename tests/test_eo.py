@@ -33,7 +33,6 @@ from equifair.eo import (
     unconstrained_optimum_loss,
 )
 from equifair.geometry import convex_hull_indices
-from equifair.metrics import GroupRates
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
 from helpers import point_in_convex_polygon, soft_regions_of
@@ -580,7 +579,7 @@ def apply_cases(draw):
                 t_lo=t_lo, t_hi=t_hi, lam=draw(_PROBS), point_lo=(0.0, 0.0), point_hi=(1.0, 1.0),
                 p_coin=draw(_PROBS) if coin else 0.0, coin_rate=draw(_PROBS) if coin else 0.0,
             )
-    dp = DerivedPredictor(policies=policies, target=(0.5, 0.5), fit_rates=GroupRates({}), loss=LossSpec(), objective=0.0)
+    dp = DerivedPredictor(policies=policies, target=(0.5, 0.5), fit_rates={}, loss=LossSpec(), objective=0.0)
     return dp, preds, draw(st.integers(0, 2**40))
 
 

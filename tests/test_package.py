@@ -1,7 +1,8 @@
 """Package guards: every public name resolves, the runtime imports
 nothing outside the standard library and numpy, only the schema module
-parses JSON, both equalized-odds fits share one solver, and the CLI sets
-its BLAS thread defaults before numpy loads."""
+parses or writes JSON, the version has one source, both equalized-odds
+fits share one solver, and the CLI sets its BLAS thread defaults before
+numpy loads."""
 
 import ast
 import json
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import equifair
 
@@ -33,16 +36,28 @@ def test_imports_only_stdlib_and_numpy():
     assert foreign == []
 
 
+JSON_CALLS = ("load", "loads", "dump", "dumps")
+
+
 def test_json_is_parsed_only_by_the_schema_module():
-    """Every JSON input goes through ``schema.read`` and ``schema.load``."""
-    parsers = []
+    """Every JSON input goes through ``schema.read`` and ``schema.load``,
+    and every JSON artifact through ``schema.dumps``."""
+    sites = []
     for path in sorted(Path(equifair.__file__).parent.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json":
-                parsers.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Attribute) and node.attr in JSON_CALLS and getattr(node.value, "id", None) == "json":
+                sites.append(f"{path.name}:{node.lineno}")
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
-                parsers += [f"{path.name}:{node.lineno}" for a in node.names if a.name in ("load", "loads")]
-    assert parsers and all(p.startswith("schema.py:") for p in parsers), parsers
+                sites += [f"{path.name}:{node.lineno}" for a in node.names if a.name in JSON_CALLS]
+    assert sites and all(p.startswith("schema.py:") for p in sites), sites
+
+
+def test_version_has_one_source():
+    """pyproject.toml reads the version from ``equifair.__version__``."""
+    tomllib = pytest.importorskip("tomllib")
+    config = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8"))
+    assert "version" not in config["project"] and "version" in config["project"]["dynamic"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "equifair.__version__"}
 
 
 def test_one_equalized_odds_solver():

@@ -142,7 +142,7 @@ class TestCsvRoundTrip:
         )
         pfile = read_prediction_file(path)
         assert tuple(pfile.constituent_scores) == ("text", "tab")
-        mat = pfile.feature_matrix()
+        mat = np.column_stack(list(pfile.constituent_scores.values()))
         np.testing.assert_allclose(mat, [[0.9, 0.7], [0.1, 0.3]])
 
     def test_custom_group_column(self, tmp_path):

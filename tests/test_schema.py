@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equifair import FormatError, schema
+from equifair import FormatError, ValidationError, schema
 from equifair.ensemble import EnsembleModel
 from equifair.eo import DerivedPredictor, HardGroupPolicy, LossSpec, SoftGroupPolicy
-from equifair.metrics import GroupRateEntry, GroupRates
+from equifair.metrics import GroupRateEntry
 from equifair.synth import CohortConfig, ScoreModel
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -85,7 +85,7 @@ def derived_predictors(draw):
     return DerivedPredictor(
         policies={g: draw(policy) for g in groups},
         target=draw(points),
-        fit_rates=GroupRates({g: draw(rate_entries) for g in groups}),
+        fit_rates={g: draw(rate_entries) for g in groups},
         loss=draw(loss_specs),
         objective=draw(finite),
     )
@@ -183,3 +183,15 @@ class TestRead:
         path.write_text("{", encoding="utf-8")
         with pytest.raises(FormatError, match="doc.json: Expecting"):
             schema.read(path)
+
+
+class TestDumps:
+    def test_sorted_ascii_dataclasses_and_a_trailing_newline(self):
+        text = schema.dumps({"b": LossSpec(), "a": "\u00e9"}, "doc")
+        assert text == '{\n  "a": "\\u00e9",\n  "b": {\n    "cost_fn": 1.0,\n    "cost_fp": 1.0,\n    "group_weights": null\n  }\n}\n'
+        assert json.loads(text)["a"] == "\u00e9"
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_number_is_invalid_input(self, bad):
+        with pytest.raises(ValidationError, match="^doc: Out of range float"):
+            schema.dumps({"x": [bad]}, "doc")

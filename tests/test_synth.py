@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from equifair import (
     generate_embeddings,
     identify_subspace,
 )
+from equifair.debias import format_embeddings
 from equifair.synth import (
     ETHNICITY_PROPORTIONS,
     SEX_PROPORTIONS,
@@ -17,7 +20,7 @@ from equifair.synth import (
     gapped_score_models,
     normal_cdf,
 )
-from equifair.wordsets import GENDER_SETS
+from equifair.wordsets import GENDER_SETS, RACE_SETS
 
 
 class TestCohortConfig:
@@ -104,11 +107,13 @@ class TestGenerateCohort:
         preds = generate_cohort(cfg).modalities[0]
         assert abs(auc_roc(preds.scores, preds.y_true) - 0.5) < 0.02
 
-    def test_sidecar_contains_analytic_rates(self):
+    def test_sidecar_contains_analytic_rates(self, tmp_path):
         import json
 
-        cohort = generate_cohort(CohortConfig(n_samples=50, seed=2))
-        doc = json.loads(cohort.sidecar_json())
+        from equifair.cli import main
+
+        assert main(["synth", "--n", "50", "--seed", "2", "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "analytic_rates.json").read_text())
         assert set(doc["analytic_rates"]) == set(SEX_PROPORTIONS)
         assert doc["config"]["seed"] == 2
 
@@ -146,6 +151,22 @@ class TestGenerateEmbeddings:
         sub = identify_subspace(emb, sets, k=3)
         principal_cosines = np.linalg.svd(sub.basis @ planted.basis.T, compute_uv=False)
         assert np.prod(principal_cosines) >= 0.98
+
+    @pytest.mark.parametrize("noise, seed, bound", [(0.0, 1, 1e-8), (0.01, 1, 0.15), (0.01, 2, 0.15), (0.01, 3, 0.15)])
+    def test_sets_sharing_words_recover_their_subspace(self, noise, seed, bound):
+        """The race sets share words, so they share one centre and differ
+        only along the planted directions: debiasing recovers them."""
+        cfg = EmbeddingPlantConfig(equality_sets=RACE_SETS, vocab_size=50, dim=25, noise=noise, seed=seed)
+        emb, sets, planted = generate_embeddings(cfg)
+        sub = identify_subspace(emb, sets, k=3)
+        # sines of the principal angles, exact for small angles where cosines are not
+        sines = np.linalg.svd(sub.basis - (sub.basis @ planted.basis.T) @ planted.basis, compute_uv=False)
+        assert np.arcsin(np.clip(sines, 0.0, 1.0)).max() <= bound
+
+    def test_disjoint_sets_keep_their_bytes(self):
+        cfg = EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=50, dim=25, noise=0.01, seed=1)
+        text = format_embeddings(generate_embeddings(cfg)[0])
+        assert hashlib.sha256(text.encode()).hexdigest() == "95549e490ef789bef7d25cc1371d43b8b8e2bb166533f6d84667ac7756c3c05b"
 
     def test_deterministic(self):
         cfg = EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=40, dim=10, noise=0.02, seed=6)
