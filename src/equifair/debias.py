@@ -16,7 +16,11 @@ single-space separators and round-trip decimal rendering.
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -316,10 +320,172 @@ def hard_debias(
 
 # ---------------------------------------------------------------------------
 # embedding file I/O
+#
+# Files are read and written a block of rows at a time.  From
+# ``_POOL_FLOOR`` values on, the blocks are parsed or formatted on one
+# worker process per usable CPU; below it, or where no process pool can be
+# started, in this process.  The bytes written, and the values and errors
+# read, are the same either way.
+
+# values (rows x dimension) from which a file is handled by a process pool;
+# below about this size, starting the workers costs what they save
+_POOL_FLOOR = 1 << 20
+# values in one block of rows
+_BLOCK_VALUES = 1 << 16
+
+
+def _block_rows(dim: int) -> int:
+    return max(1, _BLOCK_VALUES // max(dim, 1))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end the worker when the process that started it
+    ends; a worker waiting for its next job would not notice."""
+    import multiprocessing
+    import threading
+
+    parent = multiprocessing.parent_process()
+
+    def watch():
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
+
+
+def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
+    """``(job, fn(*job))`` in job order, with up to ``window`` jobs in
+    flight.  An error raised by ``jobs`` comes after the results of the
+    jobs before it, as it would in a lazy ``map``."""
+    jobs = iter(jobs)
+    pending: deque = deque()
+    while True:
+        try:
+            job = next(jobs)
+        except StopIteration:
+            break
+        except Exception:
+            for job, future in pending:
+                yield job, future.result()
+            raise
+        pending.append((job, pool.submit(fn, *job)))
+        if len(pending) > window:
+            job, future = pending.popleft()
+            yield job, future.result()
+    for job, future in pending:
+        yield job, future.result()
+
+
+@contextmanager
+def _block_map(n_values: int):
+    """A function ``run(fn, jobs)`` that yields ``(job, fn(*job))`` for
+    each argument tuple of ``jobs``, in order.  For ``n_values`` from
+    ``_POOL_FLOOR`` on, ``fn`` runs on a process pool: it must be a
+    module-level function, and it gets nothing but its arguments.  The
+    workers are spawned, not forked, so they inherit no threads, locks
+    or open files of the caller."""
+    workers = _usable_cpus()
+    pool = None
+    if n_values >= _POOL_FLOOR and workers > 1:
+        # imported here, as most commands start no pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        try:
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn"), initializer=_exit_with_parent
+            )
+        except (OSError, NotImplementedError):
+            pass
+    if pool is None:
+        yield lambda fn, jobs: ((job, fn(*job)) for job in jobs)
+        return
+    try:
+        yield partial(_pooled, pool, 2 * workers)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray] | None:
+    """The tokens and the (rows, dim) vectors of a block of lines, blank
+    lines skipped; None when a line has the wrong number of fields or a
+    value is not a number.  numpy's str -> float cast accepts and rejects
+    the same strings as float()."""
+    tokens: list[str] = []
+    values: list[str] = []
+    for line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(" ")
+        if len(fields) != dim + 1:
+            return None
+        tokens.append(fields[0])
+        values += fields[1:]
+    try:
+        return tokens, np.array(values, dtype=np.float64).reshape(len(tokens), dim)
+    except ValueError:
+        return None
+
+
+def _replay_block(path: Path, lines: list[str], lineno: int, dim: int, seen: set[str]) -> tuple[list[str], np.ndarray]:
+    """``_parse_block`` line by line, the first line being ``lineno``,
+    against the tokens ``seen`` before the block: raises the error of the
+    first bad line."""
+    tokens: list[str] = []
+    rows: list[list[float]] = []
+    for k, line in enumerate(lines, start=lineno):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split(" ")
+        if len(fields) != dim + 1:
+            raise FormatError(f"{path}: line {k}: expected {dim} values, got {len(fields) - 1}")
+        tok = fields[0]
+        if tok in seen:
+            raise FormatError(f"{path}: line {k}: duplicate token {tok!r}")
+        seen.add(tok)
+        try:
+            rows.append([float(v) for v in fields[1:]])
+        except ValueError:
+            raise FormatError(f"{path}: line {k}: non-numeric vector value") from None
+        tokens.append(tok)
+    return tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim)
+
+
+def _line_blocks(fh, rows: int):
+    """Lists of ``rows`` lines of ``fh``.  A byte that is not UTF-8 is
+    raised after the lines before it are yielded."""
+    block: list[str] = []
+    try:
+        for line in fh:
+            block.append(line)
+            if len(block) == rows:
+                yield block
+                block = []
+    except UnicodeDecodeError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
 
 
 def load_embeddings(path: str | Path) -> EmbeddingMatrix:
-    """Parse a plain-text embedding file."""
+    """Parse a plain-text embedding file.
+
+    A malformed file raises the error of its first bad line, naming the
+    line: a wrong field count, then a duplicate token, then a non-numeric
+    value.  A byte that is not UTF-8, named by file offset, comes after
+    the errors of the lines before it, and a word count other than the
+    header's comes last."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:
@@ -334,41 +500,44 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             if vocab_size < 1 or dim < 1:
                 raise FormatError(f"{path}: line 1: header values must be positive")
             tokens: list[str] = []
-            rows: list[list[float]] = []
             seen: set[str] = set()
-            for lineno, line in enumerate(fh, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split(" ")
-                if len(fields) != dim + 1:
-                    raise FormatError(
-                        f"{path}: line {lineno}: expected {dim} values, got {len(fields) - 1}"
-                    )
-                tok = fields[0]
-                if tok in seen:
-                    raise FormatError(f"{path}: line {lineno}: duplicate token {tok!r}")
-                seen.add(tok)
-                try:
-                    rows.append([float(v) for v in fields[1:]])
-                except ValueError:
-                    raise FormatError(f"{path}: line {lineno}: non-numeric vector value") from None
-                tokens.append(tok)
+            blocks: list[np.ndarray] = []
+            lineno = 2
+            with _block_map(vocab_size * dim) as run:
+                jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim)))
+                for (lines, _), parsed in run(_parse_block, jobs):
+                    if parsed is not None:
+                        seen.update(parsed[0])
+                    if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
+                        parsed = _replay_block(path, lines, lineno, dim, set(tokens))
+                        seen.update(parsed[0])
+                    tokens += parsed[0]
+                    blocks.append(parsed[1])
+                    lineno += len(lines)
     except UnicodeDecodeError:
         raise decode_error(path) from None
     if len(tokens) != vocab_size:
         raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
-    return EmbeddingMatrix(tokens=tuple(tokens), vectors=np.array(rows, dtype=np.float64))
+    return EmbeddingMatrix(tokens=tuple(tokens), vectors=np.concatenate(blocks))
 
 
-def format_embeddings(emb: EmbeddingMatrix) -> str:
-    lines = [f"{len(emb)} {emb.dim}"]
-    for i, tok in enumerate(emb.tokens):
-        if " " in tok or "\n" in tok or "\r" in tok:  # the reader splits lines on \r too
-            raise FormatError(f"token {tok!r} contains whitespace; not serializable")
-        lines.append(tok + " " + " ".join(repr(float(v)) for v in emb.vectors[i]))
-    return "\n".join(lines) + "\n"
+def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:
+    """The file lines of a block of rows, each ending in a newline."""
+    return "".join(
+        tok + " " + " ".join(map(float.__repr__, row)) + "\n" for tok, row in zip(tokens, vectors.tolist())
+    )
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    Path(path).write_text(format_embeddings(emb), encoding="utf-8")
+    """Write ``emb`` as a plain-text embedding file; every value is
+    rendered by ``float.__repr__``, which round-trips."""
+    for tok in emb.tokens:
+        if " " in tok or "\n" in tok or "\r" in tok:  # the reader splits lines on \r too
+            raise FormatError(f"token {tok!r} contains whitespace; not serializable")
+    rows = _block_rows(emb.dim)
+    jobs = ((emb.tokens[i : i + rows], emb.vectors[i : i + rows]) for i in range(0, len(emb), rows))
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{len(emb)} {emb.dim}\n")
+        with _block_map(emb.vectors.size) as run:
+            for _, text in run(_format_block, jobs):
+                fh.write(text)

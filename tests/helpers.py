@@ -74,3 +74,41 @@ def group_rates_from_dict(d) -> dict[str, GroupRateEntry]:
 def report_from_json(text: str) -> FairnessReport:
     """FairnessReport from its JSON form, ``schema.dumps(report)``."""
     return schema.load(FairnessReport, json.loads(text), "report")
+
+
+def embedding_file(edits: Mapping[int, str] = {}, n: int = 6, newline: str = "\n") -> bytes:
+    """An embedding file of ``n`` words ``w0``, ``w1``, ... of dimension 2,
+    its lines numbered from 1 (the header) and those in ``edits`` replaced."""
+    lines = [f"{n} 2", *(f"w{i} 0.5 -0.25" for i in range(n))]
+    for lineno, text in edits.items():
+        lines[lineno - 1] = text
+    return (newline.join(lines) + newline).encode()
+
+
+# 2-dimensional words past the decoder's first 8192-byte chunk
+_DEEP_WORDS = 1500
+# the line holding the chunk's last byte
+_CHUNK_LINE = embedding_file(n=_DEEP_WORDS)[:8192].count(b"\n") + 1
+# malformed embedding files; read in blocks of 2 rows, their errors lie in
+# the second block or later unless the name says otherwise
+MALFORMED_EMBEDDINGS = {
+    "count-in-the-third-block": embedding_file({6: "w4 0.5"}),
+    "duplicate-of-an-earlier-block": embedding_file({7: "w0 0.5 0.5"}),
+    "non-numeric": embedding_file({5: "w3 0.5 x"}),
+    "count-error-on-a-duplicate": embedding_file({6: "w0 0.5"}),
+    "duplicate-before-a-count-error": embedding_file({6: "w0 0.5 0.5", 7: "w5 0.5"}),
+    "non-numeric-after-a-duplicate": embedding_file({4: "w0 0.5 0.5", 5: "w3 x 0.5"}),
+    "crlf": embedding_file({6: "w4 0.5"}, newline="\r\n"),
+    "bare-cr": embedding_file({6: "w4 0.5"}, newline="\r"),
+    "blank-lines": embedding_file({3: "", 4: "", 7: "w5 0.5 0.5 0.5"}, n=7),
+    "word-count": embedding_file({1: "7 2"}),
+    "non-finite": embedding_file({5: "w3 0.5 nan"}),
+    "not-utf8-deep": embedding_file({_DEEP_WORDS: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS).replace(b"\xc3\xa9", b"\xe9"),
+    "bad-line-before-a-bad-byte-in-a-later-chunk": embedding_file(
+        {3: "w1 0.5", _DEEP_WORDS: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS
+    ).replace(b"\xc3\xa9", b"\xe9"),
+    "bad-line-two-lines-before-a-bad-byte-in-a-later-chunk": embedding_file(
+        {_CHUNK_LINE - 2: "w1 0.5", _CHUNK_LINE + 2: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS
+    ).replace(b"\xc3\xa9", b"\xe9"),
+    "bad-line-in-the-chunk-of-a-bad-byte": embedding_file({3: "w1 0.5", 5: "w\xe9 0.5 0.5"}).replace(b"\xc3\xa9", b"\xe9"),
+}

@@ -12,9 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from equifair import EmptyInputError, FormatError, LabeledPredictions
+from equifair import EmbeddingMatrix, EmptyInputError, FormatError, LabeledPredictions
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
+from equifair.schema import decode_error
 from equifair.metrics import GroupRateEntry, roc_curve
 
 from helpers import group_masks, soft_regions_of
@@ -315,6 +316,56 @@ def read_prediction_file_oracle(path, group_col="group", universe=()):
     )
     consts = {name.removeprefix("score_"): np.array(vals, dtype=np.float64) for name, vals in features.items()}
     return PredictionFile(predictions=preds, constituent_scores=consts)
+
+
+def load_embeddings_oracle(path):
+    """The embedding file parsed one line and one float() at a time, as
+    the library did before it parsed blocks of rows."""
+    path = Path(path)
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = fh.readline()
+            parts = header.split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}: line 1: header must be '<vocab_size> <dimension>'")
+            try:
+                vocab_size, dim = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError(f"{path}: line 1: header fields must be integers") from None
+            if vocab_size < 1 or dim < 1:
+                raise FormatError(f"{path}: line 1: header values must be positive")
+            tokens, rows, seen = [], [], set()
+            for lineno, line in enumerate(fh, start=2):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split(" ")
+                if len(fields) != dim + 1:
+                    raise FormatError(f"{path}: line {lineno}: expected {dim} values, got {len(fields) - 1}")
+                tok = fields[0]
+                if tok in seen:
+                    raise FormatError(f"{path}: line {lineno}: duplicate token {tok!r}")
+                seen.add(tok)
+                try:
+                    rows.append([float(v) for v in fields[1:]])
+                except ValueError:
+                    raise FormatError(f"{path}: line {lineno}: non-numeric vector value") from None
+                tokens.append(tok)
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
+    if len(tokens) != vocab_size:
+        raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
+    return EmbeddingMatrix(tokens=tuple(tokens), vectors=np.array(rows, dtype=np.float64))
+
+
+def format_embeddings_oracle(emb):
+    """The text of an embedding file, one repr(float(v)) per value."""
+    lines = [f"{len(emb)} {emb.dim}"]
+    for i, tok in enumerate(emb.tokens):
+        if " " in tok or "\n" in tok or "\r" in tok:
+            raise FormatError(f"token {tok!r} contains whitespace; not serializable")
+        lines.append(tok + " " + " ".join(repr(float(v)) for v in emb.vectors[i]))
+    return "\n".join(lines) + "\n"
 
 
 def sample_uniforms_oracle(seed, purpose, sample_id, n=3):

@@ -3,22 +3,24 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equifair import (
     confusion_rates,
+    debias,
     fit_eo_hard,
     gap_ranges,
 )
-from equifair.cli import main
+from equifair.cli import _sha256, main
 from equifair.debias import save_embeddings
 from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS
 
-from helpers import report_from_json
+from helpers import MALFORMED_EMBEDDINGS, report_from_json
 from oracles import preds_from_counts
 
 
@@ -126,6 +128,13 @@ class TestReportCommand:
         assert len(rows) > 1 and all(len(r) == 4 for r in rows)
         assert {r[0] for r in rows[1:]} == {'x, "y"'} and {r[1] for r in rows[1:]} == set(labels)
 
+    def test_non_ascii_out_under_an_ascii_stdout(self, cohort_csv, tmp_path):
+        out = tmp_path / "out\u00e9"
+        res = run_cli("report", "--input", cohort_csv, "--out", out, env={"PYTHONIOENCODING": "ascii"})
+        assert (res.returncode, res.stderr) == (0, "")
+        assert res.stdout == "wrote " + str(out / "report.json").replace("\u00e9", "\\xe9") + "\n"
+        assert (out / "report.json").exists()
+
     def test_empty_input_exit_code_and_category(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("id,group,y_true,score,y_hat\n", encoding="utf-8")
@@ -181,6 +190,22 @@ class TestEoCommands:
         )
         assert res.returncode == 8
         assert res.stderr.startswith("group-mismatch:")
+
+
+class TestManifest:
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (5 << 19) + 7])
+    def test_sha256_equals_hashlib_over_the_whole_file(self, size, tmp_path):
+        data = np.random.default_rng(size).bytes(size)
+        (tmp_path / "f").write_bytes(data)
+        assert _sha256(tmp_path / "f") == hashlib.sha256(data).hexdigest()
+
+    def test_manifest_hashes_every_input_and_output(self, cohort_csv, tmp_path):
+        assert main(["report", "--input", str(cohort_csv), "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        hashed = {**manifest["inputs"], **manifest["outputs"]}
+        assert set(hashed) == {str(cohort_csv), str(tmp_path / "report.json"), str(tmp_path / "plot_data.csv")}
+        for path, digest in hashed.items():
+            assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 class TestDebiasCommand:
@@ -495,6 +520,26 @@ MALFORMED = {
         "debias-embeddings", f"{EMBEDDINGS}sh\xe9 0.5\n".encode("latin-1"), 4, "format-error",
         f"emb.txt: byte offset {len(EMBEDDINGS) + 2} (line 2002)",
     ),
+    **{
+        f"embeddings-{case}": ("debias-embeddings", MALFORMED_EMBEDDINGS[case], code, category, needle)
+        for case, code, category, needle in (
+            ("count-in-the-third-block", 4, "format-error", "emb.txt: line 6: expected 2 values, got 1"),
+            ("duplicate-of-an-earlier-block", 4, "format-error", "emb.txt: line 7: duplicate token 'w0'"),
+            ("non-numeric", 4, "format-error", "emb.txt: line 5: non-numeric vector value"),
+            ("count-error-on-a-duplicate", 4, "format-error", "emb.txt: line 6: expected 2 values, got 1"),
+            ("duplicate-before-a-count-error", 4, "format-error", "emb.txt: line 6: duplicate token 'w0'"),
+            ("non-numeric-after-a-duplicate", 4, "format-error", "emb.txt: line 4: duplicate token 'w0'"),
+            ("crlf", 4, "format-error", "emb.txt: line 6: expected 2 values, got 1"),
+            ("bare-cr", 4, "format-error", "emb.txt: line 6: expected 2 values, got 1"),
+            ("blank-lines", 4, "format-error", "emb.txt: line 7: expected 2 values, got 3"),
+            ("word-count", 4, "format-error", "emb.txt: header declares 7 words, found 6"),
+            ("non-finite", 6, "invalid-input", "vectors must be finite"),
+            ("not-utf8-deep", 4, "format-error", "emb.txt: byte offset 22866 (line 1500): not valid utf-8 (0xe9)"),
+            ("bad-line-before-a-bad-byte-in-a-later-chunk", 4, "format-error", "emb.txt: line 3: expected 2 values"),
+            ("bad-line-two-lines-before-a-bad-byte-in-a-later-chunk", 4, "format-error", "emb.txt: line 553: expected"),
+            ("bad-line-in-the-chunk-of-a-bad-byte", 4, "format-error", "emb.txt: byte offset 38 (line 5)"),
+        )
+    },
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
     "cost-fp-nan": ("eo-fit", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
@@ -522,7 +567,7 @@ class TestMalformedInputs:
     line on stderr and the category's exit code, never a traceback."""
 
     @pytest.mark.parametrize("case", list(MALFORMED))
-    def test_one_line_and_exit_code(self, case, tmp_path, capsys):
+    def test_one_line_and_exit_code(self, case, tmp_path, capsys, monkeypatch):
         command, arg, code, category, needle = MALFORMED[case]
         preds = preds_from_counts({"A": (10, 8, 10, 2), "B": (10, 6, 10, 3)})
         csv_path = tmp_path / "preds.csv"
@@ -557,6 +602,10 @@ class TestMalformedInputs:
             (tmp_path / "sets.json").write_text(arg, encoding="utf-8")
             argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--equality-sets", tmp_path / "sets.json", "--out", out]
         elif command == "debias-embeddings":
+            # read on a pool of 2 workers, in blocks of 4 values
+            monkeypatch.setattr(debias, "_POOL_FLOOR", 0)
+            monkeypatch.setattr(debias, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(debias, "_BLOCK_VALUES", 4)
             (tmp_path / "emb.txt").write_bytes(arg)
             argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--out", out]
         elif arg == "dir":

@@ -1,7 +1,18 @@
+import concurrent.futures
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equifair import (
     BiasSubspace,
@@ -18,9 +29,12 @@ from equifair import (
     project,
     save_embeddings,
 )
-from equifair.debias import format_embeddings
+from equifair import debias
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
+
+from helpers import MALFORMED_EMBEDDINGS
+from oracles import format_embeddings_oracle, load_embeddings_oracle
 
 E1 = BiasSubspace(basis=np.array([[1.0, 0.0, 0.0]]))
 
@@ -260,7 +274,7 @@ class TestEmbeddingIO:
         text1 = path.read_text(encoding="utf-8")
         again = load_embeddings(path)
         np.testing.assert_array_equal(again.vectors, emb.vectors)
-        assert format_embeddings(again) == text1
+        assert format_embeddings_oracle(again) == text1
 
     def test_wrong_dimension_names_line(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -292,3 +306,143 @@ class TestEmbeddingIO:
         with pytest.raises(FormatError, match="whitespace"):
             save_embeddings(emb, tmp_path / "emb.txt")
         assert not (tmp_path / "emb.txt").exists()
+
+
+@contextmanager
+def embedding_io(pooled: bool, block_values: int = debias._BLOCK_VALUES):
+    """Embedding file I/O in blocks of ``block_values`` values, on a pool
+    of 2 workers from 0 values on, or always in this process.  Yields the
+    list of the pools started."""
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        mp.setattr(debias, "_usable_cpus", lambda: 2)
+        mp.setattr(debias, "_POOL_FLOOR", 0 if pooled else 1 << 62)
+        mp.setattr(debias, "_BLOCK_VALUES", block_values)
+        yield started
+
+
+TOKENS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n\r"), max_size=6)
+VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 1e300]
+)
+
+
+@st.composite
+def embedding_files(draw):
+    """(block rows, embeddings) with a vocabulary of 1 to 3 blocks and one more row."""
+    dim = draw(st.integers(1, 40))
+    block_rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 3 * block_rows + 1))
+    tokens = draw(st.lists(TOKENS, min_size=n, max_size=n, unique=True))
+    return block_rows, EmbeddingMatrix(tokens=tuple(tokens), vectors=draw(arrays(np.float64, (n, dim), elements=VALUES)))
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockedEmbeddingIO:
+    """Embedding files read and written a block of rows at a time, in this
+    process or on a process pool, against the row-by-row oracles."""
+
+    def _check_round_trip(self, pooled, case):
+        block_rows, emb = case
+        with tempfile.TemporaryDirectory() as tmp, embedding_io(pooled, block_rows * emb.dim) as started:
+            path = Path(tmp) / "emb.txt"
+            save_embeddings(emb, path)
+            assert path.read_bytes() == format_embeddings_oracle(emb).encode()
+            got, want = load_embeddings(path), load_embeddings_oracle(path)
+            assert len(started) == (2 if pooled else 0)
+        assert got.tokens == want.tokens == emb.tokens
+        assert got.vectors.shape == want.vectors.shape
+        np.testing.assert_array_equal(got.vectors.view(np.int64), want.vectors.view(np.int64))
+
+    @settings(max_examples=60, deadline=None)
+    @given(embedding_files())
+    def test_in_process_matches_the_oracles(self, case):
+        self._check_round_trip(False, case)
+
+    @settings(max_examples=4, deadline=None)
+    @given(embedding_files())
+    def test_pooled_matches_the_oracles(self, case):
+        self._check_round_trip(True, case)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    @pytest.mark.parametrize("case", list(MALFORMED_EMBEDDINGS))
+    def test_malformed_file_gives_the_oracles_error(self, case, pooled, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(MALFORMED_EMBEDDINGS[case])
+        with embedding_io(pooled, block_values=4):
+            got = _outcome(load_embeddings, path)
+        want = _outcome(load_embeddings_oracle, path)
+        assert isinstance(want, tuple), "the case must be malformed"
+        assert got == want
+
+    def test_small_files_stay_in_process(self, tmp_path):
+        emb = EmbeddingMatrix(tokens=("a", "b"), vectors=np.eye(2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", None)  # calling it would fail
+            save_embeddings(emb, tmp_path / "emb.txt")
+            again = load_embeddings(tmp_path / "emb.txt")
+        assert again.tokens == emb.tokens
+        np.testing.assert_array_equal(again.vectors, emb.vectors)
+
+    @pytest.mark.parametrize("error", [OSError, NotImplementedError])
+    def test_no_pool_falls_back_to_this_process(self, error, tmp_path):
+        def unavailable(*args, **kwargs):
+            raise error("no pool here")
+
+        emb = EmbeddingMatrix(tokens=tuple("abcd"), vectors=np.arange(8.0).reshape(4, 2))
+        with embedding_io(True, block_values=2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+            save_embeddings(emb, tmp_path / "emb.txt")
+            again = load_embeddings(tmp_path / "emb.txt")
+        assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == format_embeddings_oracle(emb)
+        assert again.tokens == emb.tokens
+        np.testing.assert_array_equal(again.vectors, emb.vectors)
+
+
+def _running(pid: int) -> bool:
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+def test_workers_end_with_the_process_that_started_them(tmp_path):
+    # the workers' pids go to a file: a worker left running would hold a pipe open
+    script = (
+        "import multiprocessing, os, signal, sys\n"
+        "from equifair import debias\n"
+        "debias._usable_cpus = lambda: 2\n"
+        "with debias._block_map(debias._POOL_FLOOR) as run:\n"
+        "    list(run(os.getpid, [()] * 8))\n"
+        "    with open(sys.argv[1], 'w') as fh:\n"
+        "        print(*(p.pid for p in multiprocessing.active_children()), file=fh)\n"
+        "    os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    with (tmp_path / "stderr.txt").open("w") as err:
+        code = subprocess.run([sys.executable, "-c", script, tmp_path / "pids"], stderr=err, timeout=120).returncode
+    assert code == -signal.SIGKILL, (tmp_path / "stderr.txt").read_text()
+    workers = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
+    assert workers
+    try:
+        deadline = time.monotonic() + 30
+        while any(map(_running, workers)):
+            assert time.monotonic() < deadline, "a worker outlived the process that started it"
+            time.sleep(0.05)
+    finally:
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
