@@ -18,6 +18,7 @@ import hashlib
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -489,10 +490,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _escaped_stdout():
+    """Escape what stdout cannot encode, as stderr does, until the command
+    ends: status lines name output paths."""
+    stdout = sys.stdout
+    if not hasattr(stdout, "reconfigure"):
+        yield
+        return
+    errors = stdout.errors
+    stdout.reconfigure(errors="backslashreplace")
+    try:
+        yield
+    finally:
+        stdout.reconfigure(errors=errors)
+
+
 def main(argv=None) -> int:
-    # status lines name output paths; escape what stdout cannot encode, as stderr does
-    if hasattr(sys.stdout, "reconfigure"):
-        sys.stdout.reconfigure(errors="backslashreplace")
+    with _escaped_stdout():
+        return _run(argv)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -363,7 +363,25 @@ def _exit_with_parent() -> None:
 def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
     """``(job, fn(*job))`` in job order, with up to ``window`` jobs in
     flight.  An error raised by ``jobs`` comes after the results of the
-    jobs before it, as it would in a lazy ``map``."""
+    jobs before it, as it would in a lazy ``map``.  Once a worker has
+    died (killed for its memory, say), the jobs it leaves run in this
+    process."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    def submit(job):
+        try:
+            return pool.submit(fn, *job)
+        except BrokenProcessPool:
+            return None
+
+    def settle(job, future):
+        if future is not None:
+            try:
+                return job, future.result()
+            except BrokenProcessPool:
+                pass
+        return job, fn(*job)
+
     jobs = iter(jobs)
     pending: deque = deque()
     while True:
@@ -372,15 +390,14 @@ def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
         except StopIteration:
             break
         except Exception:
-            for job, future in pending:
-                yield job, future.result()
+            while pending:
+                yield settle(*pending.popleft())
             raise
-        pending.append((job, pool.submit(fn, *job)))
+        pending.append((job, submit(job)))
         if len(pending) > window:
-            job, future = pending.popleft()
-            yield job, future.result()
-    for job, future in pending:
-        yield job, future.result()
+            yield settle(*pending.popleft())
+    while pending:
+        yield settle(*pending.popleft())
 
 
 @contextmanager
@@ -389,19 +406,16 @@ def _block_map(n_values: int):
     each argument tuple of ``jobs``, in order.  For ``n_values`` from
     ``_POOL_FLOOR`` on, ``fn`` runs on a process pool: it must be a
     module-level function, and it gets nothing but its arguments.  The
-    workers are spawned, not forked, so they inherit no threads, locks
-    or open files of the caller."""
+    workers start by the platform's default method, as where that is
+    ``fork`` a calling script needs no ``__main__`` guard."""
     workers = _usable_cpus()
     pool = None
     if n_values >= _POOL_FLOOR and workers > 1:
         # imported here, as most commands start no pool
-        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         try:
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("spawn"), initializer=_exit_with_parent
-            )
+            pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent)
         except (OSError, NotImplementedError):
             pass
     if pool is None:

@@ -135,6 +135,14 @@ class TestReportCommand:
         assert res.stdout == "wrote " + str(out / "report.json").replace("\u00e9", "\\xe9") + "\n"
         assert (out / "report.json").exists()
 
+    def test_stdout_errors_restored_after_main(self, cohort_csv, tmp_path, capsys):
+        before = sys.stdout.errors
+        assert main(["report", "--input", str(cohort_csv), "--out", str(tmp_path / "r")]) == 0
+        assert sys.stdout.errors == before
+        with pytest.raises(SystemExit):
+            main(["report", "--no-such-flag"])
+        assert sys.stdout.errors == before != "backslashreplace"
+
     def test_empty_input_exit_code_and_category(self, tmp_path):
         empty = tmp_path / "empty.csv"
         empty.write_text("id,group,y_true,score,y_hat\n", encoding="utf-8")

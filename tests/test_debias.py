@@ -1,4 +1,5 @@
 import concurrent.futures
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -344,6 +345,23 @@ def embedding_files(draw):
     return block_rows, EmbeddingMatrix(tokens=tuple(tokens), vectors=draw(arrays(np.float64, (n, dim), elements=VALUES)))
 
 
+_parse_block, _format_block = debias._parse_block, debias._format_block
+
+
+def _parse_or_die(lines, dim):
+    """``_parse_block``, except that a pool worker given the line of ``w2`` dies."""
+    if multiprocessing.parent_process() is not None and lines[0].startswith("w2 "):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _parse_block(lines, dim)
+
+
+def _format_or_die(tokens, vectors):
+    """``_format_block``, except that a pool worker given the row of ``w2`` dies."""
+    if multiprocessing.parent_process() is not None and tokens[0] == "w2":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _format_block(tokens, vectors)
+
+
 def _outcome(load, path):
     try:
         return load(path)
@@ -412,6 +430,53 @@ class TestBlockedEmbeddingIO:
         np.testing.assert_array_equal(again.vectors, emb.vectors)
 
 
+    def test_a_dead_worker_leaves_its_jobs_to_this_process(self, tmp_path):
+        emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(8)), vectors=np.arange(16.0).reshape(8, 2))
+        with embedding_io(True, block_values=2) as started, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(debias, "_format_block", _format_or_die)
+            mp.setattr(debias, "_parse_block", _parse_or_die)
+            save_embeddings(emb, tmp_path / "emb.txt")
+            again = load_embeddings(tmp_path / "emb.txt")
+        assert len(started) == 2
+        for pool in started:
+            with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+                pool.submit(int)
+        assert (tmp_path / "emb.txt").read_text(encoding="utf-8") == format_embeddings_oracle(emb)
+        assert again.tokens == emb.tokens
+        np.testing.assert_array_equal(again.vectors, emb.vectors)
+
+
+@pytest.mark.parametrize("method", [None, "spawn"], ids=["default-start", "spawn"])
+def test_a_script_without_a_main_guard_gets_its_file(method, tmp_path):
+    # spawned workers re-run such a script and die starting a pool of their
+    # own; the file is then handled in the script's process
+    dim = 64
+    rows = -(-debias._POOL_FLOOR // dim)
+    (tmp_path / "in.txt").write_text(
+        f"{rows} {dim}\n" + "".join(f"w{i} " + " ".join([str(i % 7 / 4)] * dim) + "\n" for i in range(rows)),
+        encoding="utf-8",
+    )
+    start = "" if method is None else f"import multiprocessing\nmultiprocessing.set_start_method({method!r}, force=True)\n"
+    (tmp_path / "script.py").write_text(
+        start + "import sys\n"
+        "from equifair.debias import load_embeddings, save_embeddings\n"
+        "emb = load_embeddings(sys.argv[1])\n"
+        "save_embeddings(emb, sys.argv[2])\n"
+        "print(len(emb))\n",
+        encoding="utf-8",
+    )
+    res = subprocess.run(
+        [sys.executable, tmp_path / "script.py", tmp_path / "in.txt", tmp_path / "out.txt"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert (res.returncode, res.stdout) == (0, f"{rows}\n"), res.stderr
+    if method is None and multiprocessing.get_start_method() == "fork":
+        assert res.stderr == ""
+    assert (tmp_path / "out.txt").read_bytes() == format_embeddings_oracle(load_embeddings_oracle(tmp_path / "in.txt")).encode()
+
+
 def _running(pid: int) -> bool:
     try:
         state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
@@ -421,11 +486,13 @@ def _running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
-def test_workers_end_with_the_process_that_started_them(tmp_path):
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_workers_end_with_the_process_that_started_them(method, tmp_path):
     # the workers' pids go to a file: a worker left running would hold a pipe open
     script = (
         "import multiprocessing, os, signal, sys\n"
         "from equifair import debias\n"
+        "multiprocessing.set_start_method(sys.argv[2])\n"
         "debias._usable_cpus = lambda: 2\n"
         "with debias._block_map(debias._POOL_FLOOR) as run:\n"
         "    list(run(os.getpid, [()] * 8))\n"
@@ -434,7 +501,9 @@ def test_workers_end_with_the_process_that_started_them(tmp_path):
         "    os.kill(os.getpid(), signal.SIGKILL)\n"
     )
     with (tmp_path / "stderr.txt").open("w") as err:
-        code = subprocess.run([sys.executable, "-c", script, tmp_path / "pids"], stderr=err, timeout=120).returncode
+        code = subprocess.run(
+            [sys.executable, "-c", script, tmp_path / "pids", method], stderr=err, timeout=120
+        ).returncode
     assert code == -signal.SIGKILL, (tmp_path / "stderr.txt").read_text()
     workers = [int(pid) for pid in (tmp_path / "pids").read_text().split()]
     assert workers
