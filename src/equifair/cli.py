@@ -174,7 +174,7 @@ def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.n
 
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
     scores = predict_proba(model, features)
-    return replace(preds, scores=scores, y_hat=(scores >= threshold).astype(np.int8))
+    return preds.with_outputs(scores=scores, y_hat=(scores >= threshold).astype(np.int8))
 
 
 def _debias_stage(out: Path, embeddings: Path, equality_sets: str, k: int | None) -> tuple[DebiasResult, list[Path]]:
@@ -192,7 +192,7 @@ def _eo_fit_stage(out: Path, preds: LabeledPredictions, variant: str, loss: Loss
 
 def _eo_apply_stage(out: Path, dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> tuple[LabeledPredictions, Path]:
     """Apply a derived predictor and write postprocessed.csv (y_hat only)."""
-    post = replace(preds, scores=None, y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
+    post = preds.with_outputs(y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
     path = out / "postprocessed.csv"
     write_predictions(post, path)
     return post, path

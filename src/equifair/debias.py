@@ -41,7 +41,19 @@ class EmbeddingMatrix:
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=np.float64)
+        # the caller still holds what it passed, so the matrix keeps a copy
+        self._freeze(np.array(self.vectors, dtype=np.float64))
+
+    @classmethod
+    def _adopt(cls, tokens: tuple[str, ...], vectors: np.ndarray) -> EmbeddingMatrix:
+        """A matrix over a float64 array made for it, that no one else
+        holds: checked and frozen in place, not copied."""
+        emb = object.__new__(cls)
+        object.__setattr__(emb, "tokens", tokens)
+        emb._freeze(vectors)
+        return emb
+
+    def _freeze(self, vecs: np.ndarray) -> None:
         if vecs.ndim != 2 or vecs.shape[0] != len(self.tokens):
             raise ValidationError("vectors must be a (vocab, dim) matrix")
         if not np.isfinite(vecs).all():
@@ -51,7 +63,6 @@ class EmbeddingMatrix:
             if tok in index:
                 raise ValidationError(f"duplicate token {tok!r}")
             index[tok] = i
-        vecs = vecs.copy()
         vecs.setflags(write=False)
         object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "tokens", tuple(self.tokens))
@@ -78,7 +89,7 @@ class EmbeddingMatrix:
         if np.any(norms <= NEUTRALIZE_EPS):
             bad = [self.tokens[i] for i in np.nonzero(norms.ravel() <= NEUTRALIZE_EPS)[0]]
             raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
-        return self.with_vectors(self.vectors / norms)
+        return EmbeddingMatrix._adopt(self.tokens, self.vectors / norms)
 
 
 @dataclass(frozen=True)
@@ -309,7 +320,7 @@ def hard_debias(
             vectors[normalized.index[w]] = v
         equalized.append(s)
     return DebiasResult(
-        embeddings=normalized.with_vectors(vectors),
+        embeddings=EmbeddingMatrix._adopt(normalized.tokens, vectors),
         subspace=subspace,
         neutralized=tuple(done),
         equalized_sets=tuple(equalized),
@@ -532,7 +543,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         raise decode_error(path) from None
     if len(tokens) != vocab_size:
         raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
-    return EmbeddingMatrix(tokens=tuple(tokens), vectors=np.concatenate(blocks))
+    return EmbeddingMatrix._adopt(tuple(tokens), np.concatenate(blocks))
 
 
 def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:

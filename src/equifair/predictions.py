@@ -10,12 +10,13 @@ allows.
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import re
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,73 +31,110 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _unit_column(values, n: int, name: str) -> np.ndarray:
+    """``values`` as float64, checked to be ``n`` finite reals in [0, 1]."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.shape != (n,):
+        raise ValidationError(f"{name} length mismatch")
+    if not np.isfinite(x).all() or x.min() < 0.0 or x.max() > 1.0:
+        raise ValidationError(f"{name} must be finite reals in [0, 1]")
+    return x
+
+
+def _outputs(n: int, scores, y_hat) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """``scores`` and ``y_hat`` of an ``n``-row set, checked and read-only."""
+    if scores is None and y_hat is None:
+        raise ValidationError("at least one of scores / y_hat is required")
+    if scores is not None:
+        scores = _readonly(_unit_column(scores, n, "scores"))
+    if y_hat is not None:
+        y_hat = np.asarray(y_hat, dtype=np.int8)
+        if y_hat.shape != (n,):
+            raise ValidationError("y_hat length mismatch")
+        if not np.isin(y_hat, (0, 1)).all():
+            raise ValidationError("y_hat must be binary")
+        y_hat = _readonly(y_hat)
+    return scores, y_hat
+
+
+def _intern(labels: dict[str, int], groups: list[str]) -> np.ndarray:
+    """Each label's code in ``labels``, where a new label gets the next code."""
+    for g in set(groups).difference(labels):
+        labels[g] = len(labels)
+    return np.fromiter(map(labels.__getitem__, groups), dtype=np.uint32, count=len(groups))
+
+
+def _recode(labels: dict[str, int], codes: np.ndarray, universe: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """Codes into ``labels``, all of which occur, as codes into the declared
+    ``universe``, or else into the labels sorted."""
+    universe = tuple(universe) or tuple(sorted(labels))
+    index = {g: i for i, g in enumerate(universe)}
+    if unknown := labels.keys() - index.keys():
+        raise ValidationError(f"group labels outside the declared universe: {sorted(unknown)}")
+    return universe, np.array([index[g] for g in labels], dtype=np.min_scalar_type(len(universe) - 1))[codes]
+
+
+@dataclass(frozen=True, init=False)
 class LabeledPredictions:
     """Per-sample classifier outputs with ground truth and group membership.
 
     Parallel arrays of equal length: opaque sample ids, binary ground
-    truth, a group label per sample, and at least one of ``scores`` (reals
-    in [0, 1]) or ``y_hat`` (binary).  ``universe`` is the declared set of
-    admissible group labels; it defaults to the labels present.
-    ``group_codes`` holds each sample's group as its index into
-    ``universe``, in the narrowest unsigned dtype that fits.
+    truth, a group per sample, and at least one of ``scores`` (reals in
+    [0, 1]) or ``y_hat`` (binary).  ``universe`` is the declared set of
+    admissible group labels; it defaults to the labels present.  Groups
+    are given as labels (``groups``) or as indices into ``universe``
+    (``group_codes``), and stored only as ``group_codes``, in the
+    narrowest unsigned dtype that fits; ``groups`` reads the labels back.
     """
 
     ids: tuple[str, ...]
     y_true: np.ndarray
-    groups: tuple[str, ...]
+    group_codes: np.ndarray = field(repr=False)
+    universe: tuple[str, ...]
     scores: np.ndarray | None = None
     y_hat: np.ndarray | None = None
-    universe: tuple[str, ...] = ()
-    group_codes: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        n = len(self.ids)
+    def __init__(self, ids, y_true, groups=None, scores=None, y_hat=None, universe=(), *, group_codes=None):
+        ids = tuple(ids)
+        n = len(ids)
         if n == 0:
             raise EmptyInputError("prediction set contains no samples")
-        if len(set(self.ids)) != n:
+        if len(set(ids)) != n:
             raise ValidationError("sample ids must be unique")
-        y = np.asarray(self.y_true, dtype=np.int8)
-        if y.shape != (n,) or len(self.groups) != n:
+        if (groups is None) == (group_codes is None):
+            raise ValidationError("exactly one of groups / group_codes is required")
+        y = np.asarray(y_true, dtype=np.int8)
+        if y.shape != (n,) or (groups is not None and len(groups) != n):
             raise ValidationError("ids, y_true and groups must have equal length")
         if not np.isin(y, (0, 1)).all():
             raise ValidationError("y_true must be binary")
-        object.__setattr__(self, "y_true", _readonly(y))
-        if self.scores is None and self.y_hat is None:
-            raise ValidationError("at least one of scores / y_hat is required")
-        if self.scores is not None:
-            s = np.asarray(self.scores, dtype=np.float64)
-            if s.shape != (n,):
-                raise ValidationError("scores length mismatch")
-            if not np.isfinite(s).all() or s.min() < 0.0 or s.max() > 1.0:
-                raise ValidationError("scores must be finite reals in [0, 1]")
-            object.__setattr__(self, "scores", _readonly(s))
-        if self.y_hat is not None:
-            h = np.asarray(self.y_hat, dtype=np.int8)
-            if h.shape != (n,):
-                raise ValidationError("y_hat length mismatch")
-            if not np.isin(h, (0, 1)).all():
-                raise ValidationError("y_hat must be binary")
-            object.__setattr__(self, "y_hat", _readonly(h))
-        universe = tuple(self.universe) or tuple(sorted(set(self.groups)))
-        index = {g: i for i, g in enumerate(universe)}
-        if len(index) != len(universe):
+        scores, y_hat = _outputs(n, scores, y_hat)
+        if groups is not None:
+            labels: dict[str, int] = {}
+            universe, group_codes = _recode(labels, _intern(labels, groups), universe)
+        universe, codes = tuple(universe), np.asarray(group_codes)
+        if len(set(universe)) != len(universe):
             raise ValidationError("group universe labels must be unique")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "groups", tuple(self.groups))
-        try:
-            codes = np.fromiter(
-                map(index.__getitem__, self.groups), dtype=np.min_scalar_type(len(universe) - 1), count=n
-            )
-        except KeyError:
-            unknown = set(self.groups) - set(universe)
-            raise ValidationError(
-                f"group labels outside the declared universe: {sorted(unknown)}"
-            ) from None
-        object.__setattr__(self, "group_codes", _readonly(codes))
+        if codes.shape != (n,) or codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(universe):
+            raise ValidationError(f"group codes must be {n} integers indexing the universe")
+        codes = _readonly(codes.astype(np.min_scalar_type(len(universe) - 1), copy=False))
+        self.__dict__.update(ids=ids, y_true=_readonly(y), group_codes=codes, universe=universe, scores=scores, y_hat=y_hat)
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def groups(self) -> tuple[str, ...]:
+        """Each sample's group label, read from ``group_codes``."""
+        return tuple(np.array(self.universe, dtype=object)[self.group_codes].tolist())
+
+    def with_outputs(self, scores=None, y_hat=None) -> LabeledPredictions:
+        """This set with ``scores`` and ``y_hat`` replaced (None leaves a
+        column out).  Only the new columns are checked; the ids, ground
+        truth and group codes, already checked and read-only, are shared."""
+        out = copy.copy(self)
+        out.__dict__.update(zip(("scores", "y_hat"), _outputs(len(self), scores, y_hat)))
+        return out
 
     def present_groups(self) -> tuple[str, ...]:
         """Universe members that actually occur in the data, universe order."""
@@ -212,8 +250,8 @@ class _Columns:
         self.group_col = group_col
         self.extra = {name: col[name] for name in header if name.startswith("score_")}
         self.ids: list[str] = []
-        self.groups: list[str] = []
-        self.labels: dict[str, str] = {}  # one string object per group label
+        self.labels: dict[str, int] = {}  # group label -> code
+        self.codes: list[np.ndarray] = []
         self.parts: dict[str, list[np.ndarray]] = {c: [] for c in ("y_true", "score", "y_hat", *self.extra)}
         self.seen = {"score": False, "y_hat": False}
         self.n_rows = 0
@@ -243,7 +281,7 @@ class _Columns:
             self._raise_first_error(records, lineno)
         self.ids.extend(column["id"])
         groups = column[self.group_col]
-        self.groups.extend(map(self.labels.setdefault, groups, groups))
+        self.codes.append(_intern(self.labels, groups))
         for c, values in parsed.items():
             self.parts[c].append(values)
         self.seen = {c: self.seen[c] or c in parsed for c in self.seen}
@@ -283,13 +321,14 @@ class _Columns:
             if self.seen[c] and sum(map(len, self.parts[c])) != self.n_rows:
                 raise FormatError(f"{self.path}: {c} column must be filled for all rows or none")
         column = {c: np.concatenate(parts) for c, parts in self.parts.items() if parts}
+        universe, codes = _recode(self.labels, np.concatenate(self.codes), universe)
         preds = LabeledPredictions(
             ids=tuple(self.ids),
             y_true=column["y_true"],
-            groups=tuple(self.groups),
             scores=column.get("score"),
             y_hat=column.get("y_hat"),
             universe=universe,
+            group_codes=codes,
         )
         consts = {name.removeprefix("score_"): _readonly(column[name]) for name in self.extra}
         return PredictionFile(predictions=preds, constituent_scores=consts)
@@ -334,24 +373,43 @@ def read_predictions(path: str | Path, group_col: str = "group", universe: tuple
     return read_prediction_file(path, group_col=group_col, universe=universe).predictions
 
 
+# rows of a prediction CSV formatted and written at a time
+_WRITE_ROWS = 1 << 15
+# characters that make csv.writer quote a field; it quotes a carriage
+# return only under a terminator that holds one, and these files quote it
+_NEEDS_QUOTES = re.compile('[,"\n\r]')
+
+
+def _csv_fields(values: list[str]) -> list[str]:
+    """``values`` as csv.writer writes fields, with minimal quoting."""
+    if not _NEEDS_QUOTES.search("".join(values)):
+        return values
+    return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in values]
+
+
 def write_predictions(
     preds: LabeledPredictions,
     path: str | Path,
     constituent_scores: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write predictions as CSV, deterministically, row by row."""
-    consts = constituent_scores or {}
-    columns = (
-        preds.ids,
-        preds.groups,
-        map(str, preds.y_true.tolist()),
-        map(repr, preds.scores.tolist()) if preds.scores is not None else repeat(""),
-        map(str, preds.y_hat.tolist()) if preds.y_hat is not None else repeat(""),
-        *(map(repr, np.asarray(v, dtype=np.float64).tolist()) for v in consts.values()),
-    )
+    """Write predictions as CSV, deterministically, ``_WRITE_ROWS`` rows at
+    a time, each chunk a column at a time.  A constituent column that does
+    not hold one finite real in [0, 1] per row raises ValidationError
+    naming it, before anything is written."""
+    n = len(preds)
+    consts = {name: _unit_column(v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
+    labels = np.array(_csv_fields(list(preds.universe)), dtype=object)
+    bits = np.array(("0", "1"), dtype=object)
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "group", "y_true", "score", "y_hat", *(f"score_{n}" for n in consts)])
-        if "\r" in "".join((*preds.universe, *preds.ids)):  # csv quotes only its line terminator's characters
-            writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")), lineterminator="\r\n")
-        writer.writerows(zip(*columns))
+        fh.write(",".join(_csv_fields(["id", "group", "y_true", "score", "y_hat", *(f"score_{c}" for c in consts)])) + "\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            rows = slice(lo, lo + _WRITE_ROWS)
+            columns = (
+                _csv_fields(list(preds.ids[rows])),
+                labels[preds.group_codes[rows]].tolist(),
+                bits[preds.y_true[rows]].tolist(),
+                repeat("") if preds.scores is None else map(float.__repr__, preds.scores[rows].tolist()),
+                repeat("") if preds.y_hat is None else bits[preds.y_hat[rows]].tolist(),
+                *(map(float.__repr__, values[rows].tolist()) for values in consts.values()),
+            )
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

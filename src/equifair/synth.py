@@ -225,13 +225,13 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
     rng = np.random.default_rng(cfg.seed)
     n = cfg.n_samples
     names = list(cfg.groups)
-    groups = rng.choice(np.array(names, dtype=object), size=n, p=[cfg.groups[g] for g in names])
+    codes = rng.choice(len(names), size=n, p=[cfg.groups[g] for g in names])  # indices into names
     y = (rng.random(n) < cfg.positive_rate).astype(np.int8)
     ids = tuple(f"{cfg.id_prefix}{i:06d}" for i in range(n))
     mu = np.zeros(n)
     sig = np.ones(n)
-    for g in names:
-        m = groups == g
+    for j, g in enumerate(names):
+        m = codes == j
         model = cfg.score_models[g]
         mu[m & (y == 1)] = model.mu_pos
         sig[m & (y == 1)] = model.sigma_pos
@@ -240,9 +240,9 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
     if cfg.calibrated:
         post_a = np.zeros(n)
         post_b = np.zeros(n)
-        for g in names:
+        for j, g in enumerate(names):
             a_g, b_g = cfg.score_models[g].posterior_coefficients(cfg.positive_rate)
-            m = groups == g
+            m = codes == j
             post_a[m] = a_g
             post_b[m] = b_g
     idx = np.arange(n)
@@ -261,15 +261,11 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
             )
         else:
             scores = 1.0 / (1.0 + np.exp(-logits))
+        outputs = {"scores": scores, "y_hat": (scores >= 0.5).astype(np.int8)}
         modalities.append(
-            LabeledPredictions(
-                ids=ids,
-                y_true=y,
-                groups=tuple(groups.tolist()),
-                scores=scores,
-                y_hat=(scores >= 0.5).astype(np.int8),
-                universe=tuple(names),
-            )
+            modalities[0].with_outputs(**outputs)
+            if modalities
+            else LabeledPredictions(ids=ids, y_true=y, group_codes=codes, universe=tuple(names), **outputs)
         )
     analytic = {}
     for g in names:

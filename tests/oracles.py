@@ -8,7 +8,9 @@ paths it checks.
 import csv
 import hashlib
 import math
+from itertools import repeat
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -316,6 +318,26 @@ def read_prediction_file_oracle(path, group_col="group", universe=()):
     )
     consts = {name.removeprefix("score_"): np.array(vals, dtype=np.float64) for name, vals in features.items()}
     return PredictionFile(predictions=preds, constituent_scores=consts)
+
+
+def write_predictions_oracle(preds, path, constituent_scores=None):
+    """The prediction CSV written one csv.writer row at a time, as the
+    library did before it wrote chunks of rows a column at a time."""
+    consts = constituent_scores or {}
+    columns = (
+        preds.ids,
+        preds.groups,
+        map(str, preds.y_true.tolist()),
+        map(repr, preds.scores.tolist()) if preds.scores is not None else repeat(""),
+        map(str, preds.y_hat.tolist()) if preds.y_hat is not None else repeat(""),
+        *(map(repr, np.asarray(v, dtype=np.float64).tolist()) for v in consts.values()),
+    )
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "group", "y_true", "score", "y_hat", *(f"score_{n}" for n in consts)])
+        if "\r" in "".join((*preds.universe, *preds.ids)):  # csv quotes only its line terminator's characters
+            writer = csv.writer(SimpleNamespace(write=lambda line: fh.write(line[:-2] + "\n")), lineterminator="\r\n")
+        writer.writerows(zip(*columns))
 
 
 def load_embeddings_oracle(path):

@@ -66,6 +66,24 @@ class TestSynthCommand:
             str(tmp_path / "analytic_rates.json"),
         }
 
+    # sha256 of the modality files, as written before cohorts drew group
+    # codes instead of labels and sets stopped storing a label per row
+    MODALITY_PINS = {
+        (): ("8e95237f8d8a20c07ec6a522504fc4c41553e456833cd0d3ca6e2291a4a83d71",),
+        ("--modality-windows", "0:0.6,0.4:1"): (
+            "a51c66baf4f9bffa58f551a70e5edd8b2a75ca45a032a939e05eb31c3774e80f",
+            "c79d427a029f4b06f01fda5162bc2686b6c1b55937dd6a34a7fb700ee28ec2c5",
+        ),
+    }
+
+    @pytest.mark.parametrize("windows", list(MODALITY_PINS), ids=["one-modality", "two-modalities"])
+    def test_modality_bytes_pinned(self, tmp_path, windows):
+        res = run_cli("synth", "--preset", "insurance", "--n", "5000", "--seed", "7", *windows, "--out", tmp_path)
+        assert res.returncode == 0, res.stderr
+        for i, digest in enumerate(self.MODALITY_PINS[windows]):
+            assert hashlib.sha256((tmp_path / f"modality_{i}.csv").read_bytes()).hexdigest() == digest, i
+        assert not (tmp_path / f"modality_{len(self.MODALITY_PINS[windows])}.csv").exists()
+
     def test_env_seed_fallback(self, tmp_path):
         r1 = run_cli("synth", "--n", "100", "--out", tmp_path / "a", env={"EQUIFAIR_SEED": "99"})
         r2 = run_cli("synth", "--n", "100", "--seed", "99", "--out", tmp_path / "b")

@@ -46,6 +46,31 @@ def random_orthogonal_probe(basis: np.ndarray, rng) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+class TestEmbeddingMatrix:
+    def test_caller_array_stays_writable_and_unaliased(self):
+        vectors = np.eye(3)
+        emb = EmbeddingMatrix(tokens=("a", "b", "c"), vectors=vectors)
+        assert vectors.flags.writeable and not np.shares_memory(vectors, emb.vectors)
+        vectors[0, 0] = 7.0
+        assert emb.vectors[0, 0] == 1.0 and not emb.vectors.flags.writeable
+
+    def test_derived_matrices_are_frozen_and_unaliased(self, tmp_path):
+        vectors = np.array([[3.0, 4.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0], [1.0, 1.0, 1.0]])
+        emb = EmbeddingMatrix(tokens=("he", "she", "x", "y"), vectors=vectors)
+        save_embeddings(emb, tmp_path / "e.txt")
+        derived = {
+            "unit_normalized": emb.unit_normalized(),
+            "with_vectors": emb.with_vectors(vectors),
+            "hard_debias": hard_debias(emb, EqualitySets((("he", "she"),))).embeddings,
+            "load_embeddings": load_embeddings(tmp_path / "e.txt"),
+        }
+        for name, other in derived.items():
+            assert not other.vectors.flags.writeable, name
+            assert not np.shares_memory(other.vectors, emb.vectors), name
+            assert not np.shares_memory(other.vectors, vectors), name
+        assert vectors.flags.writeable
+
+
 class TestIdentifySubspace:
     def test_planted_axis_recovered(self):
         emb = EmbeddingMatrix(

@@ -1,19 +1,28 @@
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from equifair import EmptyInputError, FormatError, LabeledPredictions, ValidationError, predictions
+from equifair import (
+    CohortConfig,
+    EmptyInputError,
+    FormatError,
+    LabeledPredictions,
+    ValidationError,
+    generate_cohort,
+    predictions,
+)
 from equifair.predictions import (
     read_prediction_file,
     read_predictions,
     write_predictions,
 )
 
-from oracles import read_prediction_file_oracle
+from oracles import read_prediction_file_oracle, write_predictions_oracle
 
 
 def small_preds(**kwargs):
@@ -75,6 +84,77 @@ class TestValidation:
         with pytest.raises(ValidationError):
             small_preds(groups=("g1", "g1", "g2"))
 
+    def test_codes_are_the_stored_group_form(self):
+        preds = small_preds()
+        assert "groups" not in vars(preds)
+        assert preds.groups == ("g1", "g1", "g2", "g2")
+
+    def test_group_codes_input(self):
+        preds = small_preds(groups=None, group_codes=np.array([2, 2, 0, 2]), universe=("g2", "g0", "g1"))
+        assert preds.group_codes.dtype == np.uint8 and preds.group_codes.tolist() == [2, 2, 0, 2]
+        assert preds.groups == ("g1", "g1", "g2", "g1")
+
+    @pytest.mark.parametrize("codes", [[0, 1, 2, 0], [0, -1, 1, 0], [0.0, 1.0, 1.0, 0.0], [0, 1, 1]])
+    def test_group_codes_must_index_the_universe(self, codes):
+        with pytest.raises(ValidationError):
+            small_preds(groups=None, group_codes=np.array(codes), universe=("g1", "g2"))
+
+    @pytest.mark.parametrize("codes", [None, np.array([0, 0, 1, 1])])
+    def test_exactly_one_group_form(self, codes):
+        with pytest.raises(ValidationError, match="^exactly one of groups / group_codes is required$"):
+            small_preds(groups=None if codes is None else ("g1", "g1", "g2", "g2"), group_codes=codes)
+
+
+class TestGroupCodes:
+    LABELS = ("b", "a", "c", "a", "b", "b")
+
+    @pytest.mark.parametrize("universe", [(), ("c", "b", "a", "d")])
+    def test_reader_and_groups_give_the_same_codes(self, tmp_path, universe):
+        built = LabeledPredictions(
+            ids=tuple("uvwxyz"), y_true=np.zeros(6), groups=self.LABELS, y_hat=np.ones(6), universe=universe
+        )
+        write_predictions(built, tmp_path / "p.csv")
+        read = read_predictions(tmp_path / "p.csv", universe=universe)
+        for preds in (built, read):
+            assert preds.universe == (universe or ("a", "b", "c"))
+            assert preds.groups == self.LABELS
+        assert read.group_codes.dtype == built.group_codes.dtype == np.uint8
+        assert read.group_codes.tobytes() == built.group_codes.tobytes()
+
+    def test_cohort_gives_the_codes_of_its_labels(self, tmp_path):
+        cohort = generate_cohort(CohortConfig(groups={"b": 0.3, "a": 0.5, "d": 0.0, "c": 0.2}, n_samples=400, seed=3))
+        drawn = cohort.modalities[0]
+        assert drawn.universe == ("b", "a", "d", "c")
+        built = LabeledPredictions(ids=drawn.ids, y_true=drawn.y_true, groups=drawn.groups, y_hat=drawn.y_hat, universe=drawn.universe)
+        write_predictions(drawn, tmp_path / "p.csv")
+        read = read_predictions(tmp_path / "p.csv", universe=drawn.universe)
+        for preds in (built, read):
+            assert preds.universe == drawn.universe and preds.groups == drawn.groups
+            assert preds.group_codes.dtype == drawn.group_codes.dtype
+            assert preds.group_codes.tobytes() == drawn.group_codes.tobytes()
+
+
+class TestWithOutputs:
+    def test_replaces_the_outputs_and_shares_the_rest(self):
+        preds = small_preds()
+        derived = preds.with_outputs(y_hat=[0, 0, 1, 1])
+        assert derived.scores is None and derived.y_hat.tolist() == [0, 0, 1, 1]
+        assert not derived.y_hat.flags.writeable
+        for name in ("ids", "y_true", "group_codes", "universe"):
+            assert getattr(derived, name) is getattr(preds, name), name
+        assert preds.y_hat.tolist() == [1, 0, 1, 0] and preds.scores is not None
+
+    @pytest.mark.parametrize("outputs, message", [
+        ({"y_hat": [1, 0, 2, 0]}, r"^y_hat must be binary$"),
+        ({"scores": [0.5, 1.5, 0.5, 0.5]}, r"^scores must be finite reals in \[0, 1\]$"),
+        ({"scores": [0.5, math.nan, 0.5, 0.5]}, r"^scores must be finite reals in \[0, 1\]$"),
+        ({"scores": [0.5, 0.5]}, r"^scores length mismatch$"),
+        ({}, r"^at least one of scores / y_hat is required$"),
+    ])
+    def test_checks_the_new_columns(self, outputs, message):
+        with pytest.raises(ValidationError, match=message):
+            small_preds().with_outputs(**outputs)
+
 
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
@@ -106,6 +186,45 @@ class TestCsvRoundTrip:
             back = read_prediction_file(csv_path)
         write_predictions(back.predictions, again, back.constituent_scores)
         assert again.read_bytes() == csv_path.read_bytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), write_rows=st.integers(1, 5))
+    def test_equals_row_oracle(self, csv_path, data, write_rows):
+        n = data.draw(st.sampled_from([write_rows - 1, write_rows, write_rows + 1, 2 * write_rows + 1]).filter(bool))
+        preds, consts = data.draw(labeled_predictions(st.just(n)))
+        expected = csv_path.with_name("oracle.csv")
+        write_predictions_oracle(preds, expected, consts)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictions, "_WRITE_ROWS", write_rows)
+            write_predictions(preds, csv_path, consts)
+        assert csv_path.read_bytes() == expected.read_bytes()
+
+    def test_equals_row_oracle_across_a_chunk_boundary(self, tmp_path):
+        n = predictions._WRITE_ROWS + 1
+        rng = np.random.default_rng(0)
+        preds = LabeledPredictions(
+            ids=tuple(f'r{i}' if i % 7 else f'"r,{i}"' for i in range(n)),
+            y_true=rng.integers(0, 2, n),
+            groups=tuple(rng.choice(["x", "y\r\nz", "é"], n)),
+            scores=rng.random(n),
+        )
+        consts = {"m": rng.random(n)}
+        write_predictions(preds, tmp_path / "a.csv", consts)
+        write_predictions_oracle(preds, tmp_path / "b.csv", consts)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_short_constituent_column_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValidationError, match=r"^column 'score_m0' length mismatch$"):
+            write_predictions(small_preds(), path, {"m0": np.array([0.1, 0.2])})
+        assert not path.exists()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0, -0.5])
+    def test_constituent_value_outside_unit_interval_rejected(self, tmp_path, bad):
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValidationError, match=r"^column 'score_m1' must be finite reals in \[0, 1\]$"):
+            write_predictions(small_preds(), path, {"m0": [0.1, 0.2, 0.3, 0.4], "m1": [0.1, bad, 0.3, 0.4]})
+        assert not path.exists()
 
     def test_score_only_file(self, tmp_path):
         preds = small_preds(y_hat=None)
@@ -205,10 +324,10 @@ def _assert_same(got, expected):
 
 
 @st.composite
-def labeled_predictions(draw):
+def labeled_predictions(draw, sizes=st.integers(1, 12)):
     """A prediction set whose ids and group labels hold commas, quotes,
     line breaks and NULs, with its constituent scores."""
-    n = draw(st.integers(1, 12))
+    n = draw(sizes)
     text = st.text(alphabet='ab ,"\n\r\x00é', max_size=5)
     labels = draw(st.lists(text, min_size=1, max_size=3))
     bits = st.lists(st.integers(0, 1), min_size=n, max_size=n).map(np.array)
@@ -221,7 +340,7 @@ def labeled_predictions(draw):
         scores=draw(reals) if "scores" in filled else None,
         y_hat=draw(bits) if "y_hat" in filled else None,
     )
-    return preds, draw(st.dictionaries(st.sampled_from(["m0", "m1"]), reals))
+    return preds, draw(st.dictionaries(st.sampled_from(["m0", "m1", 'm,"2']), reals))
 
 
 @st.composite
