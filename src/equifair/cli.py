@@ -1,13 +1,15 @@
 """Command-line surface chaining the toolkit into an audit pipeline.
 
 Subcommands: synth, metrics, report, eo-fit, eo-apply, debias,
-ensemble-fit, ensemble-predict, pipeline.  Every run writes a manifest
+ensemble-fit, ensemble-predict, pipeline (the prediction stages only: an
+ensemble, at most one EO intervention, reports).  Every run writes a manifest
 (inputs, output hashes, seeds, version) into the output directory.  All
 data outputs are deterministic given the arguments; wall-clock time is
 recorded only in the manifest.
 
 On failure a single machine-parsable line ``<category>: <message>`` is
-printed to stderr and the process exits with the category's code.
+printed to stderr and the process exits with the category's code; seeds
+and float flags are checked before anything is written.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from . import __version__, schema
-from .debias import DebiasResult, hard_debias, load_embeddings, save_embeddings
+from .debias import hard_debias, load_embeddings, save_embeddings
 from .ensemble import EnsembleModel, fit_ensemble, predict_proba
 from .eo import (
     DerivedPredictor,
@@ -56,7 +58,7 @@ from .synth import (
 )
 from .wordsets import resolve_equality_sets
 
-INTERVENTIONS = ("none", "eo-hard", "eo-soft", "debias")
+INTERVENTIONS = ("none", "eo-hard", "eo-soft")
 
 
 def _sha256(path: Path) -> str:
@@ -91,15 +93,18 @@ def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
 
 
 def _resolve_seed(args) -> int:
+    """``--seed``, else ``EQUIFAIR_SEED``, else 0; a seed is a non-negative integer."""
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("EQUIFAIR_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValidationError(f"EQUIFAIR_SEED must be an integer, got {env!r}") from None
-    return 0
+        source, value = "--seed", args.seed
+    else:
+        source, value = "EQUIFAIR_SEED", os.environ.get("EQUIFAIR_SEED", "0")
+    try:
+        seed = int(value)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise ValidationError(f"{source} must be a non-negative integer, got {value!r}")
+    return seed
 
 
 def _out_dir(args) -> Path:
@@ -175,14 +180,6 @@ def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.n
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
     scores = predict_proba(model, features)
     return preds.with_outputs(scores=scores, y_hat=(scores >= threshold).astype(np.int8))
-
-
-def _debias_stage(out: Path, embeddings: Path, equality_sets: str, k: int | None) -> tuple[DebiasResult, list[Path]]:
-    """Hard-debias an embedding file; write the embeddings and the report."""
-    result = hard_debias(load_embeddings(embeddings), resolve_equality_sets(equality_sets), k=k)
-    emb_path = out / "debiased_embeddings.txt"
-    save_embeddings(result.embeddings, emb_path)
-    return result, [emb_path, _write_json(out / "debias_report.json", result.skip_report())]
 
 
 def _eo_fit_stage(out: Path, preds: LabeledPredictions, variant: str, loss: LossSpec) -> tuple[DerivedPredictor, Path]:
@@ -275,9 +272,12 @@ def _cmd_eo_apply(args) -> int:
 
 def _cmd_debias(args) -> int:
     out = _out_dir(args)
-    result, outputs = _debias_stage(out, Path(args.embeddings), args.equality_sets, args.k)
-    _write_manifest(out, "debias", vars(args), [Path(args.embeddings)], outputs, None)
-    print(f"wrote {outputs[0]} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
+    result = hard_debias(load_embeddings(Path(args.embeddings)), resolve_equality_sets(args.equality_sets), k=args.k)
+    emb_path = out / "debiased_embeddings.txt"
+    save_embeddings(result.embeddings, emb_path)
+    report_path = _write_json(out / "debias_report.json", result.skip_report())
+    _write_manifest(out, "debias", vars(args), [Path(args.embeddings)], [emb_path, report_path], None)
+    print(f"wrote {emb_path} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
     return 0
 
 
@@ -293,8 +293,6 @@ def _cmd_ensemble_fit(args) -> int:
 
 
 def _cmd_ensemble_predict(args) -> int:
-    if not math.isfinite(args.threshold):
-        raise ValidationError(f"--threshold must be finite, got {args.threshold}")
     out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     model = schema.load(_EnsembleFile, schema.read(args.model), "ensemble model")
@@ -357,20 +355,11 @@ def _cmd_pipeline(args) -> int:
         fit_preds = _ensemble_scored(fit_preds, model, np.column_stack([fit_features[n] for n in names]), 0.5)
         metadata["ensemble"] = {"constituents": names, "C": args.C}
 
-    # debias stage (embedding-space intervention; predictions pass through)
-    if intervention == "debias":
-        if not args.embeddings:
-            raise ValidationError("intervention 'debias' requires --embeddings")
-        inputs.append(Path(args.embeddings))
-        result, debias_outputs = _debias_stage(out, Path(args.embeddings), args.equality_sets, args.k)
-        outputs.extend(debias_outputs)
-        metadata["debias"] = {"equality_sets": args.equality_sets, "k": result.subspace.k}
-
     base_report = build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)
     outputs.append(_write_json(out / "base_report.json", base_report))
     plots = {"base": base_report}
 
-    if intervention.startswith("eo-"):
+    if intervention != "none":
         if fit_preds.y_hat is None and intervention == "eo-hard":
             raise ValidationError("eo-hard requires hard predictions in the fit split")
         dp, dp_path = _eo_fit_stage(out, fit_preds, intervention.removeprefix("eo-"), loss)
@@ -480,9 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cost-fp", type=float, default=1.0)
     p.add_argument("--cost-fn", type=float, default=1.0)
     p.add_argument("--C", type=float, default=1.0)
-    p.add_argument("--embeddings")
-    p.add_argument("--equality-sets", default="gender")
-    p.add_argument("--k", type=int, default=None)
     _add_cohort_flags(p)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
@@ -515,6 +501,9 @@ def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         return args.func(args)
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)

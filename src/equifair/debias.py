@@ -81,9 +81,6 @@ class EmbeddingMatrix:
     def get(self, token: str) -> np.ndarray:
         return self.vectors[self.index[token]]
 
-    def with_vectors(self, vectors: np.ndarray) -> "EmbeddingMatrix":
-        return EmbeddingMatrix(tokens=self.tokens, vectors=vectors)
-
     def unit_normalized(self) -> "EmbeddingMatrix":
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
         if np.any(norms <= NEUTRALIZE_EPS):

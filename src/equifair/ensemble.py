@@ -107,8 +107,8 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
         raise ValidationError("fit requires both classes present")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValidationError("features must lie in [0, 1]")
-    if not C > 0:
-        raise ValidationError("C must be positive")
+    if not (C > 0 and np.isfinite(C)):
+        raise ValidationError(f"C must be finite and positive, got {C}")
 
     n, k = x.shape
     w = np.zeros(k)

@@ -234,22 +234,19 @@ class FairnessReport:
 
 def build_report(
     preds: LabeledPredictions,
-    rates: Mapping[str, GroupRateEntry] | None = None,
     task: str = "",
     seed: int | None = None,
-    timestamp: str | None = None,
     extra_metadata: Mapping | None = None,
 ) -> FairnessReport:
     """Assemble a fairness report from the metric operations above.
 
-    ``rates`` may be supplied (e.g. expected rates of a derived predictor);
-    otherwise they are computed from ``y_hat`` when present.  Score-based
-    metrics are filled when scores are present; per-group AUCs that are
-    undefined (single-class group) are reported as null with a warning.
+    Group rates are computed from ``y_hat`` when present, and the
+    metadata's ``timestamp`` is always null.  Score-based metrics are
+    filled when scores are present; per-group AUCs that are undefined
+    (single-class group) are reported as null with a warning.
     """
     warnings: list[str] = []
-    if rates is None and preds.y_hat is not None:
-        rates = confusion_rates(preds)
+    rates = confusion_rates(preds) if preds.y_hat is not None else None
     tpr_range = tnr_range = None
     if rates is not None:
         tpr_range, tnr_range = gap_ranges(rates)
@@ -271,7 +268,7 @@ def build_report(
     metadata = {
         "task": task,
         "seed": seed,
-        "timestamp": timestamp,
+        "timestamp": None,
         "n_samples": len(preds),
         "overall_auc_averaging": "micro",
         "warnings": warnings,

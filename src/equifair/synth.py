@@ -95,11 +95,13 @@ class ScoreModel:
 
 
 def _require_integers(obj, *names: str) -> None:
-    """Each named field of ``obj`` is None or an int or numpy integer; a bool or a float is not."""
+    """Each named field of ``obj`` is None or a non-negative int or numpy integer, not a bool."""
     for name in names:
         v = getattr(obj, name)
         if v is not None and (isinstance(v, bool) or not isinstance(v, numbers.Integral)):
             raise ValidationError(f"{type(obj).__name__}.{name} must be an integer, got {v!r}")
+        if v is not None and v < 0:
+            raise ValidationError(f"{type(obj).__name__}.{name} must be non-negative, got {v!r}")
 
 
 @dataclass(frozen=True)

@@ -328,10 +328,8 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     for name in ("d1", "d2"):
         res = subprocess.run(
             [
-                sys.executable, "-m", "equifair", "pipeline",
-                "--intervention", "debias", "--embeddings", str(emb_path),
-                "--equality-sets", "gender", "--n", "300", "--seed", "9",
-                "--out", str(tmp_path / name),
+                sys.executable, "-m", "equifair", "debias", "--embeddings", str(emb_path),
+                "--equality-sets", "gender", "--out", str(tmp_path / name),
             ],
             capture_output=True,
             text=True,

@@ -90,6 +90,13 @@ class TestSynthCommand:
         assert r1.returncode == r2.returncode == 0
         assert (tmp_path / "a/modality_0.csv").read_bytes() == (tmp_path / "b/modality_0.csv").read_bytes()
 
+    @pytest.mark.parametrize("env", ["-2", "seven"])
+    def test_bad_env_seed_is_invalid_input(self, tmp_path, env):
+        res = run_cli("synth", "--n", "100", "--out", tmp_path, env={"EQUIFAIR_SEED": env})
+        assert res.returncode == 6
+        assert res.stderr == f"invalid-input: EQUIFAIR_SEED must be a non-negative integer, got {env!r}\n"
+        assert not any(tmp_path.iterdir())
+
     def test_plant_embeddings(self, tmp_path):
         res = run_cli(
             "synth", "--plant-embeddings", "--equality-sets", "gender",
@@ -328,22 +335,6 @@ class TestPipeline:
         assert max(tprs) - min(tprs) <= 1e-9
         assert post.tpr_range < base.tpr_range
 
-    def test_double_intervention_needs_flag(self, tmp_path):
-        res = run_cli(
-            "pipeline", "--intervention", "eo-hard+debias", "--n", "200", "--seed", "1",
-            "--out", tmp_path,
-        )
-        assert res.returncode == 6
-        assert res.stderr.startswith("invalid-input:")
-
-    def test_interventions_do_not_compose(self, tmp_path):
-        res = run_cli(
-            "pipeline", "--intervention", "eo-hard+eo-soft", "--allow-composition", "--n", "200",
-            "--seed", "1", "--out", tmp_path,
-        )
-        assert res.returncode != 0
-        assert not (tmp_path / "derived_predictor.json").exists()
-
     def test_byte_identical_reruns(self, tmp_path):
         args = (
             "pipeline", "--intervention", "eo-hard", "--preset", "ethnicity", "--n", "2000",
@@ -383,20 +374,13 @@ class TestPipeline:
         report = report_from_json((tmp_path / "base_report.json").read_text())
         assert report.metadata["ensemble"]["constituents"] == ["m0", "m1"]
 
-    def test_debias_intervention_in_pipeline(self, tmp_path):
-        emb, _, _ = generate_embeddings(
-            EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=40, dim=20, noise=0.01, seed=3)
-        )
-        emb_path = tmp_path / "emb.txt"
-        save_embeddings(emb, emb_path)
-        res = run_cli(
-            "pipeline", "--intervention", "debias", "--embeddings", emb_path,
-            "--equality-sets", "gender", "--n", "300", "--seed", "2", "--out", tmp_path / "out",
-        )
-        assert res.returncode == 0, res.stderr
-        assert (tmp_path / "out/debiased_embeddings.txt").exists()
-        report = report_from_json((tmp_path / "out/base_report.json").read_text())
-        assert report.metadata["debias"]["k"] == 1
+    def test_help_lists_no_embedding_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["pipeline", "--help"])
+        help_text = capsys.readouterr().out
+        assert "--intervention" in help_text
+        for flag in ("--embeddings", "--equality-sets", "--k "):
+            assert flag not in help_text, flag
 
 
 class TestPinnedArtifacts:
@@ -532,6 +516,7 @@ MALFORMED = {
     "synth-config-fractional-n-samples": ("synth-config", '{"n_samples": 10.5}', 4, "format-error", "n_samples"),
     "synth-config-unknown-field": ("synth-config", '{"bogus": 1}', 4, "format-error", "unknown field bogus"),
     "synth-config-not-an-object": ("synth-config", "[]", 4, "format-error", "object"),
+    "synth-config-negative-seed": ("synth-config", '{"seed": -1}', 6, "invalid-input", "CohortConfig.seed must be non-negative"),
     "synth-config-nan-proportion": ("synth-config", '{"groups": {"A": NaN, "B": 0.5}}', 4, "format-error", "NaN"),
     "model-weights-not-a-list": ("ensemble-predict", _with("weights", "x"), 4, "format-error", "field weights"),
     "model-not-an-object": ("ensemble-predict", lambda d: [], 4, "format-error", "object"),
@@ -579,10 +564,22 @@ MALFORMED = {
         "metrics", f"{HEADER}{'x' * (csv.field_size_limit() + 1)},A,1,,1\n".encode(), 4, "format-error", "field limit",
     ),
     "synth-noise-nan": ("synth", ["--plant-embeddings", "--noise", "nan"], 6, "invalid-input", "finite"),
+    "synth-cohort-noise-nan": ("synth", ["--noise", "nan"], 6, "invalid-input", "--noise must be finite, got nan"),
+    "synth-seed-negative": ("synth", ["--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer, got -1"),
+    "synth-plant-embeddings-seed-negative": (
+        "synth", ["--plant-embeddings", "--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer",
+    ),
+    "pipeline-c-nan": ("pipeline", ["--C", "nan"], 6, "invalid-input", "--C must be finite, got nan"),
     "synth-window-not-a-number": ("synth", ["--modality-windows", "abc"], 6, "invalid-input", "'abc'"),
     "synth-window-one-bound": ("synth", ["--modality-windows", "0:0.5,0.5"], 6, "invalid-input", "'0.5'"),
     "pipeline-intervention-pair": (
         "pipeline", ["--intervention", "eo-hard+eo-soft"], 6, "invalid-input", "unknown intervention 'eo-hard+eo-soft'",
+    ),
+    "pipeline-intervention-debias": (
+        "pipeline", ["--intervention", "debias"], 6, "invalid-input", "unknown intervention 'debias'",
+    ),
+    "pipeline-intervention-eo-hard+debias": (
+        "pipeline", ["--intervention", "eo-hard+debias"], 6, "invalid-input", "unknown intervention 'eo-hard+debias'",
     ),
     "pipeline-window-three-bounds": ("pipeline", ["--modality-windows", "0:0.5:1"], 6, "invalid-input", "'0:0.5:1'"),
 }
@@ -590,7 +587,8 @@ MALFORMED = {
 
 class TestMalformedInputs:
     """Each malformed input gives exactly one ``<category>: <message>``
-    line on stderr and the category's exit code, never a traceback."""
+    line on stderr and the category's exit code, never a traceback, and
+    leaves no file in ``--out``."""
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_one_line_and_exit_code(self, case, tmp_path, capsys, monkeypatch):
@@ -644,3 +642,4 @@ class TestMalformedInputs:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"{category}: "), err
         assert needle in err
+        assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())

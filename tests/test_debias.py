@@ -60,7 +60,6 @@ class TestEmbeddingMatrix:
         save_embeddings(emb, tmp_path / "e.txt")
         derived = {
             "unit_normalized": emb.unit_normalized(),
-            "with_vectors": emb.with_vectors(vectors),
             "hard_debias": hard_debias(emb, EqualitySets((("he", "she"),))).embeddings,
             "load_embeddings": load_embeddings(tmp_path / "e.txt"),
         }

@@ -74,6 +74,11 @@ class TestFitEnsemble:
         with pytest.raises(ValidationError):
             fit_ensemble(np.array([[np.nan], [0.2]]), np.array([1, 0]))
 
+    @pytest.mark.parametrize("C", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_inverse_regularization_must_be_finite_and_positive(self, C):
+        with pytest.raises(ValidationError, match="C must be finite and positive"):
+            fit_ensemble(np.array([[0.8], [0.2]]), np.array([1, 0]), C=C)
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         x = rng.random((100, 3))

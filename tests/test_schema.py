@@ -60,7 +60,7 @@ def cohort_configs(draw):
         positive_rate=draw(st.floats(0.01, 0.99)),
         score_models=models,
         n_samples=draw(st.integers(1, 10**9)),
-        seed=draw(st.integers(-(2**63), 2**63)),
+        seed=draw(st.integers(0, 2**63)),
         modality_windows=tuple(windows),
         calibrated=calibrated,
         id_prefix=draw(names),

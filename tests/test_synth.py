@@ -208,3 +208,11 @@ def test_integer_fields_take_only_integers(config, field, bad, good):
     with pytest.raises(ValidationError, match=f"{config.__name__}.{field} must be an integer"):
         config(**required, **{field: bad})
     assert getattr(config(**required, **{field: good}), field) == good
+
+
+@pytest.mark.parametrize("config", [CohortConfig, EmbeddingPlantConfig], ids=lambda c: c.__name__)
+def test_negative_seed_is_rejected(config):
+    required = {"equality_sets": GENDER_SETS} if config is EmbeddingPlantConfig else {}
+    with pytest.raises(ValidationError, match=f"{config.__name__}.seed must be non-negative, got -1"):
+        config(**required, seed=-1)
+    assert config(**required, seed=0).seed == 0
