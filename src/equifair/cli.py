@@ -46,6 +46,7 @@ from .metrics import FairnessReport, build_report
 from .predictions import (
     LabeledPredictions,
     read_prediction_file,
+    read_prediction_header,
     write_predictions,
 )
 from .synth import (
@@ -170,11 +171,8 @@ class _EnsembleFile(EnsembleModel):
     constituents: tuple[str, ...] = field(kw_only=True)
 
 
-def _ensemble_fit_stage(out: Path, features: dict[str, np.ndarray], y_true: np.ndarray, C: float) -> tuple[EnsembleModel, Path]:
-    """Fit the score combiner on the named constituent columns and write
-    ensemble_model.json."""
-    model = fit_ensemble(np.column_stack(list(features.values())), y_true, C=C)
-    return model, _write_json(out / "ensemble_model.json", {**model.to_dict(), "constituents": list(features)})
+def _write_ensemble(out: Path, model: EnsembleModel, names) -> Path:
+    return _write_json(out / "ensemble_model.json", {**model.to_dict(), "constituents": list(names)})
 
 
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
@@ -182,17 +180,9 @@ def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: 
     return preds.with_outputs(scores=scores, y_hat=(scores >= threshold).astype(np.int8))
 
 
-def _eo_fit_stage(out: Path, preds: LabeledPredictions, variant: str, loss: LossSpec) -> tuple[DerivedPredictor, Path]:
-    dp = _eo_functions(variant)[0](preds, loss)
-    return dp, _write_json(out / "derived_predictor.json", dp.to_dict())
-
-
-def _eo_apply_stage(out: Path, dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> tuple[LabeledPredictions, Path]:
-    """Apply a derived predictor and write postprocessed.csv (y_hat only)."""
-    post = preds.with_outputs(y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
-    path = out / "postprocessed.csv"
-    write_predictions(post, path)
-    return post, path
+def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> LabeledPredictions:
+    """``preds`` with the derived predictor's y_hat and no scores."""
+    return preds.with_outputs(y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +230,14 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    # a seed is only recorded here, so none given stays null
+    seed = _resolve_seed(args) if args.seed is not None or "EQUIFAIR_SEED" in os.environ else None
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
-    report = build_report(preds, task=args.task, seed=getattr(args, "seed", None))
+    report = build_report(preds, task=args.task, seed=seed)
     report_path = _write_json(out / "report.json", report)
     plot_path = _write_plot_data(out / "plot_data.csv", {args.task or "classifier": report})
-    _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], getattr(args, "seed", None))
+    _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], seed)
     print(f"wrote {report_path}")
     return 0
 
@@ -253,7 +245,8 @@ def _cmd_report(args) -> int:
 def _cmd_eo_fit(args) -> int:
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
-    dp, dp_path = _eo_fit_stage(out, preds, args.variant, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
+    dp = _eo_functions(args.variant)[0](preds, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
+    dp_path = _write_json(out / "derived_predictor.json", dp.to_dict())
     _write_manifest(out, "eo-fit", vars(args), [Path(args.input)], [dp_path], None)
     print(f"wrote {dp_path} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
     return 0
@@ -264,7 +257,8 @@ def _cmd_eo_apply(args) -> int:
     out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     dp = DerivedPredictor.from_dict(schema.read(args.predictor))
-    _, out_path = _eo_apply_stage(out, dp, preds, seed)
+    out_path = out / "postprocessed.csv"
+    write_predictions(_eo_apply_stage(dp, preds, seed), out_path)
     _write_manifest(out, "eo-apply", vars(args), [Path(args.input), Path(args.predictor)], [out_path], seed)
     print(f"wrote {out_path}")
     return 0
@@ -286,7 +280,8 @@ def _cmd_ensemble_fit(args) -> int:
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
-    model, model_path = _ensemble_fit_stage(out, pfile.constituent_scores, pfile.predictions.y_true, args.C)
+    model = fit_ensemble(np.column_stack(list(pfile.constituent_scores.values())), pfile.predictions.y_true, C=args.C)
+    model_path = _write_ensemble(out, model, pfile.constituent_scores)
     _write_manifest(out, "ensemble-fit", vars(args), [Path(args.input)], [model_path], None)
     print(f"wrote {model_path} (converged={model.converged}, iterations={model.n_iter})")
     return 0
@@ -309,11 +304,15 @@ def _cmd_ensemble_predict(args) -> int:
     return 0
 
 
-def _modality_features(cohort) -> dict[str, np.ndarray]:
-    """Constituent scores of a multi-modality cohort, none for a single one."""
-    if len(cohort.modalities) == 1:
-        return {}
-    return {f"m{j}": m.scores for j, m in enumerate(cohort.modalities)}
+def _pipeline_split(args, cfg: CohortConfig | None, seed: int, tag: str) -> tuple[LabeledPredictions, dict[str, np.ndarray]]:
+    """The ``tag`` ("fit" or "eval") split's predictions and constituent
+    scores: read from its file, or generated under its derived seed (a
+    cohort of one modality has no constituents)."""
+    if cfg is None:
+        pfile = read_prediction_file(Path(args.fit_input if tag == "fit" and args.fit_input else args.input), group_col=args.group_col)
+        return pfile.predictions, pfile.constituent_scores
+    modalities = generate_cohort(replace(cfg, seed=derive_seed(seed, tag))).modalities
+    return modalities[0], {f"m{j}": m.scores for j, m in enumerate(modalities)} if len(modalities) > 1 else {}
 
 
 def _cmd_pipeline(args) -> int:
@@ -323,53 +322,56 @@ def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args)
     out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-    inputs: list[Path] = []
-    outputs: list[Path] = []
+    inputs = [Path(p) for p in (args.input, args.fit_input) if p] if args.input else []
     metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
-    # acquire fit and eval prediction sets
+    # Fit, then evaluate: of the eval file only the header is read before
+    # the fit split, which is fitted and dropped before the eval split is
+    # read; nothing is written until both are done.
+    cfg = eval_names = None
     if args.input:
-        eval_file = read_prediction_file(Path(args.input), group_col=args.group_col)
-        fit_file = read_prediction_file(Path(args.fit_input), group_col=args.group_col) if args.fit_input else eval_file
-        inputs += [Path(p) for p in (args.input, args.fit_input) if p]
+        header = read_prediction_header(Path(args.input), group_col=args.group_col)
+        eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
         # the fit file's path is kept in manifest.json, not in the reports
         metadata["fit_split"] = "separate fit input" if args.fit_input else "eval (no separate fit input provided)"
-        fit_preds, eval_preds = fit_file.predictions, eval_file.predictions
-        fit_features, eval_features = fit_file.constituent_scores, eval_file.constituent_scores
     else:
-        base_cfg = _load_cohort_config(args, seed)
-        fit_cohort = generate_cohort(replace(base_cfg, seed=derive_seed(seed, "fit")))
-        eval_cohort = generate_cohort(replace(base_cfg, seed=derive_seed(seed, "eval")))
+        cfg = _load_cohort_config(args, seed)
         metadata["fit_split"] = "synthetic (derived seed)"
-        fit_preds, eval_preds = fit_cohort.modalities[0], eval_cohort.modalities[0]
-        fit_features, eval_features = _modality_features(fit_cohort), _modality_features(eval_cohort)
-
-    # ensemble stage when constituent scores are available
-    if fit_features and eval_features:
-        names = sorted(set(fit_features) & set(eval_features))
+    fit_preds, fit_features = _pipeline_split(args, cfg, seed, "fit")
+    if cfg is not None:
+        eval_names = set(fit_features)  # both cohorts come from one config
+    model = dp = features = None
+    if fit_features and eval_names:
+        names = sorted(eval_names.intersection(fit_features))
         if not names:
             raise ValidationError("fit and eval constituent columns do not overlap")
-        model, model_path = _ensemble_fit_stage(out, {n: fit_features[n] for n in names}, fit_preds.y_true, args.C)
-        outputs.append(model_path)
-        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
-        fit_preds = _ensemble_scored(fit_preds, model, np.column_stack([fit_features[n] for n in names]), 0.5)
+        features = np.column_stack([fit_features[n] for n in names])
+        model = fit_ensemble(features, fit_preds.y_true, C=args.C)
+        fit_preds = _ensemble_scored(fit_preds, model, features, 0.5)
         metadata["ensemble"] = {"constituents": names, "C": args.C}
-
-    base_report = build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)
-    outputs.append(_write_json(out / "base_report.json", base_report))
-    plots = {"base": base_report}
-
     if intervention != "none":
         if fit_preds.y_hat is None and intervention == "eo-hard":
             raise ValidationError("eo-hard requires hard predictions in the fit split")
-        dp, dp_path = _eo_fit_stage(out, fit_preds, intervention.removeprefix("eo-"), loss)
-        post_preds, post_csv = _eo_apply_stage(out, dp, eval_preds, derive_seed(seed, "apply"))
-        outputs += [dp_path, post_csv]
-        post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
-        post_report = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
-        outputs.append(_write_json(out / "post_report.json", post_report))
-        plots[intervention] = post_report
+        dp = _eo_functions(intervention.removeprefix("eo-"))[0](fit_preds, loss)
+    if args.input and not args.fit_input:
+        eval_preds = fit_preds  # the fit split is the eval file, already scored
+    else:
+        del fit_preds, fit_features, features
+        eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
+        if model is not None:
+            eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
 
+    plots = {"base": build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)}
+    if dp is not None:
+        post_preds = _eo_apply_stage(dp, eval_preds, derive_seed(seed, "apply"))
+        post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
+        plots[intervention] = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
+    outputs = [_write_ensemble(out, model, names)] if model is not None else []
+    outputs.append(_write_json(out / "base_report.json", plots["base"]))
+    if dp is not None:
+        outputs += [_write_json(out / "derived_predictor.json", dp.to_dict()), out / "postprocessed.csv"]
+        write_predictions(post_preds, outputs[-1])
+        outputs.append(_write_json(out / "post_report.json", plots[intervention]))
     outputs.append(_write_plot_data(out / "plot_data.csv", plots))
     _write_manifest(out, "pipeline", vars(args), inputs, outputs, seed)
     print(f"pipeline complete: {len(outputs)} artifact(s) in {out}")

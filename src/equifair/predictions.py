@@ -14,6 +14,7 @@ import copy
 import csv
 import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -99,7 +100,9 @@ class LabeledPredictions:
         n = len(ids)
         if n == 0:
             raise EmptyInputError("prediction set contains no samples")
-        if len(set(ids)) != n:
+        # distinct hashes prove distinct ids; only a tie needs the set
+        hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=n))
+        if (hashes[1:] == hashes[:-1]).any() and len(set(ids)) != n:
             raise ValidationError("sample ids must be unique")
         if (groups is None) == (group_codes is None):
             raise ValidationError("exactly one of groups / group_codes is required")
@@ -208,7 +211,8 @@ def _tokenise(block: str, fh, width: int):
     lengths = np.diff(ends, prepend=-1) - 1  # in bytes, so at least the length in characters
     if lengths.max() > csv.field_size_limit():
         return _csv_tokenise(block, fh, width)
-    records = (line.split(",") if line else [] for line in text.split("\n"))
+    # the lines are split only if a bad row must be located
+    records = (line.split(",") if line else [] for whole in (text,) for line in whole.split("\n"))
     filled = lengths > 0
     commas = np.diff(np.searchsorted(np.flatnonzero(data == ord(",")), ends), prepend=0)
     if not (commas[filled] == width - 1).all():
@@ -322,8 +326,10 @@ class _Columns:
                 raise FormatError(f"{self.path}: {c} column must be filled for all rows or none")
         column = {c: np.concatenate(parts) for c, parts in self.parts.items() if parts}
         universe, codes = _recode(self.labels, np.concatenate(self.codes), universe)
+        ids = tuple(self.ids)
+        self.ids.clear()  # the tuple is the only copy the constructor sees
         preds = LabeledPredictions(
-            ids=tuple(self.ids),
+            ids=ids,
             y_true=column["y_true"],
             scores=column.get("score"),
             y_hat=column.get("y_hat"),
@@ -332,6 +338,34 @@ class _Columns:
         )
         consts = {name.removeprefix("score_"): _readonly(column[name]) for name in self.extra}
         return PredictionFile(predictions=preds, constituent_scores=consts)
+
+
+@contextmanager
+def _opened(path: Path, group_col: str):
+    """A prediction CSV open after its header, as ``(file, header)``; the
+    header must name each required column and ``group_col``, and no
+    column twice.  A byte that is not UTF-8 raises ``decode_error``."""
+    try:
+        with path.open("r", encoding="utf-8", newline="") as fh:
+            try:
+                header = next(csv.reader(fh))
+            except StopIteration:
+                raise EmptyInputError(f"{path}: file is empty") from None
+            missing = [c for c in (*REQUIRED_COLUMNS, group_col) if c not in header]
+            if missing:
+                raise FormatError(f"{path}: header is missing columns {missing}")
+            repeated = sorted({c for c in header if header.count(c) > 1})
+            if repeated:
+                raise FormatError(f"{path}: header repeats columns {repeated}")
+            yield fh, header
+    except UnicodeDecodeError:
+        raise decode_error(path) from None
+
+
+def read_prediction_header(path: str | Path, group_col: str = "group") -> list[str]:
+    """The checked header of a prediction CSV, read without its rows."""
+    with _opened(Path(path), group_col) as (_, header):
+        return header
 
 
 def read_prediction_file(
@@ -346,26 +380,13 @@ def read_prediction_file(
     row, which names the row's line (its record number, header = 1), or
     the file offset and physical line of a byte that is not UTF-8."""
     path = Path(path)
-    try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
-            try:
-                header = next(csv.reader(fh))
-            except StopIteration:
-                raise EmptyInputError(f"{path}: file is empty") from None
-            missing = [c for c in (*REQUIRED_COLUMNS, group_col) if c not in header]
-            if missing:
-                raise FormatError(f"{path}: header is missing columns {missing}")
-            repeated = sorted({c for c in header if header.count(c) > 1})
-            if repeated:
-                raise FormatError(f"{path}: header repeats columns {repeated}")
-            columns = _Columns(path, header, group_col)
-            lineno = 2
-            while block := fh.read(_BLOCK_CHARS):
-                count, fields, records = _tokenise(block + fh.readline(), fh, len(header))
-                columns.add(fields, records, lineno)
-                lineno += count
-    except UnicodeDecodeError:
-        raise decode_error(path) from None
+    with _opened(path, group_col) as (fh, header):
+        columns = _Columns(path, header, group_col)
+        lineno = 2
+        while block := fh.read(_BLOCK_CHARS):
+            count, fields, records = _tokenise(block + fh.readline(), fh, len(header))
+            columns.add(fields, records, lineno)
+            lineno += count
     return columns.result(universe)
 
 

@@ -3,12 +3,14 @@ import hashlib
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from equifair import (
+    cli,
     confusion_rates,
     debias,
     fit_eo_hard,
@@ -167,6 +169,29 @@ class TestReportCommand:
         with pytest.raises(SystemExit):
             main(["report", "--no-such-flag"])
         assert sys.stdout.errors == before != "backslashreplace"
+
+    def test_seed_from_the_environment(self, cohort_csv, tmp_path, monkeypatch, capsys):
+        """``--seed``, else ``EQUIFAIR_SEED``, is checked and recorded; with
+        neither the seed stays null."""
+
+        def seeds(out):
+            report = json.loads((out / "report.json").read_text())
+            return report["metadata"]["seed"], json.loads((out / "manifest.json").read_text())["seed"]
+
+        argv = ["report", "--input", str(cohort_csv), "--out"]
+        monkeypatch.setenv("EQUIFAIR_SEED", "5")
+        assert main([*argv, str(tmp_path / "env")]) == 0
+        assert seeds(tmp_path / "env") == (5, 5)
+        monkeypatch.setenv("EQUIFAIR_SEED", "-2")
+        assert main([*argv, str(tmp_path / "flag"), "--seed", "3"]) == 0
+        assert seeds(tmp_path / "flag") == (3, 3)
+        capsys.readouterr()
+        assert main([*argv, str(tmp_path / "bad")]) == 6
+        assert capsys.readouterr().err == "invalid-input: EQUIFAIR_SEED must be a non-negative integer, got '-2'\n"
+        assert not (tmp_path / "bad").exists()
+        monkeypatch.delenv("EQUIFAIR_SEED")
+        assert main([*argv, str(tmp_path / "none")]) == 0
+        assert seeds(tmp_path / "none") == (None, None)
 
     def test_empty_input_exit_code_and_category(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -374,6 +399,35 @@ class TestPipeline:
         report = report_from_json((tmp_path / "base_report.json").read_text())
         assert report.metadata["ensemble"]["constituents"] == ["m0", "m1"]
 
+    @pytest.mark.parametrize("constituents", [False, True])
+    def test_fit_split_is_dropped_before_the_eval_split_is_read(self, constituents, tmp_path, monkeypatch):
+        """The fit split is read, fitted and collected (with the ensemble's
+        scored copy of it) before the eval file's rows are read."""
+        preds = preds_from_counts({"A": (10, 8, 10, 2), "B": (10, 6, 10, 3)})
+        rng = np.random.default_rng(0)
+        for name in ("fit.csv", "eval.csv"):
+            scores = {f"m{j}": rng.random(len(preds)) for j in range(2)} if constituents else None
+            write_predictions(preds, tmp_path / name, constituent_scores=scores)
+        read, fit_refs, names = cli.read_prediction_file, [], []
+
+        def reading(path, **kwargs):
+            names.append(Path(path).name)
+            if names[-1] == "eval.csv":
+                assert [ref() for ref in fit_refs] == [None, None]
+            pfile = read(path, **kwargs)
+            if names[-1] == "fit.csv":
+                fit_refs.extend((weakref.ref(pfile.predictions), weakref.ref(pfile.predictions.y_true)))
+            return pfile
+
+        monkeypatch.setattr(cli, "read_prediction_file", reading)
+        argv = [
+            "pipeline", "--intervention", "eo-hard", "--seed", "3", "--fit-input", tmp_path / "fit.csv",
+            "--input", tmp_path / "eval.csv", "--out", tmp_path / "out",
+        ]
+        assert main([str(a) for a in argv]) == 0
+        assert names == ["fit.csv", "eval.csv"]
+        assert (tmp_path / "out/ensemble_model.json").exists() == constituents
+
     def test_help_lists_no_embedding_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["pipeline", "--help"])
@@ -485,6 +539,11 @@ ENSEMBLE_MODEL = {
     "constituents": ["m0", "m1"],
 }
 
+# pipeline inputs: fit.csv and eval.csv (None: a good file)
+ROWS = "a1,A,1,,1\na2,A,0,,0\nb1,B,1,,1\nb2,B,0,,1\n"
+BAD_Y_TRUE = HEADER + "a1,A,1,,1\na2,A,2,,0\n"  # line 3
+BAD_Y_HAT = HEADER + "a1,A,1,,x\n"  # line 2
+
 # case: (command, predictor edit or extra flags or input bytes, exit code, category, text in the message)
 MALFORMED = {
     "predictor-without-groups": ("eo-apply", _without("groups"), 4, "format-error", "groups"),
@@ -582,6 +641,26 @@ MALFORMED = {
         "pipeline", ["--intervention", "eo-hard+debias"], 6, "invalid-input", "unknown intervention 'eo-hard+debias'",
     ),
     "pipeline-window-three-bounds": ("pipeline", ["--modality-windows", "0:0.5:1"], 6, "invalid-input", "'0:0.5:1'"),
+    "report-seed-negative": ("report", ["--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer, got -1"),
+    "pipeline-eval-malformed": (
+        "pipeline-files", (None, BAD_Y_HAT), 4, "format-error", "line 2: column 'y_hat' must be 0 or 1, got 'x'",
+    ),
+    "pipeline-fit-malformed": (
+        "pipeline-files", (BAD_Y_TRUE, None), 4, "format-error", "line 3: column 'y_true' must be 0 or 1, got '2'",
+    ),
+    "pipeline-fit-group-lacks-a-class": (
+        "pipeline-files", (HEADER + ROWS + "c1,C,1,,1\n", None), 6, "invalid-input", "groups missing a class: ['C']",
+    ),
+    "pipeline-eval-group-not-fitted": (
+        "pipeline-files", (None, HEADER + ROWS + "c1,C,1,,1\n"), 8, "group-mismatch", "not covered by the derived predictor: ['C']",
+    ),
+    # several bad inputs: the eval header, then the fit side, then the eval rows
+    "pipeline-both-malformed": (
+        "pipeline-files", (BAD_Y_TRUE, BAD_Y_HAT), 4, "format-error", "line 3: column 'y_true' must be 0 or 1, got '2'",
+    ),
+    "pipeline-eval-header-and-fit-malformed": (
+        "pipeline-files", (BAD_Y_TRUE, "id,y_true\n"), 4, "format-error", "eval.csv: header is missing columns",
+    ),
 }
 
 
@@ -610,6 +689,15 @@ class TestMalformedInputs:
             argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
         elif command == "pipeline":
             argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *arg, "--out", out]
+        elif command == "pipeline-files":
+            for name, text in zip(("fit.csv", "eval.csv"), arg):
+                (tmp_path / name).write_bytes(csv_path.read_bytes() if text is None else text.encode())
+            argv = [
+                "pipeline", "--intervention", "eo-hard", "--fit-input", tmp_path / "fit.csv",
+                "--input", tmp_path / "eval.csv", "--out", out,
+            ]
+        elif command == "report":
+            argv = ["report", "--input", csv_path, *arg, "--out", out]
         elif command == "synth":
             argv = ["synth", *arg, "--out", out]
         elif command == "synth-config":

@@ -105,6 +105,41 @@ class TestValidation:
             small_preds(groups=None if codes is None else ("g1", "g1", "g2", "g2"), group_codes=codes)
 
 
+class _TiedHash(str):
+    """A str whose hash is the same for every value."""
+
+    def __hash__(self):
+        return 7
+
+
+# equal values of different types, and distinct ints of equal hash
+# (hash(-1) == hash(-2), hash(0) == hash(2**61 - 1))
+TRICKY_IDS = [1, 1.0, True, "1", 0, 0.0, -0.0, False, -1, -2, 2**61 - 1, "a"]
+
+
+class TestUniqueIds:
+    """Sorted hashes prove ids distinct; a tie falls back to a set."""
+
+    def test_distinct_ids_with_tied_hashes_accepted(self):
+        ids = tuple(map(_TiedHash, "abcd"))
+        assert small_preds(ids=ids).ids == ids
+
+    def test_repeated_id_with_tied_hashes_rejected(self):
+        with pytest.raises(ValidationError, match="^sample ids must be unique$"):
+            small_preds(ids=tuple(map(_TiedHash, "abca")))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TRICKY_IDS), st.integers(), st.floats(allow_nan=False), st.text(max_size=2)), min_size=1, max_size=12))
+    def test_agrees_with_a_set(self, ids):
+        n = len(ids)
+        build = lambda: LabeledPredictions(ids=ids, y_true=np.zeros(n), groups=("g",) * n, y_hat=np.zeros(n))
+        if len(set(ids)) == n:
+            assert build().ids == tuple(ids)
+        else:
+            with pytest.raises(ValidationError, match="^sample ids must be unique$"):
+                build()
+
+
 class TestGroupCodes:
     LABELS = ("b", "a", "c", "a", "b", "b")
 
