@@ -192,7 +192,6 @@ def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) 
 def _cmd_synth(args) -> int:
     seed = _resolve_seed(args)
     out = _out_dir(args)
-    outputs = []
     if args.plant_embeddings:
         sets = resolve_equality_sets(args.equality_sets)
         cfg = EmbeddingPlantConfig(
@@ -203,22 +202,20 @@ def _cmd_synth(args) -> int:
             seed=seed,
         )
         emb, _, planted = generate_embeddings(cfg)
-        emb_path = out / "embeddings.txt"
-        save_embeddings(emb, emb_path)
-        outputs.append(emb_path)
+        outputs = [out / "embeddings.txt"]
+        save_embeddings(emb, outputs[0])
         outputs.append(_write_json(out / "planted_subspace.json", {"basis": planted.basis.tolist(), "noise": args.noise}))
-        _write_manifest(out, "synth", vars(args), [], outputs, seed)
-        print(f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}")
-        return 0
-    cfg = _load_cohort_config(args, seed)
-    cohort = generate_cohort(cfg)
-    for m, preds in enumerate(cohort.modalities):
-        path = out / f"modality_{m}.csv"
-        write_predictions(preds, path)
-        outputs.append(path)
-    outputs.append(_write_json(out / "analytic_rates.json", {"analytic_rates": cohort.analytic_rates, "config": cohort.config}))
+        status = f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}"
+    else:
+        cohort = generate_cohort(_load_cohort_config(args, seed))
+        outputs = []
+        for m, preds in enumerate(cohort.modalities):
+            outputs.append(out / f"modality_{m}.csv")
+            write_predictions(preds, outputs[-1])
+        outputs.append(_write_json(out / "analytic_rates.json", {"analytic_rates": cohort.analytic_rates, "config": cohort.config}))
+        status = f"wrote {len(cohort.modalities)} modality file(s) to {out}"
     _write_manifest(out, "synth", vars(args), [], outputs, seed)
-    print(f"wrote {len(cohort.modalities)} modality file(s) to {out}")
+    print(status)
     return 0
 
 
@@ -319,10 +316,14 @@ def _cmd_pipeline(args) -> int:
     intervention = args.intervention
     if intervention not in INTERVENTIONS:
         raise ValidationError(f"unknown intervention {intervention!r}; expected exactly one of {list(INTERVENTIONS)}")
+    if args.fit_input and not args.input:
+        raise ValidationError("--fit-input needs --input: without it both splits are synthetic")
+    if args.synth_config and args.input:
+        raise ValidationError("--synth-config applies only without --input")
     seed = _resolve_seed(args)
     out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-    inputs = [Path(p) for p in (args.input, args.fit_input) if p] if args.input else []
+    inputs = [Path(p) for p in (args.input, args.fit_input) if p]
     metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
     # Fit, then evaluate: of the eval file only the header is read before

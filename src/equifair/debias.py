@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -261,24 +261,21 @@ class DebiasResult:
         }
 
 
-NeutralPolicy = Callable[[str], bool] | Iterable[str] | None
-
-
 def hard_debias(
     emb: EmbeddingMatrix,
     sets: EqualitySets,
-    neutral_policy: NeutralPolicy = None,
+    neutral_policy: Iterable[str] | None = None,
     k: int | None = None,
 ) -> DebiasResult:
     """Neutralize and equalize an embedding matrix.
 
     All vectors are unit-normalized first.  ``neutral_policy`` selects the
     words to neutralize: None (default) selects every vocabulary word not
-    in any equality set, an iterable selects listed words, and a callable
-    is used as a token predicate.  ``k`` defaults to (largest resolvable
-    set size) - 1.  Words that cannot be processed are collected into the
-    result's skip report instead of aborting the batch.  Tokens appearing
-    in several equality sets keep the vector from the last set processed.
+    in any equality set, and an iterable of tokens selects the vocabulary
+    words it lists.  ``k`` defaults to (largest resolvable set size) - 1.
+    Words that cannot be processed are collected into the result's skip
+    report instead of aborting the batch.  Tokens appearing in several
+    equality sets keep the vector from the last set processed.
     """
     normalized = emb.unit_normalized()
     usable, dropped = sets.resolve(normalized)
@@ -291,8 +288,6 @@ def hard_debias(
     set_words = sets.all_words()
     if neutral_policy is None:
         neutral = [t for t in normalized.tokens if t not in set_words]
-    elif callable(neutral_policy):
-        neutral = [t for t in normalized.tokens if neutral_policy(t)]
     else:
         wanted = set(neutral_policy)
         neutral = [t for t in normalized.tokens if t in wanted]
@@ -370,10 +365,8 @@ def _exit_with_parent() -> None:
 
 def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
     """``(job, fn(*job))`` in job order, with up to ``window`` jobs in
-    flight.  An error raised by ``jobs`` comes after the results of the
-    jobs before it, as it would in a lazy ``map``.  Once a worker has
-    died (killed for its memory, say), the jobs it leaves run in this
-    process."""
+    flight.  Once a worker has died (killed for its memory, say), the
+    jobs it leaves run in this process."""
     from concurrent.futures.process import BrokenProcessPool
 
     def submit(job):
@@ -390,17 +383,8 @@ def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
                 pass
         return job, fn(*job)
 
-    jobs = iter(jobs)
     pending: deque = deque()
-    while True:
-        try:
-            job = next(jobs)
-        except StopIteration:
-            break
-        except Exception:
-            while pending:
-                yield settle(*pending.popleft())
-            raise
+    for job in jobs:
         pending.append((job, submit(job)))
         if len(pending) > window:
             yield settle(*pending.popleft())
@@ -482,9 +466,9 @@ def _replay_block(path: Path, lines: list[str], lineno: int, dim: int, seen: set
     return tokens, np.array(rows, dtype=np.float64).reshape(len(tokens), dim)
 
 
-def _line_blocks(fh, rows: int):
-    """Lists of ``rows`` lines of ``fh``.  A byte that is not UTF-8 is
-    raised after the lines before it are yielded."""
+def _line_blocks(fh, rows: int, undecodable: list[UnicodeDecodeError]):
+    """Lists of ``rows`` lines of ``fh``.  A byte that is not UTF-8 ends
+    them: its error goes to ``undecodable``, after the lines before it."""
     block: list[str] = []
     try:
         for line in fh:
@@ -492,10 +476,8 @@ def _line_blocks(fh, rows: int):
             if len(block) == rows:
                 yield block
                 block = []
-    except UnicodeDecodeError:
-        if block:
-            yield block
-        raise
+    except UnicodeDecodeError as exc:
+        undecodable.append(exc)
     if block:
         yield block
 
@@ -525,8 +507,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             seen: set[str] = set()
             blocks: list[np.ndarray] = []
             lineno = 2
+            undecodable: list[UnicodeDecodeError] = []
             with _block_map(vocab_size * dim) as run:
-                jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim)))
+                jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
                 for (lines, _), parsed in run(_parse_block, jobs):
                     if parsed is not None:
                         seen.update(parsed[0])
@@ -536,6 +519,8 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                     tokens += parsed[0]
                     blocks.append(parsed[1])
                     lineno += len(lines)
+            if undecodable:
+                raise undecodable[0]
     except UnicodeDecodeError:
         raise decode_error(path) from None
     if len(tokens) != vocab_size:

@@ -77,27 +77,19 @@ class LossSpec:
             object.__setattr__(self, "group_weights", gw)
 
 
-def _group_weights(rates: Mapping[str, GroupRateEntry], loss: LossSpec, groups: tuple[str, ...]) -> dict[str, float]:
-    if loss.group_weights is not None:
-        missing = [g for g in groups if g not in loss.group_weights]
-        if missing:
-            raise ValidationError(f"group weights missing for groups {missing}")
-        total = sum(loss.group_weights[g] for g in groups)
-        return {g: loss.group_weights[g] / total for g in groups}
-    total = sum(rates[g].n_pos + rates[g].n_neg for g in groups)
-    return {g: (rates[g].n_pos + rates[g].n_neg) / total for g in groups}
-
-
 def _group_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> dict[str, tuple[float, float]]:
     """Per non-empty group, (k_fp, k_fn) such that its operating point
     (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
-    groups = tuple(g for g, e in rates.items() if e.n_pos + e.n_neg > 0)
-    w = _group_weights(rates, loss, groups)
+    sizes = {g: e.n_pos + e.n_neg for g, e in rates.items() if e.n_pos + e.n_neg > 0}
+    weights = sizes if loss.group_weights is None else loss.group_weights
+    missing = [g for g in sizes if g not in weights]
+    if missing:
+        raise ValidationError(f"group weights missing for groups {missing}")
+    total = sum(weights[g] for g in sizes)
     out = {}
-    for g in groups:
-        e = rates[g]
-        n = e.n_pos + e.n_neg
-        out[g] = (loss.cost_fp * w[g] * (e.n_neg / n), loss.cost_fn * w[g] * (e.n_pos / n))
+    for g, n in sizes.items():
+        w = weights[g] / total
+        out[g] = (loss.cost_fp * w * (rates[g].n_neg / n), loss.cost_fn * w * (rates[g].n_pos / n))
     return out
 
 
@@ -471,14 +463,12 @@ class DerivedPredictor:
         return next(iter(self.policies.values())).variant
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "target": {"fpr": self.target[0], "tpr": self.target[1]},
-            "objective": self.objective,
-            "loss": asdict(self.loss),
-            "fit_rates": {g: asdict(e) for g, e in self.fit_rates.items()},
-            "groups": {g: asdict(p) for g, p in sorted(self.policies.items())},
-        }
+        """The JSON form, as the ``_HardForm`` or ``_SoftForm`` that ``from_dict`` loads."""
+        form = _SoftForm if self.variant == "soft" else _HardForm
+        return asdict(form(
+            variant=self.variant, target=_Target(*self.target), objective=self.objective, loss=self.loss,
+            fit_rates=dict(self.fit_rates), groups=dict(sorted(self.policies.items())),
+        ))
 
     @staticmethod
     def from_dict(d: Mapping) -> "DerivedPredictor":

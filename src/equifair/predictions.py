@@ -154,19 +154,21 @@ class PredictionFile:
     constituent_scores: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _parse_binary(value: str, column: str, line: int) -> int:
+def _parse_binary(value: str, column: str, where: str) -> int:
+    """``value`` as 0 or 1; ``where`` (``<path>: line <k>``) begins the error."""
     if value in ("0", "1"):
         return int(value)
-    raise FormatError(f"line {line}: column {column!r} must be 0 or 1, got {value!r}")
+    raise FormatError(f"{where}: column {column!r} must be 0 or 1, got {value!r}")
 
 
-def _parse_score(value: str, column: str, line: int) -> float:
+def _parse_score(value: str, column: str, where: str) -> float:
+    """``value`` as a real in [0, 1]; ``where`` begins the error."""
     try:
         x = float(value)
     except ValueError:
-        raise FormatError(f"line {line}: column {column!r} is not a number: {value!r}") from None
+        raise FormatError(f"{where}: column {column!r} is not a number: {value!r}") from None
     if not 0.0 <= x <= 1.0:
-        raise FormatError(f"line {line}: column {column!r} must lie in [0, 1], got {value!r}")
+        raise FormatError(f"{where}: column {column!r} must lie in [0, 1], got {value!r}")
     return x
 
 
@@ -293,29 +295,30 @@ class _Columns:
 
     def _raise_first_error(self, records, lineno: int):
         """Check a block's rows one by one; raises at the first bad one."""
-        path, at = self.path, self.at
+        at = self.at
         score_seen, hat_seen = self.seen["score"], self.seen["y_hat"]
         for k, row in enumerate(records, start=lineno):
             if not row:
                 continue
+            where = f"{self.path}: line {k}"
             if len(row) != self.width:
-                raise FormatError(f"{path}: line {k}: expected {self.width} fields, got {len(row)}")
-            _parse_binary(row[at["y_true"]], "y_true", k)
+                raise FormatError(f"{where}: expected {self.width} fields, got {len(row)}")
+            _parse_binary(row[at["y_true"]], "y_true", where)
             s_raw, h_raw = row[at["score"]], row[at["y_hat"]]
             if s_raw == "" and h_raw == "":
-                raise FormatError(f"{path}: line {k}: score and y_hat are both empty")
+                raise FormatError(f"{where}: score and y_hat are both empty")
             if s_raw != "":
                 score_seen = True
-                _parse_score(s_raw, "score", k)
+                _parse_score(s_raw, "score", where)
             elif score_seen:
-                raise FormatError(f"{path}: line {k}: score column must be filled for all rows or none")
+                raise FormatError(f"{where}: score column must be filled for all rows or none")
             if h_raw != "":
                 hat_seen = True
-                _parse_binary(h_raw, "y_hat", k)
+                _parse_binary(h_raw, "y_hat", where)
             elif hat_seen:
-                raise FormatError(f"{path}: line {k}: y_hat column must be filled for all rows or none")
+                raise FormatError(f"{where}: y_hat column must be filled for all rows or none")
             for name, i in self.extra.items():
-                _parse_score(row[i], name, k)
+                _parse_score(row[i], name, where)
         raise AssertionError("a column check failed but every row passed")
 
     def result(self, universe: tuple[str, ...]) -> PredictionFile:

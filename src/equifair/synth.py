@@ -230,23 +230,11 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
     codes = rng.choice(len(names), size=n, p=[cfg.groups[g] for g in names])  # indices into names
     y = (rng.random(n) < cfg.positive_rate).astype(np.int8)
     ids = tuple(f"{cfg.id_prefix}{i:06d}" for i in range(n))
-    mu = np.zeros(n)
-    sig = np.ones(n)
-    for j, g in enumerate(names):
-        m = codes == j
-        model = cfg.score_models[g]
-        mu[m & (y == 1)] = model.mu_pos
-        sig[m & (y == 1)] = model.sigma_pos
-        mu[m & (y == 0)] = model.mu_neg
-        sig[m & (y == 0)] = model.sigma_neg
+    models = [cfg.score_models[g] for g in names]
+    # (group, class) tables of each row's logit mean and scale
+    mu, sig = np.array([[(m.mu_neg, m.sigma_neg), (m.mu_pos, m.sigma_pos)] for m in models])[codes, y].T
     if cfg.calibrated:
-        post_a = np.zeros(n)
-        post_b = np.zeros(n)
-        for j, g in enumerate(names):
-            a_g, b_g = cfg.score_models[g].posterior_coefficients(cfg.positive_rate)
-            m = codes == j
-            post_a[m] = a_g
-            post_b[m] = b_g
+        post_a, post_b = np.array([m.posterior_coefficients(cfg.positive_rate) for m in models])[codes].T
     idx = np.arange(n)
     modalities = []
     for lo, hi in cfg.modality_windows:

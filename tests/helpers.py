@@ -111,4 +111,9 @@ MALFORMED_EMBEDDINGS = {
         {_CHUNK_LINE - 2: "w1 0.5", _CHUNK_LINE + 2: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS
     ).replace(b"\xc3\xa9", b"\xe9"),
     "bad-line-in-the-chunk-of-a-bad-byte": embedding_file({3: "w1 0.5", 5: "w\xe9 0.5 0.5"}).replace(b"\xc3\xa9", b"\xe9"),
+    # the header's read decodes the first 8192 bytes: a long line 2 puts
+    # line 3's bad byte past them, in the first block
+    "not-utf8-in-the-first-block": embedding_file(
+        {2: f"w{'a' * 8100} 0.5 0.5", 3: f"w{'b' * 200}\xe9 0.5 0.5"}
+    ).replace(b"\xc3\xa9", b"\xe9"),
 }

@@ -8,6 +8,7 @@ paths it checks.
 import csv
 import hashlib
 import math
+from dataclasses import asdict
 from itertools import repeat
 from pathlib import Path
 from types import SimpleNamespace
@@ -243,19 +244,19 @@ def replicate_per_group(preds, per_group):
     )
 
 
-def _parse_binary_oracle(value, column, line):
+def _parse_binary_oracle(value, column, path, line):
     if value in ("0", "1"):
         return int(value)
-    raise FormatError(f"line {line}: column {column!r} must be 0 or 1, got {value!r}")
+    raise FormatError(f"{path}: line {line}: column {column!r} must be 0 or 1, got {value!r}")
 
 
-def _parse_score_oracle(value, column, line):
+def _parse_score_oracle(value, column, path, line):
     try:
         x = float(value)
     except ValueError:
-        raise FormatError(f"line {line}: column {column!r} is not a number: {value!r}") from None
+        raise FormatError(f"{path}: line {line}: column {column!r} is not a number: {value!r}") from None
     if not 0.0 <= x <= 1.0:
-        raise FormatError(f"line {line}: column {column!r} must lie in [0, 1], got {value!r}")
+        raise FormatError(f"{path}: line {line}: column {column!r} must lie in [0, 1], got {value!r}")
     return x
 
 
@@ -285,22 +286,22 @@ def read_prediction_file_oracle(path, group_col="group", universe=()):
                 raise FormatError(f"{path}: line {lineno}: expected {len(header)} fields, got {len(row)}")
             ids.append(row[col["id"]])
             groups.append(row[col[group_col]])
-            y_true.append(_parse_binary_oracle(row[col["y_true"]], "y_true", lineno))
+            y_true.append(_parse_binary_oracle(row[col["y_true"]], "y_true", path, lineno))
             s_raw, h_raw = row[col["score"]], row[col["y_hat"]]
             if s_raw == "" and h_raw == "":
                 raise FormatError(f"{path}: line {lineno}: score and y_hat are both empty")
             if s_raw != "":
                 score_seen = True
-                scores.append(_parse_score_oracle(s_raw, "score", lineno))
+                scores.append(_parse_score_oracle(s_raw, "score", path, lineno))
             elif score_seen:
                 raise FormatError(f"{path}: line {lineno}: score column must be filled for all rows or none")
             if h_raw != "":
                 hat_seen = True
-                y_hat.append(_parse_binary_oracle(h_raw, "y_hat", lineno))
+                y_hat.append(_parse_binary_oracle(h_raw, "y_hat", path, lineno))
             elif hat_seen:
                 raise FormatError(f"{path}: line {lineno}: y_hat column must be filled for all rows or none")
             for name in extra:
-                features[name].append(_parse_score_oracle(row[col[name]], name, lineno))
+                features[name].append(_parse_score_oracle(row[col[name]], name, path, lineno))
         if not ids:
             raise EmptyInputError(f"{path}: no data rows")
         if score_seen and len(scores) != len(ids):
@@ -388,6 +389,52 @@ def format_embeddings_oracle(emb):
             raise FormatError(f"token {tok!r} contains whitespace; not serializable")
         lines.append(tok + " " + " ".join(repr(float(v)) for v in emb.vectors[i]))
     return "\n".join(lines) + "\n"
+
+
+def cohort_oracle(cfg):
+    """``(group codes, y_true, scores per modality)`` of ``generate_cohort(cfg)``,
+    each row's logit mean and scale and calibrated posterior set one group
+    mask at a time, as the library did before it read them from per-group
+    tables."""
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_samples
+    names = list(cfg.groups)
+    codes = rng.choice(len(names), size=n, p=[cfg.groups[g] for g in names])
+    y = (rng.random(n) < cfg.positive_rate).astype(np.int8)
+    mu, sig, post_a, post_b = np.zeros(n), np.ones(n), np.zeros(n), np.zeros(n)
+    for j, g in enumerate(names):
+        m = codes == j
+        model = cfg.score_models[g]
+        mu[m & (y == 1)] = model.mu_pos
+        sig[m & (y == 1)] = model.sigma_pos
+        mu[m & (y == 0)] = model.mu_neg
+        sig[m & (y == 0)] = model.sigma_neg
+        if cfg.calibrated:
+            post_a[m], post_b[m] = model.posterior_coefficients(cfg.positive_rate)
+    scores = []
+    for lo, hi in cfg.modality_windows:
+        z = rng.standard_normal(n)
+        informative = (np.arange(n) >= lo * n) & (np.arange(n) < hi * n)
+        logits = np.where(informative, mu + sig * z, z)
+        if cfg.calibrated:
+            posterior = 1.0 / (1.0 + np.exp(-(post_a * logits + post_b)))
+            scores.append(np.where(informative, posterior, cfg.positive_rate))
+        else:
+            scores.append(1.0 / (1.0 + np.exp(-logits)))
+    return codes, y, scores
+
+
+def derived_predictor_dict_oracle(dp):
+    """The JSON form of a DerivedPredictor, key by key, as ``to_dict``
+    built it before it took the form dataclasses ``from_dict`` loads."""
+    return {
+        "variant": dp.variant,
+        "target": {"fpr": dp.target[0], "tpr": dp.target[1]},
+        "objective": dp.objective,
+        "loss": asdict(dp.loss),
+        "fit_rates": {g: asdict(e) for g, e in dp.fit_rates.items()},
+        "groups": {g: asdict(p) for g, p in sorted(dp.policies.items())},
+    }
 
 
 def sample_uniforms_oracle(seed, purpose, sample_id, n=3):

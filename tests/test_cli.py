@@ -641,12 +641,18 @@ MALFORMED = {
         "pipeline", ["--intervention", "eo-hard+debias"], 6, "invalid-input", "unknown intervention 'eo-hard+debias'",
     ),
     "pipeline-window-three-bounds": ("pipeline", ["--modality-windows", "0:0.5:1"], 6, "invalid-input", "'0:0.5:1'"),
+    # flags a run would ignore; "preds.csv" stands for a good prediction file
+    "pipeline-fit-input-without-input": ("pipeline", ["--fit-input", "preds.csv"], 6, "invalid-input", "--fit-input needs --input"),
+    "pipeline-synth-config-with-input": (
+        "pipeline", ["--input", "preds.csv", "--synth-config", "cohort.json"], 6, "invalid-input",
+        "--synth-config applies only without --input",
+    ),
     "report-seed-negative": ("report", ["--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer, got -1"),
     "pipeline-eval-malformed": (
-        "pipeline-files", (None, BAD_Y_HAT), 4, "format-error", "line 2: column 'y_hat' must be 0 or 1, got 'x'",
+        "pipeline-files", (None, BAD_Y_HAT), 4, "format-error", "eval.csv: line 2: column 'y_hat' must be 0 or 1, got 'x'",
     ),
     "pipeline-fit-malformed": (
-        "pipeline-files", (BAD_Y_TRUE, None), 4, "format-error", "line 3: column 'y_true' must be 0 or 1, got '2'",
+        "pipeline-files", (BAD_Y_TRUE, None), 4, "format-error", "fit.csv: line 3: column 'y_true' must be 0 or 1, got '2'",
     ),
     "pipeline-fit-group-lacks-a-class": (
         "pipeline-files", (HEADER + ROWS + "c1,C,1,,1\n", None), 6, "invalid-input", "groups missing a class: ['C']",
@@ -656,7 +662,7 @@ MALFORMED = {
     ),
     # several bad inputs: the eval header, then the fit side, then the eval rows
     "pipeline-both-malformed": (
-        "pipeline-files", (BAD_Y_TRUE, BAD_Y_HAT), 4, "format-error", "line 3: column 'y_true' must be 0 or 1, got '2'",
+        "pipeline-files", (BAD_Y_TRUE, BAD_Y_HAT), 4, "format-error", "fit.csv: line 3: column 'y_true' must be 0 or 1, got '2'",
     ),
     "pipeline-eval-header-and-fit-malformed": (
         "pipeline-files", (BAD_Y_TRUE, "id,y_true\n"), 4, "format-error", "eval.csv: header is missing columns",
@@ -688,7 +694,7 @@ class TestMalformedInputs:
         elif command == "eo-fit":
             argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
         elif command == "pipeline":
-            argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *arg, "--out", out]
+            argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *(csv_path if a == "preds.csv" else a for a in arg), "--out", out]
         elif command == "pipeline-files":
             for name, text in zip(("fit.csv", "eval.csv"), arg):
                 (tmp_path / name).write_bytes(csv_path.read_bytes() if text is None else text.encode())

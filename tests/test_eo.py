@@ -20,7 +20,7 @@ from equifair import (
     gap_ranges,
     roc_curve,
 )
-from equifair import eo
+from equifair import eo, schema
 from equifair.eo import (
     _NEVER_POSITIVE,
     DerivedPredictor,
@@ -39,6 +39,7 @@ from helpers import point_in_convex_polygon, soft_regions_of
 from oracles import (
     apply_hard_oracle,
     apply_soft_oracle,
+    derived_predictor_dict_oracle,
     hard_grid_oracle,
     preds_from_counts,
     roc_hull_oracle,
@@ -475,7 +476,31 @@ class TestLossSpec:
             LossSpec(**kwargs)
 
 
+class TestGroupWeights:
+    @pytest.mark.parametrize("scale", [1, 7])
+    @pytest.mark.parametrize("fit", [fit_eo_hard, fit_eo_soft], ids=["hard", "soft"])
+    def test_weights_in_proportion_to_group_sizes_give_the_default_fit(self, fit, scale):
+        preds = scored_preds(seed=31, n=900, groups=("A", "B", "C"))
+        default = fit(preds, LossSpec(cost_fn=3.0))
+        sizes = {g: float(scale * (e.n_pos + e.n_neg)) for g, e in default.fit_rates.items()}
+        weighted = fit(preds, LossSpec(cost_fn=3.0, group_weights=sizes))
+        assert weighted.target == default.target
+        assert weighted.policies == default.policies
+        assert weighted.objective == default.objective
+
+    def test_a_group_missing_from_the_weights_is_rejected(self):
+        preds = scored_preds(seed=31, n=900, groups=("A", "B", "C"))
+        with pytest.raises(ValidationError, match=r"^group weights missing for groups \['C'\]$"):
+            fit_eo_hard(preds, LossSpec(group_weights={"A": 1.0, "B": 2.0}))
+
+
 class TestDerivedPredictor:
+    @pytest.mark.parametrize("weights", [None, {"A": 2.0, "B": 1.0, "C": 0.5}], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("fit", [fit_eo_hard, fit_eo_soft], ids=["hard", "soft"])
+    def test_to_dict_equals_the_key_by_key_oracle(self, fit, weights):
+        dp = fit(scored_preds(seed=32, n=900, groups=("C", "A", "B")), LossSpec(cost_fn=3.0, group_weights=weights))
+        assert schema.dumps(dp.to_dict(), "derived predictor") == schema.dumps(derived_predictor_dict_oracle(dp), "derived predictor")
+
     def test_variant_follows_policy_type(self):
         preds = scored_preds(seed=12, n=300)
         assert fit_eo_hard(preds).variant == "hard"

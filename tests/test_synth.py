@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from equifair import (
 )
 from equifair.synth import (
     ETHNICITY_PROPORTIONS,
+    GROUP_PRESETS,
     SEX_PROPORTIONS,
     ScoreModel,
     gapped_score_models,
@@ -21,7 +23,7 @@ from equifair.synth import (
 )
 from equifair.wordsets import GENDER_SETS, RACE_SETS
 
-from oracles import format_embeddings_oracle
+from oracles import cohort_oracle, format_embeddings_oracle
 
 
 class TestCohortConfig:
@@ -73,6 +75,25 @@ class TestGenerateCohort:
         preds = generate_cohort(CohortConfig(n_samples=n, seed=14)).modalities[0]
         rate = preds.y_true.mean()
         assert abs(rate - 0.131) <= 3 * np.sqrt(0.131 * 0.869 / n)
+
+    @pytest.mark.parametrize("windows", [((0.0, 1.0),), ((0.0, 0.6), (0.3, 1.0))], ids=["one-window", "two-windows"])
+    @pytest.mark.parametrize("calibrated", [False, True], ids=["plain", "calibrated"])
+    @pytest.mark.parametrize("preset", sorted(GROUP_PRESETS))
+    def test_equals_the_group_mask_oracle(self, preset, calibrated, windows):
+        groups = GROUP_PRESETS[preset]
+        models = gapped_score_models(groups)
+        if not calibrated:  # class scales that differ by group and class; calibration needs them equal
+            models = {g: replace(m, sigma_neg=0.8 + 0.1 * i, sigma_pos=1.3 - 0.1 * i) for i, (g, m) in enumerate(models.items())}
+        cfg = CohortConfig(
+            groups=groups, score_models=models, n_samples=3000, seed=21, modality_windows=windows, calibrated=calibrated
+        )
+        modalities = generate_cohort(cfg).modalities
+        codes, y, scores = cohort_oracle(cfg)
+        assert len(modalities) == len(scores) == len(windows)
+        for preds, want in zip(modalities, scores):
+            np.testing.assert_array_equal(preds.group_codes, codes)
+            np.testing.assert_array_equal(preds.y_true, y)
+            np.testing.assert_array_equal(preds.scores.view(np.int64), want.view(np.int64))
 
     def test_hard_labels_threshold_half(self):
         preds = generate_cohort(CohortConfig(n_samples=300, seed=5)).modalities[0]
