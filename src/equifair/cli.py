@@ -124,7 +124,8 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_cohort_config(args, seed: int) -> CohortConfig:
-    if getattr(args, "synth_config", None):
+    vars(args).update({**COHORT_DEFAULTS, **vars(args)})  # the flags not given, as the manifest records them
+    if args.synth_config:
         return schema.load(CohortConfig, schema.read(args.synth_config), "cohort config")
     groups = GROUP_PRESETS[args.preset]
     models = gapped_score_models(groups, tpr_low=args.tpr_low, tpr_high=args.tpr_high, fpr=args.fpr)
@@ -318,8 +319,9 @@ def _cmd_pipeline(args) -> int:
         raise ValidationError(f"unknown intervention {intervention!r}; expected exactly one of {list(INTERVENTIONS)}")
     if args.fit_input and not args.input:
         raise ValidationError("--fit-input needs --input: without it both splits are synthetic")
-    if args.synth_config and args.input:
-        raise ValidationError("--synth-config applies only without --input")
+    given = [f"--{k.replace('_', '-')}" for k in COHORT_DEFAULTS if k in vars(args)]
+    if args.input and given:
+        raise ValidationError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only without --input")
     seed = _resolve_seed(args)
     out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
@@ -388,16 +390,22 @@ def _add_common_io(p):
     p.add_argument("--group-col", default="group", help="sensitive-attribute column name")
 
 
+# Defaults of the synthetic-cohort flags: a flag not given stays unset until
+# a cohort is generated, so a run that generates none can refuse those given.
+COHORT_DEFAULTS = {"preset": "sex", "n": 1000, "positive_rate": 0.131, "tpr_low": 0.60, "tpr_high": 0.85,
+                   "fpr": 0.15, "modality_windows": "0:1", "synth_config": None}
+
+
 def _add_cohort_flags(p):
     """Flags of a synthetic cohort (``synth`` and a ``pipeline`` without --input)."""
-    p.add_argument("--preset", choices=sorted(GROUP_PRESETS), default="sex")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--positive-rate", type=float, default=0.131)
-    p.add_argument("--tpr-low", type=float, default=0.60)
-    p.add_argument("--tpr-high", type=float, default=0.85)
-    p.add_argument("--fpr", type=float, default=0.15)
-    p.add_argument("--modality-windows", default="0:1", help='e.g. "0:0.5,0.5:1"')
-    p.add_argument("--synth-config", help="JSON cohort config (overrides other flags)")
+    p.add_argument("--preset", choices=sorted(GROUP_PRESETS), default=argparse.SUPPRESS)
+    p.add_argument("--n", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--positive-rate", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tpr-low", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--tpr-high", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--fpr", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--modality-windows", default=argparse.SUPPRESS, help='e.g. "0:0.5,0.5:1"')
+    p.add_argument("--synth-config", default=argparse.SUPPRESS, help="JSON cohort config (overrides other flags)")
 
 
 def build_parser() -> argparse.ArgumentParser:

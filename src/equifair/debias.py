@@ -82,11 +82,15 @@ class EmbeddingMatrix:
         return self.vectors[self.index[token]]
 
     def unit_normalized(self) -> "EmbeddingMatrix":
+        return EmbeddingMatrix._adopt(self.tokens, self._unit_rows())
+
+    def _unit_rows(self) -> np.ndarray:
+        """The vectors scaled to unit norm, in a new writable array."""
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
         if np.any(norms <= NEUTRALIZE_EPS):
             bad = [self.tokens[i] for i in np.nonzero(norms.ravel() <= NEUTRALIZE_EPS)[0]]
             raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
-        return EmbeddingMatrix._adopt(self.tokens, self.vectors / norms)
+        return self.vectors / norms
 
 
 @dataclass(frozen=True)
@@ -277,7 +281,10 @@ def hard_debias(
     report instead of aborting the batch.  Tokens appearing in several
     equality sets keep the vector from the last set processed.
     """
-    normalized = emb.unit_normalized()
+    # the one new matrix: the subspace comes from a frozen view of it, then
+    # each row is rewritten in place, a neutral row read once before it is
+    vectors = emb._unit_rows()
+    normalized = EmbeddingMatrix._adopt(emb.tokens, vectors.view())
     usable, dropped = sets.resolve(normalized)
     if not usable:
         raise ValidationError("no equality set has 2 or more resolvable members")
@@ -292,7 +299,6 @@ def hard_debias(
         wanted = set(neutral_policy)
         neutral = [t for t in normalized.tokens if t in wanted]
 
-    vectors = normalized.vectors.copy()
     skipped: list[str] = []
     done: list[str] = []
     for tok in neutral:
@@ -503,12 +509,17 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                 raise FormatError(f"{path}: line 1: header fields must be integers") from None
             if vocab_size < 1 or dim < 1:
                 raise FormatError(f"{path}: line 1: header values must be positive")
+            # a row takes at least 2 * dim + 1 bytes (one less unterminated), so a
+            # header that lies allocates no more rows than the file can hold; rows
+            # past them are checked, then dropped.  A pipe has no size.
+            size = os.fstat(fh.fileno()).st_size
+            room = (size - len(header.encode()) + 1) // (2 * dim + 1) if size else vocab_size
+            vectors = np.empty((min(vocab_size, room), dim))
             tokens: list[str] = []
             seen: set[str] = set()
-            blocks: list[np.ndarray] = []
             lineno = 2
             undecodable: list[UnicodeDecodeError] = []
-            with _block_map(vocab_size * dim) as run:
+            with _block_map(vectors.size) as run:
                 jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
                 for (lines, _), parsed in run(_parse_block, jobs):
                     if parsed is not None:
@@ -516,8 +527,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                     if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
                         parsed = _replay_block(path, lines, lineno, dim, set(tokens))
                         seen.update(parsed[0])
+                    rows = vectors[len(tokens) : len(tokens) + len(parsed[0])]
+                    rows[:] = parsed[1][: len(rows)]
                     tokens += parsed[0]
-                    blocks.append(parsed[1])
                     lineno += len(lines)
             if undecodable:
                 raise undecodable[0]
@@ -525,7 +537,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         raise decode_error(path) from None
     if len(tokens) != vocab_size:
         raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
-    return EmbeddingMatrix._adopt(tuple(tokens), np.concatenate(blocks))
+    return EmbeddingMatrix._adopt(tuple(tokens), vectors)
 
 
 def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:

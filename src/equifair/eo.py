@@ -125,7 +125,7 @@ _HASH_CHUNK = 1 << 16  # ids per joined digest buffer
 def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str], n: int = 3) -> np.ndarray:
     """A (len(sample_ids), n) array of uniforms in [0, 1).  Row i is the
     blake2b digest of (seed, purpose, sample_ids[i]) read as n big-endian
-    64-bit integers over 2**64, so it depends on that id alone."""
+    64-bit integers over 2**64, capped below 1, so it depends on that id alone."""
     prefix = hashlib.blake2b(f"{seed}\x1f{purpose}\x1f".encode(), digest_size=8 * n)
     out = np.empty((len(sample_ids), n))
     for start in range(0, len(sample_ids), _HASH_CHUNK):
@@ -135,7 +135,7 @@ def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str], n: int =
             h.update(sample_id.encode())
             digests.append(h.digest())
         out[start : start + len(digests)] = (np.frombuffer(b"".join(digests), ">u8") / 2.0**64).reshape(-1, n)
-    return out
+    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
 
 
 def derive_seed(seed: int, tag: str) -> int:

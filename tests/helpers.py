@@ -111,6 +111,10 @@ MALFORMED_EMBEDDINGS = {
         {_CHUNK_LINE - 2: "w1 0.5", _CHUNK_LINE + 2: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS
     ).replace(b"\xc3\xa9", b"\xe9"),
     "bad-line-in-the-chunk-of-a-bad-byte": embedding_file({3: "w1 0.5", 5: "w\xe9 0.5 0.5"}).replace(b"\xc3\xa9", b"\xe9"),
+    # headers that lie: a matrix of a trillion rows would not fit in
+    # memory, and rows past the header's count are still checked
+    "header-declares-a-trillion-words": embedding_file({1: "1000000000000 2"}, n=2),
+    "header-declares-fewer-words-before-a-bad-line": embedding_file({1: "3 2", 7: "w5 0.5"}),
     # the header's read decodes the first 8192 bytes: a long line 2 puts
     # line 3's bad byte past them, in the first block
     "not-utf8-in-the-first-block": embedding_file(

@@ -15,7 +15,18 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from equifair import EmbeddingMatrix, EmptyInputError, FormatError, LabeledPredictions
+from equifair import (
+    DebiasResult,
+    DegenerateInputError,
+    EmbeddingMatrix,
+    EmptyInputError,
+    FormatError,
+    LabeledPredictions,
+    ValidationError,
+    equalize,
+    identify_subspace,
+    neutralize,
+)
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
@@ -391,6 +402,53 @@ def format_embeddings_oracle(emb):
     return "\n".join(lines) + "\n"
 
 
+def hard_debias_oracle(emb, sets, neutral_policy=None, k=None):
+    """Hard debiasing over a frozen unit-normalized matrix and a copy of
+    it, as the library did before it rewrote the unit rows in place."""
+    normalized = emb.unit_normalized()
+    usable, dropped = sets.resolve(normalized)
+    if not usable:
+        raise ValidationError("no equality set has 2 or more resolvable members")
+    if k is None:
+        k = max(len(s) for s in usable) - 1
+    subspace = identify_subspace(normalized, sets, k)
+
+    set_words = sets.all_words()
+    if neutral_policy is None:
+        neutral = [t for t in normalized.tokens if t not in set_words]
+    else:
+        wanted = set(neutral_policy)
+        neutral = [t for t in normalized.tokens if t in wanted]
+
+    vectors = normalized.vectors.copy()
+    skipped = []
+    done = []
+    for tok in neutral:
+        try:
+            vectors[normalized.index[tok]] = neutralize(normalized.get(tok), subspace, label=tok)
+            done.append(tok)
+        except DegenerateInputError:
+            skipped.append(tok)
+    equalized = []
+    for s in usable:
+        try:
+            new_vecs = equalize([vectors[normalized.index[w]] for w in s], subspace, labels=s)
+        except DegenerateInputError:
+            skipped.extend(s)
+            continue
+        for w, v in zip(s, new_vecs):
+            vectors[normalized.index[w]] = v
+        equalized.append(s)
+    return DebiasResult(
+        embeddings=EmbeddingMatrix(tokens=normalized.tokens, vectors=vectors),
+        subspace=subspace,
+        neutralized=tuple(done),
+        equalized_sets=tuple(equalized),
+        skipped_words=tuple(skipped),
+        dropped_sets=dropped,
+    )
+
+
 def cohort_oracle(cfg):
     """``(group codes, y_true, scores per modality)`` of ``generate_cohort(cfg)``,
     each row's logit mean and scale and calibrated posterior set one group
@@ -439,10 +497,12 @@ def derived_predictor_dict_oracle(dp):
 
 def sample_uniforms_oracle(seed, purpose, sample_id, n=3):
     """n uniforms in [0, 1) from one blake2b digest of (seed, purpose,
-    sample id): the per-row draw the library used to make."""
+    sample id): the per-row draw the library used to make, each kept
+    below the 1.0 that the top 1024 integers round to."""
     msg = f"{seed}\x1f{purpose}\x1f{sample_id}".encode()
     digest = hashlib.blake2b(msg, digest_size=8 * n).digest()
-    return tuple(int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2.0**64 for i in range(n))
+    below_one = math.nextafter(1.0, 0.0)
+    return tuple(min(int.from_bytes(digest[8 * i : 8 * (i + 1)], "big") / 2.0**64, below_one) for i in range(n))
 
 
 def apply_hard_oracle(dp, preds, seed):

@@ -16,7 +16,7 @@ from equifair import (
     fit_eo_hard,
     gap_ranges,
 )
-from equifair.cli import _sha256, main
+from equifair.cli import COHORT_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
 from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
@@ -428,6 +428,19 @@ class TestPipeline:
         assert names == ["fit.csv", "eval.csv"]
         assert (tmp_path / "out/ensemble_model.json").exists() == constituents
 
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_manifest_records_the_cohort_flags_used(self, command, tmp_path):
+        res = run_cli(command, "--n", "300", "--preset", "insurance", "--seed", "2", "--out", tmp_path)
+        assert res.returncode == 0, res.stderr
+        arguments = json.loads((tmp_path / "manifest.json").read_text())["arguments"]
+        assert {k: arguments[k] for k in COHORT_DEFAULTS} == {**COHORT_DEFAULTS, "n": 300, "preset": "insurance"}
+
+    def test_manifest_of_a_run_on_input_records_no_cohort_flag(self, cohort_csv, tmp_path):
+        res = run_cli("pipeline", "--input", cohort_csv, "--out", tmp_path)
+        assert res.returncode == 0, res.stderr
+        arguments = json.loads((tmp_path / "manifest.json").read_text())["arguments"]
+        assert arguments["input"] == str(cohort_csv) and not set(COHORT_DEFAULTS) & set(arguments)
+
     def test_help_lists_no_embedding_flags(self, capsys):
         with pytest.raises(SystemExit):
             main(["pipeline", "--help"])
@@ -608,6 +621,8 @@ MALFORMED = {
             ("bad-line-before-a-bad-byte-in-a-later-chunk", 4, "format-error", "emb.txt: line 3: expected 2 values"),
             ("bad-line-two-lines-before-a-bad-byte-in-a-later-chunk", 4, "format-error", "emb.txt: line 553: expected"),
             ("bad-line-in-the-chunk-of-a-bad-byte", 4, "format-error", "emb.txt: byte offset 38 (line 5)"),
+            ("header-declares-a-trillion-words", 4, "format-error", "emb.txt: header declares 1000000000000 words, found 2"),
+            ("header-declares-fewer-words-before-a-bad-line", 4, "format-error", "emb.txt: line 7: expected 2 values, got 1"),
         )
     },
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
@@ -646,6 +661,17 @@ MALFORMED = {
     "pipeline-synth-config-with-input": (
         "pipeline", ["--input", "preds.csv", "--synth-config", "cohort.json"], 6, "invalid-input",
         "--synth-config applies only without --input",
+    ),
+    **{
+        f"pipeline{flag}-with-input": ("pipeline", ["--input", "preds.csv", flag, value], 6, "invalid-input", f"{flag} applies only without --input")
+        for flag, value in (
+            ("--n", "50"), ("--preset", "insurance"), ("--positive-rate", "0.9"), ("--tpr-low", "0.6"),
+            ("--tpr-high", "0.85"), ("--fpr", "0.15"), ("--modality-windows", "0:1"),
+        )
+    },
+    "pipeline-cohort-flags-with-input": (
+        "pipeline", ["--input", "preds.csv", "--n", "50", "--preset", "insurance", "--positive-rate", "0.9"], 6,
+        "invalid-input", "--preset, --n, --positive-rate apply only without --input",
     ),
     "report-seed-negative": ("report", ["--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer, got -1"),
     "pipeline-eval-malformed": (
@@ -694,7 +720,8 @@ class TestMalformedInputs:
         elif command == "eo-fit":
             argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
         elif command == "pipeline":
-            argv = ["pipeline", "--intervention", "eo-hard", "--n", "200", *(csv_path if a == "preds.csv" else a for a in arg), "--out", out]
+            small = [] if "--input" in arg else ["--n", "200"]  # a synthetic cohort of 200 rows
+            argv = ["pipeline", "--intervention", "eo-hard", *small, *(csv_path if a == "preds.csv" else a for a in arg), "--out", out]
         elif command == "pipeline-files":
             for name, text in zip(("fit.csv", "eval.csv"), arg):
                 (tmp_path / name).write_bytes(csv_path.read_bytes() if text is None else text.encode())

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
 
 from helpers import MALFORMED_EMBEDDINGS
-from oracles import format_embeddings_oracle, load_embeddings_oracle
+from oracles import format_embeddings_oracle, hard_debias_oracle, load_embeddings_oracle
 
 E1 = BiasSubspace(basis=np.array([[1.0, 0.0, 0.0]]))
 
@@ -264,10 +265,13 @@ class TestHardDebias:
         assert (("nonexistent1", "nonexistent2"),) == result.dropped_sets
 
     def test_input_immutable(self):
+        # the unit rows are rewritten in place: never the caller's vectors
         emb, sets, _ = self._planted()
-        snapshot = emb.vectors.copy()
-        hard_debias(emb, sets)
-        np.testing.assert_array_equal(emb.vectors, snapshot)
+        before = emb.vectors.tobytes()
+        out = hard_debias(emb, sets).embeddings
+        assert emb.vectors.tobytes() == before and not emb.vectors.flags.writeable
+        assert not out.vectors.flags.writeable and out.vectors.base is None
+        assert not np.shares_memory(out.vectors, emb.vectors)
 
     def test_explicit_neutral_list(self):
         emb, sets, _ = self._planted()
@@ -278,6 +282,113 @@ class TestHardDebias:
         assert len(preset_sets("race")) == 18
         assert len(preset_sets("gender")) == 7
         assert all(len(s) == 4 for s in RACE_SETS)
+
+
+def _debias_outcome(fn, emb, sets, policy, k):
+    """The error, or the bits of everything a debias result reports."""
+    try:
+        r = fn(emb, sets, neutral_policy=policy, k=k)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        r.embeddings.tokens,
+        r.embeddings.vectors.tobytes(),
+        r.subspace.basis.tobytes(),
+        r.skip_report(),
+        r.neutralized,
+        r.equalized_sets,
+    )
+
+
+@st.composite
+def debias_cases(draw):
+    """(embeddings, equality sets, neutral policy, k) over a small vocabulary:
+    sets may share a token or name one the vocabulary lacks, a set may hold
+    two parallel vectors (it cannot be equalized), mirrored pairs give a
+    subspace along the first axis, and a word on that axis cannot be
+    neutralized."""
+    dim = draw(st.integers(2, 5))
+    n = draw(st.integers(4, 9))
+    tokens = [f"w{i}" for i in range(n)]
+    values = st.floats(0.05, 3) | st.floats(-3, -0.05) | st.sampled_from([1.0, -1.0, 0.0])
+    vectors = draw(arrays(np.float64, (n, dim), elements=values))
+    words = st.sampled_from(tokens + ["absent"])
+    sets = draw(st.lists(st.lists(words, min_size=2, max_size=3, unique=True), min_size=1, max_size=3))
+    if draw(st.booleans()):  # mirrored pairs, and a word along the mirror axis
+        for a, b, *_ in sets:
+            if a != "absent" and b != "absent":
+                vectors[int(b[1:])] = vectors[int(a[1:])] * np.r_[-1.0, np.ones(dim - 1)]
+        vectors[-1] = np.eye(dim)[0] * draw(st.sampled_from([1.0, -2.5]))
+    if draw(st.booleans()) and "absent" not in sets[-1][:2]:  # parallel members
+        vectors[int(sets[-1][1][1:])] = 2.0 * vectors[int(sets[-1][0][1:])]
+    policy = draw(st.none() | st.lists(words, max_size=n))
+    k = draw(st.none() | st.integers(1, 2))
+    return EmbeddingMatrix(tokens=tuple(tokens), vectors=vectors), EqualitySets(sets), policy, k
+
+
+class TestHardDebiasInPlace:
+    """``hard_debias`` rewrites the one matrix of unit rows it makes; the
+    copying code it replaced is the oracle."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(debias_cases())
+    def test_equals_the_copying_oracle(self, case):
+        got = _debias_outcome(hard_debias, *case)
+        assert got == _debias_outcome(hard_debias_oracle, *case)
+
+    @pytest.mark.parametrize(
+        "sets, policy, skipped",
+        [
+            ((("he", "she"),), ["he", "x", "y"], ()),  # the policy lists a set word
+            ((("he", "she"), ("she", "y")), None, ()),  # "she" is in two sets
+            ((("he", "she"),), None, ("axis",)),  # "axis" lies inside the subspace
+            ((("he", "she"), ("x", "twin")), None, ("axis", "x", "twin")),  # parallel members
+        ],
+        ids=["policy-lists-a-set-word", "token-in-two-sets", "degenerate-neutral-word", "degenerate-set"],
+    )
+    def test_cases_equal_the_oracle(self, sets, policy, skipped):
+        emb = EmbeddingMatrix(
+            tokens=("he", "she", "x", "y", "axis", "twin"),
+            vectors=np.array(
+                [[0.9, 0.3, 0.1], [-0.9, 0.3, 0.1], [0.2, 0.5, 0.7], [0.1, -0.8, 0.4], [2.0, 0.0, 0.0], [0.4, 1.0, 1.4]]
+            ),
+        )
+        case = (emb, EqualitySets(sets), policy, None)
+        got = _debias_outcome(hard_debias, *case)
+        assert got == _debias_outcome(hard_debias_oracle, *case)
+        assert tuple(got[3]["skipped_words"]) == skipped
+
+
+def _traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its peak, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDebiasMemory:
+    """``hard_debias`` and ``load_embeddings`` hold one new matrix, not two
+    (the copying code peaked at 2.16 and 2.22 matrices)."""
+
+    N, DIM = 2000, 300
+
+    @pytest.fixture
+    def emb(self, monkeypatch):
+        monkeypatch.setattr(debias, "_BLOCK_VALUES", 1024)
+        monkeypatch.setattr(debias, "_POOL_FLOOR", 1 << 62)
+        rng = np.random.default_rng(0)
+        return EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(self.N)), vectors=rng.standard_normal((self.N, self.DIM)))
+
+    def test_hard_debias_peak(self, emb):
+        sets = EqualitySets((("w0", "w1"), ("w2", "w3"), ("w4", "w5", "w6")))
+        assert _traced_peak(lambda: hard_debias(emb, sets)) <= 1.3 * emb.vectors.nbytes
+
+    def test_load_peak(self, emb, tmp_path):
+        save_embeddings(emb, tmp_path / "e.txt")
+        assert _traced_peak(lambda: load_embeddings(tmp_path / "e.txt")) <= 1.3 * emb.vectors.nbytes
 
 
 class TestEmbeddingIO:
@@ -324,6 +435,33 @@ class TestEmbeddingIO:
         path.write_text("3 2\nfoo 0.1 0.2\nbar 1.0 0.5\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_embeddings(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 1\n 5", "2 1\na 5\n 6", "2 2\n 1 2\nb 3 4\n", "1 3\r\n 1 2 3", "2 1\n\n\na 5\n 6"],
+        ids=["one-row-no-newline", "two-rows-no-newline", "two-rows", "crlf-header", "blank-lines"],
+    )
+    def test_rows_of_the_fewest_bytes_are_all_read(self, tmp_path, text):
+        # the matrix is sized for the rows the file's bytes can hold
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text.encode())
+        got, want = load_embeddings(path), load_embeddings_oracle(path)
+        assert got.tokens == want.tokens
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_a_pipe_is_read_whole(self, tmp_path):
+        # a pipe has no size to bound the matrix by
+        path = tmp_path / "emb.fifo"
+        os.mkfifo(path)
+        text = "3 2\na 1 2\nb 3 4\nc 5 6\n"
+        writer = subprocess.Popen([sys.executable, "-c", f"open({str(path)!r}, 'w').write({text!r})"])
+        try:
+            emb = load_embeddings(path)
+        finally:
+            writer.wait(timeout=60)
+        assert emb.tokens == ("a", "b", "c")
+        assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
     @pytest.mark.parametrize("token", ["a b", "a\nb", "a\rb"], ids=["space", "lf", "cr"])
     def test_token_the_reader_would_split_is_refused(self, tmp_path, token):

@@ -557,6 +557,32 @@ class TestSampleUniforms:
         assert u.shape == (2, 3)
         assert ((0.0 <= u) & (u < 1.0)).all()
 
+    def test_a_saturated_digest_stays_below_one(self, monkeypatch):
+        class Saturated:
+            """A blake2b whose every digest is all 0xff bytes."""
+
+            def __init__(self, data=b"", *, digest_size):
+                self.digest_size = digest_size
+
+            def copy(self):
+                return self
+
+            def update(self, data):
+                pass
+
+            def digest(self):
+                return b"\xff" * self.digest_size
+
+        monkeypatch.setattr(eo.hashlib, "blake2b", Saturated)
+        u = sample_uniforms(1, "eo-hard", ["a", "b"], n=3)
+        assert (u < 1.0).all() and u.tobytes() == np.array([sample_uniforms_oracle(1, "eo-hard", "a")] * 2).tobytes()
+        preds = preds_from_counts({"A": (5, 4, 5, 1), "B": (5, 3, 5, 2)})
+        dp = DerivedPredictor(
+            policies={"A": HardGroupPolicy(0.0, 1.0), "B": HardGroupPolicy(0.0, 1.0)},
+            target=(0.5, 0.5), fit_rates={}, loss=LossSpec(), objective=0.0,
+        )
+        assert apply_hard(dp, preds, seed=3).tobytes() == preds.y_hat.tobytes()
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_batch_equals_per_id_oracle_across_chunks(self, n, monkeypatch):
         monkeypatch.setattr(eo, "_HASH_CHUNK", 7)
