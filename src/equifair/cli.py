@@ -190,7 +190,19 @@ def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) 
 # subcommands
 
 
+def _refuse_flags(args, defaults: Mapping, where: str) -> None:
+    """Refuse the flags of ``defaults`` that were given: they apply only ``where``."""
+    given = [f"--{k.replace('_', '-')}" for k in defaults if k in vars(args)]
+    if given:
+        raise ValidationError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only {where}")
+
+
 def _cmd_synth(args) -> int:
+    if args.plant_embeddings:
+        _refuse_flags(args, COHORT_DEFAULTS, "without --plant-embeddings")
+        vars(args).update({**EMBEDDING_DEFAULTS, **vars(args)})  # the flags not given, as the manifest records them
+    else:
+        _refuse_flags(args, EMBEDDING_DEFAULTS, "with --plant-embeddings")
     seed = _resolve_seed(args)
     out = _out_dir(args)
     if args.plant_embeddings:
@@ -319,9 +331,8 @@ def _cmd_pipeline(args) -> int:
         raise ValidationError(f"unknown intervention {intervention!r}; expected exactly one of {list(INTERVENTIONS)}")
     if args.fit_input and not args.input:
         raise ValidationError("--fit-input needs --input: without it both splits are synthetic")
-    given = [f"--{k.replace('_', '-')}" for k in COHORT_DEFAULTS if k in vars(args)]
-    if args.input and given:
-        raise ValidationError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only without --input")
+    if args.input:
+        _refuse_flags(args, COHORT_DEFAULTS, "without --input")
     seed = _resolve_seed(args)
     out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
@@ -394,6 +405,8 @@ def _add_common_io(p):
 # a cohort is generated, so a run that generates none can refuse those given.
 COHORT_DEFAULTS = {"preset": "sex", "n": 1000, "positive_rate": 0.131, "tpr_low": 0.60, "tpr_high": 0.85,
                    "fpr": 0.15, "modality_windows": "0:1", "synth_config": None}
+# Defaults of the flags of ``synth --plant-embeddings``, unset until then alike.
+EMBEDDING_DEFAULTS = {"equality_sets": "gender", "vocab": 50, "dim": 25, "noise": 0.01}
 
 
 def _add_cohort_flags(p):
@@ -416,10 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic cohort or planted embeddings")
     _add_cohort_flags(p)
     p.add_argument("--plant-embeddings", action="store_true", help="emit a planted-bias embedding file instead of a cohort")
-    p.add_argument("--equality-sets", default="gender")
-    p.add_argument("--vocab", type=int, default=50)
-    p.add_argument("--dim", type=int, default=25)
-    p.add_argument("--noise", type=float, default=0.01)
+    p.add_argument("--equality-sets", default=argparse.SUPPRESS)
+    p.add_argument("--vocab", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--dim", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--noise", type=float, default=argparse.SUPPRESS)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)

@@ -81,9 +81,6 @@ class EmbeddingMatrix:
     def get(self, token: str) -> np.ndarray:
         return self.vectors[self.index[token]]
 
-    def unit_normalized(self) -> "EmbeddingMatrix":
-        return EmbeddingMatrix._adopt(self.tokens, self._unit_rows())
-
     def _unit_rows(self) -> np.ndarray:
         """The vectors scaled to unit norm, in a new writable array."""
         norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)

@@ -40,7 +40,7 @@ from . import schema
 from .errors import GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
 from .metrics import GroupRateEntry, confusion_counts, confusion_rates, roc_curve
-from .predictions import LabeledPredictions
+from .predictions import LabeledPredictions, as_id_column
 
 _DIAG_TOL = 1e-12
 # threshold of the ROC point (0, 0): no score in [0, 1] reaches it, and
@@ -119,18 +119,19 @@ def expected_loss_of_rates(rates: Mapping[str, GroupRateEntry], loss: LossSpec) 
 # ---------------------------------------------------------------------------
 # counter-based randomness: one digest per (seed, purpose, sample id)
 
-_HASH_CHUNK = 1 << 16  # ids per joined digest buffer
+_HASH_CHUNK = 1 << 12  # ids per joined digest buffer
 
 
-def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str], n: int = 3) -> np.ndarray:
+def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str] | np.ndarray, n: int = 3) -> np.ndarray:
     """A (len(sample_ids), n) array of uniforms in [0, 1).  Row i is the
     blake2b digest of (seed, purpose, sample_ids[i]) read as n big-endian
     64-bit integers over 2**64, capped below 1, so it depends on that id alone."""
     prefix = hashlib.blake2b(f"{seed}\x1f{purpose}\x1f".encode(), digest_size=8 * n)
-    out = np.empty((len(sample_ids), n))
-    for start in range(0, len(sample_ids), _HASH_CHUNK):
+    column = as_id_column(sample_ids)
+    out = np.empty((len(column), n))
+    for start in range(0, len(column), _HASH_CHUNK):
         digests = []
-        for sample_id in sample_ids[start : start + _HASH_CHUNK]:
+        for sample_id in column[start : start + _HASH_CHUNK].tolist():
             h = prefix.copy()  # cheaper than a new blake2b object per id
             h.update(sample_id.encode())
             digests.append(h.digest())
@@ -250,7 +251,7 @@ def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     if preds.y_hat is None:
         raise ValidationError("apply_hard requires hard predictions (y_hat)")
     p = _policy_table(dp, preds, "p0", "p1")[preds.group_codes, preds.y_hat]
-    return (sample_uniforms(seed, "eo-hard", preds.ids, n=1)[:, 0] < p).astype(np.int8)
+    return (sample_uniforms(seed, "eo-hard", preds.id_column, n=1)[:, 0] < p).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +426,7 @@ def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     codes, scores = preds.group_codes, preds.scores
     out = scores >= np.where(lam > 0.0, t_lo, t_hi)[codes]  # the degenerate rule, kept for degenerate rows
     rows = np.flatnonzero(~degenerate[codes])
-    u_sel, u_coin, u_mix = sample_uniforms(seed, "eo-soft", [preds.ids[i] for i in rows.tolist()], n=3).T
+    u_sel, u_coin, u_mix = sample_uniforms(seed, "eo-soft", preds.id_column[rows], n=3).T
     g = codes[rows]
     threshold = np.where(u_mix < lam[g], t_lo[g], t_hi[g])
     out[rows] = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], scores[rows] >= threshold)

@@ -20,6 +20,7 @@ from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .errors import EmptyInputError, FormatError, ValidationError
 from .schema import decode_error
@@ -58,6 +59,36 @@ def _outputs(n: int, scores, y_hat) -> tuple[np.ndarray | None, np.ndarray | Non
     return scores, y_hat
 
 
+def _hashes(ids: list[str]) -> np.ndarray:
+    return np.fromiter(map(hash, ids), dtype=np.int64, count=len(ids))
+
+
+_HASH_ROWS = 1 << 12  # ids of a given column turned back into strs at a time
+
+
+def _require_unique(column: np.ndarray, hashes: np.ndarray | None = None) -> None:
+    """Raise unless the ids of ``column`` are distinct.  ``hashes`` are
+    their ``hash()`` values, taken where the strs exist, else from the
+    column a chunk at a time.  Distinct hashes prove distinct ids; only
+    ids whose hashes tie are compared."""
+    if hashes is None:
+        hashes = np.concatenate([_hashes(column[i : i + _HASH_ROWS].tolist()) for i in range(0, len(column), _HASH_ROWS)])
+    ordered = np.sort(hashes)
+    ids = column[np.isin(hashes, ordered[1:][ordered[1:] == ordered[:-1]])].tolist()
+    if len(set(ids)) != len(ids):
+        raise ValidationError("sample ids must be unique")
+
+
+def as_id_column(ids) -> np.ndarray:
+    """``ids`` as a StringDType column, without a copy if it is one."""
+    if isinstance(ids, np.ndarray) and isinstance(ids.dtype, StringDType):
+        return ids
+    try:
+        return np.array(ids, dtype=StringDType())
+    except UnicodeEncodeError:
+        raise ValidationError("sample ids must be encodable as UTF-8") from None
+
+
 def _intern(labels: dict[str, int], groups: list[str]) -> np.ndarray:
     """Each label's code in ``labels``, where a new label gets the next code."""
     for g in set(groups).difference(labels):
@@ -82,28 +113,38 @@ class LabeledPredictions:
     Parallel arrays of equal length: opaque sample ids, binary ground
     truth, a group per sample, and at least one of ``scores`` (reals in
     [0, 1]) or ``y_hat`` (binary).  ``universe`` is the declared set of
-    admissible group labels; it defaults to the labels present.  Groups
-    are given as labels (``groups``) or as indices into ``universe``
-    (``group_codes``), and stored only as ``group_codes``, in the
-    narrowest unsigned dtype that fits; ``groups`` reads the labels back.
+    admissible group labels; it defaults to the labels present.  Ids are
+    given as strs (``ids``) or as one StringDType array (``id_column``),
+    and stored only as ``id_column``; ``ids`` reads them back as a tuple.
+    Groups are given as labels (``groups``) or as indices into
+    ``universe`` (``group_codes``), and stored only as ``group_codes``, in
+    the narrowest unsigned dtype that fits; ``groups`` reads the labels
+    back.  Ids and labels must be encodable as UTF-8.
     """
 
-    ids: tuple[str, ...]
+    id_column: np.ndarray
     y_true: np.ndarray
     group_codes: np.ndarray = field(repr=False)
     universe: tuple[str, ...]
     scores: np.ndarray | None = None
     y_hat: np.ndarray | None = None
 
-    def __init__(self, ids, y_true, groups=None, scores=None, y_hat=None, universe=(), *, group_codes=None):
-        ids = tuple(ids)
-        n = len(ids)
+    def __init__(self, ids=None, y_true=None, groups=None, scores=None, y_hat=None, universe=(), *,
+                 group_codes=None, id_column=None, _id_hashes=None):  # the reader passes the hash() of each id it read
+        if (ids is None) == (id_column is None):
+            raise ValidationError("exactly one of ids / id_column is required")
+        if ids is not None:
+            ids = tuple(ids)
+            if not all(isinstance(i, str) for i in ids):
+                raise ValidationError("sample ids must be strings")
+            _id_hashes = _hashes(ids)
+        column = _readonly(as_id_column(id_column if ids is None else ids))
+        n = len(column)
         if n == 0:
             raise EmptyInputError("prediction set contains no samples")
-        # distinct hashes prove distinct ids; only a tie needs the set
-        hashes = np.sort(np.fromiter(map(hash, ids), dtype=np.int64, count=n))
-        if (hashes[1:] == hashes[:-1]).any() and len(set(ids)) != n:
-            raise ValidationError("sample ids must be unique")
+        if column.ndim != 1:
+            raise ValidationError("ids, y_true and groups must have equal length")
+        _require_unique(column, _id_hashes)
         if (groups is None) == (group_codes is None):
             raise ValidationError("exactly one of groups / group_codes is required")
         y = np.asarray(y_true, dtype=np.int8)
@@ -118,13 +159,22 @@ class LabeledPredictions:
         universe, codes = tuple(universe), np.asarray(group_codes)
         if len(set(universe)) != len(universe):
             raise ValidationError("group universe labels must be unique")
+        try:
+            "".join(universe).encode()
+        except UnicodeEncodeError:
+            raise ValidationError("group labels must be encodable as UTF-8") from None
         if codes.shape != (n,) or codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(universe):
             raise ValidationError(f"group codes must be {n} integers indexing the universe")
         codes = _readonly(codes.astype(np.min_scalar_type(len(universe) - 1), copy=False))
-        self.__dict__.update(ids=ids, y_true=_readonly(y), group_codes=codes, universe=universe, scores=scores, y_hat=y_hat)
+        self.__dict__.update(id_column=column, y_true=_readonly(y), group_codes=codes, universe=universe, scores=scores, y_hat=y_hat)
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.id_column)
+
+    @property
+    def ids(self) -> tuple[str, ...]:
+        """Each sample's id, read from ``id_column``."""
+        return tuple(self.id_column.tolist())
 
     @property
     def groups(self) -> tuple[str, ...]:
@@ -255,10 +305,8 @@ class _Columns:
         self.at = {name: col[name] for name in (*REQUIRED_COLUMNS, group_col)}
         self.group_col = group_col
         self.extra = {name: col[name] for name in header if name.startswith("score_")}
-        self.ids: list[str] = []
         self.labels: dict[str, int] = {}  # group label -> code
-        self.codes: list[np.ndarray] = []
-        self.parts: dict[str, list[np.ndarray]] = {c: [] for c in ("y_true", "score", "y_hat", *self.extra)}
+        self.parts: dict[str, list[np.ndarray]] = {c: [] for c in ("id", "hash", "code", "y_true", "score", "y_hat", *self.extra)}
         self.seen = {"score": False, "y_hat": False}
         self.n_rows = 0
 
@@ -285,9 +333,8 @@ class _Columns:
             ok &= parsed[name] is not None
         if not ok:
             self._raise_first_error(records, lineno)
-        self.ids.extend(column["id"])
-        groups = column[self.group_col]
-        self.codes.append(_intern(self.labels, groups))
+        ids, groups = column["id"], column[self.group_col]
+        parsed.update(id=np.array(ids, dtype=StringDType()), hash=_hashes(ids), code=_intern(self.labels, groups))
         for c, values in parsed.items():
             self.parts[c].append(values)
         self.seen = {c: self.seen[c] or c in parsed for c in self.seen}
@@ -328,11 +375,11 @@ class _Columns:
             if self.seen[c] and sum(map(len, self.parts[c])) != self.n_rows:
                 raise FormatError(f"{self.path}: {c} column must be filled for all rows or none")
         column = {c: np.concatenate(parts) for c, parts in self.parts.items() if parts}
-        universe, codes = _recode(self.labels, np.concatenate(self.codes), universe)
-        ids = tuple(self.ids)
-        self.ids.clear()  # the tuple is the only copy the constructor sees
+        self.parts.clear()  # the columns are the only copies the constructor sees
+        universe, codes = _recode(self.labels, column["code"], universe)
         preds = LabeledPredictions(
-            ids=ids,
+            id_column=column["id"],
+            _id_hashes=column["hash"],
             y_true=column["y_true"],
             scores=column.get("score"),
             y_hat=column.get("y_hat"),
@@ -424,12 +471,17 @@ def write_predictions(
     consts = {name: _unit_column(v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
     labels = np.array(_csv_fields(list(preds.universe)), dtype=object)
     bits = np.array(("0", "1"), dtype=object)
+    header = ",".join(_csv_fields(["id", "group", "y_true", "score", "y_hat", *(f"score_{c}" for c in consts)])) + "\n"
+    try:
+        header.encode()
+    except UnicodeEncodeError:
+        raise ValidationError("constituent names must be encodable as UTF-8") from None
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(_csv_fields(["id", "group", "y_true", "score", "y_hat", *(f"score_{c}" for c in consts)])) + "\n")
+        fh.write(header)
         for lo in range(0, n, _WRITE_ROWS):
             rows = slice(lo, lo + _WRITE_ROWS)
             columns = (
-                _csv_fields(list(preds.ids[rows])),
+                _csv_fields(preds.id_column[rows].tolist()),
                 labels[preds.group_codes[rows]].tolist(),
                 bits[preds.y_true[rows]].tolist(),
                 repeat("") if preds.scores is None else map(float.__repr__, preds.scores[rows].tolist()),

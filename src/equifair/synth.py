@@ -16,10 +16,11 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .debias import BiasSubspace, EmbeddingMatrix, EqualitySets
 from .errors import ValidationError
-from .predictions import LabeledPredictions
+from .predictions import LabeledPredictions, as_id_column
 
 # Test-split group shares of the source cohort's sensitive attributes.
 SEX_PROPORTIONS: dict[str, float] = {"F": 0.440, "M": 0.560}
@@ -222,6 +223,14 @@ def _probit_approx(p: float) -> float:
         (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
 
 
+def _cohort_ids(prefix: str, n: int) -> np.ndarray:
+    """``f"{prefix}{i:06d}"`` for i in range(n), as one StringDType column;
+    the numbers below 10**6 are written as six digit bytes each."""
+    digits = np.arange(min(n, 10**6))[:, None] // 10 ** np.arange(5, -1, -1) % 10 + ord("0")
+    numbers = (digits.astype(np.uint8).view("S6")[:, 0], np.arange(10**6, max(n, 10**6)))
+    return np.strings.add(as_id_column(prefix), np.concatenate([x.astype(StringDType()) for x in numbers]))
+
+
 def generate_cohort(cfg: CohortConfig) -> CohortData:
     """Draw a cohort deterministically from the config seed."""
     rng = np.random.default_rng(cfg.seed)
@@ -229,7 +238,7 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
     names = list(cfg.groups)
     codes = rng.choice(len(names), size=n, p=[cfg.groups[g] for g in names])  # indices into names
     y = (rng.random(n) < cfg.positive_rate).astype(np.int8)
-    ids = tuple(f"{cfg.id_prefix}{i:06d}" for i in range(n))
+    ids = _cohort_ids(cfg.id_prefix, n)
     models = [cfg.score_models[g] for g in names]
     # (group, class) tables of each row's logit mean and scale
     mu, sig = np.array([[(m.mu_neg, m.sigma_neg), (m.mu_pos, m.sigma_pos)] for m in models])[codes, y].T
@@ -255,7 +264,7 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
         modalities.append(
             modalities[0].with_outputs(**outputs)
             if modalities
-            else LabeledPredictions(ids=ids, y_true=y, group_codes=codes, universe=tuple(names), **outputs)
+            else LabeledPredictions(id_column=ids, y_true=y, group_codes=codes, universe=tuple(names), **outputs)
         )
     analytic = {}
     for g in names:

@@ -5,7 +5,7 @@ from typing import Mapping
 
 import numpy as np
 
-from equifair import LossSpec, ValidationError, schema
+from equifair import EmbeddingMatrix, LossSpec, ValidationError, schema
 from equifair.eo import expected_loss_of_rates
 from equifair.geometry import convex_hull_indices, polygon_edges
 from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
@@ -74,6 +74,11 @@ def group_rates_from_dict(d) -> dict[str, GroupRateEntry]:
 def report_from_json(text: str) -> FairnessReport:
     """FairnessReport from its JSON form, ``schema.dumps(report)``."""
     return schema.load(FairnessReport, json.loads(text), "report")
+
+
+def unit_normalized(emb: EmbeddingMatrix) -> EmbeddingMatrix:
+    """``emb`` with every vector scaled to unit norm, in a new frozen matrix."""
+    return EmbeddingMatrix._adopt(emb.tokens, emb._unit_rows())
 
 
 def embedding_file(edits: Mapping[int, str] = {}, n: int = 6, newline: str = "\n") -> bytes:

@@ -32,7 +32,7 @@ from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
 from equifair.metrics import GroupRateEntry, roc_curve
 
-from helpers import group_masks, soft_regions_of
+from helpers import group_masks, soft_regions_of, unit_normalized
 
 
 def pairwise_auc_oracle(scores, y_true):
@@ -234,12 +234,13 @@ def replicate_per_group(preds, per_group):
     """Tile each group's rows to at least ``per_group`` samples, whole
     copies only, so every group's empirical distribution is unchanged."""
     ids, y, g, s, h = [], [], [], [], []
+    given = preds.ids
     for grp, mask in group_masks(preds).items():
         rows = np.flatnonzero(mask).tolist()
         reps = math.ceil(per_group / len(rows))
         for r in range(reps):
             for i in rows:
-                ids.append(f"{preds.ids[i]}#{r}")
+                ids.append(f"{given[i]}#{r}")
                 y.append(preds.y_true[i])
                 g.append(grp)
                 if preds.scores is not None:
@@ -405,7 +406,7 @@ def format_embeddings_oracle(emb):
 def hard_debias_oracle(emb, sets, neutral_policy=None, k=None):
     """Hard debiasing over a frozen unit-normalized matrix and a copy of
     it, as the library did before it rewrote the unit rows in place."""
-    normalized = emb.unit_normalized()
+    normalized = unit_normalized(emb)
     usable, dropped = sets.resolve(normalized)
     if not usable:
         raise ValidationError("no equality set has 2 or more resolvable members")
@@ -508,11 +509,12 @@ def sample_uniforms_oracle(seed, purpose, sample_id, n=3):
 def apply_hard_oracle(dp, preds, seed):
     """Hard EO applied one row at a time, as the library did before it
     drew every row's uniform in one batch."""
+    ids, groups = preds.ids, preds.groups
     out = np.zeros(len(preds), dtype=np.int8)
     for i in range(len(preds)):
-        pol = dp.policies[preds.groups[i]]
+        pol = dp.policies[groups[i]]
         p = pol.p1 if preds.y_hat[i] == 1 else pol.p0
-        (u,) = sample_uniforms_oracle(seed, "eo-hard", preds.ids[i], n=1)
+        (u,) = sample_uniforms_oracle(seed, "eo-hard", ids[i], n=1)
         out[i] = 1 if u < p else 0
     return out
 
@@ -520,15 +522,16 @@ def apply_hard_oracle(dp, preds, seed):
 def apply_soft_oracle(dp, preds, seed):
     """Soft EO applied one row at a time, as the library did before it
     drew every row's uniforms in one batch."""
+    ids, groups = preds.ids, preds.groups
     out = np.zeros(len(preds), dtype=np.int8)
     for i in range(len(preds)):
-        pol = dp.policies[preds.groups[i]]
+        pol = dp.policies[groups[i]]
         degenerate = pol.p_coin == 0.0 and (pol.lam in (0.0, 1.0) or pol.t_lo == pol.t_hi)
         if degenerate:
             t = pol.t_lo if pol.lam > 0.0 else pol.t_hi
             out[i] = 1 if preds.scores[i] >= t else 0
             continue
-        u_sel, u_coin, u_mix = sample_uniforms_oracle(seed, "eo-soft", preds.ids[i], n=3)
+        u_sel, u_coin, u_mix = sample_uniforms_oracle(seed, "eo-soft", ids[i], n=3)
         if pol.p_coin > 0.0 and u_sel < pol.p_coin:
             out[i] = 1 if u_coin < pol.coin_rate else 0
         else:

@@ -16,7 +16,7 @@ from equifair import (
     fit_eo_hard,
     gap_ranges,
 )
-from equifair.cli import COHORT_DEFAULTS, _sha256, main
+from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
 from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
@@ -435,11 +435,39 @@ class TestPipeline:
         arguments = json.loads((tmp_path / "manifest.json").read_text())["arguments"]
         assert {k: arguments[k] for k in COHORT_DEFAULTS} == {**COHORT_DEFAULTS, "n": 300, "preset": "insurance"}
 
+    def test_manifests_of_synth_record_only_the_flags_of_their_mode(self, tmp_path):
+        res = run_cli("synth", "--n", "300", "--seed", "2", "--out", tmp_path / "cohort")
+        assert res.returncode == 0, res.stderr
+        arguments = json.loads((tmp_path / "cohort/manifest.json").read_text())["arguments"]
+        assert set(COHORT_DEFAULTS) <= set(arguments) and not set(EMBEDDING_DEFAULTS) & set(arguments)
+        res = run_cli("synth", "--plant-embeddings", "--vocab", "40", "--seed", "2", "--out", tmp_path / "plant")
+        assert res.returncode == 0, res.stderr
+        arguments = json.loads((tmp_path / "plant/manifest.json").read_text())["arguments"]
+        assert {k: arguments[k] for k in EMBEDDING_DEFAULTS} == {**EMBEDDING_DEFAULTS, "vocab": 40}
+        assert not set(COHORT_DEFAULTS) & set(arguments)
+
     def test_manifest_of_a_run_on_input_records_no_cohort_flag(self, cohort_csv, tmp_path):
         res = run_cli("pipeline", "--input", cohort_csv, "--out", tmp_path)
         assert res.returncode == 0, res.stderr
         arguments = json.loads((tmp_path / "manifest.json").read_text())["arguments"]
         assert arguments["input"] == str(cohort_csv) and not set(COHORT_DEFAULTS) & set(arguments)
+
+    @pytest.mark.parametrize("intervention", ["eo-hard", "eo-soft"])
+    def test_no_stage_builds_the_ids_tuple(self, intervention, tmp_path, monkeypatch):
+        """Every stage reads ids from ``id_column``: synth and a pipeline on
+        files and on a synthetic cohort of two modalities, run in process."""
+
+        def refuse(preds):
+            raise AssertionError("LabeledPredictions.ids was built")
+
+        monkeypatch.setattr(cli.LabeledPredictions, "ids", property(refuse))
+        for split, seed in (("fit", "1"), ("eval", "2")):
+            assert main(["synth", "--n", "400", "--seed", seed, "--out", str(tmp_path / split)]) == 0
+        files = ["--fit-input", tmp_path / "fit/modality_0.csv", "--input", tmp_path / "eval/modality_0.csv"]
+        for run, given in (("files", files), ("cohort", ["--n", "400", "--modality-windows", "0:0.5,0.5:1"])):
+            argv = ["pipeline", "--intervention", intervention, *given, "--seed", "3", "--out", tmp_path / run]
+            assert main([str(a) for a in argv]) == 0
+            assert (tmp_path / run / "postprocessed.csv").exists()
 
     def test_help_lists_no_embedding_flags(self, capsys):
         with pytest.raises(SystemExit):
@@ -672,6 +700,28 @@ MALFORMED = {
     "pipeline-cohort-flags-with-input": (
         "pipeline", ["--input", "preds.csv", "--n", "50", "--preset", "insurance", "--positive-rate", "0.9"], 6,
         "invalid-input", "--preset, --n, --positive-rate apply only without --input",
+    ),
+    # synth refuses the flags of the mode it does not run
+    **{
+        f"synth{flag}-without-plant-embeddings": ("synth", [flag, value], 6, "invalid-input", f"{flag} applies only with --plant-embeddings")
+        for flag, value in (("--equality-sets", "race"), ("--vocab", "10"), ("--dim", "3"), ("--noise", "0.5"))
+    },
+    "synth-embedding-flags-without-plant-embeddings": (
+        "synth", ["--n", "300", "--vocab", "10", "--dim", "3", "--noise", "0.5", "--equality-sets", "race"], 6,
+        "invalid-input", "--equality-sets, --vocab, --dim, --noise apply only with --plant-embeddings",
+    ),
+    **{
+        f"synth{flag}-with-plant-embeddings": (
+            "synth", ["--plant-embeddings", flag, value], 6, "invalid-input", f"{flag} applies only without --plant-embeddings",
+        )
+        for flag, value in (
+            ("--n", "50"), ("--preset", "insurance"), ("--positive-rate", "0.9"), ("--tpr-low", "0.6"),
+            ("--tpr-high", "0.85"), ("--fpr", "0.15"), ("--modality-windows", "0:1"), ("--synth-config", "cohort.json"),
+        )
+    },
+    "synth-cohort-flags-with-plant-embeddings": (
+        "synth", ["--plant-embeddings", "--n", "50", "--preset", "insurance", "--positive-rate", "0.9"], 6,
+        "invalid-input", "--preset, --n, --positive-rate apply only without --plant-embeddings",
     ),
     "report-seed-negative": ("report", ["--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer, got -1"),
     "pipeline-eval-malformed": (

@@ -60,7 +60,6 @@ class TestEmbeddingMatrix:
         emb = EmbeddingMatrix(tokens=("he", "she", "x", "y"), vectors=vectors)
         save_embeddings(emb, tmp_path / "e.txt")
         derived = {
-            "unit_normalized": emb.unit_normalized(),
             "hard_debias": hard_debias(emb, EqualitySets((("he", "she"),))).embeddings,
             "load_embeddings": load_embeddings(tmp_path / "e.txt"),
         }

@@ -1,9 +1,11 @@
 import csv
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,16 +15,20 @@ from equifair import (
     FormatError,
     LabeledPredictions,
     ValidationError,
+    apply_hard,
+    eo,
+    fit_eo_hard,
     generate_cohort,
     predictions,
 )
+from equifair.eo import sample_uniforms
 from equifair.predictions import (
     read_prediction_file,
     read_predictions,
     write_predictions,
 )
 
-from oracles import read_prediction_file_oracle, write_predictions_oracle
+from oracles import read_prediction_file_oracle, sample_uniforms_oracle, write_predictions_oracle
 
 
 def small_preds(**kwargs):
@@ -112,9 +118,8 @@ class _TiedHash(str):
         return 7
 
 
-# equal values of different types, and distinct ints of equal hash
-# (hash(-1) == hash(-2), hash(0) == hash(2**61 - 1))
-TRICKY_IDS = [1, 1.0, True, "1", 0, 0.0, -0.0, False, -1, -2, 2**61 - 1, "a"]
+# strs that print alike or spell equal numbers, some with every hash tied
+TRICKY_IDS = ["1", "1.0", "True", "0", "-0.0", "", "\x00", "a\x00", "é", "e\u0301", *map(_TiedHash, ("1", "a", ""))]
 
 
 class TestUniqueIds:
@@ -128,8 +133,37 @@ class TestUniqueIds:
         with pytest.raises(ValidationError, match="^sample ids must be unique$"):
             small_preds(ids=tuple(map(_TiedHash, "abca")))
 
+    @pytest.mark.parametrize("ids, hashes", [
+        ("abcd", [0, 0, 0, 0]),
+        ("abca", [0, 0, 0, 0]),
+        ("abcd", [0, 1, 0, 1]),
+        ("abcb", [0, 1, 0, 1]),
+        ("abcde", [2, 1, 1, 0, 0]),
+        ("abcdb", [2, 1, 1, 0, 1]),
+    ])
+    def test_a_tie_is_settled_by_the_strings(self, ids, hashes):
+        check = lambda: predictions._require_unique(np.array(list(ids), dtype=StringDType()), np.array(hashes, dtype=np.int64))
+        if len(set(ids)) == len(ids):
+            check()
+        else:
+            with pytest.raises(ValidationError, match="^sample ids must be unique$"):
+                check()
+
+    @pytest.mark.parametrize("rows", [3, predictions._HASH_ROWS + 1])
+    def test_a_given_column_is_checked(self, rows):
+        ids = [f"r{i}" for i in range(rows)]
+        build = lambda column: LabeledPredictions(id_column=column, y_true=np.zeros(rows), groups=("g",) * rows, y_hat=np.zeros(rows))
+        assert build(np.array(ids, dtype=StringDType())).ids == tuple(ids)
+        with pytest.raises(ValidationError, match="^sample ids must be unique$"):
+            build(np.array([*ids[:-1], ids[0]], dtype=StringDType()))
+
+    @pytest.mark.parametrize("bad", [1, 1.0, None, b"a"])
+    def test_ids_that_are_not_strings_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^sample ids must be strings$"):
+            small_preds(ids=("a", "b", "c", bad))
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from(TRICKY_IDS), st.integers(), st.floats(allow_nan=False), st.text(max_size=2)), min_size=1, max_size=12))
+    @given(st.lists(st.one_of(st.sampled_from(TRICKY_IDS), st.text(max_size=2)), min_size=1, max_size=12))
     def test_agrees_with_a_set(self, ids):
         n = len(ids)
         build = lambda: LabeledPredictions(ids=ids, y_true=np.zeros(n), groups=("g",) * n, y_hat=np.zeros(n))
@@ -175,7 +209,7 @@ class TestWithOutputs:
         derived = preds.with_outputs(y_hat=[0, 0, 1, 1])
         assert derived.scores is None and derived.y_hat.tolist() == [0, 0, 1, 1]
         assert not derived.y_hat.flags.writeable
-        for name in ("ids", "y_true", "group_codes", "universe"):
+        for name in ("id_column", "y_true", "group_codes", "universe"):
             assert getattr(derived, name) is getattr(preds, name), name
         assert preds.y_hat.tolist() == [1, 0, 1, 0] and preds.scores is not None
 
@@ -473,6 +507,115 @@ MALFORMED_FILES = {
     "unclosed-quote": HEADER + '1,g,1,0.5,\n"2,g,0,0.5,\n3,g,0,0.5,\n',
     "field-over-csv-limit": HEADER + "x" * (csv.field_size_limit() + 1) + ",g,1,0.5,\n",
 }
+
+
+# a character of each UTF-8 length, the characters csv quotes, and a NUL
+_ID_CHARS = 'aé€𝄞,"\n\r\x00'
+
+
+@st.composite
+def id_csvs(draw):
+    """A y_hat-only prediction CSV whose ids are non-ASCII, need quoting,
+    hold a NUL, lie on either side of StringDType's 15-byte inline limit,
+    and may repeat."""
+    ids = st.one_of(
+        st.text(alphabet=_ID_CHARS, max_size=4),
+        st.text(alphabet=_ID_CHARS, min_size=4, max_size=12),  # 4 to 48 bytes
+        st.sampled_from(["x" * 15, "x" * 16, "é" * 7 + "x", "é" * 8]),
+    )
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(["id", "group", "y_true", "score", "y_hat"])
+    writer.writerows([i, "g", "1", "", "0"] for i in draw(st.lists(ids, min_size=1, max_size=12)))
+    return buf.getvalue()
+
+
+class TestIdColumn:
+    @settings(max_examples=300, deadline=None)
+    @given(id_csvs(), st.integers(1, 200), st.integers(1, 5), st.integers(0, 2**64 - 1))
+    def test_ids_errors_and_draws_equal_the_oracles(self, csv_path, text, block_chars, hash_chunk, seed):
+        csv_path.write_bytes(text.encode("utf-8"))
+        got, expected = _read_both(csv_path, block_chars)
+        _assert_same(got, expected)
+        if isinstance(expected, Exception):
+            return
+        column = got.predictions.id_column
+        assert isinstance(column.dtype, StringDType) and not column.flags.writeable
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eo, "_HASH_CHUNK", hash_chunk)
+            draws = sample_uniforms(seed, "eo-soft", column, n=3)
+        assert draws.tolist() == [list(sample_uniforms_oracle(seed, "eo-soft", i, n=3)) for i in expected.predictions.ids]
+
+    def test_exactly_one_id_form(self):
+        with pytest.raises(ValidationError, match="^exactly one of ids / id_column is required$"):
+            small_preds(id_column=np.array(("a", "b", "c", "d"), dtype=StringDType()))
+        with pytest.raises(ValidationError, match="^exactly one of ids / id_column is required$"):
+            small_preds(ids=None)
+
+    def test_ids_read_back_from_the_column(self):
+        preds = small_preds(ids=["a", "bé", "c" * 20, "\x00"])
+        assert preds.ids == ("a", "bé", "c" * 20, "\x00") and preds.id_column.tolist() == list(preds.ids)
+
+
+class TestUtf8:
+    """Ids and labels that UTF-8 cannot encode (a lone surrogate) are
+    refused when the set is built, so no writer or draw meets them."""
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"ids": ("a", "b\ud800", "c", "d")}, "sample ids"),
+        ({"id_column": np.array(["a", "b", "\udcff", "d"], dtype=object), "ids": None}, "sample ids"),
+        ({"groups": ("g1", "g1", "g\ud800", "g2")}, "group labels"),
+        ({"universe": ("g1", "g2", "\ud800")}, "group labels"),
+    ])
+    def test_constructor_rejects(self, bad, message):
+        with pytest.raises(ValidationError, match=f"^{message} must be encodable as UTF-8$"):
+            small_preds(**bad)
+
+    def test_writer_rejects_a_constituent_name_and_writes_nothing(self, tmp_path):
+        path = tmp_path / "p.csv"
+        with pytest.raises(ValidationError, match="^constituent names must be encodable as UTF-8$"):
+            write_predictions(small_preds(), path, {"m\ud800": np.full(4, 0.5)})
+        assert not path.exists()
+
+    def test_sample_uniforms_rejects(self):
+        with pytest.raises(ValidationError, match="^sample ids must be encodable as UTF-8$"):
+            sample_uniforms(1, "eo-hard", ("a", "\ud800"))
+
+
+class TestIdMemory:
+    """A read keeps its ids as one StringDType column, 16 bytes a short id,
+    and apply_hard digests them a small chunk at a time (with a tuple of
+    strs and chunks of 2**16 ids, the code kept 67 bytes a row and
+    apply_hard peaked at 154)."""
+
+    N = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        cohort = generate_cohort(CohortConfig(groups={"a": 0.5, "b": 0.5}, n_samples=self.N, seed=1)).modalities[0]
+        path = tmp_path_factory.mktemp("memory") / "p.csv"
+        write_predictions(cohort.with_outputs(y_hat=cohort.y_hat), path)
+        return path
+
+    def test_a_read_keeps_at_most_24_bytes_a_row(self, path):
+        tracemalloc.start()
+        try:
+            preds = read_predictions(path)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(preds) == self.N and kept <= 24 * self.N
+
+    def test_apply_hard_peaks_at_most_40_bytes_a_row(self, path):
+        preds = read_predictions(path)
+        dp = fit_eo_hard(preds)
+        tracemalloc.start()
+        try:
+            apply_hard(dp, preds, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * self.N
 
 
 class TestMalformedFiles:

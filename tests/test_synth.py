@@ -18,6 +18,7 @@ from equifair.synth import (
     GROUP_PRESETS,
     SEX_PROPORTIONS,
     ScoreModel,
+    _cohort_ids,
     gapped_score_models,
     normal_cdf,
 )
@@ -48,6 +49,16 @@ class TestCohortConfig:
 
 
 class TestGenerateCohort:
+    @pytest.mark.parametrize("n", [1, 7, 10**6 + 2])
+    def test_ids_are_the_formatted_row_numbers(self, n):
+        """The id column equals the f-string ids the cohort used to build,
+        past 10**6 too, where the numbers outgrow six digits."""
+        assert _cohort_ids("pé", n).tolist() == [f"pé{i:06d}" for i in range(n)]
+
+    def test_prefix_that_utf8_cannot_encode_rejected(self):
+        with pytest.raises(ValidationError, match="^sample ids must be encodable as UTF-8$"):
+            generate_cohort(CohortConfig(n_samples=10, id_prefix="\ud800"))
+
     def test_same_seed_identical_output(self):
         cfg = CohortConfig(n_samples=500, seed=11)
         a = generate_cohort(cfg).modalities[0]
