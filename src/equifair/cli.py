@@ -24,13 +24,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from . import __version__, schema
 from .debias import hard_debias, load_embeddings, save_embeddings
-from .ensemble import EnsembleModel, fit_ensemble, predict_proba
+from .ensemble import EnsembleModel, check_C, fit_ensemble, predict_proba
 from .eo import (
     DerivedPredictor,
     LossSpec,
@@ -47,6 +47,7 @@ from .predictions import (
     LabeledPredictions,
     read_prediction_file,
     read_prediction_header,
+    readonly,
     write_predictions,
 )
 from .synth import (
@@ -124,9 +125,15 @@ def _parse_window(text: str) -> tuple[float, float]:
 
 
 def _load_cohort_config(args, seed: int) -> CohortConfig:
+    """The cohort of ``--synth-config`` (which sets no seed), else of the flags, drawn under ``seed``."""
+    if "synth_config" in vars(args):
+        _refuse_flags(args, [k for k in COHORT_DEFAULTS if k != "synth_config"], "without --synth-config")
+        doc = schema.read(args.synth_config)
+        cfg = schema.load(CohortConfig, doc, "cohort config")
+        if "seed" in doc:
+            raise ValidationError("cohort config: field seed is refused; the seed comes from --seed or EQUIFAIR_SEED")
+        return replace(cfg, seed=seed)
     vars(args).update({**COHORT_DEFAULTS, **vars(args)})  # the flags not given, as the manifest records them
-    if args.synth_config:
-        return schema.load(CohortConfig, schema.read(args.synth_config), "cohort config")
     groups = GROUP_PRESETS[args.preset]
     models = gapped_score_models(groups, tpr_low=args.tpr_low, tpr_high=args.tpr_high, fpr=args.fpr)
     return CohortConfig(
@@ -177,22 +184,22 @@ def _write_ensemble(out: Path, model: EnsembleModel, names) -> Path:
 
 
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
-    scores = predict_proba(model, features)
-    return preds.with_outputs(scores=scores, y_hat=(scores >= threshold).astype(np.int8))
+    scores = readonly(predict_proba(model, features))
+    return preds.with_outputs(scores=scores, y_hat=readonly((scores >= threshold).astype(np.int8)))
 
 
 def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> LabeledPredictions:
     """``preds`` with the derived predictor's y_hat and no scores."""
-    return preds.with_outputs(y_hat=_eo_functions(dp.variant)[1](dp, preds, seed))
+    return preds.with_outputs(y_hat=readonly(_eo_functions(dp.variant)[1](dp, preds, seed)))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _refuse_flags(args, defaults: Mapping, where: str) -> None:
-    """Refuse the flags of ``defaults`` that were given: they apply only ``where``."""
-    given = [f"--{k.replace('_', '-')}" for k in defaults if k in vars(args)]
+def _refuse_flags(args, names: Iterable[str], where: str) -> None:
+    """Refuse the flags of ``names`` that were given: they apply only ``where``."""
+    given = [f"--{k.replace('_', '-')}" for k in names if k in vars(args)]
     if given:
         raise ValidationError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} only {where}")
 
@@ -204,23 +211,20 @@ def _cmd_synth(args) -> int:
     else:
         _refuse_flags(args, EMBEDDING_DEFAULTS, "with --plant-embeddings")
     seed = _resolve_seed(args)
+    if args.plant_embeddings:
+        sets = resolve_equality_sets(args.equality_sets).sets
+        cfg = EmbeddingPlantConfig(equality_sets=sets, vocab_size=args.vocab, dim=args.dim, noise=args.noise, seed=seed)
+    else:
+        cfg = _load_cohort_config(args, seed)
     out = _out_dir(args)
     if args.plant_embeddings:
-        sets = resolve_equality_sets(args.equality_sets)
-        cfg = EmbeddingPlantConfig(
-            equality_sets=sets.sets,
-            vocab_size=args.vocab,
-            dim=args.dim,
-            noise=args.noise,
-            seed=seed,
-        )
         emb, _, planted = generate_embeddings(cfg)
         outputs = [out / "embeddings.txt"]
         save_embeddings(emb, outputs[0])
         outputs.append(_write_json(out / "planted_subspace.json", {"basis": planted.basis.tolist(), "noise": args.noise}))
         status = f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}"
     else:
-        cohort = generate_cohort(_load_cohort_config(args, seed))
+        cohort = generate_cohort(cfg)
         outputs = []
         for m, preds in enumerate(cohort.modalities):
             outputs.append(out / f"modality_{m}.csv")
@@ -334,6 +338,7 @@ def _cmd_pipeline(args) -> int:
     if args.input:
         _refuse_flags(args, COHORT_DEFAULTS, "without --input")
     seed = _resolve_seed(args)
+    cfg = None if args.input else _load_cohort_config(args, seed)
     out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
     inputs = [Path(p) for p in (args.input, args.fit_input) if p]
@@ -342,14 +347,13 @@ def _cmd_pipeline(args) -> int:
     # Fit, then evaluate: of the eval file only the header is read before
     # the fit split, which is fitted and dropped before the eval split is
     # read; nothing is written until both are done.
-    cfg = eval_names = None
+    eval_names = None
     if args.input:
         header = read_prediction_header(Path(args.input), group_col=args.group_col)
         eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
         # the fit file's path is kept in manifest.json, not in the reports
         metadata["fit_split"] = "separate fit input" if args.fit_input else "eval (no separate fit input provided)"
     else:
-        cfg = _load_cohort_config(args, seed)
         metadata["fit_split"] = "synthetic (derived seed)"
     fit_preds, fit_features = _pipeline_split(args, cfg, seed, "fit")
     if cfg is not None:
@@ -418,7 +422,7 @@ def _add_cohort_flags(p):
     p.add_argument("--tpr-high", type=float, default=argparse.SUPPRESS)
     p.add_argument("--fpr", type=float, default=argparse.SUPPRESS)
     p.add_argument("--modality-windows", default=argparse.SUPPRESS, help='e.g. "0:0.5,0.5:1"')
-    p.add_argument("--synth-config", default=argparse.SUPPRESS, help="JSON cohort config (overrides other flags)")
+    p.add_argument("--synth-config", default=argparse.SUPPRESS, help="JSON cohort config without a seed; replaces the other cohort flags")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,6 +532,8 @@ def _run(argv) -> int:
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
+        if "C" in vars(args):  # checked even where no ensemble stage runs
+            check_C(args.C)
         return args.func(args)
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)

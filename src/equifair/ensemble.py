@@ -89,6 +89,12 @@ def logistic_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def check_C(C: float) -> None:
+    """Raise unless the inverse regularization strength is finite and positive."""
+    if not (C > 0 and np.isfinite(C)):
+        raise ValidationError(f"C must be finite and positive, got {C}")
+
+
 def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
     """Fit the logistic combiner.
 
@@ -107,8 +113,7 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
         raise ValidationError("fit requires both classes present")
     if x.min() < 0.0 or x.max() > 1.0:
         raise ValidationError("features must lie in [0, 1]")
-    if not (C > 0 and np.isfinite(C)):
-        raise ValidationError(f"C must be finite and positive, got {C}")
+    check_C(C)
 
     n, k = x.shape
     w = np.zeros(k)

@@ -541,14 +541,3 @@ def expected_loss(dp: DerivedPredictor, loss: LossSpec | None = None) -> float:
     """Expected loss of the derived predictor under its fit-time frequencies."""
     return expected_loss_of_rates(expected_rates(dp), loss if loss is not None else dp.loss)
 
-
-def unconstrained_optimum_loss(rates: Mapping[str, GroupRateEntry], loss: LossSpec, soft_regions: Mapping[str, np.ndarray] | None = None) -> float:
-    """Loss of the best per-group derived predictor with no cross-group
-    constraint: each group independently picks its optimal achievable
-    point.  Lower-bounds every equalized-odds fit on the same data."""
-    total = 0.0
-    for g, (kf, kn) in _group_coefficients(rates, loss).items():
-        region = soft_regions[g] if soft_regions is not None else _hard_region(rates[g].fpr, rates[g].tpr)
-        x, y = argmin_linear(np.asarray(region, dtype=np.float64), kf, -kn)
-        total += kf * x + kn * (1.0 - y)
-    return total

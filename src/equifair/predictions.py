@@ -28,9 +28,24 @@ from .schema import decode_error
 REQUIRED_COLUMNS = ("id", "y_true", "score", "y_hat")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
+def readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place.  Makers of fresh arrays freeze
+    them before handing them to a set, which then need not copy them."""
     a.setflags(write=False)
     return a
+
+
+def _owned(a: np.ndarray, given) -> np.ndarray:
+    """``a``, made from a caller's ``given``, read-only: a copy if it is
+    ``given`` or a view, unless it is read-only all the way down (no array
+    in its chain of bases is writeable, and the chain ends in memory of its
+    own or in bytes), so writing to the caller's arrays changes no set."""
+    b = a
+    while isinstance(b, np.ndarray) and not b.flags.writeable:
+        b = b.base
+    if (a is given or a.base is not None) and not (b is None or isinstance(b, bytes)):
+        a = a.copy()
+    return readonly(a)
 
 
 def _unit_column(values, n: int, name: str) -> np.ndarray:
@@ -44,18 +59,18 @@ def _unit_column(values, n: int, name: str) -> np.ndarray:
 
 
 def _outputs(n: int, scores, y_hat) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """``scores`` and ``y_hat`` of an ``n``-row set, checked and read-only."""
+    """``scores`` and ``y_hat`` of an ``n``-row set, checked and owned."""
     if scores is None and y_hat is None:
         raise ValidationError("at least one of scores / y_hat is required")
     if scores is not None:
-        scores = _readonly(_unit_column(scores, n, "scores"))
+        scores = _owned(_unit_column(scores, n, "scores"), scores)
     if y_hat is not None:
-        y_hat = np.asarray(y_hat, dtype=np.int8)
-        if y_hat.shape != (n,):
+        hat = np.asarray(y_hat, dtype=np.int8)
+        if hat.shape != (n,):
             raise ValidationError("y_hat length mismatch")
-        if not np.isin(y_hat, (0, 1)).all():
+        if not np.isin(hat, (0, 1)).all():
             raise ValidationError("y_hat must be binary")
-        y_hat = _readonly(y_hat)
+        y_hat = _owned(hat, y_hat)
     return scores, y_hat
 
 
@@ -97,13 +112,13 @@ def _intern(labels: dict[str, int], groups: list[str]) -> np.ndarray:
 
 
 def _recode(labels: dict[str, int], codes: np.ndarray, universe: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
-    """Codes into ``labels``, all of which occur, as codes into the declared
-    ``universe``, or else into the labels sorted."""
+    """Codes into ``labels``, all of which occur, as read-only codes into
+    the declared ``universe``, or else into the labels sorted."""
     universe = tuple(universe) or tuple(sorted(labels))
     index = {g: i for i, g in enumerate(universe)}
     if unknown := labels.keys() - index.keys():
         raise ValidationError(f"group labels outside the declared universe: {sorted(unknown)}")
-    return universe, np.array([index[g] for g in labels], dtype=np.min_scalar_type(len(universe) - 1))[codes]
+    return universe, readonly(np.array([index[g] for g in labels], dtype=np.min_scalar_type(len(universe) - 1))[codes])
 
 
 @dataclass(frozen=True, init=False)
@@ -119,7 +134,9 @@ class LabeledPredictions:
     Groups are given as labels (``groups``) or as indices into
     ``universe`` (``group_codes``), and stored only as ``group_codes``, in
     the narrowest unsigned dtype that fits; ``groups`` reads the labels
-    back.  Ids and labels must be encodable as UTF-8.
+    back.  Ids and labels must be encodable as UTF-8.  The set's arrays
+    are read-only, and an array its caller passed is copied unless it is
+    read-only all the way down.
     """
 
     id_column: np.ndarray
@@ -138,7 +155,7 @@ class LabeledPredictions:
             if not all(isinstance(i, str) for i in ids):
                 raise ValidationError("sample ids must be strings")
             _id_hashes = _hashes(ids)
-        column = _readonly(as_id_column(id_column if ids is None else ids))
+        column = readonly(as_id_column(ids)) if id_column is None else _owned(as_id_column(id_column), id_column)
         n = len(column)
         if n == 0:
             raise EmptyInputError("prediction set contains no samples")
@@ -147,7 +164,7 @@ class LabeledPredictions:
         _require_unique(column, _id_hashes)
         if (groups is None) == (group_codes is None):
             raise ValidationError("exactly one of groups / group_codes is required")
-        y = np.asarray(y_true, dtype=np.int8)
+        y = _owned(np.asarray(y_true, dtype=np.int8), y_true)
         if y.shape != (n,) or (groups is not None and len(groups) != n):
             raise ValidationError("ids, y_true and groups must have equal length")
         if not np.isin(y, (0, 1)).all():
@@ -165,8 +182,8 @@ class LabeledPredictions:
             raise ValidationError("group labels must be encodable as UTF-8") from None
         if codes.shape != (n,) or codes.dtype.kind not in "iu" or codes.min() < 0 or codes.max() >= len(universe):
             raise ValidationError(f"group codes must be {n} integers indexing the universe")
-        codes = _readonly(codes.astype(np.min_scalar_type(len(universe) - 1), copy=False))
-        self.__dict__.update(id_column=column, y_true=_readonly(y), group_codes=codes, universe=universe, scores=scores, y_hat=y_hat)
+        codes = _owned(codes.astype(np.min_scalar_type(len(universe) - 1), copy=False), group_codes)
+        self.__dict__.update(id_column=column, y_true=y, group_codes=codes, universe=universe, scores=scores, y_hat=y_hat)
 
     def __len__(self) -> int:
         return len(self.id_column)
@@ -374,7 +391,7 @@ class _Columns:
         for c in ("score", "y_hat"):
             if self.seen[c] and sum(map(len, self.parts[c])) != self.n_rows:
                 raise FormatError(f"{self.path}: {c} column must be filled for all rows or none")
-        column = {c: np.concatenate(parts) for c, parts in self.parts.items() if parts}
+        column = {c: readonly(np.concatenate(parts)) for c, parts in self.parts.items() if parts}
         self.parts.clear()  # the columns are the only copies the constructor sees
         universe, codes = _recode(self.labels, column["code"], universe)
         preds = LabeledPredictions(
@@ -386,7 +403,7 @@ class _Columns:
             universe=universe,
             group_codes=codes,
         )
-        consts = {name.removeprefix("score_"): _readonly(column[name]) for name in self.extra}
+        consts = {name.removeprefix("score_"): column[name] for name in self.extra}
         return PredictionFile(predictions=preds, constituent_scores=consts)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
@@ -20,7 +21,7 @@ from numpy.dtypes import StringDType
 
 from .debias import BiasSubspace, EmbeddingMatrix, EqualitySets
 from .errors import ValidationError
-from .predictions import LabeledPredictions, as_id_column
+from .predictions import LabeledPredictions, as_id_column, readonly
 
 # Test-split group shares of the source cohort's sensitive attributes.
 SEX_PROPORTIONS: dict[str, float] = {"F": 0.440, "M": 0.560}
@@ -47,8 +48,8 @@ GROUP_PRESETS: dict[str, dict[str, float]] = {
 DEFAULT_POSITIVE_RATE = 0.131
 
 
-def normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+# Phi and its inverse (Wichura 1988, Algorithm AS 241)
+STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,10 @@ class ScoreModel:
 
     def analytic_tpr(self) -> float:
         # P(logit >= 0 | positive); threshold 0.5 on the score scale
-        return normal_cdf(self.mu_pos / self.sigma_pos)
+        return STANDARD_NORMAL.cdf(self.mu_pos / self.sigma_pos)
 
     def analytic_fpr(self) -> float:
-        return normal_cdf(self.mu_neg / self.sigma_neg)
+        return STANDARD_NORMAL.cdf(self.mu_neg / self.sigma_neg)
 
     def posterior_coefficients(self, positive_rate: float) -> tuple[float, float]:
         """(a, b) such that P(y=1 | logit) = sigmoid(a * logit + b).
@@ -90,8 +91,8 @@ class ScoreModel:
         """Analytic (tpr, fpr) of thresholding the posterior at 0.5."""
         a, b = self.posterior_coefficients(positive_rate)
         cutoff = -b / a
-        tpr = normal_cdf((self.mu_pos - cutoff) / self.sigma_pos)
-        fpr = normal_cdf((self.mu_neg - cutoff) / self.sigma_neg)
+        tpr = STANDARD_NORMAL.cdf((self.mu_pos - cutoff) / self.sigma_pos)
+        fpr = STANDARD_NORMAL.cdf((self.mu_neg - cutoff) / self.sigma_neg)
         return tpr, fpr
 
 
@@ -173,54 +174,10 @@ def gapped_score_models(
 ) -> dict[str, ScoreModel]:
     """Score models spreading groups' analytic tpr evenly from low to high
     at a common fpr, for planting controllable fairness gaps."""
-    names = list(groups)
     if not 0 < tpr_low <= tpr_high < 1 or not 0 < fpr < 1:
         raise ValidationError("rates must lie strictly in (0, 1)")
-    inv = _probit
-    out = {}
-    for i, g in enumerate(names):
-        frac = i / (len(names) - 1) if len(names) > 1 else 0.0
-        tpr = tpr_low + frac * (tpr_high - tpr_low)
-        out[g] = ScoreModel(mu_neg=inv(fpr), mu_pos=inv(tpr))
-    return out
-
-
-def _probit(p: float) -> float:
-    # Newton refinement of an initial rational approximation; exact enough
-    # for planting rates (|err| << 1e-12)
-    x = _probit_approx(p)
-    for _ in range(4):
-        err = normal_cdf(x) - p
-        pdf = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0:
-            break
-        x -= err / pdf
-    return x
-
-
-def _probit_approx(p: float) -> float:
-    # Beasley-Springer-Moro style starting point
-    a = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-    b = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-    c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-    d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-    plow = 0.02425
-    if p < plow:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1 - plow:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
+    last, inv = max(len(groups) - 1, 1), STANDARD_NORMAL.inv_cdf
+    return {g: ScoreModel(mu_neg=inv(fpr), mu_pos=inv(tpr_low + i / last * (tpr_high - tpr_low))) for i, g in enumerate(groups)}
 
 
 def _cohort_ids(prefix: str, n: int) -> np.ndarray:
@@ -237,8 +194,8 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
     n = cfg.n_samples
     names = list(cfg.groups)
     codes = rng.choice(len(names), size=n, p=[cfg.groups[g] for g in names])  # indices into names
-    y = (rng.random(n) < cfg.positive_rate).astype(np.int8)
-    ids = _cohort_ids(cfg.id_prefix, n)
+    y = readonly((rng.random(n) < cfg.positive_rate).astype(np.int8))
+    ids = readonly(_cohort_ids(cfg.id_prefix, n))
     models = [cfg.score_models[g] for g in names]
     # (group, class) tables of each row's logit mean and scale
     mu, sig = np.array([[(m.mu_neg, m.sigma_neg), (m.mu_pos, m.sigma_pos)] for m in models])[codes, y].T
@@ -260,19 +217,15 @@ def generate_cohort(cfg: CohortConfig) -> CohortData:
             )
         else:
             scores = 1.0 / (1.0 + np.exp(-logits))
-        outputs = {"scores": scores, "y_hat": (scores >= 0.5).astype(np.int8)}
+        outputs = {"scores": readonly(scores), "y_hat": readonly((scores >= 0.5).astype(np.int8))}
         modalities.append(
             modalities[0].with_outputs(**outputs)
             if modalities
-            else LabeledPredictions(id_column=ids, y_true=y, group_codes=codes, universe=tuple(names), **outputs)
+            else LabeledPredictions(id_column=ids, y_true=y, group_codes=readonly(codes), universe=tuple(names), **outputs)
         )
     analytic = {}
-    for g in names:
-        model = cfg.score_models[g]
-        if cfg.calibrated:
-            tpr, fpr = model.calibrated_rates(cfg.positive_rate)
-        else:
-            tpr, fpr = model.analytic_tpr(), model.analytic_fpr()
+    for g, m in zip(names, models):
+        tpr, fpr = m.calibrated_rates(cfg.positive_rate) if cfg.calibrated else (m.analytic_tpr(), m.analytic_fpr())
         analytic[g] = {"tpr": tpr, "fpr": fpr}
     return CohortData(modalities=tuple(modalities), analytic_rates=analytic, config=cfg)
 

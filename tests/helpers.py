@@ -6,8 +6,8 @@ from typing import Mapping
 import numpy as np
 
 from equifair import EmbeddingMatrix, LossSpec, ValidationError, schema
-from equifair.eo import expected_loss_of_rates
-from equifair.geometry import convex_hull_indices, polygon_edges
+from equifair.eo import _group_coefficients, _hard_region, expected_loss_of_rates
+from equifair.geometry import argmin_linear, convex_hull_indices, polygon_edges
 from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
 
 
@@ -60,6 +60,18 @@ def trapezoid_area(curve) -> float:
 def expected_accuracy_of_rates(rates: Mapping[str, GroupRateEntry]) -> float:
     """Expected accuracy under empirical group/class frequencies."""
     return 1.0 - expected_loss_of_rates(rates, LossSpec(1.0, 1.0))
+
+
+def unconstrained_optimum_loss(rates: Mapping[str, GroupRateEntry], loss: LossSpec, soft_regions: Mapping[str, np.ndarray] | None = None) -> float:
+    """Loss of the best per-group derived predictor with no cross-group
+    constraint: each group independently picks its optimal achievable
+    point.  Lower-bounds every equalized-odds fit on the same data."""
+    total = 0.0
+    for g, (kf, kn) in _group_coefficients(rates, loss).items():
+        region = soft_regions[g] if soft_regions is not None else _hard_region(rates[g].fpr, rates[g].tpr)
+        x, y = argmin_linear(np.asarray(region, dtype=np.float64), kf, -kn)
+        total += kf * x + kn * (1.0 - y)
+    return total
 
 
 def total_samples(rates: Mapping[str, GroupRateEntry]) -> int:

@@ -15,11 +15,12 @@ from equifair import (
     debias,
     fit_eo_hard,
     gap_ranges,
+    predictions,
 )
 from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
 from equifair.predictions import read_predictions, write_predictions
-from equifair.synth import EmbeddingPlantConfig, generate_embeddings
+from equifair.synth import GROUP_PRESETS, EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS
 
 from helpers import MALFORMED_EMBEDDINGS, report_from_json
@@ -68,14 +69,20 @@ class TestSynthCommand:
             str(tmp_path / "analytic_rates.json"),
         }
 
-    # sha256 of the modality files, as written before cohorts drew group
-    # codes instead of labels and sets stopped storing a label per row
+    # sha256 of the modality files, as written since 0.3.0 planted the
+    # score means with NormalDist().inv_cdf
     MODALITY_PINS = {
-        (): ("8e95237f8d8a20c07ec6a522504fc4c41553e456833cd0d3ca6e2291a4a83d71",),
+        (): ("14b3a4018938f258435eb7db1738622f0f797d56833811fd880d9823c8388e85",),
         ("--modality-windows", "0:0.6,0.4:1"): (
-            "a51c66baf4f9bffa58f551a70e5edd8b2a75ca45a032a939e05eb31c3774e80f",
-            "c79d427a029f4b06f01fda5162bc2686b6c1b55937dd6a34a7fb700ee28ec2c5",
+            "884c6d4fb0832cbf5a326b617b0c8789ec715d7759c114d15a27a120a7deda11",
+            "2bf176439f4f24519e7f0ab52fd46894bd8a6400cb6850da9781de1954681de5",
         ),
+    }
+    # the --preset insurance score models before 0.3.0, whose means a
+    # Newton-refined rational approximation of Phi^-1 planted
+    OLD_MEANS = {
+        "Government": 0.2533471031357999, "Medicaid": 0.38532046640756756, "Medicare": 0.5244005127080409,
+        "Private": 0.674489750196082, "Self Pay": 0.8416212335729147, "UNKNOWN": 1.0364333894937896,
     }
 
     @pytest.mark.parametrize("windows", list(MODALITY_PINS), ids=["one-modality", "two-modalities"])
@@ -85,6 +92,34 @@ class TestSynthCommand:
         for i, digest in enumerate(self.MODALITY_PINS[windows]):
             assert hashlib.sha256((tmp_path / f"modality_{i}.csv").read_bytes()).hexdigest() == digest, i
         assert not (tmp_path / f"modality_{len(self.MODALITY_PINS[windows])}.csv").exists()
+
+    def test_old_means_give_the_old_bytes(self, tmp_path):
+        """The generator is unchanged: a config holding the old means, drawn
+        under --seed 7, writes the one-modality file pinned before 0.3.0."""
+        models = {g: {"mu_neg": -1.0364333894937896, "mu_pos": mu} for g, mu in self.OLD_MEANS.items()}
+        config = tmp_path / "cohort.json"
+        config.write_text(json.dumps({"groups": GROUP_PRESETS["insurance"], "score_models": models, "n_samples": 5000}))
+        assert main(["synth", "--synth-config", str(config), "--seed", "7", "--out", str(tmp_path / "out")]) == 0
+        digest = hashlib.sha256((tmp_path / "out/modality_0.csv").read_bytes()).hexdigest()
+        assert digest == "8e95237f8d8a20c07ec6a522504fc4c41553e456833cd0d3ca6e2291a4a83d71"
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    def test_synth_config_draws_under_the_seed_flag(self, command, tmp_path, monkeypatch):
+        """A cohort config sets no seed: --seed, else EQUIFAIR_SEED, draws it."""
+        config = tmp_path / "cohort.json"
+        config.write_text(json.dumps({"n_samples": 300, "modality_windows": [[0, 0.5], [0.5, 1]]}))
+        artifact = "modality_0.csv" if command == "synth" else "base_report.json"
+        runs = {"1": ["--seed", "1"], "2": ["--seed", "2"], "env-2": []}
+        monkeypatch.setenv("EQUIFAIR_SEED", "2")
+        data = {}
+        for run, seed in runs.items():
+            out = tmp_path / run
+            assert main([command, "--synth-config", str(config), *seed, "--out", str(out)]) == 0
+            data[run] = (out / artifact).read_bytes()
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["seed"] == int(run[-1])
+            assert not set(COHORT_DEFAULTS).difference(["synth_config"]) & set(manifest["arguments"])
+        assert data["1"] != data["2"] == data["env-2"]
 
     def test_env_seed_fallback(self, tmp_path):
         r1 = run_cli("synth", "--n", "100", "--out", tmp_path / "a", env={"EQUIFAIR_SEED": "99"})
@@ -461,6 +496,26 @@ class TestPipeline:
             raise AssertionError("LabeledPredictions.ids was built")
 
         monkeypatch.setattr(cli.LabeledPredictions, "ids", property(refuse))
+        self._run_every_stage(intervention, tmp_path)
+
+    @pytest.mark.parametrize("intervention", ["eo-hard", "eo-soft"])
+    def test_no_stage_copies_a_column(self, intervention, tmp_path, monkeypatch):
+        """The reader, synth, the ensemble and the EO apply stage hand their
+        fresh arrays over read-only, so a set copies none of them."""
+        owned = predictions._owned
+
+        def refuse_copies(a, given):
+            kept = owned(a, given)
+            assert kept is a, f"a {a.dtype} column was copied"
+            return kept
+
+        monkeypatch.setattr(predictions, "_owned", refuse_copies)
+        self._run_every_stage(intervention, tmp_path)
+
+    @staticmethod
+    def _run_every_stage(intervention, tmp_path):
+        """synth, then a pipeline on files and on a synthetic cohort of two
+        modalities, run in process."""
         for split, seed in (("fit", "1"), ("eval", "2")):
             assert main(["synth", "--n", "400", "--seed", seed, "--out", str(tmp_path / split)]) == 0
         files = ["--fit-input", tmp_path / "fit/modality_0.csv", "--input", tmp_path / "eval/modality_0.csv"]
@@ -484,7 +539,10 @@ class TestPinnedArtifacts:
     one (reports: before group codes and the one-sort AUC), and of a
     pipeline on a quoted CRLF input file, as written before the reader
     parsed by column and the draws were batched; any change to reading,
-    fitting, metrics, serialisation or the realised draws shows here."""
+    fitting, metrics, serialisation or the realised draws shows here.
+    The eo-soft predictor was re-pinned in 0.3.0: its thresholds are
+    ensemble scores of a cohort whose planted means moved in their last
+    bits."""
 
     PINS = {
         ("eo-hard",): {
@@ -494,7 +552,7 @@ class TestPinnedArtifacts:
             "post_report.json": "5aadb68f2cdd977c1d951fa27fa9a2c19c69314891ffc8f266c62042ec83968e",
         },
         ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
-            "derived_predictor.json": "50da32f885c15f58a7c2a7b73a558644bf0971664a3fba6d7d1b2124aa03fdfe",
+            "derived_predictor.json": "75cee5a745fd907fc1a0944bc2bb48388d4395f31e9deba4cb827d5a8df1fab3",
             "postprocessed.csv": "60fd79bd0dfe6249c561fbee65379713025f71bb74c38120d4ef34a236adaccb",
             "base_report.json": "7e501643ccd896bb00c879f9821a4d16d5a13dab92762a0dc17d85f1730e41e3",
             "post_report.json": "3f03018e0429c40e8902355cdaa2b94fa4955960237c472c4e690a63b899b0af",
@@ -618,6 +676,11 @@ MALFORMED = {
     "synth-config-not-an-object": ("synth-config", "[]", 4, "format-error", "object"),
     "synth-config-negative-seed": ("synth-config", '{"seed": -1}', 6, "invalid-input", "CohortConfig.seed must be non-negative"),
     "synth-config-nan-proportion": ("synth-config", '{"groups": {"A": NaN, "B": 0.5}}', 4, "format-error", "NaN"),
+    # the seed of a cohort config comes from --seed or EQUIFAIR_SEED
+    **{
+        f"{command}-sets-seed": (command, '{"n_samples": 50, "seed": 3}', 6, "invalid-input", "cohort config: field seed is refused")
+        for command in ("synth-config", "pipeline-synth-config")
+    },
     "model-weights-not-a-list": ("ensemble-predict", _with("weights", "x"), 4, "format-error", "field weights"),
     "model-not-an-object": ("ensemble-predict", lambda d: [], 4, "format-error", "object"),
     "model-null-c": ("ensemble-predict", _with("C", None), 4, "format-error", "field C"),
@@ -672,6 +735,13 @@ MALFORMED = {
         "synth", ["--plant-embeddings", "--seed", "-1"], 6, "invalid-input", "--seed must be a non-negative integer",
     ),
     "pipeline-c-nan": ("pipeline", ["--C", "nan"], 6, "invalid-input", "--C must be finite, got nan"),
+    # --C is checked whether or not an ensemble stage runs
+    "pipeline-c-negative-one-modality": ("pipeline", ["--C", "-1"], 6, "invalid-input", "C must be finite and positive, got -1.0"),
+    "pipeline-c-negative-two-modalities": (
+        "pipeline", ["--C", "-1", "--modality-windows", "0:0.5,0.5:1"], 6, "invalid-input", "C must be finite and positive, got -1.0",
+    ),
+    "pipeline-c-zero-on-files": ("pipeline", ["--input", "preds.csv", "--C", "0"], 6, "invalid-input", "C must be finite and positive, got 0.0"),
+    "ensemble-fit-c-negative": ("ensemble-fit", ["--C", "-2"], 6, "invalid-input", "C must be finite and positive, got -2.0"),
     "synth-window-not-a-number": ("synth", ["--modality-windows", "abc"], 6, "invalid-input", "'abc'"),
     "synth-window-one-bound": ("synth", ["--modality-windows", "0:0.5,0.5"], 6, "invalid-input", "'0.5'"),
     "pipeline-intervention-pair": (
@@ -696,6 +766,24 @@ MALFORMED = {
             ("--n", "50"), ("--preset", "insurance"), ("--positive-rate", "0.9"), ("--tpr-low", "0.6"),
             ("--tpr-high", "0.85"), ("--fpr", "0.15"), ("--modality-windows", "0:1"),
         )
+    },
+    # a cohort config replaces the other cohort flags
+    **{
+        f"{command}{flag}-with-synth-config": (
+            command, ["--synth-config", "cohort.json", flag, value], 6, "invalid-input", f"{flag} applies only without --synth-config",
+        )
+        for command in ("synth", "pipeline")
+        for flag, value in (
+            ("--n", "7"), ("--preset", "insurance"), ("--positive-rate", "0.9"), ("--tpr-low", "0.6"),
+            ("--tpr-high", "0.85"), ("--fpr", "0.15"), ("--modality-windows", "0:1"),
+        )
+    },
+    **{
+        f"{command}-cohort-flags-with-synth-config": (
+            command, ["--synth-config", "cohort.json", "--n", "7", "--preset", "insurance"], 6, "invalid-input",
+            "--preset, --n apply only without --synth-config",
+        )
+        for command in ("synth", "pipeline")
     },
     "pipeline-cohort-flags-with-input": (
         "pipeline", ["--input", "preds.csv", "--n", "50", "--preset", "insurance", "--positive-rate", "0.9"], 6,
@@ -770,7 +858,7 @@ class TestMalformedInputs:
         elif command == "eo-fit":
             argv = ["eo-fit", "--input", csv_path, "--variant", "hard", *arg, "--out", out]
         elif command == "pipeline":
-            small = [] if "--input" in arg else ["--n", "200"]  # a synthetic cohort of 200 rows
+            small = [] if "--input" in arg or "--synth-config" in arg else ["--n", "200"]  # a synthetic cohort of 200 rows
             argv = ["pipeline", "--intervention", "eo-hard", *small, *(csv_path if a == "preds.csv" else a for a in arg), "--out", out]
         elif command == "pipeline-files":
             for name, text in zip(("fit.csv", "eval.csv"), arg):
@@ -783,9 +871,11 @@ class TestMalformedInputs:
             argv = ["report", "--input", csv_path, *arg, "--out", out]
         elif command == "synth":
             argv = ["synth", *arg, "--out", out]
-        elif command == "synth-config":
+        elif command.endswith("synth-config"):
             (tmp_path / "cohort.json").write_text(arg, encoding="utf-8")
-            argv = ["synth", "--synth-config", tmp_path / "cohort.json", "--out", out]
+            argv = [command.split("-")[0], "--synth-config", tmp_path / "cohort.json", "--out", out]
+        elif command == "ensemble-fit":
+            argv = ["ensemble-fit", "--input", csv_path, *arg, "--out", out]
         elif command == "ensemble-predict":
             (tmp_path / "model.json").write_text(json.dumps(arg(ENSEMBLE_MODEL)), encoding="utf-8")
             argv = ["ensemble-predict", "--input", csv_path, "--model", tmp_path / "model.json", "--out", out]

@@ -30,12 +30,11 @@ from equifair.eo import (
     _upper_envelope,
     expected_loss_of_rates,
     sample_uniforms,
-    unconstrained_optimum_loss,
 )
 from equifair.geometry import convex_hull_indices
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
-from helpers import point_in_convex_polygon, soft_regions_of
+from helpers import point_in_convex_polygon, soft_regions_of, unconstrained_optimum_loss
 from oracles import (
     apply_hard_oracle,
     apply_soft_oracle,

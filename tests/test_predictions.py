@@ -225,6 +225,63 @@ class TestWithOutputs:
             small_preds().with_outputs(**outputs)
 
 
+class TestArrayOwnership:
+    """A set's arrays are read-only and its own: an array its caller passed
+    is copied unless it is read-only all the way down."""
+
+    @staticmethod
+    def _columns():
+        return {
+            "id_column": np.array(["a", "b", "c", "d"], dtype=StringDType()),
+            "y_true": np.array([1, 0, 1, 0], dtype=np.int8),
+            "group_codes": np.array([0, 0, 1, 1], dtype=np.uint8),
+            "scores": np.array([0.9, 0.2, 0.6, 0.4]),
+            "y_hat": np.array([1, 0, 1, 0], dtype=np.int8),
+        }
+
+    @staticmethod
+    def _overwrite(columns):
+        columns["id_column"][:] = "z"
+        for name in ("y_true", "group_codes", "scores", "y_hat"):
+            columns[name][:] = 0
+
+    def test_the_callers_arrays_stay_writeable_and_apart(self):
+        given = self._columns()
+        preds = LabeledPredictions(universe=("g1", "g2"), **given)
+        derived = preds.with_outputs(scores=given["scores"], y_hat=given["y_hat"])
+        assert all(a.flags.writeable for a in given.values())
+        self._overwrite(given)
+        for p in (preds, derived):
+            assert p.ids == ("a", "b", "c", "d") and p.groups == ("g1", "g1", "g2", "g2")
+            assert p.y_true.tolist() == [1, 0, 1, 0] and p.y_hat.tolist() == [1, 0, 1, 0]
+            assert p.scores.tolist() == [0.9, 0.2, 0.6, 0.4]
+            assert not any(getattr(p, name).flags.writeable for name in given)
+
+    def test_arrays_read_only_all_the_way_down_are_shared(self):
+        given = {name: predictions.readonly(a) for name, a in self._columns().items()}
+        given["y_hat"] = np.frombuffer(bytes([1, 0, 1, 0]), dtype=np.int8)  # a view of immutable bytes
+        preds = LabeledPredictions(universe=("g1", "g2"), **given)
+        derived = preds.with_outputs(scores=given["scores"], y_hat=given["y_hat"])
+        for name, a in given.items():
+            assert getattr(preds, name) is a, name
+        assert derived.scores is given["scores"] and derived.y_hat is given["y_hat"]
+
+    def test_read_only_views_of_writeable_memory_are_copied(self):
+        bases = self._columns()
+        given = {}
+        for name, base in bases.items():
+            given[name] = base[:]
+            given[name].setflags(write=False)
+        given["y_hat"] = np.frombuffer(bytearray([1, 0, 1, 0]), dtype=np.int8)[:]
+        given["y_hat"].setflags(write=False)
+        preds = LabeledPredictions(universe=("g1", "g2"), **given)
+        self._overwrite(bases)
+        np.frombuffer(given["y_hat"].base.base, dtype=np.int8)[:] = 0
+        assert preds.ids == ("a", "b", "c", "d") and preds.group_codes.tolist() == [0, 0, 1, 1]
+        assert preds.y_true.tolist() == preds.y_hat.tolist() == [1, 0, 1, 0]
+        assert preds.scores.tolist() == [0.9, 0.2, 0.6, 0.4]
+
+
 class TestCsvRoundTrip:
     def test_round_trip(self, tmp_path):
         preds = small_preds()

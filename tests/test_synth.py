@@ -1,4 +1,5 @@
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,10 @@ from equifair.synth import (
     ETHNICITY_PROPORTIONS,
     GROUP_PRESETS,
     SEX_PROPORTIONS,
+    STANDARD_NORMAL,
     ScoreModel,
     _cohort_ids,
     gapped_score_models,
-    normal_cdf,
 )
 from equifair.wordsets import GENDER_SETS, RACE_SETS
 
@@ -154,8 +155,29 @@ class TestGenerateCohort:
 class TestScoreModels:
     def test_analytic_rates_are_gaussian_tails(self):
         m = ScoreModel(mu_neg=-1.0, mu_pos=2.0, sigma_neg=2.0, sigma_pos=1.0)
-        assert m.analytic_tpr() == pytest.approx(normal_cdf(2.0))
-        assert m.analytic_fpr() == pytest.approx(normal_cdf(-0.5))
+        assert m.analytic_tpr() == pytest.approx(STANDARD_NORMAL.cdf(2.0))
+        assert m.analytic_fpr() == pytest.approx(STANDARD_NORMAL.cdf(-0.5))
+
+    def test_analytic_rates_keep_the_erf_expression(self):
+        """Phi is computed as it was before NormalDist, bit for bit."""
+        for x in np.linspace(-9.0, 9.0, 1001):
+            assert STANDARD_NORMAL.cdf(x) == 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+    @pytest.mark.parametrize(
+        "rates, field, probit",
+        [
+            # Phi^-1 of the float p, from mpmath at 50 digits
+            ({"fpr": 1e-12}, "mu_neg", -7.034483825301132),
+            ({"tpr_low": 1 - 1e-6, "tpr_high": 1 - 1e-6}, "mu_pos", 4.753424308817087),
+        ],
+        ids=["fpr-1e-12", "tpr-1-1e-6"],
+    )
+    def test_planted_means_are_exact_in_the_tails(self, rates, field, probit):
+        """The planted means are Phi^-1 of the rates to within 4 ulps, also
+        where a Newton-refined rational start was off by 3.1e-6 (1e-12)
+        and 1.2e-11 (1 - 1e-6)."""
+        mean = getattr(gapped_score_models({"a": 1.0}, **rates)["a"], field)
+        assert abs(mean - probit) <= 4 * math.ulp(probit)
 
     def test_gapped_models_hit_requested_rates(self):
         models = gapped_score_models({"a": 0.5, "b": 0.5}, tpr_low=0.6, tpr_high=0.85, fpr=0.15)
