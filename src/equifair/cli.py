@@ -43,6 +43,7 @@ from .eo import (
 )
 from .errors import EquifairError, ValidationError
 from .metrics import FairnessReport, build_report
+from .pool import _beside
 from .predictions import (
     LabeledPredictions,
     read_prediction_file,
@@ -246,9 +247,9 @@ def _cmd_metrics(args) -> int:
 def _cmd_report(args) -> int:
     # a seed is only recorded here, so none given stays null
     seed = _resolve_seed(args) if args.seed is not None or "EQUIFAIR_SEED" in os.environ else None
-    out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     report = build_report(preds, task=args.task, seed=seed)
+    out = _out_dir(args)
     report_path = _write_json(out / "report.json", report)
     plot_path = _write_plot_data(out / "plot_data.csv", {args.task or "classifier": report})
     _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], seed)
@@ -257,9 +258,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_eo_fit(args) -> int:
-    out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     dp = _eo_functions(args.variant)[0](preds, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
+    out = _out_dir(args)
     dp_path = _write_json(out / "derived_predictor.json", dp.to_dict())
     _write_manifest(out, "eo-fit", vars(args), [Path(args.input)], [dp_path], None)
     print(f"wrote {dp_path} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
@@ -268,19 +269,20 @@ def _cmd_eo_fit(args) -> int:
 
 def _cmd_eo_apply(args) -> int:
     seed = _resolve_seed(args)
-    out = _out_dir(args)
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     dp = DerivedPredictor.from_dict(schema.read(args.predictor))
+    post_preds = _eo_apply_stage(dp, preds, seed)
+    out = _out_dir(args)
     out_path = out / "postprocessed.csv"
-    write_predictions(_eo_apply_stage(dp, preds, seed), out_path)
+    write_predictions(post_preds, out_path)
     _write_manifest(out, "eo-apply", vars(args), [Path(args.input), Path(args.predictor)], [out_path], seed)
     print(f"wrote {out_path}")
     return 0
 
 
 def _cmd_debias(args) -> int:
-    out = _out_dir(args)
     result = hard_debias(load_embeddings(Path(args.embeddings)), resolve_equality_sets(args.equality_sets), k=args.k)
+    out = _out_dir(args)
     emb_path = out / "debiased_embeddings.txt"
     save_embeddings(result.embeddings, emb_path)
     report_path = _write_json(out / "debias_report.json", result.skip_report())
@@ -290,11 +292,11 @@ def _cmd_debias(args) -> int:
 
 
 def _cmd_ensemble_fit(args) -> int:
-    out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
     model = fit_ensemble(np.column_stack(list(pfile.constituent_scores.values())), pfile.predictions.y_true, C=args.C)
+    out = _out_dir(args)
     model_path = _write_ensemble(out, model, pfile.constituent_scores)
     _write_manifest(out, "ensemble-fit", vars(args), [Path(args.input)], [model_path], None)
     print(f"wrote {model_path} (converged={model.converged}, iterations={model.n_iter})")
@@ -302,7 +304,6 @@ def _cmd_ensemble_fit(args) -> int:
 
 
 def _cmd_ensemble_predict(args) -> int:
-    out = _out_dir(args)
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     model = schema.load(_EnsembleFile, schema.read(args.model), "ensemble model")
     if not model.constituents:
@@ -311,8 +312,10 @@ def _cmd_ensemble_predict(args) -> int:
     if missing:
         raise ValidationError(f"input lacks constituent columns {missing}")
     features = np.column_stack([pfile.constituent_scores[n] for n in model.constituents])
+    scored = _ensemble_scored(pfile.predictions, model, features, args.threshold)
+    out = _out_dir(args)
     out_path = out / "ensemble_predictions.csv"
-    write_predictions(_ensemble_scored(pfile.predictions, model, features, args.threshold), out_path)
+    write_predictions(scored, out_path)
     _write_manifest(out, "ensemble-predict", vars(args), [Path(args.input), Path(args.model)], [out_path], None)
     print(f"wrote {out_path}")
     return 0
@@ -320,13 +323,34 @@ def _cmd_ensemble_predict(args) -> int:
 
 def _pipeline_split(args, cfg: CohortConfig | None, seed: int, tag: str) -> tuple[LabeledPredictions, dict[str, np.ndarray]]:
     """The ``tag`` ("fit" or "eval") split's predictions and constituent
-    scores: read from its file, or generated under its derived seed (a
+    scores: read from ``--input``, or generated under its derived seed (a
     cohort of one modality has no constituents)."""
     if cfg is None:
-        pfile = read_prediction_file(Path(args.fit_input if tag == "fit" and args.fit_input else args.input), group_col=args.group_col)
-        return pfile.predictions, pfile.constituent_scores
+        return read_prediction_file(Path(args.input), group_col=args.group_col)
     modalities = generate_cohort(replace(cfg, seed=derive_seed(seed, tag))).modalities
     return modalities[0], {f"m{j}": m.scores for j, m in enumerate(modalities)} if len(modalities) > 1 else {}
+
+
+_FIT_WORKER_FLOOR = 1 << 20  # eval-file bytes from which the fit runs on a worker beside the eval read
+
+
+def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C: float, group_col: str = "group"):
+    """(ensemble model or None, its constituents, derived predictor or None) fitted
+    on the fit ``split``: its (predictions, constituent scores), or its file."""
+    fit_preds, fit_features = read_prediction_file(split, group_col=group_col) if isinstance(split, Path) else split
+    model = dp = None
+    names = sorted(eval_names.intersection(fit_features))
+    if fit_features and eval_names:
+        if not names:
+            raise ValidationError("fit and eval constituent columns do not overlap")
+        features = np.column_stack([fit_features[n] for n in names])
+        model = fit_ensemble(features, fit_preds.y_true, C=C)
+        fit_preds = _ensemble_scored(fit_preds, model, features, 0.5)
+    if intervention != "none":
+        if fit_preds.y_hat is None and intervention == "eo-hard":
+            raise ValidationError("eo-hard requires hard predictions in the fit split")
+        dp = _eo_functions(intervention.removeprefix("eo-"))[0](fit_preds, loss)
+    return model, names, dp
 
 
 def _cmd_pipeline(args) -> int:
@@ -339,51 +363,42 @@ def _cmd_pipeline(args) -> int:
         _refuse_flags(args, COHORT_DEFAULTS, "without --input")
     seed = _resolve_seed(args)
     cfg = None if args.input else _load_cohort_config(args, seed)
-    out = _out_dir(args)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
     inputs = [Path(p) for p in (args.input, args.fit_input) if p]
     metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
-    # Fit, then evaluate: of the eval file only the header is read before
-    # the fit split, which is fitted and dropped before the eval split is
-    # read; nothing is written until both are done.
-    eval_names = None
-    if args.input:
+    # Nothing is written until both splits are read and fitted.  Errors come
+    # in this order: eval header, fit side (beside or before), eval rows.
+    if args.fit_input:
         header = read_prediction_header(Path(args.input), group_col=args.group_col)
+        metadata["fit_split"] = "separate fit input"  # its path is kept in manifest.json, not in the reports
         eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
-        # the fit file's path is kept in manifest.json, not in the reports
-        metadata["fit_split"] = "separate fit input" if args.fit_input else "eval (no separate fit input provided)"
+        job = (Path(args.fit_input), eval_names, intervention, loss, args.C, args.group_col)
+        with _beside(Path(args.input).stat().st_size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
+            try:
+                eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
+            except Exception:
+                fitted()  # a fit-side error wins
+                raise
+            model, names, dp = fitted()
     else:
-        metadata["fit_split"] = "synthetic (derived seed)"
-    fit_preds, fit_features = _pipeline_split(args, cfg, seed, "fit")
-    if cfg is not None:
-        eval_names = set(fit_features)  # both cohorts come from one config
-    model = dp = features = None
-    if fit_features and eval_names:
-        names = sorted(eval_names.intersection(fit_features))
-        if not names:
-            raise ValidationError("fit and eval constituent columns do not overlap")
-        features = np.column_stack([fit_features[n] for n in names])
-        model = fit_ensemble(features, fit_preds.y_true, C=args.C)
-        fit_preds = _ensemble_scored(fit_preds, model, features, 0.5)
+        metadata["fit_split"] = "eval (no separate fit input provided)" if args.input else "synthetic (derived seed)"
+        # the eval file is the fit split too; a synthetic one is dropped for the eval cohort
+        eval_preds, eval_features = _pipeline_split(args, cfg, seed, "fit")
+        model, names, dp = _fit_stage((eval_preds, eval_features), set(eval_features), intervention, loss, args.C)
+        if cfg is not None:
+            del eval_preds, eval_features
+            eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
+    if model is not None:
         metadata["ensemble"] = {"constituents": names, "C": args.C}
-    if intervention != "none":
-        if fit_preds.y_hat is None and intervention == "eo-hard":
-            raise ValidationError("eo-hard requires hard predictions in the fit split")
-        dp = _eo_functions(intervention.removeprefix("eo-"))[0](fit_preds, loss)
-    if args.input and not args.fit_input:
-        eval_preds = fit_preds  # the fit split is the eval file, already scored
-    else:
-        del fit_preds, fit_features, features
-        eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
-        if model is not None:
-            eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
+        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
 
     plots = {"base": build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)}
     if dp is not None:
         post_preds = _eo_apply_stage(dp, eval_preds, derive_seed(seed, "apply"))
         post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
         plots[intervention] = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
+    out = _out_dir(args)
     outputs = [_write_ensemble(out, model, names)] if model is not None else []
     outputs.append(_write_json(out / "base_report.json", plots["base"]))
     if dp is not None:

@@ -17,16 +17,14 @@ single-space separators and round-trip decimal rendering.
 from __future__ import annotations
 
 import os
-from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ValidationError
+from .pool import _pooled, _process_pool
 from .schema import decode_error
 
 NEUTRALIZE_EPS = 1e-8
@@ -329,9 +327,9 @@ def hard_debias(
 #
 # Files are read and written a block of rows at a time.  From
 # ``_POOL_FLOOR`` values on, the blocks are parsed or formatted on one
-# worker process per usable CPU; below it, or where no process pool can be
-# started, in this process.  The bytes written, and the values and errors
-# read, are the same either way.
+# worker process per usable CPU (see ``pool``); below it, or where no
+# process pool can be started, in this process.  The bytes written, and
+# the values and errors read, are the same either way.
 
 # values (rows x dimension) from which a file is handled by a process pool;
 # below about this size, starting the workers costs what they save
@@ -342,84 +340,6 @@ _BLOCK_VALUES = 1 << 16
 
 def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_VALUES // max(dim, 1))
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
-
-
-def _exit_with_parent() -> None:
-    """Pool initializer: end the worker when the process that started it
-    ends; a worker waiting for its next job would not notice."""
-    import multiprocessing
-    import threading
-
-    parent = multiprocessing.parent_process()
-
-    def watch():
-        parent.join()
-        os._exit(1)
-
-    threading.Thread(target=watch, daemon=True).start()
-
-
-def _pooled(pool, window: int, fn, jobs: Iterable[tuple]):
-    """``(job, fn(*job))`` in job order, with up to ``window`` jobs in
-    flight.  Once a worker has died (killed for its memory, say), the
-    jobs it leaves run in this process."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    def submit(job):
-        try:
-            return pool.submit(fn, *job)
-        except BrokenProcessPool:
-            return None
-
-    def settle(job, future):
-        if future is not None:
-            try:
-                return job, future.result()
-            except BrokenProcessPool:
-                pass
-        return job, fn(*job)
-
-    pending: deque = deque()
-    for job in jobs:
-        pending.append((job, submit(job)))
-        if len(pending) > window:
-            yield settle(*pending.popleft())
-    while pending:
-        yield settle(*pending.popleft())
-
-
-@contextmanager
-def _block_map(n_values: int):
-    """A function ``run(fn, jobs)`` that yields ``(job, fn(*job))`` for
-    each argument tuple of ``jobs``, in order.  For ``n_values`` from
-    ``_POOL_FLOOR`` on, ``fn`` runs on a process pool: it must be a
-    module-level function, and it gets nothing but its arguments.  The
-    workers start by the platform's default method, as where that is
-    ``fork`` a calling script needs no ``__main__`` guard."""
-    workers = _usable_cpus()
-    pool = None
-    if n_values >= _POOL_FLOOR and workers > 1:
-        # imported here, as most commands start no pool
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            pool = ProcessPoolExecutor(workers, initializer=_exit_with_parent)
-        except (OSError, NotImplementedError):
-            pass
-    if pool is None:
-        yield lambda fn, jobs: ((job, fn(*job)) for job in jobs)
-        return
-    try:
-        yield partial(_pooled, pool, 2 * workers)
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray] | None:
@@ -516,9 +436,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             seen: set[str] = set()
             lineno = 2
             undecodable: list[UnicodeDecodeError] = []
-            with _block_map(vectors.size) as run:
+            with _process_pool(vectors.size, _POOL_FLOOR) as executor:
                 jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
-                for (lines, _), parsed in run(_parse_block, jobs):
+                for (lines, _), parsed in _pooled(executor, _parse_block, jobs):
                     if parsed is not None:
                         seen.update(parsed[0])
                     if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
@@ -554,6 +474,6 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     jobs = ((emb.tokens[i : i + rows], emb.vectors[i : i + rows]) for i in range(0, len(emb), rows))
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(emb)} {emb.dim}\n")
-        with _block_map(emb.vectors.size) as run:
-            for _, text in run(_format_block, jobs):
+        with _process_pool(emb.vectors.size, _POOL_FLOOR) as executor:
+            for _, text in _pooled(executor, _format_block, jobs):
                 fh.write(text)

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -212,13 +213,12 @@ class LabeledPredictions:
         return tuple(g for g, k in zip(self.universe, rows) if k)
 
 
-@dataclass(frozen=True)
-class PredictionFile:
+class PredictionFile(NamedTuple):
     """A parsed prediction CSV: the core records plus any constituent-model
     ``score_<name>`` columns found in the header."""
 
     predictions: LabeledPredictions
-    constituent_scores: dict[str, np.ndarray] = field(default_factory=dict)
+    constituent_scores: dict[str, np.ndarray]
 
 
 def _parse_binary(value: str, column: str, where: str) -> int:

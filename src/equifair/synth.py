@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
@@ -48,8 +47,11 @@ GROUP_PRESETS: dict[str, dict[str, float]] = {
 DEFAULT_POSITIVE_RATE = 0.131
 
 
-# Phi and its inverse (Wichura 1988, Algorithm AS 241)
-STANDARD_NORMAL = NormalDist()
+def _standard_normal():
+    """Phi and its inverse (Wichura 1988, Algorithm AS 241), imported only
+    where a run draws or computes rates: ``statistics`` loads ``decimal``."""
+    from statistics import NormalDist
+    return NormalDist()
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,10 @@ class ScoreModel:
 
     def analytic_tpr(self) -> float:
         # P(logit >= 0 | positive); threshold 0.5 on the score scale
-        return STANDARD_NORMAL.cdf(self.mu_pos / self.sigma_pos)
+        return _standard_normal().cdf(self.mu_pos / self.sigma_pos)
 
     def analytic_fpr(self) -> float:
-        return STANDARD_NORMAL.cdf(self.mu_neg / self.sigma_neg)
+        return _standard_normal().cdf(self.mu_neg / self.sigma_neg)
 
     def posterior_coefficients(self, positive_rate: float) -> tuple[float, float]:
         """(a, b) such that P(y=1 | logit) = sigmoid(a * logit + b).
@@ -91,8 +93,8 @@ class ScoreModel:
         """Analytic (tpr, fpr) of thresholding the posterior at 0.5."""
         a, b = self.posterior_coefficients(positive_rate)
         cutoff = -b / a
-        tpr = STANDARD_NORMAL.cdf((self.mu_pos - cutoff) / self.sigma_pos)
-        fpr = STANDARD_NORMAL.cdf((self.mu_neg - cutoff) / self.sigma_neg)
+        tpr = _standard_normal().cdf((self.mu_pos - cutoff) / self.sigma_pos)
+        fpr = _standard_normal().cdf((self.mu_neg - cutoff) / self.sigma_neg)
         return tpr, fpr
 
 
@@ -176,7 +178,7 @@ def gapped_score_models(
     at a common fpr, for planting controllable fairness gaps."""
     if not 0 < tpr_low <= tpr_high < 1 or not 0 < fpr < 1:
         raise ValidationError("rates must lie strictly in (0, 1)")
-    last, inv = max(len(groups) - 1, 1), STANDARD_NORMAL.inv_cdf
+    last, inv = max(len(groups) - 1, 1), _standard_normal().inv_cdf
     return {g: ScoreModel(mu_neg=inv(fpr), mu_pos=inv(tpr_low + i / last * (tpr_high - tpr_low))) for i, g in enumerate(groups)}
 
 

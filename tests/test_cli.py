@@ -15,6 +15,7 @@ from equifair import (
     debias,
     fit_eo_hard,
     gap_ranges,
+    pool,
     predictions,
 )
 from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
@@ -717,6 +718,13 @@ MALFORMED = {
         )
     },
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
+    # inputs that fail once read; "missing.csv" stands for a file that does not exist
+    "eo-fit-input-missing": ("eo-fit", ["--input", "missing.csv"], 3, "missing-file", "missing.csv"),
+    "pipeline-input-missing": ("pipeline", ["--input", "missing.csv"], 3, "missing-file", "missing.csv"),
+    "pipeline-fit-input-missing": (
+        "pipeline", ["--input", "preds.csv", "--fit-input", "missing.csv"], 3, "missing-file", "missing.csv",
+    ),
+    "ensemble-fit-without-constituents": ("ensemble-fit", [], 6, "invalid-input", "needs score_<name> constituent columns"),
     "cost-fp-nan": ("eo-fit", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
     "cost-fn-inf": ("eo-fit", ["--cost-fn", "inf"], 6, "invalid-input", "finite"),
     "pipeline-cost-fp-nan": ("pipeline", ["--cost-fp", "nan"], 6, "invalid-input", "finite"),
@@ -837,7 +845,7 @@ MALFORMED = {
 class TestMalformedInputs:
     """Each malformed input gives exactly one ``<category>: <message>``
     line on stderr and the category's exit code, never a traceback, and
-    leaves no file in ``--out``."""
+    does not make ``--out``."""
 
     @pytest.mark.parametrize("case", list(MALFORMED))
     def test_one_line_and_exit_code(self, case, tmp_path, capsys, monkeypatch):
@@ -889,7 +897,7 @@ class TestMalformedInputs:
         elif command == "debias-embeddings":
             # read on a pool of 2 workers, in blocks of 4 values
             monkeypatch.setattr(debias, "_POOL_FLOOR", 0)
-            monkeypatch.setattr(debias, "_usable_cpus", lambda: 2)
+            monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
             monkeypatch.setattr(debias, "_BLOCK_VALUES", 4)
             (tmp_path / "emb.txt").write_bytes(arg)
             argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--out", out]
@@ -899,8 +907,9 @@ class TestMalformedInputs:
             bad = tmp_path / "bad.csv"
             bad.write_bytes(arg)
             argv = ["metrics", "--input", bad]
+        argv = [tmp_path / a if a == "missing.csv" else a for a in argv]
         assert main([str(a) for a in argv]) == code
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"{category}: "), err
         assert needle in err
-        assert not out.exists() or not any(out.iterdir()), sorted(out.iterdir())
+        assert not out.exists()

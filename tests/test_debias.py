@@ -31,7 +31,7 @@ from equifair import (
     project,
     save_embeddings,
 )
-from equifair import debias
+from equifair import debias, pool
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
 
@@ -484,7 +484,7 @@ def embedding_io(pooled: bool, block_values: int = debias._BLOCK_VALUES):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-        mp.setattr(debias, "_usable_cpus", lambda: 2)
+        mp.setattr(pool, "_usable_cpus", lambda: 2)
         mp.setattr(debias, "_POOL_FLOOR", 0 if pooled else 1 << 62)
         mp.setattr(debias, "_BLOCK_VALUES", block_values)
         yield started
@@ -652,11 +652,11 @@ def test_workers_end_with_the_process_that_started_them(method, tmp_path):
     # the workers' pids go to a file: a worker left running would hold a pipe open
     script = (
         "import multiprocessing, os, signal, sys\n"
-        "from equifair import debias\n"
+        "from equifair import pool\n"
         "multiprocessing.set_start_method(sys.argv[2])\n"
-        "debias._usable_cpus = lambda: 2\n"
-        "with debias._block_map(debias._POOL_FLOOR) as run:\n"
-        "    list(run(os.getpid, [()] * 8))\n"
+        "pool._usable_cpus = lambda: 2\n"
+        "with pool._process_pool(0, 0) as executor:\n"
+        "    list(pool._pooled(executor, os.getpid, [()] * 8))\n"
         "    with open(sys.argv[1], 'w') as fh:\n"
         "        print(*(p.pid for p in multiprocessing.active_children()), file=fh)\n"
         "    os.kill(os.getpid(), signal.SIGKILL)\n"

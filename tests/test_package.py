@@ -1,8 +1,9 @@
 """Package guards: every public name resolves, the runtime imports
 nothing outside the standard library and numpy, only the schema module
-parses or writes JSON, the version has one source, both equalized-odds
-fits share one solver, and the CLI sets its BLAS thread defaults before
-numpy loads."""
+parses or writes JSON, only the pool module starts processes, the
+version has one source, both equalized-odds fits share one solver, the
+CLI sets its BLAS thread defaults before numpy loads, and importing it
+loads neither ``statistics`` nor ``multiprocessing``."""
 
 import ast
 import json
@@ -50,6 +51,27 @@ def test_json_is_parsed_only_by_the_schema_module():
             elif isinstance(node, ast.ImportFrom) and node.module == "json":
                 sites += [f"{path.name}:{node.lineno}" for a in node.names if a.name in JSON_CALLS]
     assert sites and all(p.startswith("schema.py:") for p in sites), sites
+
+
+def test_processes_are_started_only_by_the_pool_module():
+    sites = []
+    for path in sorted(Path(equifair.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] + [getattr(node, "module", None) or ""]
+                if any(n.split(".")[0] in ("multiprocessing", "concurrent") for n in names):
+                    sites.append(f"{path.name}:{node.lineno}")
+    assert sites and all(p.startswith("pool.py:") for p in sites), sites
+
+
+def test_cli_import_loads_no_statistics_or_process_machinery():
+    """``statistics`` (with ``decimal`` and ``fractions``) loads only where
+    synth draws, and the process pool only where one starts."""
+    src = str(Path(equifair.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    probe = "import sys, equifair.cli; print(sorted(m for m in ('statistics', 'decimal', 'fractions', 'multiprocessing', 'concurrent.futures') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_version_has_one_source():

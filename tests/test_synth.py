@@ -1,6 +1,7 @@
 import hashlib
 import math
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from equifair.synth import (
     ETHNICITY_PROPORTIONS,
     GROUP_PRESETS,
     SEX_PROPORTIONS,
-    STANDARD_NORMAL,
     ScoreModel,
     _cohort_ids,
     gapped_score_models,
@@ -26,6 +26,8 @@ from equifair.synth import (
 from equifair.wordsets import GENDER_SETS, RACE_SETS
 
 from oracles import cohort_oracle, format_embeddings_oracle
+
+STANDARD_NORMAL = NormalDist()
 
 
 class TestCohortConfig:
