@@ -34,6 +34,7 @@ from .ensemble import EnsembleModel, check_C, fit_ensemble, predict_proba
 from .eo import (
     DerivedPredictor,
     LossSpec,
+    apply_draws,
     apply_hard,
     apply_soft,
     derive_seed,
@@ -78,7 +79,12 @@ def _write_json(path: Path, doc) -> Path:
     return path
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path], outputs: list[Path], seed: int | None) -> Path:
+def _input_digests(paths: Iterable) -> dict[str, str]:
+    """The manifest's ``inputs``: the sha256 of each file of ``paths`` that is given and exists."""
+    return {str(Path(p)): _sha256(Path(p)) for p in paths if p and Path(p).exists()}
+
+
+def _write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, str], outputs: list[Path], seed: int | None) -> Path:
     manifest = {
         "command": command,
         "arguments": {
@@ -86,7 +92,7 @@ def _write_manifest(out_dir: Path, command: str, args: dict, inputs: list[Path],
             for k, v in args.items()
             if k != "func" and (v is None or isinstance(v, (str, int, float, bool, Path)))
         },
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs if Path(p).exists()},
+        "inputs": inputs,
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         "seed": seed,
         "version": __version__,
@@ -189,9 +195,9 @@ def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: 
     return preds.with_outputs(scores=scores, y_hat=readonly((scores >= threshold).astype(np.int8)))
 
 
-def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> LabeledPredictions:
-    """``preds`` with the derived predictor's y_hat and no scores."""
-    return preds.with_outputs(y_hat=readonly(_eo_functions(dp.variant)[1](dp, preds, seed)))
+def _eo_apply_stage(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, draws=None) -> LabeledPredictions:
+    """``preds`` with the derived predictor's y_hat and no scores, from its ``apply_draws`` if given."""
+    return preds.with_outputs(y_hat=readonly(_eo_functions(dp.variant)[1](dp, preds, seed, draws=draws)))
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def _cmd_synth(args) -> int:
             write_predictions(preds, outputs[-1])
         outputs.append(_write_json(out / "analytic_rates.json", {"analytic_rates": cohort.analytic_rates, "config": cohort.config}))
         status = f"wrote {len(cohort.modalities)} modality file(s) to {out}"
-    _write_manifest(out, "synth", vars(args), [], outputs, seed)
+    _write_manifest(out, "synth", vars(args), {}, outputs, seed)
     print(status)
     return 0
 
@@ -252,7 +258,7 @@ def _cmd_report(args) -> int:
     out = _out_dir(args)
     report_path = _write_json(out / "report.json", report)
     plot_path = _write_plot_data(out / "plot_data.csv", {args.task or "classifier": report})
-    _write_manifest(out, "report", vars(args), [Path(args.input)], [report_path, plot_path], seed)
+    _write_manifest(out, "report", vars(args), _input_digests([args.input]), [report_path, plot_path], seed)
     print(f"wrote {report_path}")
     return 0
 
@@ -262,7 +268,7 @@ def _cmd_eo_fit(args) -> int:
     dp = _eo_functions(args.variant)[0](preds, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
     out = _out_dir(args)
     dp_path = _write_json(out / "derived_predictor.json", dp.to_dict())
-    _write_manifest(out, "eo-fit", vars(args), [Path(args.input)], [dp_path], None)
+    _write_manifest(out, "eo-fit", vars(args), _input_digests([args.input]), [dp_path], None)
     print(f"wrote {dp_path} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
     return 0
 
@@ -275,7 +281,7 @@ def _cmd_eo_apply(args) -> int:
     out = _out_dir(args)
     out_path = out / "postprocessed.csv"
     write_predictions(post_preds, out_path)
-    _write_manifest(out, "eo-apply", vars(args), [Path(args.input), Path(args.predictor)], [out_path], seed)
+    _write_manifest(out, "eo-apply", vars(args), _input_digests([args.input, args.predictor]), [out_path], seed)
     print(f"wrote {out_path}")
     return 0
 
@@ -286,7 +292,7 @@ def _cmd_debias(args) -> int:
     emb_path = out / "debiased_embeddings.txt"
     save_embeddings(result.embeddings, emb_path)
     report_path = _write_json(out / "debias_report.json", result.skip_report())
-    _write_manifest(out, "debias", vars(args), [Path(args.embeddings)], [emb_path, report_path], None)
+    _write_manifest(out, "debias", vars(args), _input_digests([args.embeddings]), [emb_path, report_path], None)
     print(f"wrote {emb_path} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
     return 0
 
@@ -298,7 +304,7 @@ def _cmd_ensemble_fit(args) -> int:
     model = fit_ensemble(np.column_stack(list(pfile.constituent_scores.values())), pfile.predictions.y_true, C=args.C)
     out = _out_dir(args)
     model_path = _write_ensemble(out, model, pfile.constituent_scores)
-    _write_manifest(out, "ensemble-fit", vars(args), [Path(args.input)], [model_path], None)
+    _write_manifest(out, "ensemble-fit", vars(args), _input_digests([args.input]), [model_path], None)
     print(f"wrote {model_path} (converged={model.converged}, iterations={model.n_iter})")
     return 0
 
@@ -316,7 +322,7 @@ def _cmd_ensemble_predict(args) -> int:
     out = _out_dir(args)
     out_path = out / "ensemble_predictions.csv"
     write_predictions(scored, out_path)
-    _write_manifest(out, "ensemble-predict", vars(args), [Path(args.input), Path(args.model)], [out_path], None)
+    _write_manifest(out, "ensemble-predict", vars(args), _input_digests([args.input, args.model]), [out_path], None)
     print(f"wrote {out_path}")
     return 0
 
@@ -364,7 +370,6 @@ def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args)
     cfg = None if args.input else _load_cohort_config(args, seed)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
-    inputs = [Path(p) for p in (args.input, args.fit_input) if p]
     metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
     # Nothing is written until both splits are read and fitted.  Errors come
@@ -377,6 +382,10 @@ def _cmd_pipeline(args) -> int:
         with _beside(Path(args.input).stat().st_size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
             try:
                 eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
+                # what needs only the eval split, done while the fit runs
+                draws = None if intervention == "none" else apply_draws(
+                    intervention.removeprefix("eo-"), derive_seed(seed, "apply"), eval_preds.id_column)
+                digests = _input_digests((args.input, args.fit_input))
             except Exception:
                 fitted()  # a fit-side error wins
                 raise
@@ -385,17 +394,25 @@ def _cmd_pipeline(args) -> int:
         metadata["fit_split"] = "eval (no separate fit input provided)" if args.input else "synthetic (derived seed)"
         # the eval file is the fit split too; a synthetic one is dropped for the eval cohort
         eval_preds, eval_features = _pipeline_split(args, cfg, seed, "fit")
+        draws, digests = None, _input_digests((args.input, args.fit_input))
         model, names, dp = _fit_stage((eval_preds, eval_features), set(eval_features), intervention, loss, args.C)
         if cfg is not None:
             del eval_preds, eval_features
             eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
     if model is not None:
         metadata["ensemble"] = {"constituents": names, "C": args.C}
-        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features[n] for n in names]), 0.5)
+        # each constituent column is dropped once stacked, the matrix once scored
+        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features.pop(n) for n in names]), 0.5)
 
+    if dp is not None:  # applied first, so the draws are dropped before the reports
+        try:
+            post_preds = _eo_apply_stage(dp, eval_preds, derive_seed(seed, "apply"), draws)
+        except Exception:
+            build_report(eval_preds, task=args.task, seed=seed)  # the base report's error comes first
+            raise
+        del draws
     plots = {"base": build_report(eval_preds, task=args.task, seed=seed, extra_metadata=metadata)}
     if dp is not None:
-        post_preds = _eo_apply_stage(dp, eval_preds, derive_seed(seed, "apply"))
         post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
         plots[intervention] = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
     out = _out_dir(args)
@@ -406,7 +423,7 @@ def _cmd_pipeline(args) -> int:
         write_predictions(post_preds, outputs[-1])
         outputs.append(_write_json(out / "post_report.json", plots[intervention]))
     outputs.append(_write_plot_data(out / "plot_data.csv", plots))
-    _write_manifest(out, "pipeline", vars(args), inputs, outputs, seed)
+    _write_manifest(out, "pipeline", vars(args), digests, outputs, seed)
     print(f"pipeline complete: {len(outputs)} artifact(s) in {out}")
     return 0
 

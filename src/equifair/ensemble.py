@@ -74,10 +74,13 @@ def _check_features(features, n_expected: int | None = None) -> np.ndarray:
     return x
 
 
-def logistic_loss_and_grad(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray, intercept: float, C: float
-) -> tuple[float, np.ndarray, float]:
+def logistic_loss_and_grad(x: np.ndarray, y: np.ndarray, weights: np.ndarray, intercept: float, C: float) -> tuple[float, np.ndarray, float]:
     """Objective value and its gradient in (weights, intercept)."""
+    return _loss_grad_p(x, y, weights, intercept, C)[:3]
+
+
+def _loss_grad_p(x, y, weights, intercept, C) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """``logistic_loss_and_grad`` and the probabilities p it computed on the way."""
     n = x.shape[0]
     z = x @ weights + intercept
     p = sigmoid(z)
@@ -86,7 +89,7 @@ def logistic_loss_and_grad(
     resid = p - y
     grad_w = x.T @ resid / n + weights / (C * n)
     grad_b = float(np.mean(resid))
-    return loss, grad_w, grad_b
+    return loss, grad_w, grad_b, p
 
 
 def check_C(C: float) -> None:
@@ -118,7 +121,7 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
     n, k = x.shape
     w = np.zeros(k)
     b = 0.0
-    loss, grad_w, grad_b = logistic_loss_and_grad(x, y, w, b, C)
+    loss, grad_w, grad_b, p = _loss_grad_p(x, y, w, b, C)
     history = [loss]
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
@@ -126,8 +129,7 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= GRAD_TOL:
             break
-        p = sigmoid(x @ w + b)
-        s = p * (1.0 - p)
+        s = p * (1.0 - p)  # p of the accepted (w, b)
         xs = x * s[:, None]
         hess = np.empty((k + 1, k + 1))
         hess[:k, :k] = x.T @ xs / n + np.eye(k) / (C * n)
@@ -145,9 +147,9 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
             for _ in range(50):
                 w_new = w + t * trial[:k]
                 b_new = b + t * trial[k]
-                loss_new, gw_new, gb_new = logistic_loss_and_grad(x, y, w_new, b_new, C)
+                loss_new, gw_new, gb_new, p_new = _loss_grad_p(x, y, w_new, b_new, C)
                 if loss_new < loss:
-                    w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+                    w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
                     history.append(loss)
                     accepted = True
                     break

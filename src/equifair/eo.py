@@ -139,6 +139,12 @@ def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str] | np.ndar
     return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
 
 
+def apply_draws(variant: str, seed: int, sample_ids) -> np.ndarray:
+    """The (n, 1) hard or (n, 3) soft uniforms ``apply_<variant>`` compares for rows of
+    ``sample_ids``; a row's depend on its id alone, so they can be drawn before the fit."""
+    return sample_uniforms(seed, f"eo-{variant}", sample_ids, n=1 if variant == "hard" else 3)
+
+
 def derive_seed(seed: int, tag: str) -> int:
     """Stable child seed for a named sub-stream."""
     digest = hashlib.blake2b(f"{seed}\x1f{tag}".encode(), digest_size=8).digest()
@@ -242,16 +248,17 @@ def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     return DerivedPredictor(policies=policies, target=(x, y), fit_rates=rates, loss=loss, objective=objective)
 
 
-def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
+def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, draws: np.ndarray | None = None) -> np.ndarray:
     """Randomize base hard predictions per the fitted policies.
 
-    Deterministic in (dp, preds, seed); per-sample draws are derived from
-    the sample id, so row order does not matter.
+    Deterministic in (dp, preds, seed); per-sample draws (``apply_draws``,
+    or ``draws`` if given) depend on the sample id alone.
     """
     if preds.y_hat is None:
         raise ValidationError("apply_hard requires hard predictions (y_hat)")
     p = _policy_table(dp, preds, "p0", "p1")[preds.group_codes, preds.y_hat]
-    return (sample_uniforms(seed, "eo-hard", preds.id_column, n=1)[:, 0] < p).astype(np.int8)
+    u = apply_draws("hard", seed, preds.id_column) if draws is None else draws
+    return (u[:, 0] < p).astype(np.int8)
 
 
 # ---------------------------------------------------------------------------
@@ -411,13 +418,13 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     return DerivedPredictor(policies=policies, target=(x, y), fit_rates=counts, loss=loss, objective=objective)
 
 
-def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np.ndarray:
+def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, draws: np.ndarray | None = None) -> np.ndarray:
     """Apply the fitted randomized-threshold policies to scores.
 
     Deterministic in (dp, preds, seed); per-sample draws are derived from
     the sample id, so row order does not matter.  A degenerate
     single-threshold policy reduces to plain thresholding: its rows draw
-    nothing.
+    nothing, or leave unread the ``draws`` given for every row.
     """
     if preds.scores is None:
         raise ValidationError("apply_soft requires scores")
@@ -426,7 +433,11 @@ def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int) -> np
     codes, scores = preds.group_codes, preds.scores
     out = scores >= np.where(lam > 0.0, t_lo, t_hi)[codes]  # the degenerate rule, kept for degenerate rows
     rows = np.flatnonzero(~degenerate[codes])
-    u_sel, u_coin, u_mix = sample_uniforms(seed, "eo-soft", preds.id_column[rows], n=3).T
+    if draws is None:
+        draws = apply_draws("soft", seed, preds.id_column[rows])
+    elif len(rows) < len(codes):
+        draws = draws[rows]
+    u_sel, u_coin, u_mix = draws.T
     g = codes[rows]
     threshold = np.where(u_mix < lam[g], t_lo[g], t_hi[g])
     out[rows] = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], scores[rows] >= threshold)

@@ -27,6 +27,7 @@ from equifair import (
     identify_subspace,
     neutralize,
 )
+from equifair.ensemble import GRAD_TOL, MAX_ITER, logistic_loss_and_grad, sigmoid
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
@@ -538,3 +539,52 @@ def apply_soft_oracle(dp, preds, seed):
             t = pol.t_lo if u_mix < pol.lam else pol.t_hi
             out[i] = 1 if preds.scores[i] >= t else 0
     return out
+
+
+def fit_ensemble_oracle(x, y, C=1.0):
+    """The damped Newton fit as the library ran it before each iteration
+    reused the accepted step's probabilities: (weights, intercept, n_iter,
+    grad_norm, loss_history) of valid features ``x`` and labels ``y``."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, k = x.shape
+    w = np.zeros(k)
+    b = 0.0
+    loss, grad_w, grad_b = logistic_loss_and_grad(x, y, w, b, C)
+    history = [loss]
+    n_iter = 0
+    for n_iter in range(1, MAX_ITER + 1):
+        grad = np.append(grad_w, grad_b)
+        if float(np.linalg.norm(grad)) <= GRAD_TOL:
+            break
+        p = sigmoid(x @ w + b)
+        s = p * (1.0 - p)
+        xs = x * s[:, None]
+        hess = np.empty((k + 1, k + 1))
+        hess[:k, :k] = x.T @ xs / n + np.eye(k) / (C * n)
+        hess[:k, k] = xs.sum(axis=0) / n
+        hess[k, :k] = hess[:k, k]
+        hess[k, k] = float(np.mean(s))
+        try:
+            step = np.linalg.solve(hess, -grad)
+        except np.linalg.LinAlgError:
+            step = -grad
+        for trial in (step, -grad):
+            t = 1.0
+            accepted = False
+            for _ in range(50):
+                w_new = w + t * trial[:k]
+                b_new = b + t * trial[k]
+                loss_new, gw_new, gb_new = logistic_loss_and_grad(x, y, w_new, b_new, C)
+                if loss_new < loss:
+                    w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
+                    history.append(loss)
+                    accepted = True
+                    break
+                t *= 0.5
+            if accepted:
+                break
+        else:
+            break
+    grad_norm = float(np.linalg.norm(np.append(grad_w, grad_b)))
+    return w, b, n_iter, grad_norm, tuple(history)

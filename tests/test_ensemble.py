@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifair import (
     CohortConfig,
@@ -11,6 +13,8 @@ from equifair import (
     predict_proba,
 )
 from equifair.ensemble import logistic_loss_and_grad
+
+from oracles import fit_ensemble_oracle
 
 
 def fd_gradient(x, y, w, b, C, h=1e-5):
@@ -94,6 +98,39 @@ class TestFitEnsemble:
         model = fit_ensemble(x, y, C=1.0)
         assert np.isfinite(model.weights).all()
         assert abs(model.weights[0]) < 1e3
+
+
+@st.composite
+def ensemble_cases(draw):
+    """(features, labels, C) of a valid fit: continuous or coarse (tied)
+    features, and labels random or separable on the first feature."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n, k = draw(st.integers(2, 300)), draw(st.integers(1, 4))
+    x = rng.random((n, k))
+    if draw(st.booleans()):
+        x = np.round(x, 1)
+    if draw(st.booleans()):
+        y = (x[:, 0] > x[0, 0]).astype(np.int8)
+        y[0], y[-1] = 0, 1
+        x[-1, 0] = 1.0
+    else:
+        y = (rng.random(n) < draw(st.floats(0.05, 0.95))).astype(np.int8)
+        y[:2] = (0, 1)
+    return x, y, draw(st.sampled_from([0.01, 1.0, 100.0]))
+
+
+class TestFitEnsembleOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(ensemble_cases())
+    def test_fit_is_bit_equal_to_the_oracle(self, case):
+        # each Newton step reuses the accepted step's probabilities instead
+        # of recomputing them; every fitted number keeps its bits
+        x, y, C = case
+        model = fit_ensemble(x, y, C=C)
+        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
+        assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
 
 
 class TestPredictProba:

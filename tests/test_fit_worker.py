@@ -1,27 +1,31 @@
 """``pipeline`` with two input files reads and fits the fit file on one
-worker process while it reads the eval file.  Forced here with the floor
-at 0 and two usable CPUs, the worker path must write the same bytes, and
-report the same error, as the in-process path; a worker that dies or
-cannot start leaves the fit to the calling process, and no worker
-outlives ``main``."""
+worker process while it reads the eval file, draws the apply uniforms of
+its rows and digests both inputs.  Forced here with the floor at 0 and two
+usable CPUs, the worker path must write the same bytes, and report the
+same error, as the in-process path; a worker that dies or cannot start
+leaves the fit to the calling process, and no worker outlives ``main``."""
 
 import errno
+import hashlib
+import json
 import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equifair import cli, pool
+from equifair import DerivedPredictor, LabeledPredictions, cli, pool, read_predictions
 from equifair.cli import main
+from equifair.eo import derive_seed
 from equifair.predictions import write_predictions
 from equifair.synth import GROUP_PRESETS, CohortConfig, generate_cohort
 
-from oracles import preds_from_counts
+from oracles import apply_soft_oracle, preds_from_counts
 
 SRC = Path(cli.__file__).resolve().parents[1]
 HEADER = "id,group,y_true,score,y_hat\n"
@@ -208,3 +212,124 @@ def test_a_fresh_interpreter_worker_writes_the_same_bytes(method, tmp_path, caps
     assert (res.returncode, res.stderr, res.stdout.splitlines()[-1]) == (0, "", "0 ['eval.csv'] []")
     artifacts = {p.name: p.read_bytes() for p in (tmp_path / "worker").iterdir() if p.name != "manifest.json"}
     assert artifacts == in_process[2]
+
+
+# ---------------------------------------------------------------------------
+# the work done while the fit runs: the apply draws and the input digests
+
+WHERE = {"in-process": IN_PROCESS["below-the-floor"], "worker": {}}
+
+
+def _scored_split(prefix: str, seed: int, n: int = 200) -> LabeledPredictions:
+    """Scores of group A on a coarse grid, whose soft EO policy is one
+    threshold, and of group B separable, whose policy mixes two."""
+    rng = np.random.default_rng(seed)
+    y = np.tile(np.arange(n) % 2, 2)
+    weak = np.round(np.clip(0.35 * y[:n] + 0.65 * rng.random(n), 0.0, 1.0), 1)
+    separable = np.where(y[n:] == 1, 0.6 + 0.4 * rng.random(n), 0.4 * rng.random(n))
+    return LabeledPredictions(
+        ids=[f"{prefix}{g}{i}" for g in "AB" for i in range(n)], y_true=y,
+        groups=["A"] * n + ["B"] * n, scores=np.concatenate([weak, separable]),
+    )
+
+
+@pytest.mark.parametrize("where", list(WHERE))
+def test_a_degenerate_soft_policy_leaves_every_row_its_draws(where, tmp_path, monkeypatch, capsys):
+    # every eval row is drawn for ahead; the rows of the one-threshold
+    # group are then not read, and the others get the bits they drew alone
+    for part, seed in (("fit", 1), ("eval", 2)):
+        write_predictions(_scored_split(part[0], seed), tmp_path / f"{part}.csv")
+    on_worker(monkeypatch, **WHERE[where])
+    code, err, artifacts = run_pipeline(tmp_path, "out", "eo-soft", capsys)
+    assert (code, err) == (0, "")
+    dp = DerivedPredictor.from_dict(json.loads(artifacts["derived_predictor.json"]))
+    assert {g: p.p_coin == 0.0 and p.lam in (0.0, 1.0) for g, p in dp.policies.items()} == {"A": True, "B": False}
+    apply_seed = derive_seed(3, "apply")
+    want = apply_soft_oracle(dp, read_predictions(tmp_path / "eval.csv"), apply_seed)
+    assert read_predictions(tmp_path / "out" / "postprocessed.csv").y_hat.tobytes() == want.tobytes()
+    # eo-apply draws for the other group's rows only, and writes the same file
+    argv = ["eo-apply", "--input", tmp_path / "eval.csv", "--predictor", tmp_path / "out" / "derived_predictor.json",
+            "--seed", apply_seed, "--out", tmp_path / "apply"]
+    assert main([str(a) for a in argv]) == 0
+    assert (tmp_path / "apply" / "postprocessed.csv").read_bytes() == artifacts["postprocessed.csv"]
+
+
+@pytest.mark.parametrize("where", list(WHERE))
+@pytest.mark.parametrize("intervention", ["none", "eo-hard", "eo-soft"])
+def test_draws_and_digests_come_before_the_fit_is_awaited(intervention, where, tmp_path, monkeypatch, capsys):
+    write_splits(tmp_path, True)
+    on_worker(monkeypatch, **WHERE[where])
+    events = []
+
+    def spy(name):
+        fn = getattr(cli, name)
+
+        def spied(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spied)
+
+    for name in ("read_prediction_file", "apply_draws", "_input_digests", "apply_soft", "apply_hard"):
+        spy(name)
+    beside = cli._beside
+
+    @contextmanager
+    def awaited(*args):
+        with beside(*args) as fitted:
+            yield lambda: events.append("fitted") or fitted()
+
+    monkeypatch.setattr(cli, "_beside", awaited)
+    assert run_pipeline(tmp_path, "out", intervention, capsys)[0] == 0
+    fit_read = ["read_prediction_file"] if where == "in-process" else []  # a worker records its read in its own copy
+    drawn = ["apply_draws"] if intervention != "none" else []
+    applied = [f"apply_{intervention[3:]}"] if intervention != "none" else []
+    assert events == fit_read + ["read_prediction_file", *drawn, "_input_digests", "fitted", *applied]
+
+
+def test_each_manifest_records_the_digests_of_what_it_read(tmp_path, monkeypatch):
+    write_splits(tmp_path, True)
+    fit, ev = tmp_path / "fit.csv", tmp_path / "eval.csv"
+    runs = {  # name: (argv, the inputs it reads)
+        "synth": (["synth", "--plant-embeddings", "--seed", "1"], []),
+        "report": (["report", "--input", ev], [ev]),
+        "eo-fit": (["eo-fit", "--input", fit, "--variant", "soft"], [fit]),
+        "eo-apply": (["eo-apply", "--input", ev, "--predictor", tmp_path / "eo-fit" / "derived_predictor.json"],
+                     [ev, tmp_path / "eo-fit" / "derived_predictor.json"]),
+        "debias": (["debias", "--embeddings", tmp_path / "synth" / "embeddings.txt"], [tmp_path / "synth" / "embeddings.txt"]),
+        "ensemble-fit": (["ensemble-fit", "--input", fit], [fit]),
+        "ensemble-predict": (["ensemble-predict", "--input", ev, "--model", tmp_path / "ensemble-fit" / "ensemble_model.json"],
+                             [ev, tmp_path / "ensemble-fit" / "ensemble_model.json"]),
+        "pipeline-here": (["pipeline", "--intervention", "eo-soft", "--fit-input", fit, "--input", ev], [ev, fit]),
+        "pipeline-single": (["pipeline", "--intervention", "eo-hard", "--input", ev], [ev]),
+        "pipeline-synthetic": (["pipeline", "--intervention", "eo-soft", "--n", "500"], []),
+        "pipeline-worker": (["pipeline", "--intervention", "eo-soft", "--fit-input", fit, "--input", ev], [ev, fit]),
+    }
+    for name, (argv, inputs) in runs.items():
+        if name == "pipeline-worker":
+            on_worker(monkeypatch)
+        assert main([str(a) for a in [*argv, "--out", tmp_path / name]]) == 0
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["inputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs}, name
+
+
+GOOD_FIT = HEADER + "a1,A,1,0.9,1\na2,A,0,0.2,0\na3,A,1,0.6,0\na4,A,0,0.7,1\nb1,B,1,0.8,1\nb2,B,0,0.4,0\nb3,B,1,0.3,0\nb4,B,0,0.6,1\n"
+# eval.csv: exit code, stderr; an eval file that fails both the base
+# report and the apply reports the base report's error
+REPORT_OR_APPLY = {
+    "fails-the-report": (HEADER + "e1,A,0,0.9,1\ne2,B,0,0.2,0\n", 6, "invalid-input: auc_roc requires both classes present"),
+    "fails-the-apply": (HEADER + "e1,A,0,0.9,1\ne2,B,1,0.2,0\ne3,C,0,0.6,1\n", 8,
+                        "group-mismatch: groups not covered by the derived predictor: ['C']"),
+    "fails-both": (HEADER + "e1,A,0,0.9,1\ne2,B,0,0.2,0\ne3,C,0,0.6,1\n", 6, "invalid-input: auc_roc requires both classes present"),
+}
+
+
+@pytest.mark.parametrize("where", list(WHERE))
+@pytest.mark.parametrize("intervention", ["eo-hard", "eo-soft"])
+@pytest.mark.parametrize("case", list(REPORT_OR_APPLY))
+def test_the_base_report_error_comes_before_the_apply_error(case, intervention, where, tmp_path, monkeypatch, capsys):
+    text, code, line = REPORT_OR_APPLY[case]
+    (tmp_path / "fit.csv").write_text(GOOD_FIT, encoding="utf-8")
+    (tmp_path / "eval.csv").write_text(text, encoding="utf-8")
+    on_worker(monkeypatch, **WHERE[where])
+    assert run_pipeline(tmp_path, "out", intervention, capsys) == (code, line + "\n", None)
