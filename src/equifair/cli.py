@@ -29,7 +29,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from . import __version__, schema
-from .debias import hard_debias, load_embeddings, save_embeddings
+from .debias import _DebiasPlan, load_embeddings, save_embeddings
 from .ensemble import EnsembleModel, check_C, fit_ensemble, predict_proba
 from .eo import (
     DerivedPredictor,
@@ -66,10 +66,12 @@ INTERVENTIONS = ("none", "eo-hard", "eo-soft")
 
 
 def _sha256(path: Path) -> str:
+    # into one buffer: a read's new chunk would be made while the last is held
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(1 << 20):
-            digest.update(chunk)
+    buf = memoryview(bytearray(1 << 18))
+    with path.open("rb", buffering=0) as fh:
+        while n := fh.readinto(buf):
+            digest.update(buf[:n])
     return digest.hexdigest()
 
 
@@ -287,13 +289,14 @@ def _cmd_eo_apply(args) -> int:
 
 
 def _cmd_debias(args) -> int:
-    result = hard_debias(load_embeddings(Path(args.embeddings)), resolve_equality_sets(args.equality_sets), k=args.k)
+    # every error is the plan's, before --out is made; its rows are made as they are written
+    plan = _DebiasPlan(load_embeddings(Path(args.embeddings)), resolve_equality_sets(args.equality_sets), None, args.k)
     out = _out_dir(args)
     emb_path = out / "debiased_embeddings.txt"
-    save_embeddings(result.embeddings, emb_path)
-    report_path = _write_json(out / "debias_report.json", result.skip_report())
+    save_embeddings(plan, emb_path)
+    report_path = _write_json(out / "debias_report.json", plan.skip_report())
     _write_manifest(out, "debias", vars(args), _input_digests([args.embeddings]), [emb_path, report_path], None)
-    print(f"wrote {emb_path} ({len(result.neutralized)} neutralized, {len(result.equalized_sets)} sets equalized)")
+    print(f"wrote {emb_path} ({len(plan.neutralized)} neutralized, {len(plan.equalized_sets)} sets equalized)")
     return 0
 
 

@@ -17,6 +17,7 @@ single-space separators and round-trip decimal rendering.
 from __future__ import annotations
 
 import os
+from contextlib import suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -79,13 +80,8 @@ class EmbeddingMatrix:
     def get(self, token: str) -> np.ndarray:
         return self.vectors[self.index[token]]
 
-    def _unit_rows(self) -> np.ndarray:
-        """The vectors scaled to unit norm, in a new writable array."""
-        norms = np.linalg.norm(self.vectors, axis=1, keepdims=True)
-        if np.any(norms <= NEUTRALIZE_EPS):
-            bad = [self.tokens[i] for i in np.nonzero(norms.ravel() <= NEUTRALIZE_EPS)[0]]
-            raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
-        return self.vectors / norms
+    def _row_blocks(self, rows: int):
+        return ((self.tokens[i : i + rows], self.vectors[i : i + rows]) for i in range(0, len(self), rows))
 
 
 @dataclass(frozen=True)
@@ -260,6 +256,80 @@ class DebiasResult:
         }
 
 
+class _DebiasPlan:
+    """A hard debias up to its output rows.  Building it does all that can
+    raise: the row norms, the subspace, and the final rows of the usable
+    sets' words (the policy's neutralized, then each set equalized in
+    order).  ``_fill`` then writes the output a block of rows at a time,
+    in order, noting the policy words it neutralizes or skips."""
+
+    def __init__(self, emb: EmbeddingMatrix, sets: EqualitySets, neutral_policy: Iterable[str] | None, k: int | None):
+        self.tokens, self.dim, self._vectors = emb.tokens, emb.dim, emb.vectors
+        # a block at a time: the norms of the whole matrix would square it all at once
+        rows = _block_rows(emb.dim)
+        self._norms = np.empty((len(emb), 1))
+        for lo in range(0, len(emb), rows):
+            self._norms[lo : lo + rows, 0] = np.linalg.norm(emb.vectors[lo : lo + rows], axis=1)
+        if np.any(self._norms <= NEUTRALIZE_EPS):
+            bad = [emb.tokens[i] for i in np.nonzero(self._norms.ravel() <= NEUTRALIZE_EPS)[0]]
+            raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
+        usable, self.dropped_sets = sets.resolve(emb)
+        if not usable:
+            raise ValidationError("no equality set has 2 or more resolvable members")
+        if k is None:
+            k = max(len(s) for s in usable) - 1
+        # the usable sets' words in vocabulary order, and their unit rows
+        words = sorted({w for s in usable for w in s}, key=emb.index.__getitem__)
+        self._set_rows = np.array([emb.index[w] for w in words], dtype=np.intp)
+        self._set_vectors = emb.vectors[self._set_rows] / self._norms[self._set_rows]
+        at = EmbeddingMatrix._adopt(tuple(words), self._set_vectors.view())
+        self.subspace = identify_subspace(at, sets, k)
+        # the rows to neutralize: the policy's words, else those of no equality set
+        listed = neutral_policy is not None
+        wanted = set(neutral_policy) if listed else sets.all_words()
+        self._neutral = np.array([i for i, t in enumerate(emb.tokens) if (t in wanted) == listed], dtype=np.intp)
+        for w in wanted.intersection(words) if listed else ():  # ``_fill`` notes each outcome
+            with suppress(DegenerateInputError):
+                self._set_vectors[at.index[w]] = neutralize(at.get(w), self.subspace, label=w)
+        self.equalized_sets: list[tuple[str, ...]] = []
+        self._unequalized: list[str] = []
+        for s in usable:
+            try:
+                new_vecs = equalize([at.get(w) for w in s], self.subspace, labels=s)
+            except DegenerateInputError:
+                self._unequalized.extend(s)
+            else:
+                self._set_vectors[[at.index[w] for w in s]] = new_vecs
+                self.equalized_sets.append(s)
+        self.neutralized, self._skipped = [], []  # of the rows ``_fill`` writes
+
+    def _fill(self, lo: int, out: np.ndarray) -> np.ndarray:
+        """``out``, holding the output rows from ``lo`` on."""
+        hi = lo + len(out)
+        np.divide(self._vectors[lo:hi], self._norms[lo:hi], out=out)
+        a, b = np.searchsorted(self._neutral, (lo, hi))
+        for i in self._neutral[a:b].tolist():
+            try:
+                out[i - lo] = neutralize(out[i - lo], self.subspace, label=self.tokens[i])
+                self.neutralized.append(self.tokens[i])
+            except DegenerateInputError:
+                self._skipped.append(self.tokens[i])
+        a, b = np.searchsorted(self._set_rows, (lo, hi))
+        out[self._set_rows[a:b] - lo] = self._set_vectors[a:b]
+        return out
+
+    def _row_blocks(self, rows: int):
+        """(tokens, output rows) of each block of ``rows`` rows, made as asked for."""
+        for lo in range(0, len(self.tokens), rows):
+            yield self.tokens[lo : lo + rows], self._fill(lo, np.empty((len(self.tokens[lo : lo + rows]), self.dim)))
+
+    @property
+    def skipped_words(self) -> tuple[str, ...]:
+        return (*self._skipped, *self._unequalized)
+
+    skip_report = DebiasResult.skip_report
+
+
 def hard_debias(
     emb: EmbeddingMatrix,
     sets: EqualitySets,
@@ -276,49 +346,14 @@ def hard_debias(
     report instead of aborting the batch.  Tokens appearing in several
     equality sets keep the vector from the last set processed.
     """
-    # the one new matrix: the subspace comes from a frozen view of it, then
-    # each row is rewritten in place, a neutral row read once before it is
-    vectors = emb._unit_rows()
-    normalized = EmbeddingMatrix._adopt(emb.tokens, vectors.view())
-    usable, dropped = sets.resolve(normalized)
-    if not usable:
-        raise ValidationError("no equality set has 2 or more resolvable members")
-    if k is None:
-        k = max(len(s) for s in usable) - 1
-    subspace = identify_subspace(normalized, sets, k)
-
-    set_words = sets.all_words()
-    if neutral_policy is None:
-        neutral = [t for t in normalized.tokens if t not in set_words]
-    else:
-        wanted = set(neutral_policy)
-        neutral = [t for t in normalized.tokens if t in wanted]
-
-    skipped: list[str] = []
-    done: list[str] = []
-    for tok in neutral:
-        try:
-            vectors[normalized.index[tok]] = neutralize(normalized.get(tok), subspace, label=tok)
-            done.append(tok)
-        except DegenerateInputError:
-            skipped.append(tok)
-    equalized: list[tuple[str, ...]] = []
-    for s in usable:
-        try:
-            new_vecs = equalize([vectors[normalized.index[w]] for w in s], subspace, labels=s)
-        except DegenerateInputError:
-            skipped.extend(s)
-            continue
-        for w, v in zip(s, new_vecs):
-            vectors[normalized.index[w]] = v
-        equalized.append(s)
+    plan = _DebiasPlan(emb, sets, neutral_policy, k)
+    vectors = np.empty(emb.vectors.shape)
+    rows = _block_rows(emb.dim)
+    for lo in range(0, len(emb), rows):
+        plan._fill(lo, vectors[lo : lo + rows])
     return DebiasResult(
-        embeddings=EmbeddingMatrix._adopt(normalized.tokens, vectors),
-        subspace=subspace,
-        neutralized=tuple(done),
-        equalized_sets=tuple(equalized),
-        skipped_words=tuple(skipped),
-        dropped_sets=dropped,
+        EmbeddingMatrix._adopt(emb.tokens, vectors), plan.subspace, tuple(plan.neutralized),
+        tuple(plan.equalized_sets), plan.skipped_words, plan.dropped_sets,
     )
 
 
@@ -466,14 +501,18 @@ def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     """Write ``emb`` as a plain-text embedding file; every value is
-    rendered by ``float.__repr__``, which round-trips."""
+    rendered by ``float.__repr__``, which round-trips.  ``emb`` may be a
+    debias plan, whose rows are made as they are written.  A token the file
+    cannot hold is refused before it is opened."""
     for tok in emb.tokens:
         if " " in tok or "\n" in tok or "\r" in tok:  # the reader splits lines on \r too
             raise FormatError(f"token {tok!r} contains whitespace; not serializable")
-    rows = _block_rows(emb.dim)
-    jobs = ((emb.tokens[i : i + rows], emb.vectors[i : i + rows]) for i in range(0, len(emb), rows))
+        try:
+            tok.encode("utf-8")
+        except UnicodeEncodeError:
+            raise FormatError(f"token {tok!r} is not encodable as UTF-8; not serializable") from None
     with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(emb)} {emb.dim}\n")
-        with _process_pool(emb.vectors.size, _POOL_FLOOR) as executor:
-            for _, text in _pooled(executor, _format_block, jobs):
+        fh.write(f"{len(emb.tokens)} {emb.dim}\n")
+        with _process_pool(len(emb.tokens) * emb.dim, _POOL_FLOOR) as executor:
+            for _, text in _pooled(executor, _format_block, emb._row_blocks(_block_rows(emb.dim))):
                 fh.write(text)

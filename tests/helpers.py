@@ -5,7 +5,8 @@ from typing import Mapping
 
 import numpy as np
 
-from equifair import EmbeddingMatrix, LossSpec, ValidationError, schema
+from equifair import DegenerateInputError, EmbeddingMatrix, LossSpec, ValidationError, schema
+from equifair.debias import NEUTRALIZE_EPS
 from equifair.eo import _group_coefficients, _hard_region, expected_loss_of_rates
 from equifair.geometry import argmin_linear, convex_hull_indices, polygon_edges
 from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
@@ -89,8 +90,13 @@ def report_from_json(text: str) -> FairnessReport:
 
 
 def unit_normalized(emb: EmbeddingMatrix) -> EmbeddingMatrix:
-    """``emb`` with every vector scaled to unit norm, in a new frozen matrix."""
-    return EmbeddingMatrix._adopt(emb.tokens, emb._unit_rows())
+    """``emb`` with every vector scaled to unit norm, in a new frozen matrix;
+    a zero-norm vector raises."""
+    norms = np.linalg.norm(emb.vectors, axis=1, keepdims=True)
+    if np.any(norms <= NEUTRALIZE_EPS):
+        bad = [emb.tokens[i] for i in np.nonzero(norms.ravel() <= NEUTRALIZE_EPS)[0]]
+        raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
+    return EmbeddingMatrix._adopt(emb.tokens, emb.vectors / norms)
 
 
 def embedding_file(edits: Mapping[int, str] = {}, n: int = 6, newline: str = "\n") -> bytes:

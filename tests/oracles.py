@@ -27,7 +27,7 @@ from equifair import (
     identify_subspace,
     neutralize,
 )
-from equifair.ensemble import GRAD_TOL, MAX_ITER, logistic_loss_and_grad, sigmoid
+from equifair.ensemble import GRAD_TOL, MAX_ITER, logistic_loss_and_grad
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
@@ -541,6 +541,18 @@ def apply_soft_oracle(dp, preds, seed):
     return out
 
 
+def sigmoid_oracle(z):
+    """The logistic function as the library computed it before one e^-|z|
+    served both signs: each half of z by its mask, with its own exp."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def fit_ensemble_oracle(x, y, C=1.0):
     """The damped Newton fit as the library ran it before each iteration
     reused the accepted step's probabilities: (weights, intercept, n_iter,
@@ -557,7 +569,7 @@ def fit_ensemble_oracle(x, y, C=1.0):
         grad = np.append(grad_w, grad_b)
         if float(np.linalg.norm(grad)) <= GRAD_TOL:
             break
-        p = sigmoid(x @ w + b)
+        p = sigmoid_oracle(x @ w + b)
         s = p * (1.0 - p)
         xs = x * s[:, None]
         hess = np.empty((k + 1, k + 1))

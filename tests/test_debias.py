@@ -1,4 +1,5 @@
 import concurrent.futures
+import json
 import multiprocessing
 import os
 import signal
@@ -7,7 +8,8 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from equifair import (
     project,
     save_embeddings,
 )
-from equifair import debias, pool
+from equifair import cli, debias, pool
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
 
@@ -325,6 +327,24 @@ def debias_cases(draw):
     return EmbeddingMatrix(tokens=tuple(tokens), vectors=vectors), EqualitySets(sets), policy, k
 
 
+SIX_WORDS = EmbeddingMatrix(
+    tokens=("he", "she", "x", "y", "axis", "twin"),
+    vectors=np.array([[0.9, 0.3, 0.1], [-0.9, 0.3, 0.1], [0.2, 0.5, 0.7], [0.1, -0.8, 0.4], [2.0, 0.0, 0.0], [0.4, 1.0, 1.4]]),
+)
+# (equality sets, neutral policy, skipped words) over SIX_WORDS
+DEBIAS_EXAMPLES = pytest.mark.parametrize(
+    "sets, policy, skipped",
+    [
+        ((("he", "she"),), ["he", "x", "y"], ()),  # the policy lists a set word
+        ((("he", "she"), ("she", "y")), None, ()),  # "she" is in two sets
+        ((("he", "she"),), None, ("axis",)),  # "axis" lies inside the subspace
+        ((("he", "she"), ("x", "twin")), None, ("axis", "x", "twin")),  # parallel members
+        ((("he", "she"), ("x", "absent")), None, ("axis",)),  # ("x", "absent") is dropped
+    ],
+    ids=["policy-lists-a-set-word", "token-in-two-sets", "degenerate-neutral-word", "degenerate-set", "dropped-set"],
+)
+
+
 class TestHardDebiasInPlace:
     """``hard_debias`` rewrites the one matrix of unit rows it makes; the
     copying code it replaced is the oracle."""
@@ -335,24 +355,9 @@ class TestHardDebiasInPlace:
         got = _debias_outcome(hard_debias, *case)
         assert got == _debias_outcome(hard_debias_oracle, *case)
 
-    @pytest.mark.parametrize(
-        "sets, policy, skipped",
-        [
-            ((("he", "she"),), ["he", "x", "y"], ()),  # the policy lists a set word
-            ((("he", "she"), ("she", "y")), None, ()),  # "she" is in two sets
-            ((("he", "she"),), None, ("axis",)),  # "axis" lies inside the subspace
-            ((("he", "she"), ("x", "twin")), None, ("axis", "x", "twin")),  # parallel members
-        ],
-        ids=["policy-lists-a-set-word", "token-in-two-sets", "degenerate-neutral-word", "degenerate-set"],
-    )
+    @DEBIAS_EXAMPLES
     def test_cases_equal_the_oracle(self, sets, policy, skipped):
-        emb = EmbeddingMatrix(
-            tokens=("he", "she", "x", "y", "axis", "twin"),
-            vectors=np.array(
-                [[0.9, 0.3, 0.1], [-0.9, 0.3, 0.1], [0.2, 0.5, 0.7], [0.1, -0.8, 0.4], [2.0, 0.0, 0.0], [0.4, 1.0, 1.4]]
-            ),
-        )
-        case = (emb, EqualitySets(sets), policy, None)
+        case = (SIX_WORDS, EqualitySets(sets), policy, None)
         got = _debias_outcome(hard_debias, *case)
         assert got == _debias_outcome(hard_debias_oracle, *case)
         assert tuple(got[3]["skipped_words"]) == skipped
@@ -388,6 +393,115 @@ class TestDebiasMemory:
     def test_load_peak(self, emb, tmp_path):
         save_embeddings(emb, tmp_path / "e.txt")
         assert _traced_peak(lambda: load_embeddings(tmp_path / "e.txt")) <= 1.3 * emb.vectors.nbytes
+
+    def test_debias_command_peak(self, emb, tmp_path):
+        # the command holds the matrix it loads and one block of debiased
+        # rows, never a second matrix (building one peaked at 2 or more)
+        save_embeddings(emb, tmp_path / "e.txt")
+        (tmp_path / "sets.json").write_text('[["w0", "w1"], ["w2", "w3"], ["w4", "w5", "w6"]]', encoding="utf-8")
+        argv = ["debias", "--embeddings", str(tmp_path / "e.txt"), "--equality-sets", str(tmp_path / "sets.json")]
+        peak = _traced_peak(lambda: cli.main([*argv, "--out", str(tmp_path / "out")]))
+        assert (tmp_path / "out" / "debiased_embeddings.txt").exists()
+        assert peak <= 1.3 * emb.vectors.nbytes
+
+
+def _oracle_files(emb, sets, policy, k):
+    """The error, or the file text and the report of the copying oracle."""
+    try:
+        r = hard_debias_oracle(emb, sets, neutral_policy=policy, k=k)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return format_embeddings_oracle(r.embeddings), r.skip_report()
+
+
+def _streamed_files(emb, sets, policy, k, path):
+    """The error, or the file text and the report of a debias plan written
+    by ``save_embeddings`` a block of rows at a time."""
+    try:
+        plan = debias._DebiasPlan(emb, sets, policy, k)
+    except Exception as exc:
+        return type(exc), str(exc)
+    save_embeddings(plan, path)
+    return path.read_text(encoding="utf-8"), plan.skip_report()
+
+
+def _command_files(emb, sets, k, tmp: Path):
+    """The exit code and the error line, or the file text and the report, of
+    ``equifair debias``; an error leaves no --out."""
+    (tmp / "emb.txt").write_text(format_embeddings_oracle(emb), encoding="utf-8")
+    (tmp / "sets.json").write_text(json.dumps([list(s) for s in sets]), encoding="utf-8")
+    out = tmp / "out"
+    argv = ["debias", "--embeddings", str(tmp / "emb.txt"), "--equality-sets", str(tmp / "sets.json"), "--out", str(out)]
+    with redirect_stdout(StringIO()), redirect_stderr(StringIO()) as stderr:
+        code = cli.main(argv + ([] if k is None else ["--k", str(k)]))
+    err = stderr.getvalue()
+    if code != 0:
+        assert not out.exists()
+        return code, err
+    report = json.loads((out / "debias_report.json").read_text(encoding="ascii"))
+    return (out / "debiased_embeddings.txt").read_text(encoding="utf-8"), report
+
+
+def _error_line(outcome) -> tuple[int, str]:
+    """The exit code and stderr of the command that raised ``outcome``."""
+    kind, message = outcome
+    return kind.exit_code, f"{kind.category}: {message}\n"
+
+
+class TestStreamedDebias:
+    """``equifair debias`` plans, then makes its debiased rows a block at a
+    time as ``save_embeddings`` writes them, in this process or on a pool
+    that formats a block while the next is made; the bytes and the report
+    equal the copying oracle's, formatted row by row."""
+
+    def _check(self, case, pooled):
+        block_rows, (emb, sets, policy, k) = case
+        with tempfile.TemporaryDirectory() as tmp, embedding_io(pooled, block_rows * emb.dim) as started:
+            tmp = Path(tmp)
+            got = _streamed_files(emb, sets, policy, k, tmp / "streamed.txt")
+            want = _oracle_files(emb, sets, policy, k)
+            assert got == want
+            command = _command_files(emb, sets, k, tmp)
+            want = _oracle_files(emb, sets, None, k)
+            assert command == (want if isinstance(want[0], str) else _error_line(want))
+            assert (len(started) > 0) == pooled
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.tuples(st.integers(1, 4), debias_cases()))
+    def test_in_process_matches_the_oracle(self, case):
+        self._check(case, False)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.tuples(st.integers(1, 4), debias_cases()))
+    def test_pooled_matches_the_oracle(self, case):
+        self._check(case, True)
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    @DEBIAS_EXAMPLES
+    def test_cases_match_the_oracle(self, sets, policy, skipped, pooled):
+        sets = EqualitySets(sets)
+        self._check((2, (SIX_WORDS, sets, policy, None)), pooled)
+        report = _oracle_files(SIX_WORDS, sets, policy, None)[1]
+        assert tuple(report["skipped_words"]) == skipped
+        assert len(report["dropped_sets"]) == (sets.sets[-1] == ("x", "absent"))
+
+    @pytest.mark.parametrize(
+        "edit, k, code, line",
+        [
+            ("zero-norm", None, 7, "degenerate-input: zero-norm vectors for tokens ['w5']\n"),
+            ("none", 2, 7, "degenerate-input: requested k=2 exceeds residual rank 1\n"),
+        ],
+        ids=["zero-norm-last-row", "k-above-rank"],
+    )
+    def test_errors_come_before_out(self, edit, k, code, line, tmp_path):
+        vectors = np.array([[0.6, 0.8, 0.0], [-0.6, 0.8, 0.0], [0.1, 0.2, 0.9], [0.3, 0.1, 0.5], [0.2, 0.7, 0.1], [0.4, 0.4, 0.4]])
+        if edit == "zero-norm":
+            vectors[-1] = 0.0
+        emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(6)), vectors=vectors)
+        sets = EqualitySets((("w0", "w1"),))
+        with embedding_io(False, block_values=6):
+            assert _command_files(emb, sets, k, tmp_path) == (code, line)
+        assert _error_line(_oracle_files(emb, sets, None, k)) == (code, line)
 
 
 class TestEmbeddingIO:
@@ -462,10 +576,14 @@ class TestEmbeddingIO:
         assert emb.tokens == ("a", "b", "c")
         assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
 
-    @pytest.mark.parametrize("token", ["a b", "a\nb", "a\rb"], ids=["space", "lf", "cr"])
-    def test_token_the_reader_would_split_is_refused(self, tmp_path, token):
+    @pytest.mark.parametrize(
+        "token, reason",
+        [("a b", "whitespace"), ("a\nb", "whitespace"), ("a\rb", "whitespace"), ("a\ud800", "not encodable as UTF-8")],
+        ids=["space", "lf", "cr", "lone-surrogate"],
+    )
+    def test_token_the_reader_would_split_is_refused(self, tmp_path, token, reason):
         emb = EmbeddingMatrix(tokens=(token, "c"), vectors=np.eye(2))
-        with pytest.raises(FormatError, match="whitespace"):
+        with pytest.raises(FormatError, match=reason):
             save_embeddings(emb, tmp_path / "emb.txt")
         assert not (tmp_path / "emb.txt").exists()
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equifair import (
     CohortConfig,
@@ -12,9 +13,9 @@ from equifair import (
     generate_cohort,
     predict_proba,
 )
-from equifair.ensemble import logistic_loss_and_grad
+from equifair.ensemble import logistic_loss_and_grad, sigmoid
 
-from oracles import fit_ensemble_oracle
+from oracles import fit_ensemble_oracle, sigmoid_oracle
 
 
 def fd_gradient(x, y, w, b, C, h=1e-5):
@@ -131,6 +132,36 @@ class TestFitEnsembleOracle:
         assert model.weights.tobytes() == weights.tobytes()
         assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
         assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
+
+
+# both zeros, subnormal and tiny values, exp's overflow edge (about 709.8)
+# and underflow edge (about -745.1), and far past both
+SIGMOID_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 709.0, 710.0, -709.0, -710.0, 745.0, -745.0, 746.0, -746.0, 800.0, -800.0]
+
+
+class TestSigmoid:
+    """``sigmoid`` computes one e^-|z| for both signs; the masked halves it
+    replaced are the oracle, bit for bit on every non-NaN input (a NaN,
+    which no fitted model or checked feature gives, stays NaN but may
+    change its sign bit)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.floats(-40, 40) | st.floats(allow_nan=False) | st.sampled_from(SIGMOID_EDGES),
+        )
+    )
+    def test_bit_equal_to_the_oracle(self, z):
+        got, want = sigmoid(z), sigmoid_oracle(z)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_edges_and_a_scalar(self):
+        z = np.array(SIGMOID_EDGES + [np.inf, -np.inf])
+        assert sigmoid(z).tobytes() == sigmoid_oracle(z).tobytes()
+        assert sigmoid(2.5).tobytes() == sigmoid_oracle(2.5).tobytes()
 
 
 class TestPredictProba:
