@@ -60,7 +60,7 @@ from .synth import (
     generate_cohort,
     generate_embeddings,
 )
-from .wordsets import resolve_equality_sets
+from .wordsets import PRESETS, resolve_equality_sets
 
 INTERVENTIONS = ("none", "eo-hard", "eo-soft")
 
@@ -75,32 +75,54 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_json(path: Path, doc) -> Path:
+def _write_json(path: Path, doc) -> None:
     """Write ``doc`` as ``schema.dumps`` gives it; a non-finite number is invalid input."""
     path.write_text(schema.dumps(doc, path.name), encoding="ascii")
-    return path
 
 
-def _input_digests(paths: Iterable) -> dict[str, str]:
-    """The manifest's ``inputs``: the sha256 of each file of ``paths`` that is given and exists."""
-    return {str(Path(p)): _sha256(Path(p)) for p in paths if p and Path(p).exists()}
+_INPUT_FLAGS = ("input", "fit_input", "predictor", "model", "embeddings", "synth_config", "equality_sets")
 
 
-def _write_manifest(out_dir: Path, command: str, args: dict, inputs: dict[str, str], outputs: list[Path], seed: int | None) -> Path:
-    manifest = {
-        "command": command,
+def _input_digests(args) -> dict[str, str]:
+    """The manifest's ``inputs``: the sha256 of each file a flag of ``args`` names;
+    an --equality-sets preset name is no file, even where a file has that name."""
+    flags = vars(args)
+    paths = [flags.get(k) for k in _INPUT_FLAGS if k != "equality_sets" or flags.get(k) not in PRESETS]
+    return {str(Path(p)): _sha256(Path(p)) for p in paths if p}
+
+
+def _finish(args, writers: Mapping[str, object], status=lambda out, paths: f"wrote {paths[0]}", seed: int | None = None,
+            inputs: dict[str, str] | None = None) -> int:
+    """End a writing command: make ``--out``, write each of ``writers`` (a
+    file name and its writer of the path, or a document written as JSON)
+    into it in order, then manifest.json, then print ``status(out, the
+    written paths)``.  The inputs are digested before ``--out`` is made,
+    unless ``inputs`` holds digests already taken: an output may overwrite
+    an input."""
+    inputs = _input_digests(args) if inputs is None else inputs
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / name for name in writers]
+    for path, write in zip(paths, writers.values()):
+        if callable(write):
+            write(path)
+        else:
+            _write_json(path, write)
+    _write_json(out / "manifest.json", {
+        "command": args.command,
         "arguments": {
             k: (str(v) if isinstance(v, Path) else v)
-            for k, v in args.items()
+            for k, v in vars(args).items()
             if k != "func" and (v is None or isinstance(v, (str, int, float, bool, Path)))
         },
         "inputs": inputs,
-        "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+        "outputs": {str(p): _sha256(p) for p in paths},
         "seed": seed,
         "version": __version__,
         "created_at": datetime.now(timezone.utc).isoformat(),
-    }
-    return _write_json(out_dir / "manifest.json", manifest)
+    })
+    print(status(out, paths))
+    return 0
 
 
 def _resolve_seed(args) -> int:
@@ -116,12 +138,6 @@ def _resolve_seed(args) -> int:
     if seed < 0:
         raise ValidationError(f"{source} must be a non-negative integer, got {value!r}")
     return seed
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _parse_window(text: str) -> tuple[float, float]:
@@ -155,7 +171,7 @@ def _load_cohort_config(args, seed: int) -> CohortConfig:
     )
 
 
-def _write_plot_data(path: Path, reports: Mapping[str, FairnessReport]) -> Path:
+def _write_plot_data(path: Path, reports: Mapping[str, FairnessReport]) -> None:
     """Tidy (classifier, group, metric, value) CSV rows for range plots,
     one block per classifier."""
     with path.open("w", encoding="utf-8", newline="") as fh:
@@ -169,7 +185,6 @@ def _write_plot_data(path: Path, reports: Mapping[str, FairnessReport]) -> Path:
             for g, auc in report.auc_roc_per_group.items():
                 if auc is not None:
                     writer.writerow((classifier, g, "auc_roc", auc))
-    return path
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +203,9 @@ class _EnsembleFile(EnsembleModel):
     constituents: tuple[str, ...] = field(kw_only=True)
 
 
-def _write_ensemble(out: Path, model: EnsembleModel, names) -> Path:
-    return _write_json(out / "ensemble_model.json", {**model.to_dict(), "constituents": list(names)})
+def _ensemble_doc(model: EnsembleModel, names) -> dict:
+    """ensemble_model.json's document."""
+    return {**model.to_dict(), "constituents": list(names)}
 
 
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
@@ -223,26 +239,15 @@ def _cmd_synth(args) -> int:
     if args.plant_embeddings:
         sets = resolve_equality_sets(args.equality_sets).sets
         cfg = EmbeddingPlantConfig(equality_sets=sets, vocab_size=args.vocab, dim=args.dim, noise=args.noise, seed=seed)
-    else:
-        cfg = _load_cohort_config(args, seed)
-    out = _out_dir(args)
-    if args.plant_embeddings:
         emb, _, planted = generate_embeddings(cfg)
-        outputs = [out / "embeddings.txt"]
-        save_embeddings(emb, outputs[0])
-        outputs.append(_write_json(out / "planted_subspace.json", {"basis": planted.basis.tolist(), "noise": args.noise}))
-        status = f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}"
-    else:
-        cohort = generate_cohort(cfg)
-        outputs = []
-        for m, preds in enumerate(cohort.modalities):
-            outputs.append(out / f"modality_{m}.csv")
-            write_predictions(preds, outputs[-1])
-        outputs.append(_write_json(out / "analytic_rates.json", {"analytic_rates": cohort.analytic_rates, "config": cohort.config}))
-        status = f"wrote {len(cohort.modalities)} modality file(s) to {out}"
-    _write_manifest(out, "synth", vars(args), {}, outputs, seed)
-    print(status)
-    return 0
+        writers = {"embeddings.txt": lambda path: save_embeddings(emb, path),
+                   "planted_subspace.json": {"basis": planted.basis.tolist(), "noise": args.noise}}
+        return _finish(args, writers, lambda out, _: f"wrote planted embeddings ({len(emb)} words, dim {emb.dim}) to {out}", seed)
+    cohort = generate_cohort(_load_cohort_config(args, seed))
+    # the default binds each writer's own modality, not the loop's last
+    writers = {f"modality_{m}.csv": lambda path, preds=preds: write_predictions(preds, path) for m, preds in enumerate(cohort.modalities)}
+    writers["analytic_rates.json"] = {"analytic_rates": cohort.analytic_rates, "config": cohort.config}
+    return _finish(args, writers, lambda out, _: f"wrote {len(cohort.modalities)} modality file(s) to {out}", seed)
 
 
 def _cmd_metrics(args) -> int:
@@ -257,22 +262,15 @@ def _cmd_report(args) -> int:
     seed = _resolve_seed(args) if args.seed is not None or "EQUIFAIR_SEED" in os.environ else None
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     report = build_report(preds, task=args.task, seed=seed)
-    out = _out_dir(args)
-    report_path = _write_json(out / "report.json", report)
-    plot_path = _write_plot_data(out / "plot_data.csv", {args.task or "classifier": report})
-    _write_manifest(out, "report", vars(args), _input_digests([args.input]), [report_path, plot_path], seed)
-    print(f"wrote {report_path}")
-    return 0
+    writers = {"report.json": report, "plot_data.csv": lambda path: _write_plot_data(path, {args.task or "classifier": report})}
+    return _finish(args, writers, seed=seed)
 
 
 def _cmd_eo_fit(args) -> int:
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     dp = _eo_functions(args.variant)[0](preds, LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn))
-    out = _out_dir(args)
-    dp_path = _write_json(out / "derived_predictor.json", dp.to_dict())
-    _write_manifest(out, "eo-fit", vars(args), _input_digests([args.input]), [dp_path], None)
-    print(f"wrote {dp_path} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
-    return 0
+    return _finish(args, {"derived_predictor.json": dp.to_dict()},
+                   lambda _, paths: f"wrote {paths[0]} (target fpr={dp.target[0]:.6f} tpr={dp.target[1]:.6f})")
 
 
 def _cmd_eo_apply(args) -> int:
@@ -280,24 +278,16 @@ def _cmd_eo_apply(args) -> int:
     preds = read_prediction_file(Path(args.input), group_col=args.group_col).predictions
     dp = DerivedPredictor.from_dict(schema.read(args.predictor))
     post_preds = _eo_apply_stage(dp, preds, seed)
-    out = _out_dir(args)
-    out_path = out / "postprocessed.csv"
-    write_predictions(post_preds, out_path)
-    _write_manifest(out, "eo-apply", vars(args), _input_digests([args.input, args.predictor]), [out_path], seed)
-    print(f"wrote {out_path}")
-    return 0
+    return _finish(args, {"postprocessed.csv": lambda path: write_predictions(post_preds, path)}, seed=seed)
 
 
 def _cmd_debias(args) -> int:
-    # every error is the plan's, before --out is made; its rows are made as they are written
+    # every error is the plan's, before --out is made; writing its rows notes what the report counts
     plan = _DebiasPlan(load_embeddings(Path(args.embeddings)), resolve_equality_sets(args.equality_sets), None, args.k)
-    out = _out_dir(args)
-    emb_path = out / "debiased_embeddings.txt"
-    save_embeddings(plan, emb_path)
-    report_path = _write_json(out / "debias_report.json", plan.skip_report())
-    _write_manifest(out, "debias", vars(args), _input_digests([args.embeddings]), [emb_path, report_path], None)
-    print(f"wrote {emb_path} ({len(plan.neutralized)} neutralized, {len(plan.equalized_sets)} sets equalized)")
-    return 0
+    writers = {"debiased_embeddings.txt": lambda path: save_embeddings(plan, path),
+               "debias_report.json": lambda path: _write_json(path, plan.skip_report())}
+    return _finish(args, writers, lambda _, paths: (
+        f"wrote {paths[0]} ({len(plan.neutralized)} neutralized, {len(plan.equalized_sets)} sets equalized)"))
 
 
 def _cmd_ensemble_fit(args) -> int:
@@ -305,11 +295,8 @@ def _cmd_ensemble_fit(args) -> int:
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
     model = fit_ensemble(np.column_stack(list(pfile.constituent_scores.values())), pfile.predictions.y_true, C=args.C)
-    out = _out_dir(args)
-    model_path = _write_ensemble(out, model, pfile.constituent_scores)
-    _write_manifest(out, "ensemble-fit", vars(args), _input_digests([args.input]), [model_path], None)
-    print(f"wrote {model_path} (converged={model.converged}, iterations={model.n_iter})")
-    return 0
+    return _finish(args, {"ensemble_model.json": _ensemble_doc(model, pfile.constituent_scores)},
+                   lambda _, paths: f"wrote {paths[0]} (converged={model.converged}, iterations={model.n_iter})")
 
 
 def _cmd_ensemble_predict(args) -> int:
@@ -322,12 +309,7 @@ def _cmd_ensemble_predict(args) -> int:
         raise ValidationError(f"input lacks constituent columns {missing}")
     features = np.column_stack([pfile.constituent_scores[n] for n in model.constituents])
     scored = _ensemble_scored(pfile.predictions, model, features, args.threshold)
-    out = _out_dir(args)
-    out_path = out / "ensemble_predictions.csv"
-    write_predictions(scored, out_path)
-    _write_manifest(out, "ensemble-predict", vars(args), _input_digests([args.input, args.model]), [out_path], None)
-    print(f"wrote {out_path}")
-    return 0
+    return _finish(args, {"ensemble_predictions.csv": lambda path: write_predictions(scored, path)})
 
 
 def _pipeline_split(args, cfg: CohortConfig | None, seed: int, tag: str) -> tuple[LabeledPredictions, dict[str, np.ndarray]]:
@@ -388,7 +370,7 @@ def _cmd_pipeline(args) -> int:
                 # what needs only the eval split, done while the fit runs
                 draws = None if intervention == "none" else apply_draws(
                     intervention.removeprefix("eo-"), derive_seed(seed, "apply"), eval_preds.id_column)
-                digests = _input_digests((args.input, args.fit_input))
+                digests = _input_digests(args)
             except Exception:
                 fitted()  # a fit-side error wins
                 raise
@@ -397,7 +379,7 @@ def _cmd_pipeline(args) -> int:
         metadata["fit_split"] = "eval (no separate fit input provided)" if args.input else "synthetic (derived seed)"
         # the eval file is the fit split too; a synthetic one is dropped for the eval cohort
         eval_preds, eval_features = _pipeline_split(args, cfg, seed, "fit")
-        draws, digests = None, _input_digests((args.input, args.fit_input))
+        draws = digests = None  # the inputs are digested at the finish
         model, names, dp = _fit_stage((eval_preds, eval_features), set(eval_features), intervention, loss, args.C)
         if cfg is not None:
             del eval_preds, eval_features
@@ -418,17 +400,14 @@ def _cmd_pipeline(args) -> int:
     if dp is not None:
         post_meta = {**metadata, "expected_rates": expected_rates(dp), "eo_objective": dp.objective}
         plots[intervention] = build_report(post_preds, task=args.task, seed=seed, extra_metadata=post_meta)
-    out = _out_dir(args)
-    outputs = [_write_ensemble(out, model, names)] if model is not None else []
-    outputs.append(_write_json(out / "base_report.json", plots["base"]))
+    writers = {"ensemble_model.json": _ensemble_doc(model, names)} if model is not None else {}
+    writers["base_report.json"] = plots["base"]
     if dp is not None:
-        outputs += [_write_json(out / "derived_predictor.json", dp.to_dict()), out / "postprocessed.csv"]
-        write_predictions(post_preds, outputs[-1])
-        outputs.append(_write_json(out / "post_report.json", plots[intervention]))
-    outputs.append(_write_plot_data(out / "plot_data.csv", plots))
-    _write_manifest(out, "pipeline", vars(args), digests, outputs, seed)
-    print(f"pipeline complete: {len(outputs)} artifact(s) in {out}")
-    return 0
+        writers["derived_predictor.json"] = dp.to_dict()
+        writers["postprocessed.csv"] = lambda path: write_predictions(post_preds, path)
+        writers["post_report.json"] = plots[intervention]
+    writers["plot_data.csv"] = lambda path: _write_plot_data(path, plots)
+    return _finish(args, writers, lambda out, paths: f"pipeline complete: {len(paths)} artifact(s) in {out}", seed, digests)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +552,7 @@ def _run(argv) -> int:
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3
     except (UnicodeDecodeError, csv.Error) as exc:

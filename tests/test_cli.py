@@ -21,7 +21,7 @@ from equifair import (
 from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
 from equifair.predictions import read_predictions, write_predictions
-from equifair.synth import GROUP_PRESETS, EmbeddingPlantConfig, generate_embeddings
+from equifair.synth import GROUP_PRESETS, CohortConfig, EmbeddingPlantConfig, generate_cohort, generate_embeddings
 from equifair.wordsets import GENDER_SETS
 
 from helpers import MALFORMED_EMBEDDINGS, report_from_json
@@ -301,6 +301,97 @@ class TestManifest:
         for path, digest in hashed.items():
             assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
+
+
+def _doc(path: Path):
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+# case: (its flags but --out, given the inputs' directory; its status line, given --out)
+FINISHES = {
+    "synth": (lambda d: ["synth", "--n", "200", "--modality-windows", "0:0.5,0.5:1"],
+              lambda out: f"wrote 2 modality file(s) to {out}"),
+    "synth-plant-embeddings": (lambda d: ["synth", "--plant-embeddings", "--vocab", "30", "--dim", "8"],
+                               lambda out: f"wrote planted embeddings (30 words, dim 8) to {out}"),
+    "report": (lambda d: ["report", "--input", d / "preds.csv"], lambda out: f"wrote {out / 'report.json'}"),
+    "eo-fit": (lambda d: ["eo-fit", "--input", d / "preds.csv", "--variant", "soft"],
+               lambda out: "wrote {} (target fpr={fpr:.6f} tpr={tpr:.6f})".format(
+                   out / "derived_predictor.json", **_doc(out / "derived_predictor.json")["target"])),
+    "eo-apply": (lambda d: ["eo-apply", "--input", d / "preds.csv", "--predictor", d / "eo-fit" / "derived_predictor.json"],
+                 lambda out: f"wrote {out / 'postprocessed.csv'}"),
+    "debias": (lambda d: ["debias", "--embeddings", d / "synth-plant-embeddings" / "embeddings.txt"],
+               lambda out: "wrote {} ({neutralized} neutralized, {equalized_sets} sets equalized)".format(
+                   out / "debiased_embeddings.txt", **_doc(out / "debias_report.json"))),
+    "ensemble-fit": (lambda d: ["ensemble-fit", "--input", d / "preds.csv"],
+                     lambda out: "wrote {} (converged={converged}, iterations={n_iter})".format(
+                         out / "ensemble_model.json", **_doc(out / "ensemble_model.json"))),
+    "ensemble-predict": (lambda d: ["ensemble-predict", "--input", d / "preds.csv", "--model", d / "ensemble-fit" / "ensemble_model.json"],
+                         lambda out: f"wrote {out / 'ensemble_predictions.csv'}"),
+    "pipeline": (lambda d: ["pipeline", "--intervention", "eo-soft", "--input", d / "preds.csv"],
+                 lambda out: f"pipeline complete: 6 artifact(s) in {out}"),
+    "pipeline-synthetic": (lambda d: ["pipeline", "--n", "300"], lambda out: f"pipeline complete: 2 artifact(s) in {out}"),
+}
+
+
+@pytest.fixture(scope="module")
+def finish_inputs(tmp_path_factory):
+    """preds.csv, with constituents m0 and m1, and the outputs of the
+    eo-fit, ensemble-fit and synth-plant-embeddings cases, each in the
+    directory of its name."""
+    d = tmp_path_factory.mktemp("inputs")
+    cohort = generate_cohort(CohortConfig(groups=GROUP_PRESETS["sex"], n_samples=400, seed=1,
+                                          modality_windows=((0.0, 0.5), (0.5, 1.0))))
+    scores = {f"m{j}": m.scores for j, m in enumerate(cohort.modalities)}
+    write_predictions(cohort.modalities[0], d / "preds.csv", constituent_scores=scores)
+    for case in ("eo-fit", "ensemble-fit", "synth-plant-embeddings"):
+        assert main([str(a) for a in [*FINISHES[case][0](d), "--out", d / case]]) == 0
+    return d
+
+
+class TestFinish:
+    """Every writing command ends the same way: --out holds exactly the
+    files its manifest lists, and stdout holds its one status line."""
+
+    @pytest.mark.parametrize("case", list(FINISHES))
+    def test_outputs_and_status_line(self, case, finish_inputs, tmp_path, capsys):
+        flags, status = FINISHES[case]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([str(a) for a in [*flags(finish_inputs), "--out", out]]) == 0
+        manifest = _doc(out / "manifest.json")
+        written = [p for p in out.iterdir() if p.name != "manifest.json"]
+        assert manifest["outputs"] == {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in written}
+        assert manifest["command"] == flags(finish_inputs)[0]
+        assert capsys.readouterr() == (status(out) + "\n", "")
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["at-a-file", "under-a-file"])
+    @pytest.mark.parametrize("case", list(FINISHES))
+    def test_an_out_at_or_under_a_file_is_missing_file(self, case, below, finish_inputs, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        capsys.readouterr()
+        assert main([str(a) for a in [*FINISHES[case][0](finish_inputs), "--out", afile / below]]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err.startswith("missing-file: ")) == ("", 1, True), err
+        assert afile.read_text() == "kept\n"
+
+    def test_an_input_the_command_overwrites_is_digested_as_read(self, cohort_csv, tmp_path):
+        o = tmp_path / "o"
+        runs = [
+            ["eo-fit", "--input", cohort_csv, "--variant", "hard"],
+            ["eo-apply", "--input", cohort_csv, "--predictor", o / "derived_predictor.json"],
+        ]
+        for argv in runs:
+            assert main([str(a) for a in [*argv, "--out", o]]) == 0
+        post = o / "postprocessed.csv"
+        read = post.read_bytes()
+        argv = ["eo-apply", "--input", post, "--predictor", o / "derived_predictor.json", "--seed", "1", "--out", o]
+        assert main([str(a) for a in argv]) == 0
+        written = post.read_bytes()
+        assert written != read
+        manifest = _doc(o / "manifest.json")
+        assert manifest["inputs"][str(post)] == hashlib.sha256(read).hexdigest()
+        assert manifest["outputs"][str(post)] == hashlib.sha256(written).hexdigest()
 
 class TestDebiasCommand:
     def test_debias_writes_embeddings_and_report(self, tmp_path):

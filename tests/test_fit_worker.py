@@ -290,19 +290,29 @@ def test_draws_and_digests_come_before_the_fit_is_awaited(intervention, where, t
 def test_each_manifest_records_the_digests_of_what_it_read(tmp_path, monkeypatch):
     write_splits(tmp_path, True)
     fit, ev = tmp_path / "fit.csv", tmp_path / "eval.csv"
+    config, sets, emb = tmp_path / "cohort.json", tmp_path / "sets.json", tmp_path / "synth" / "embeddings.txt"
+    config.write_text(json.dumps({"n_samples": 300}), encoding="utf-8")
+    sets.write_text(json.dumps([["he", "she"], ["his", "hers"]]), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    Path("gender").write_text("a file named as a preset is not read\n", encoding="utf-8")
     runs = {  # name: (argv, the inputs it reads)
         "synth": (["synth", "--plant-embeddings", "--seed", "1"], []),
+        "synth-config": (["synth", "--synth-config", config], [config]),
+        "synth-sets-file": (["synth", "--plant-embeddings", "--equality-sets", sets], [sets]),
         "report": (["report", "--input", ev], [ev]),
         "eo-fit": (["eo-fit", "--input", fit, "--variant", "soft"], [fit]),
         "eo-apply": (["eo-apply", "--input", ev, "--predictor", tmp_path / "eo-fit" / "derived_predictor.json"],
                      [ev, tmp_path / "eo-fit" / "derived_predictor.json"]),
-        "debias": (["debias", "--embeddings", tmp_path / "synth" / "embeddings.txt"], [tmp_path / "synth" / "embeddings.txt"]),
+        "debias": (["debias", "--embeddings", emb], [emb]),
+        "debias-preset": (["debias", "--embeddings", emb, "--equality-sets", "gender"], [emb]),
+        "debias-sets-file": (["debias", "--embeddings", emb, "--equality-sets", sets], [emb, sets]),
         "ensemble-fit": (["ensemble-fit", "--input", fit], [fit]),
         "ensemble-predict": (["ensemble-predict", "--input", ev, "--model", tmp_path / "ensemble-fit" / "ensemble_model.json"],
                              [ev, tmp_path / "ensemble-fit" / "ensemble_model.json"]),
         "pipeline-here": (["pipeline", "--intervention", "eo-soft", "--fit-input", fit, "--input", ev], [ev, fit]),
         "pipeline-single": (["pipeline", "--intervention", "eo-hard", "--input", ev], [ev]),
         "pipeline-synthetic": (["pipeline", "--intervention", "eo-soft", "--n", "500"], []),
+        "pipeline-synth-config": (["pipeline", "--intervention", "eo-soft", "--synth-config", config], [config]),
         "pipeline-worker": (["pipeline", "--intervention", "eo-soft", "--fit-input", fit, "--input", ev], [ev, fit]),
     }
     for name, (argv, inputs) in runs.items():
