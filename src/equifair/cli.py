@@ -552,7 +552,7 @@ def _run(argv) -> int:
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except OSError as exc:  # a path the OS refuses: absent, a directory, too long, a symlink loop, ...
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3
     except (UnicodeDecodeError, csv.Error) as exc:

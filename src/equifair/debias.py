@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ValidationError
 from .pool import _pooled, _process_pool
+from .predictions import _owned, readonly
 from .schema import decode_error
 
 NEUTRALIZE_EPS = 1e-8
@@ -33,26 +34,16 @@ NEUTRALIZE_EPS = 1e-8
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """An ordered vocabulary with one real vector per token."""
+    """An ordered vocabulary with one real vector per token.  The matrix's
+    vectors are read-only, and an array its caller passed is copied unless
+    it is read-only all the way down."""
 
     tokens: tuple[str, ...]
     vectors: np.ndarray
     index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # the caller still holds what it passed, so the matrix keeps a copy
-        self._freeze(np.array(self.vectors, dtype=np.float64))
-
-    @classmethod
-    def _adopt(cls, tokens: tuple[str, ...], vectors: np.ndarray) -> EmbeddingMatrix:
-        """A matrix over a float64 array made for it, that no one else
-        holds: checked and frozen in place, not copied."""
-        emb = object.__new__(cls)
-        object.__setattr__(emb, "tokens", tokens)
-        emb._freeze(vectors)
-        return emb
-
-    def _freeze(self, vecs: np.ndarray) -> None:
+        vecs = np.asarray(self.vectors, dtype=np.float64)
         if vecs.ndim != 2 or vecs.shape[0] != len(self.tokens):
             raise ValidationError("vectors must be a (vocab, dim) matrix")
         if not np.isfinite(vecs).all():
@@ -62,10 +53,7 @@ class EmbeddingMatrix:
             if tok in index:
                 raise ValidationError(f"duplicate token {tok!r}")
             index[tok] = i
-        vecs.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "index", index)
+        self.__dict__.update(vectors=_owned(vecs, self.vectors), tokens=tuple(self.tokens), index=index)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -124,7 +112,9 @@ class EqualitySets:
 @dataclass(frozen=True)
 class BiasSubspace:
     """Orthonormal basis of the bias subspace, with the share of residual
-    variance captured by each component."""
+    variance captured by each component.  The basis is read-only, and an
+    array its caller passed is copied unless it is read-only all the way
+    down."""
 
     basis: np.ndarray  # (k, dim)
     explained_variance: tuple[float, ...] | None = None
@@ -133,12 +123,9 @@ class BiasSubspace:
         basis = np.asarray(self.basis, dtype=np.float64)
         if basis.ndim != 2:
             raise ValidationError("basis must be a (k, dim) matrix")
-        gram = basis @ basis.T
-        if not np.allclose(gram, np.eye(len(basis)), atol=1e-9):
+        if not np.allclose(basis @ basis.T, np.eye(len(basis)), atol=1e-9):
             raise ValidationError("basis vectors must be orthonormal")
-        basis = basis.copy()
-        basis.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", _owned(basis, self.basis))
 
     @property
     def k(self) -> int:
@@ -282,24 +269,24 @@ class _DebiasPlan:
         words = sorted({w for s in usable for w in s}, key=emb.index.__getitem__)
         self._set_rows = np.array([emb.index[w] for w in words], dtype=np.intp)
         self._set_vectors = emb.vectors[self._set_rows] / self._norms[self._set_rows]
-        at = EmbeddingMatrix._adopt(tuple(words), self._set_vectors.view())
-        self.subspace = identify_subspace(at, sets, k)
+        self.subspace = identify_subspace(EmbeddingMatrix(tuple(words), self._set_vectors), sets, k)
+        row = {w: i for i, w in enumerate(words)}  # each set word's row of ``_set_vectors``
         # the rows to neutralize: the policy's words, else those of no equality set
         listed = neutral_policy is not None
         wanted = set(neutral_policy) if listed else sets.all_words()
         self._neutral = np.array([i for i, t in enumerate(emb.tokens) if (t in wanted) == listed], dtype=np.intp)
         for w in wanted.intersection(words) if listed else ():  # ``_fill`` notes each outcome
             with suppress(DegenerateInputError):
-                self._set_vectors[at.index[w]] = neutralize(at.get(w), self.subspace, label=w)
+                self._set_vectors[row[w]] = neutralize(self._set_vectors[row[w]], self.subspace, label=w)
         self.equalized_sets: list[tuple[str, ...]] = []
         self._unequalized: list[str] = []
         for s in usable:
             try:
-                new_vecs = equalize([at.get(w) for w in s], self.subspace, labels=s)
+                new_vecs = equalize([self._set_vectors[row[w]] for w in s], self.subspace, labels=s)
             except DegenerateInputError:
                 self._unequalized.extend(s)
             else:
-                self._set_vectors[[at.index[w] for w in s]] = new_vecs
+                self._set_vectors[[row[w] for w in s]] = new_vecs
                 self.equalized_sets.append(s)
         self.neutralized, self._skipped = [], []  # of the rows ``_fill`` writes
 
@@ -352,7 +339,7 @@ def hard_debias(
     for lo in range(0, len(emb), rows):
         plan._fill(lo, vectors[lo : lo + rows])
     return DebiasResult(
-        EmbeddingMatrix._adopt(emb.tokens, vectors), plan.subspace, tuple(plan.neutralized),
+        EmbeddingMatrix(emb.tokens, readonly(vectors)), plan.subspace, tuple(plan.neutralized),
         tuple(plan.equalized_sets), plan.skipped_words, plan.dropped_sets,
     )
 
@@ -461,17 +448,17 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                 raise FormatError(f"{path}: line 1: header fields must be integers") from None
             if vocab_size < 1 or dim < 1:
                 raise FormatError(f"{path}: line 1: header values must be positive")
-            # a row takes at least 2 * dim + 1 bytes (one less unterminated), so a
-            # header that lies allocates no more rows than the file can hold; rows
-            # past them are checked, then dropped.  A pipe has no size.
+            # a row takes at least 2 * dim + 1 bytes (one less unterminated), so a header that lies
+            # allocates no more rows than a file can hold, and rows past them are checked, then
+            # dropped.  A pipe has no size: rows are allocated as they come, at most twice as many.
             size = os.fstat(fh.fileno()).st_size
             room = (size - len(header.encode()) + 1) // (2 * dim + 1) if size else vocab_size
-            vectors = np.empty((min(vocab_size, room), dim))
+            vectors = np.empty((min(vocab_size, room) if size else 0, dim))
             tokens: list[str] = []
             seen: set[str] = set()
             lineno = 2
             undecodable: list[UnicodeDecodeError] = []
-            with _process_pool(vectors.size, _POOL_FLOOR) as executor:
+            with _process_pool(min(vocab_size, room) * dim, _POOL_FLOOR) as executor:
                 jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
                 for (lines, _), parsed in _pooled(executor, _parse_block, jobs):
                     if parsed is not None:
@@ -479,7 +466,10 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                     if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
                         parsed = _replay_block(path, lines, lineno, dim, set(tokens))
                         seen.update(parsed[0])
-                    rows = vectors[len(tokens) : len(tokens) + len(parsed[0])]
+                    n = len(tokens) + len(parsed[0])
+                    if len(vectors) < min(n, vocab_size):
+                        vectors = np.concatenate((vectors, np.empty((min(2 * n, vocab_size) - len(vectors), dim))))
+                    rows = vectors[len(tokens) : n]
                     rows[:] = parsed[1][: len(rows)]
                     tokens += parsed[0]
                     lineno += len(lines)
@@ -489,7 +479,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
         raise decode_error(path) from None
     if len(tokens) != vocab_size:
         raise FormatError(f"{path}: header declares {vocab_size} words, found {len(tokens)}")
-    return EmbeddingMatrix._adopt(tuple(tokens), vectors)
+    return EmbeddingMatrix(tuple(tokens), readonly(vectors))
 
 
 def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:

@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .predictions import _owned
 
 GRAD_TOL = 1e-8
 MAX_ITER = 100
@@ -30,7 +31,9 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleModel:
-    """Fitted logistic combiner over constituent probabilities."""
+    """Fitted logistic combiner over constituent probabilities.  The
+    weights are read-only, and an array its caller passed is copied unless
+    it is read-only all the way down."""
 
     weights: np.ndarray
     intercept: float
@@ -44,9 +47,7 @@ class EnsembleModel:
         w = np.asarray(self.weights, dtype=np.float64)
         if not np.isfinite(w).all() or not np.isfinite(self.intercept):
             raise ValidationError("model parameters must be finite")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _owned(w, self.weights))
 
     @property
     def n_features(self) -> int:
@@ -72,13 +73,9 @@ def _check_features(features, n_expected: int | None = None) -> np.ndarray:
     return x
 
 
-def logistic_loss_and_grad(x: np.ndarray, y: np.ndarray, weights: np.ndarray, intercept: float, C: float) -> tuple[float, np.ndarray, float]:
-    """Objective value and its gradient in (weights, intercept)."""
-    return _loss_grad_p(x, y, weights, intercept, C)[:3]
-
-
 def _loss_grad_p(x, y, weights, intercept, C) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """``logistic_loss_and_grad`` and the probabilities p it computed on the way."""
+    """Objective value, its gradient in (weights, intercept), and the
+    probabilities p computed on the way."""
     n = x.shape[0]
     z = x @ weights + intercept
     p = sigmoid(z)

@@ -54,43 +54,39 @@ def _process_pool(size: int, floor: int, workers: int = 0):
 
 
 def _submit(executor, fn, job: tuple):
-    """A future of ``fn(*job)``; None without a pool or once it broke."""
+    """A function giving ``fn(*job)``, run on ``executor`` (here if its worker
+    dies), or here at once without a pool or once it broke."""
     if executor is not None:
         from concurrent.futures.process import BrokenProcessPool
 
         try:
-            return executor.submit(fn, *job)
+            future = executor.submit(fn, *job)
         except (BrokenProcessPool, OSError):  # a worker died, or could not fork
             pass
-    return None
+        else:
+            def result():
+                try:
+                    return future.result()
+                except BrokenProcessPool:
+                    return fn(*job)
 
-
-def _settle(fn, job: tuple, future):
-    """``fn(*job)``: the future's result, else run in this process."""
-    if future is not None:
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            return future.result()
-        except BrokenProcessPool:
-            pass
-    return fn(*job)
+            return result
+    done = fn(*job)
+    return lambda: done
 
 
 def _pooled(executor, fn, jobs: Iterable[tuple]):
     """``(job, fn(*job))`` in job order, two jobs per CPU in flight on ``executor``."""
     window = 2 * _usable_cpus() if executor is not None else 0
-
-    def settle(job, future):
-        return job, _settle(fn, job, future)
-
     pending: deque = deque()
     for job in jobs:
         pending.append((job, _submit(executor, fn, job)))
         if len(pending) > window:
-            yield settle(*pending.popleft())
+            job, result = pending.popleft()
+            yield job, result()
     while pending:
-        yield settle(*pending.popleft())
+        job, result = pending.popleft()
+        yield job, result()
 
 
 @contextmanager
@@ -98,6 +94,4 @@ def _beside(size: int, floor: int, fn, job: tuple):
     """A function returning ``fn(*job)``, run on one worker beside the block
     from ``floor`` on, else here before it: its error comes first either way."""
     with _process_pool(size, floor, workers=1) as executor:
-        future = _submit(executor, fn, job)
-        result = fn(*job) if future is None else None
-        yield lambda: result if future is None else _settle(fn, job, future)
+        yield _submit(executor, fn, job)

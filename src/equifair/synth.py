@@ -366,7 +366,7 @@ def generate_embeddings(
         vectors = vectors + cfg.noise * rng.standard_normal(vectors.shape)
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     return (
-        EmbeddingMatrix(tokens=tuple(tokens), vectors=vectors),
+        EmbeddingMatrix(tokens=tuple(tokens), vectors=readonly(vectors)),
         EqualitySets(cfg.equality_sets),
         BiasSubspace(basis=basis),
     )

@@ -7,9 +7,11 @@ import numpy as np
 
 from equifair import DegenerateInputError, EmbeddingMatrix, LossSpec, ValidationError, schema
 from equifair.debias import NEUTRALIZE_EPS
+from equifair.ensemble import _loss_grad_p
 from equifair.eo import _group_coefficients, _hard_region, expected_loss_of_rates
 from equifair.geometry import argmin_linear, convex_hull_indices, polygon_edges
 from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
+from equifair.predictions import readonly
 
 
 def cross(o, a, b) -> float:
@@ -96,7 +98,12 @@ def unit_normalized(emb: EmbeddingMatrix) -> EmbeddingMatrix:
     if np.any(norms <= NEUTRALIZE_EPS):
         bad = [emb.tokens[i] for i in np.nonzero(norms.ravel() <= NEUTRALIZE_EPS)[0]]
         raise DegenerateInputError(f"zero-norm vectors for tokens {bad}")
-    return EmbeddingMatrix._adopt(emb.tokens, emb.vectors / norms)
+    return EmbeddingMatrix(emb.tokens, readonly(emb.vectors / norms))
+
+
+def logistic_loss_and_grad(x, y, weights, intercept: float, C: float) -> tuple[float, np.ndarray, float]:
+    """The ensemble fit's objective value and its gradient in (weights, intercept)."""
+    return _loss_grad_p(x, y, weights, intercept, C)[:3]
 
 
 def embedding_file(edits: Mapping[int, str] = {}, n: int = 6, newline: str = "\n") -> bytes:

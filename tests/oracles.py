@@ -27,13 +27,13 @@ from equifair import (
     identify_subspace,
     neutralize,
 )
-from equifair.ensemble import GRAD_TOL, MAX_ITER, logistic_loss_and_grad
+from equifair.ensemble import GRAD_TOL, MAX_ITER
 from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
 from equifair.metrics import GroupRateEntry, roc_curve
 
-from helpers import group_masks, soft_regions_of, unit_normalized
+from helpers import group_masks, logistic_loss_and_grad, soft_regions_of, unit_normalized
 
 
 def pairwise_auc_oracle(scores, y_true):

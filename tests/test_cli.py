@@ -375,6 +375,14 @@ class TestFinish:
         assert (out, err.count("\n"), err.startswith("missing-file: ")) == ("", 1, True), err
         assert afile.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("case", list(FINISHES))
+    def test_an_out_with_an_over_long_component_is_missing_file(self, case, finish_inputs, tmp_path, capsys):
+        capsys.readouterr()
+        assert main([str(a) for a in [*FINISHES[case][0](finish_inputs), "--out", tmp_path / ("a" * 300)]]) == 3
+        out, err = capsys.readouterr()
+        assert (out, err.count("\n"), err.startswith("missing-file: ")) == ("", 1, True), err
+        assert "File name too long" in err
+
     def test_an_input_the_command_overwrites_is_digested_as_read(self, cohort_csv, tmp_path):
         o = tmp_path / "o"
         runs = [
@@ -405,6 +413,16 @@ class TestDebiasCommand:
         report = json.loads((tmp_path / "d/debias_report.json").read_text())
         assert report["equalized_sets"] == 7
         assert (tmp_path / "d/debiased_embeddings.txt").exists()
+
+    @pytest.mark.parametrize("header, message", [
+        ("100000000000000 300", "/dev/stdin: line 2: expected 300 values, got 1"),
+        ("100000000000000 1", "/dev/stdin: header declares 100000000000000 words, found 1"),
+    ])
+    def test_a_header_read_from_a_pipe_allocates_only_the_rows_it_delivers(self, header, message, tmp_path):
+        argv = [sys.executable, "-m", "equifair", "debias", "--embeddings", "/dev/stdin", "--out", tmp_path / "o"]
+        res = subprocess.run(argv, input=f"{header}\nw 1\n", capture_output=True, text=True)
+        assert (res.returncode, res.stderr) == (4, f"format-error: {message}\n")
+        assert not (tmp_path / "o").exists()
 
 
 class TestEnsembleCommands:
@@ -809,6 +827,9 @@ MALFORMED = {
         )
     },
     "predictor-is-a-directory": ("eo-apply", "dir", 3, "missing-file", "dp.json"),
+    # paths the OS refuses
+    "report-input-name-too-long": ("report-path", "a" * 300 + ".csv", 3, "missing-file", "File name too long"),
+    "metrics-input-a-symlink-loop": ("metrics-path", "loop1", 3, "missing-file", "Too many levels of symbolic links"),
     # inputs that fail once read; "missing.csv" stands for a file that does not exist
     "eo-fit-input-missing": ("eo-fit", ["--input", "missing.csv"], 3, "missing-file", "missing.csv"),
     "pipeline-input-missing": ("pipeline", ["--input", "missing.csv"], 3, "missing-file", "missing.csv"),
@@ -992,6 +1013,9 @@ class TestMalformedInputs:
             monkeypatch.setattr(debias, "_BLOCK_VALUES", 4)
             (tmp_path / "emb.txt").write_bytes(arg)
             argv = ["debias", "--embeddings", tmp_path / "emb.txt", "--out", out]
+        elif command.endswith("-path"):
+            (tmp_path / "loop1").symlink_to(tmp_path / "loop1")
+            argv = [command.removesuffix("-path"), "--input", tmp_path / arg, *(["--out", out] if command == "report-path" else [])]
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:

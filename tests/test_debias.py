@@ -50,12 +50,25 @@ def random_orthogonal_probe(basis: np.ndarray, rng) -> np.ndarray:
 
 
 class TestEmbeddingMatrix:
-    def test_caller_array_stays_writable_and_unaliased(self):
-        vectors = np.eye(3)
-        emb = EmbeddingMatrix(tokens=("a", "b", "c"), vectors=vectors)
-        assert vectors.flags.writeable and not np.shares_memory(vectors, emb.vectors)
-        vectors[0, 0] = 7.0
-        assert emb.vectors[0, 0] == 1.0 and not emb.vectors.flags.writeable
+    def test_the_load_the_debias_and_synth_hand_over_their_matrices_uncopied(self, tmp_path, monkeypatch):
+        """Only the plan's few set-word rows and the subspace bases are
+        copied; the whole-vocabulary matrices are handed over read-only."""
+        owned, copied = debias._owned, []
+
+        def spy(a, given):
+            kept = owned(a, given)
+            if kept is not a:
+                copied.append(a.shape)
+            return kept
+
+        monkeypatch.setattr(debias, "_owned", spy)
+        emb, sets, _ = generate_embeddings(EmbeddingPlantConfig(equality_sets=GENDER_SETS, vocab_size=300, dim=8, seed=1))
+        save_embeddings(emb, tmp_path / "e.txt")
+        hard_debias(load_embeddings(tmp_path / "e.txt"), sets)
+        argv = ["debias", "--embeddings", tmp_path / "e.txt", "--equality-sets", "gender", "--out", tmp_path / "out"]
+        with redirect_stdout(StringIO()):
+            assert cli.main([str(a) for a in argv]) == 0
+        assert copied and all(rows <= len(sets.all_words()) for rows, _ in copied), copied
 
     def test_derived_matrices_are_frozen_and_unaliased(self, tmp_path):
         vectors = np.array([[3.0, 4.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 5.0], [1.0, 1.0, 1.0]])
@@ -693,6 +706,18 @@ class TestBlockedEmbeddingIO:
             again = load_embeddings(tmp_path / "emb.txt")
         assert again.tokens == emb.tokens
         np.testing.assert_array_equal(again.vectors, emb.vectors)
+
+    @pytest.mark.skipif(not Path("/dev/fd").exists(), reason="opens a pipe by its /dev/fd path")
+    @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+    def test_a_pipe_loads_as_its_file_does(self, pooled, tmp_path):
+        # a pipe has no size, so its rows are allocated as they arrive: here one at a time
+        emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(50)), vectors=np.arange(150.0).reshape(50, 3) / 7)
+        save_embeddings(emb, tmp_path / "emb.txt")
+        cat = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read())", tmp_path / "emb.txt"]
+        with embedding_io(pooled, block_values=3), subprocess.Popen(cat, stdout=subprocess.PIPE) as writer:
+            again = load_embeddings(f"/dev/fd/{writer.stdout.fileno()}")
+        assert again.tokens == emb.tokens
+        np.testing.assert_array_equal(again.vectors.view(np.int64), emb.vectors.view(np.int64))
 
     @pytest.mark.parametrize("error", [OSError, NotImplementedError])
     def test_no_pool_falls_back_to_this_process(self, error, tmp_path):

@@ -13,8 +13,10 @@ from equifair import (
     generate_cohort,
     predict_proba,
 )
-from equifair.ensemble import logistic_loss_and_grad, sigmoid
+from equifair import ensemble
+from equifair.ensemble import sigmoid
 
+from helpers import logistic_loss_and_grad
 from oracles import fit_ensemble_oracle, sigmoid_oracle
 
 
@@ -121,17 +123,31 @@ def ensemble_cases(draw):
 
 
 class TestFitEnsembleOracle:
+    @staticmethod
+    def _assert_bit_equal(model, x, y, C):
+        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
+        assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
+
     @settings(max_examples=200, deadline=None)
     @given(ensemble_cases())
     def test_fit_is_bit_equal_to_the_oracle(self, case):
         # each Newton step reuses the accepted step's probabilities instead
         # of recomputing them; every fitted number keeps its bits
         x, y, C = case
+        self._assert_bit_equal(fit_ensemble(x, y, C=C), x, y, C)
+
+    def test_a_damped_step_is_bit_equal_to_the_oracle(self, monkeypatch):
+        # nearly separable and weakly regularized: one full Newton step
+        # overshoots, and the fit halves it
+        x, y, C = np.array([[0.5], [0.51], [0.46]]), np.array([1, 1, 0]), 836.0
+        evaluations, loss_grad_p = [], ensemble._loss_grad_p
+        monkeypatch.setattr(ensemble, "_loss_grad_p", lambda *args: evaluations.append(args) or loss_grad_p(*args))
         model = fit_ensemble(x, y, C=C)
-        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
-        assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
+        # one objective evaluation per accepted step and the start, one more per rejected trial
+        assert model.converged and len(evaluations) == len(model.loss_history) + 1
+        self._assert_bit_equal(model, x, y, C)
 
 
 # both zeros, subnormal and tiny values, exp's overflow edge (about 709.8)

@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equifair import (
+    BiasSubspace,
     CohortConfig,
+    EmbeddingMatrix,
     EmptyInputError,
+    EnsembleModel,
     FormatError,
     LabeledPredictions,
     ValidationError,
@@ -225,61 +228,87 @@ class TestWithOutputs:
             small_preds().with_outputs(**outputs)
 
 
-class TestArrayOwnership:
-    """A set's arrays are read-only and its own: an array its caller passed
-    is copied unless it is read-only all the way down."""
+def _predictions(**given):
+    preds = LabeledPredictions(universe=("g1", "g2"), **given)
+    return preds, preds.with_outputs(scores=given["scores"], y_hat=given["y_hat"])
 
-    @staticmethod
-    def _columns():
-        return {
+
+# each value type: a maker of the arrays a caller passes it, by field name,
+# and the values it builds from them
+VALUE_TYPES = {
+    "LabeledPredictions": (
+        lambda: {
             "id_column": np.array(["a", "b", "c", "d"], dtype=StringDType()),
             "y_true": np.array([1, 0, 1, 0], dtype=np.int8),
             "group_codes": np.array([0, 0, 1, 1], dtype=np.uint8),
             "scores": np.array([0.9, 0.2, 0.6, 0.4]),
             "y_hat": np.array([1, 0, 1, 0], dtype=np.int8),
-        }
+        },
+        _predictions,
+    ),
+    "EmbeddingMatrix": (
+        lambda: {"vectors": np.array([[3.0, 4.0], [0.0, 2.0], [1.0, -1.0]])},
+        lambda **given: (EmbeddingMatrix(tokens=("a", "b", "c"), **given),),
+    ),
+    "BiasSubspace": (
+        lambda: {"basis": np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]])},
+        lambda **given: (BiasSubspace(**given),),
+    ),
+    "EnsembleModel": (
+        lambda: {"weights": np.array([2.0, -1.0])},
+        lambda **given: (EnsembleModel(intercept=0.3, C=1.0, n_iter=0, grad_norm=0.0, converged=True, **given),),
+    ),
+}
+
+
+@pytest.mark.parametrize("columns, build", VALUE_TYPES.values(), ids=VALUE_TYPES)
+class TestArrayOwnership:
+    """One rule for every value type (``predictions._owned``): its arrays
+    are read-only and its own, and an array its caller passed is copied
+    unless it is read-only all the way down."""
 
     @staticmethod
-    def _overwrite(columns):
-        columns["id_column"][:] = "z"
-        for name in ("y_true", "group_codes", "scores", "y_hat"):
-            columns[name][:] = 0
+    def _overwrite(arrays):
+        for a in arrays.values():
+            a[...] = "z" if a.dtype.kind == "T" else 0
 
-    def test_the_callers_arrays_stay_writeable_and_apart(self):
-        given = self._columns()
-        preds = LabeledPredictions(universe=("g1", "g2"), **given)
-        derived = preds.with_outputs(scores=given["scores"], y_hat=given["y_hat"])
+    @staticmethod
+    def _assert_kept(values, expected):
+        for value in values:
+            for name, want in expected.items():
+                got = getattr(value, name)
+                assert not got.flags.writeable and np.array_equal(got, want), name
+
+    def test_the_callers_arrays_stay_writeable_and_apart(self, columns, build):
+        given, expected = columns(), columns()
+        values = build(**given)
         assert all(a.flags.writeable for a in given.values())
         self._overwrite(given)
-        for p in (preds, derived):
-            assert p.ids == ("a", "b", "c", "d") and p.groups == ("g1", "g1", "g2", "g2")
-            assert p.y_true.tolist() == [1, 0, 1, 0] and p.y_hat.tolist() == [1, 0, 1, 0]
-            assert p.scores.tolist() == [0.9, 0.2, 0.6, 0.4]
-            assert not any(getattr(p, name).flags.writeable for name in given)
+        self._assert_kept(values, expected)
 
-    def test_arrays_read_only_all_the_way_down_are_shared(self):
-        given = {name: predictions.readonly(a) for name, a in self._columns().items()}
-        given["y_hat"] = np.frombuffer(bytes([1, 0, 1, 0]), dtype=np.int8)  # a view of immutable bytes
-        preds = LabeledPredictions(universe=("g1", "g2"), **given)
-        derived = preds.with_outputs(scores=given["scores"], y_hat=given["y_hat"])
-        for name, a in given.items():
-            assert getattr(preds, name) is a, name
-        assert derived.scores is given["scores"] and derived.y_hat is given["y_hat"]
+    def test_arrays_read_only_all_the_way_down_are_shared(self, columns, build):
+        fresh = {name: predictions.readonly(a) for name, a in columns().items()}
+        # the numeric arrays as views of immutable bytes
+        in_bytes = {name: a if a.dtype.kind == "T" else np.frombuffer(a.tobytes(), a.dtype).reshape(a.shape)
+                    for name, a in fresh.items()}
+        for given in (fresh, in_bytes):
+            for value in build(**given):
+                for name, a in given.items():
+                    assert getattr(value, name) is a, name
 
-    def test_read_only_views_of_writeable_memory_are_copied(self):
-        bases = self._columns()
-        given = {}
-        for name, base in bases.items():
-            given[name] = base[:]
-            given[name].setflags(write=False)
-        given["y_hat"] = np.frombuffer(bytearray([1, 0, 1, 0]), dtype=np.int8)[:]
-        given["y_hat"].setflags(write=False)
-        preds = LabeledPredictions(universe=("g1", "g2"), **given)
+    def test_read_only_views_of_writeable_memory_are_copied(self, columns, build):
+        bases, expected = columns(), columns()
+        of_arrays = {name: predictions.readonly(a[...]) for name, a in bases.items()}
+        # the numeric arrays as read-only views of read-only arrays over a bytearray
+        buffers = {name: bytearray(a.tobytes()) for name, a in bases.items() if a.dtype.kind != "T"}
+        of_bytearrays = {**of_arrays, **{
+            name: predictions.readonly(np.frombuffer(buf, bases[name].dtype)).reshape(bases[name].shape)
+            for name, buf in buffers.items()}}
+        values = (*build(**of_arrays), *build(**of_bytearrays))
         self._overwrite(bases)
-        np.frombuffer(given["y_hat"].base.base, dtype=np.int8)[:] = 0
-        assert preds.ids == ("a", "b", "c", "d") and preds.group_codes.tolist() == [0, 0, 1, 1]
-        assert preds.y_true.tolist() == preds.y_hat.tolist() == [1, 0, 1, 0]
-        assert preds.scores.tolist() == [0.9, 0.2, 0.6, 0.4]
+        for buf in buffers.values():
+            np.frombuffer(buf, np.uint8)[:] = 0
+        self._assert_kept(values, expected)
 
 
 class TestCsvRoundTrip:
