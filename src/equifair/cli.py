@@ -20,9 +20,10 @@ import hashlib
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from itertools import takewhile
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -101,7 +102,14 @@ def _finish(args, writers: Mapping[str, object], status=lambda out, paths: f"wro
     an input."""
     inputs = _input_digests(args) if inputs is None else inputs
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    missing = list(takewhile(lambda d: not os.path.lexists(d), (out, *out.parents)))  # innermost first
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError:  # remove the directories this mkdir made, and none that existed
+        for d in missing:
+            with suppress(OSError):
+                d.rmdir()
+        raise
     paths = [out / name for name in writers]
     for path, write in zip(paths, writers.values()):
         if callable(write):
@@ -535,11 +543,6 @@ def _escaped_stdout():
 
 
 def main(argv=None) -> int:
-    with _escaped_stdout():
-        return _run(argv)
-
-
-def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -548,10 +551,14 @@ def _run(argv) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if "C" in vars(args):  # checked even where no ensemble stage runs
             check_C(args.C)
-        return args.func(args)
+        with _escaped_stdout():  # its exit flushes stdout, so a closed pipe raises here
+            return args.func(args)
     except EquifairError as exc:
         print(f"{exc.category}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:  # stdout's reader is gone: end quietly, exit-time flush included
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE, as if the signal had ended the command
     except OSError as exc:  # a path the OS refuses: absent, a directory, too long, a symlink loop, ...
         print(f"missing-file: {exc}", file=sys.stderr)
         return 3

@@ -412,8 +412,8 @@ def _replay_block(path: Path, lines: list[str], lineno: int, dim: int, seen: set
 
 
 def _line_blocks(fh, rows: int, undecodable: list[UnicodeDecodeError]):
-    """Lists of ``rows`` lines of ``fh``.  A byte that is not UTF-8 ends
-    them: its error goes to ``undecodable``, after the lines before it."""
+    """Lists of ``rows`` lines of ``fh``.  A byte that is not UTF-8 ends them
+    where its decoder chunk begins: its error goes to ``undecodable``."""
     block: list[str] = []
     try:
         for line in fh:
@@ -432,9 +432,9 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
     A malformed file raises the error of its first bad line, naming the
     line: a wrong field count, then a duplicate token, then a non-numeric
-    value.  A byte that is not UTF-8, named by file offset, comes after
-    the errors of the lines before it, and a word count other than the
-    header's comes last."""
+    value.  A byte that is not UTF-8, named by file offset, comes after a
+    bad line of an earlier 8192-byte decoder chunk but before one of its
+    own chunk or later; a word count other than the header's comes last."""
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as fh:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .predictions import _owned
+from .predictions import _owned, as_binary, as_probabilities
 
 GRAD_TOL = 1e-8
 MAX_ITER = 100
@@ -61,13 +61,11 @@ class EnsembleModel:
 
 
 def _check_features(features, n_expected: int | None = None) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
+    x = as_probabilities(features, "features")
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError("features must be a non-empty (n, k) matrix")
-    if not np.isfinite(x).all():
-        raise ValidationError("features must be finite")
     if n_expected is not None and x.shape[1] != n_expected:
         raise ValidationError(f"expected {n_expected} features, got {x.shape[1]}")
     return x
@@ -96,21 +94,17 @@ def check_C(C: float) -> None:
 def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
     """Fit the logistic combiner.
 
-    Features must lie in [0, 1] (they are probabilities) and both classes
-    must be present.  Converges to gradient norm <= 1e-8 via damped Newton
-    iterations; if a Newton direction fails to decrease the objective, the
-    step falls back to backtracked gradient descent.
-    """
+    Refuses features that are not finite reals in [0, 1] (they are
+    probabilities), labels other than 0 and 1, and a single class.
+    Converges to gradient norm <= 1e-8 via damped Newton iterations; if a
+    Newton direction fails to decrease the objective, the step falls back
+    to backtracked gradient descent."""
     x = _check_features(features)
-    y = np.asarray(y_true).ravel().astype(np.float64)
+    y = as_binary(y_true, "labels").ravel().astype(np.float64)  # the Newton steps take float64 labels
     if y.shape[0] != x.shape[0]:
         raise ValidationError("features and labels must have equal length")
-    if not np.isin(y, (0.0, 1.0)).all():
-        raise ValidationError("labels must be binary")
     if y.min() == y.max():
         raise ValidationError("fit requires both classes present")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise ValidationError("features must lie in [0, 1]")
     check_C(C)
 
     n, k = x.shape
@@ -166,6 +160,7 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
 
 
 def predict_proba(model: EnsembleModel, features) -> np.ndarray:
-    """Sigmoid of the fitted affine combination, per sample."""
+    """Sigmoid of the fitted affine combination, per sample; refuses the
+    features ``fit_ensemble`` refuses."""
     x = _check_features(features, n_expected=model.n_features)
     return sigmoid(x @ model.weights + model.intercept)

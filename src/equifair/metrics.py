@@ -19,7 +19,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import ValidationError
-from .predictions import LabeledPredictions
+from .predictions import LabeledPredictions, as_binary
 
 
 @dataclass(frozen=True)
@@ -84,13 +84,13 @@ def gap_ranges(rates: Mapping[str, GroupRateEntry]) -> tuple[float | None, float
 
 def _check_binary_scores(scores, y_true) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64).ravel()
-    y = np.asarray(y_true).ravel().astype(np.int8)
+    y = as_binary(y_true, "labels").ravel()
     if s.shape != y.shape:
         raise ValidationError("scores and labels must have equal length")
     if s.size == 0:
         raise ValidationError("empty input")
-    if not np.isin(y, (0, 1)).all():
-        raise ValidationError("labels must be binary")
+    if not np.isfinite(s).all():
+        raise ValidationError("scores must be finite")
     return s, y
 
 
@@ -113,8 +113,8 @@ def auc_roc(scores, y_true) -> float:
     Equals the rank statistic, P(score of a random positive > score of a
     random negative) plus half the tie probability.  Computed as the
     integer 2U over 2 * n_pos * n_neg, so the result is correctly rounded.
-    Requires both classes.
-    """
+    Requires both classes; refuses labels other than 0 and 1 and scores
+    that are not finite (they need not lie in [0, 1])."""
     _, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
     return _trapezoid_auc(tp, fp)
 
@@ -131,8 +131,8 @@ def auc_prc(scores, y_true) -> float:
     """Area under the precision-recall curve, step-wise rule.
 
     Traces one operating point per distinct score threshold (descending)
-    and sums precision times recall increment.  Requires >= 1 positive.
-    """
+    and sums precision times recall increment.  Requires >= 1 positive;
+    refuses what ``auc_roc`` refuses."""
     _, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
     return _step_prc(tp, fp)
 
@@ -160,9 +160,9 @@ class RocCurve:
 
 
 def roc_curve(scores, y_true) -> RocCurve:
-    """Exact empirical ROC operating points with their thresholds."""
-    s, y = _check_binary_scores(scores, y_true)
-    thresholds, tp, fp = _threshold_counts(s, y)
+    """Exact empirical ROC operating points with their thresholds; refuses
+    what ``auc_roc`` refuses."""
+    thresholds, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_curve requires both classes present")
@@ -186,10 +186,10 @@ def multilabel_auc(scores, y_true) -> MultilabelAucResult:
     """Macro (unweighted per-label mean) and micro (flattened-pair) AUC ROC.
 
     Label columns with a single class are excluded from the macro average
-    and reported in ``excluded_labels`` with a warning record.
-    """
+    and reported in ``excluded_labels`` with a warning record.  Refuses a
+    label other than 0 and 1 in any column, and a score that is not finite."""
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(y_true)
+    y = as_binary(y_true, "labels")
     if s.ndim != 2 or s.shape != y.shape:
         raise ValidationError("scores and labels must be matrices of equal shape")
     if s.shape[1] < 2:

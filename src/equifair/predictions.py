@@ -14,7 +14,7 @@ import copy
 import csv
 import io
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from pathlib import Path
@@ -49,13 +49,29 @@ def _owned(a: np.ndarray, given) -> np.ndarray:
     return readonly(a)
 
 
-def _unit_column(values, n: int, name: str) -> np.ndarray:
-    """``values`` as float64, checked to be ``n`` finite reals in [0, 1]."""
+def as_binary(values, name: str) -> np.ndarray:
+    """The binary rule: ``values`` as int8, checked to be 0 or 1 before the
+    cast (which makes 0.5 a 0 and 257 a 1).  An int8 array is not copied."""
+    x = np.asarray(values)
+    if not ((x == 0) | (x == 1)).all():
+        raise ValidationError(f"{name} must be binary")
+    return x.astype(np.int8, copy=False)
+
+
+def as_probabilities(values, name: str) -> np.ndarray:
+    """The probability rule: ``values`` as float64, checked to be finite
+    reals in [0, 1]; NaN fails both bounds.  A float64 array is not copied."""
     x = np.asarray(values, dtype=np.float64)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValidationError(f"{name} must be finite reals in [0, 1]")
+    return x
+
+
+def _column(rule, values, n: int, name: str) -> np.ndarray:
+    """``values`` by ``rule``, checked to be ``n`` long."""
+    x = rule(values, name)
     if x.shape != (n,):
         raise ValidationError(f"{name} length mismatch")
-    if not np.isfinite(x).all() or x.min() < 0.0 or x.max() > 1.0:
-        raise ValidationError(f"{name} must be finite reals in [0, 1]")
     return x
 
 
@@ -64,14 +80,9 @@ def _outputs(n: int, scores, y_hat) -> tuple[np.ndarray | None, np.ndarray | Non
     if scores is None and y_hat is None:
         raise ValidationError("at least one of scores / y_hat is required")
     if scores is not None:
-        scores = _owned(_unit_column(scores, n, "scores"), scores)
+        scores = _owned(_column(as_probabilities, scores, n, "scores"), scores)
     if y_hat is not None:
-        hat = np.asarray(y_hat, dtype=np.int8)
-        if hat.shape != (n,):
-            raise ValidationError("y_hat length mismatch")
-        if not np.isin(hat, (0, 1)).all():
-            raise ValidationError("y_hat must be binary")
-        y_hat = _owned(hat, y_hat)
+        y_hat = _owned(_column(as_binary, y_hat, n, "y_hat"), y_hat)
     return scores, y_hat
 
 
@@ -165,11 +176,9 @@ class LabeledPredictions:
         _require_unique(column, _id_hashes)
         if (groups is None) == (group_codes is None):
             raise ValidationError("exactly one of groups / group_codes is required")
-        y = _owned(np.asarray(y_true, dtype=np.int8), y_true)
+        y = _owned(as_binary(y_true, "y_true"), y_true)
         if y.shape != (n,) or (groups is not None and len(groups) != n):
             raise ValidationError("ids, y_true and groups must have equal length")
-        if not np.isin(y, (0, 1)).all():
-            raise ValidationError("y_true must be binary")
         scores, y_hat = _outputs(n, scores, y_hat)
         if groups is not None:
             labels: dict[str, int] = {}
@@ -295,11 +304,8 @@ def _unit_reals(values: list[str]) -> np.ndarray | None:
     """``values`` as float64, or None if one is not a number in [0, 1].
     numpy's str -> float cast accepts and rejects the same strings as
     float(), which the row checks and the tests' oracle use."""
-    try:
-        x = np.array(values, dtype=np.float64)
-    except ValueError:
-        return None
-    return x if ((x >= 0.0) & (x <= 1.0)).all() else None
+    with suppress(ValueError, ValidationError):
+        return as_probabilities(values, "score")
 
 
 def _binary(values: list[str]) -> np.ndarray | None:
@@ -443,9 +449,9 @@ def read_prediction_file(
     """Parse a prediction CSV, including any ``score_<name>`` feature columns.
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters and
-    parsed by column; a malformed file raises the message of its first bad
-    row, which names the row's line (its record number, header = 1), or
-    the file offset and physical line of a byte that is not UTF-8."""
+    parsed by column.  A malformed file raises the error of its first bad
+    row, naming its line (record number, header = 1), unless reading up to
+    its block met a byte that is not UTF-8: that error names the byte's offset."""
     path = Path(path)
     with _opened(path, group_col) as (fh, header):
         columns = _Columns(path, header, group_col)
@@ -485,7 +491,7 @@ def write_predictions(
     not hold one finite real in [0, 1] per row raises ValidationError
     naming it, before anything is written."""
     n = len(preds)
-    consts = {name: _unit_column(v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
+    consts = {name: _column(as_probabilities, v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
     labels = np.array(_csv_fields(list(preds.universe)), dtype=object)
     bits = np.array(("0", "1"), dtype=object)
     header = ",".join(_csv_fields(["id", "group", "y_true", "score", "y_hat", *(f"score_{c}" for c in consts)])) + "\n"

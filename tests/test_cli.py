@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -376,12 +377,15 @@ class TestFinish:
         assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("case", list(FINISHES))
-    def test_an_out_with_an_over_long_component_is_missing_file(self, case, finish_inputs, tmp_path, capsys):
+    def test_an_out_with_an_over_long_component_is_missing_file(self, case, finish_inputs, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         capsys.readouterr()
-        assert main([str(a) for a in [*FINISHES[case][0](finish_inputs), "--out", tmp_path / ("a" * 300)]]) == 3
+        # --out's parents "o" and "o/p" do not exist: the failed mkdir must not leave them made
+        assert main([str(a) for a in [*FINISHES[case][0](finish_inputs), "--out", Path("o/p") / ("a" * 300)]]) == 3
         out, err = capsys.readouterr()
         assert (out, err.count("\n"), err.startswith("missing-file: ")) == ("", 1, True), err
         assert "File name too long" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_an_input_the_command_overwrites_is_digested_as_read(self, cohort_csv, tmp_path):
         o = tmp_path / "o"
@@ -400,6 +404,30 @@ class TestFinish:
         manifest = _doc(o / "manifest.json")
         assert manifest["inputs"][str(post)] == hashlib.sha256(read).hexdigest()
         assert manifest["outputs"][str(post)] == hashlib.sha256(written).hexdigest()
+
+class TestClosedStdout:
+    """A command whose stdout has no reader left ends as SIGPIPE would end
+    it, with exit status 141, and prints nothing, at exit either."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("case", ["metrics", "synth"])
+    def test_a_closed_stdout_ends_quietly_with_status_141(self, case, unbuffered, finish_inputs, tmp_path):
+        argv = {
+            "metrics": ["metrics", "--input", finish_inputs / "preds.csv"],
+            "synth": ["synth", "--n", "100", "--out", tmp_path / "d"],
+        }[case]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            res = subprocess.run([sys.executable, "-m", "equifair", *map(str, argv)], stdout=write, stderr=subprocess.PIPE,
+                                 env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
+        finally:
+            os.close(write)
+        assert (res.returncode, res.stderr) == (141, b"")
+        if case == "synth":  # the status line is all that is lost
+            assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["analytic_rates.json", "manifest.json", "modality_0.csv"]
+
 
 class TestDebiasCommand:
     def test_debias_writes_embeddings_and_report(self, tmp_path):

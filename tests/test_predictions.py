@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from numpy.dtypes import StringDType
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from equifair import (
     BiasSubspace,
@@ -19,13 +21,21 @@ from equifair import (
     LabeledPredictions,
     ValidationError,
     apply_hard,
+    auc_prc,
+    auc_roc,
     eo,
     fit_eo_hard,
+    fit_ensemble,
     generate_cohort,
+    multilabel_auc,
+    predict_proba,
     predictions,
+    roc_curve,
 )
 from equifair.eo import sample_uniforms
 from equifair.predictions import (
+    as_binary,
+    as_probabilities,
     read_prediction_file,
     read_predictions,
     write_predictions,
@@ -123,6 +133,101 @@ class _TiedHash(str):
 
 # strs that print alike or spell equal numbers, some with every hash tied
 TRICKY_IDS = ["1", "1.0", "True", "0", "-0.0", "", "\x00", "a\x00", "é", "e\u0301", *map(_TiedHash, ("1", "a", ""))]
+
+
+# the value that makes the second of a legal 4-row column bad; 257 comes
+# in an int64 array, which a cast to int8 wraps to 1, and 256 in a list,
+# which such a cast refuses with OverflowError
+BAD_VALUES = {"0.5": 0.5, "257": 257, "256": 256, "nan": math.nan, "inf": math.inf, "-inf": -math.inf, "1.5": 1.5, "-0.1": -0.1}
+LABELS, SCORES = [1, 0, 1, 0], [0.9, 0.2, 0.6, 0.4]
+MODEL = EnsembleModel(weights=np.array([2.0]), intercept=-1.0, C=1.0, n_iter=0, grad_norm=0.0, converged=True)
+# entry point: (its rule, the name the rule's message gives, its call with a column of that rule and a path)
+RULE_SITES = {
+    "constructor-y_true": ("binary", "y_true", lambda v, path: small_preds(y_true=v)),
+    "constructor-y_hat": ("binary", "y_hat", lambda v, path: small_preds(y_hat=v)),
+    "constructor-scores": ("probability", "scores", lambda v, path: small_preds(scores=v)),
+    "with_outputs-y_hat": ("binary", "y_hat", lambda v, path: small_preds().with_outputs(y_hat=v)),
+    "with_outputs-scores": ("probability", "scores", lambda v, path: small_preds().with_outputs(scores=v)),
+    "write_predictions-constituent": (
+        "probability", "column 'score_m'", lambda v, path: write_predictions(small_preds(), path, {"m": v}),
+    ),
+    "auc_roc-labels": ("binary", "labels", lambda v, path: auc_roc(SCORES, v)),
+    "auc_roc-scores": ("finite", "scores", lambda v, path: auc_roc(v, LABELS)),
+    "auc_prc-labels": ("binary", "labels", lambda v, path: auc_prc(SCORES, v)),
+    "auc_prc-scores": ("finite", "scores", lambda v, path: auc_prc(v, LABELS)),
+    "roc_curve-labels": ("binary", "labels", lambda v, path: roc_curve(SCORES, v)),
+    "roc_curve-scores": ("finite", "scores", lambda v, path: roc_curve(v, LABELS)),
+    "multilabel_auc-labels": (
+        "binary", "labels", lambda v, path: multilabel_auc(np.column_stack([SCORES, SCORES]), np.column_stack([LABELS, v])),
+    ),
+    "multilabel_auc-scores": (
+        "finite", "scores", lambda v, path: multilabel_auc(np.column_stack([SCORES, v]), np.column_stack([LABELS, LABELS])),
+    ),
+    "fit_ensemble-labels": ("binary", "labels", lambda v, path: fit_ensemble(np.array(SCORES)[:, None], v)),
+    "fit_ensemble-features": ("probability", "features", lambda v, path: fit_ensemble(v, LABELS)),
+    "predict_proba-features": ("probability", "features", lambda v, path: predict_proba(MODEL, v)),
+}
+# what each rule refuses: a probability may be 0.5, and a metric's score
+# need only be finite, so an AUC of logits stays legal
+REFUSED = {
+    "binary": (set(BAD_VALUES), "{} must be binary"),
+    "probability": (set(BAD_VALUES) - {"0.5"}, "{} must be finite reals in [0, 1]"),
+    "finite": ({"nan", "inf", "-inf"}, "{} must be finite"),
+}
+
+
+@st.composite
+def number_arrays(draw):
+    """Arrays of one to two dimensions, of bools, int8s, int64s or
+    float64s, rich in 0 and 1, in reals of [0, 1] and in non-finite floats."""
+    dtype, elements = draw(st.sampled_from([
+        (np.bool_, st.booleans()),
+        (np.int8, st.sampled_from([0, 1]) | st.integers(-128, 127)),
+        (np.int64, st.sampled_from([0, 1, 256, 257]) | st.integers(-(2**40), 2**40)),
+        (np.float64, st.sampled_from([0.0, -0.0, 1.0]) | st.floats(0.0, 1.0) | st.floats()),
+    ]))
+    return draw(arrays(dtype, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=5), elements=elements))
+
+
+class TestValueRules:
+    """One binary rule and one probability rule (``predictions.as_binary``
+    and ``as_probabilities``) for every entry point that takes labels or
+    probabilities; a metric's scores are checked only to be finite."""
+
+    @pytest.mark.parametrize("site, bad", [
+        (site, bad) for site, (rule, _, _) in RULE_SITES.items() for bad in BAD_VALUES if bad in REFUSED[rule][0]
+    ])
+    def test_each_entry_point_refuses_a_bad_value_with_its_rules_message(self, site, bad, tmp_path):
+        rule, name, call = RULE_SITES[site]
+        legal = SCORES if rule == "probability" else LABELS
+        column = [legal[0], BAD_VALUES[bad], *legal[2:]]
+        if bad == "257":
+            column = np.array(column)
+        with pytest.raises(ValidationError, match="^" + re.escape(REFUSED[rule][1].format(name)) + "$"):
+            call(column, tmp_path / "p.csv")
+        assert not (tmp_path / "p.csv").exists()
+
+    @settings(max_examples=300, deadline=None)
+    @given(number_arrays())
+    def test_the_binary_rule_takes_exactly_zeros_and_ones_unchanged(self, x):
+        if set(x.ravel().tolist()) <= {0, 1}:
+            got = as_binary(x, "v")
+            assert got.dtype == np.int8 and got.shape == x.shape and (got == x).all()
+            assert (got is x) == (x.dtype == np.int8)
+        else:
+            with pytest.raises(ValidationError, match=r"^v must be binary$"):
+                as_binary(x, "v")
+
+    @settings(max_examples=300, deadline=None)
+    @given(number_arrays())
+    def test_the_probability_rule_takes_exactly_finite_reals_in_the_unit_interval_unchanged(self, x):
+        if all(0.0 <= v <= 1.0 for v in x.ravel().tolist()):
+            got = as_probabilities(x, "v")
+            assert got.dtype == np.float64 and got.shape == x.shape and (got == x).all()
+            assert (got is x) == (x.dtype == np.float64)
+        else:
+            with pytest.raises(ValidationError, match=r"^v must be finite reals in \[0, 1\]$"):
+                as_probabilities(x, "v")
 
 
 class TestUniqueIds:
