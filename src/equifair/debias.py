@@ -356,8 +356,8 @@ def hard_debias(
 # values (rows x dimension) from which a file is handled by a process pool;
 # below about this size, starting the workers costs what they save
 _POOL_FLOOR = 1 << 20
-# values in one block of rows
-_BLOCK_VALUES = 1 << 16
+# values in one block of rows; the blocks in flight set the transient memory
+_BLOCK_VALUES = 1 << 14
 
 
 def _block_rows(dim: int) -> int:

@@ -194,6 +194,8 @@ def multilabel_auc(scores, y_true) -> MultilabelAucResult:
         raise ValidationError("scores and labels must be matrices of equal shape")
     if s.shape[1] < 2:
         raise ValidationError("multilabel_auc requires at least 2 labels")
+    if not len(s):
+        raise ValidationError("empty input")
     per_label: list[float | None] = []
     excluded: list[int] = []
     warnings: list[str] = []

@@ -13,7 +13,9 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import os
 import re
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -316,21 +318,23 @@ def _binary(values: list[str]) -> np.ndarray | None:
 
 
 class _Columns:
-    """The columns of a prediction CSV, parsed a block at a time.
+    """The columns of a prediction CSV, parsed a block at a time into columns
+    of ``capacity`` rows, which grow as ``load_embeddings`` grows its rows.
 
     Each block's columns are checked with whole-column operations; when a
     check fails, the block's rows are checked one by one to raise the
     message of the first bad row."""
 
-    def __init__(self, path: Path, header: list[str], group_col: str):
+    def __init__(self, path: Path, header: list[str], group_col: str, capacity: int):
         self.path, self.width = path, len(header)
         col = {name: i for i, name in enumerate(header)}
         self.at = {name: col[name] for name in (*REQUIRED_COLUMNS, group_col)}
         self.group_col = group_col
         self.extra = {name: col[name] for name in header if name.startswith("score_")}
         self.labels: dict[str, int] = {}  # group label -> code
-        self.parts: dict[str, list[np.ndarray]] = {c: [] for c in ("id", "hash", "code", "y_true", "score", "y_hat", *self.extra)}
-        self.seen = {"score": False, "y_hat": False}
+        self.capacity = capacity
+        self.columns: dict[str, np.ndarray] = {}  # each allocated at its first values
+        self.unfilled: set[str] = set()  # score / y_hat, if a field was empty
         self.n_rows = 0
 
     def add(self, fields: list[str] | None, records, lineno: int) -> None:
@@ -347,7 +351,7 @@ class _Columns:
         for c, parse in (("score", _unit_reals), ("y_hat", _binary)):
             values = column[c]
             # empty fields must all precede the column's first filled one
-            ok &= not empty[c] or (not self.seen[c] and "" not in values[empty[c] :])
+            ok &= not empty[c] or (c not in self.columns and "" not in values[empty[c] :])
             if empty[c] < len(values):
                 parsed[c] = parse(values[empty[c] :])
                 ok &= parsed[c] is not None
@@ -358,15 +362,20 @@ class _Columns:
             self._raise_first_error(records, lineno)
         ids, groups = column["id"], column[self.group_col]
         parsed.update(id=np.array(ids, dtype=StringDType()), hash=_hashes(ids), code=_intern(self.labels, groups))
-        for c, values in parsed.items():
-            self.parts[c].append(values)
-        self.seen = {c: self.seen[c] or c in parsed for c in self.seen}
         self.n_rows += len(groups)
+        if self.n_rows > self.capacity:
+            self.capacity = 2 * self.n_rows
+            self.columns = {c: np.concatenate((a, np.empty(self.capacity - len(a), a.dtype))) for c, a in self.columns.items()}
+        for c, values in parsed.items():
+            if c not in self.columns:
+                self.columns[c] = np.empty(self.capacity, values.dtype)
+            self.columns[c][self.n_rows - len(values) : self.n_rows] = values
+        self.unfilled.update(c for c, k in empty.items() if k)
 
     def _raise_first_error(self, records, lineno: int):
         """Check a block's rows one by one; raises at the first bad one."""
         at = self.at
-        score_seen, hat_seen = self.seen["score"], self.seen["y_hat"]
+        score_seen, hat_seen = "score" in self.columns, "y_hat" in self.columns
         for k, row in enumerate(records, start=lineno):
             if not row:
                 continue
@@ -394,11 +403,10 @@ class _Columns:
     def result(self, universe: tuple[str, ...]) -> PredictionFile:
         if not self.n_rows:
             raise EmptyInputError(f"{self.path}: no data rows")
-        for c in ("score", "y_hat"):
-            if self.seen[c] and sum(map(len, self.parts[c])) != self.n_rows:
-                raise FormatError(f"{self.path}: {c} column must be filled for all rows or none")
-        column = {c: readonly(np.concatenate(parts)) for c, parts in self.parts.items() if parts}
-        self.parts.clear()  # the columns are the only copies the constructor sees
+        if late := self.unfilled & self.columns.keys():  # at most one: rows leaving it empty fill the other
+            raise FormatError(f"{self.path}: {late.pop()} column must be filled for all rows or none")
+        column = {c: readonly(a)[: self.n_rows] for c, a in self.columns.items()}  # shared, not copied
+        self.columns.clear()
         universe, codes = _recode(self.labels, column["code"], universe)
         preds = LabeledPredictions(
             id_column=column["id"],
@@ -411,6 +419,20 @@ class _Columns:
         )
         consts = {name.removeprefix("score_"): column[name] for name in self.extra}
         return PredictionFile(predictions=preds, constituent_scores=consts)
+
+
+def _line_feeds(fh) -> int:
+    """The line feeds in the regular file ``fh`` reads, counted through one
+    reused buffer and its read position kept; 0 for a pipe, read only once."""
+    raw = fh.buffer.raw
+    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
+        return 0
+    at, count, buf = raw.tell(), 0, bytearray(_BLOCK_CHARS)
+    raw.seek(0)
+    while k := raw.readinto(buf):
+        count += buf.count(b"\n", 0, k)
+    raw.seek(at)
+    return count
 
 
 @contextmanager
@@ -449,12 +471,13 @@ def read_prediction_file(
     """Parse a prediction CSV, including any ``score_<name>`` feature columns.
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters and
-    parsed by column.  A malformed file raises the error of its first bad
-    row, naming its line (record number, header = 1), unless reading up to
-    its block met a byte that is not UTF-8: that error names the byte's offset."""
+    parsed into columns sized by a count of its line feeds, grown when that
+    falls short.  A malformed file raises the error of its first bad row,
+    naming its line (record number, header = 1), unless reading up to its
+    block met a byte that is not UTF-8: that error names the byte's offset."""
     path = Path(path)
     with _opened(path, group_col) as (fh, header):
-        columns = _Columns(path, header, group_col)
+        columns = _Columns(path, header, group_col, _line_feeds(fh))
         lineno = 2
         while block := fh.read(_BLOCK_CHARS):
             count, fields, records = _tokenise(block + fh.readline(), fh, len(header))

@@ -160,6 +160,14 @@ class TestMetricsCommand:
         assert set(doc["group_rates"]) == {"ASIAN", "BLACK", "HISPANIC", "OTHER", "WHITE"}
         assert 0.0 <= doc["auc_roc_overall"] <= 1.0
 
+    def test_input_from_a_pipe_reads_as_from_its_file(self, cohort_csv):
+        # a pipe cannot be counted before it is read: the columns grow as
+        # its blocks come (the file is about two and a half blocks)
+        argv = [sys.executable, "-m", "equifair", "metrics", "--input", "/dev/stdin"]
+        piped = subprocess.run(argv, input=cohort_csv.read_bytes(), capture_output=True)
+        assert piped.returncode == 0, piped.stderr
+        assert piped.stdout.decode() == run_cli("metrics", "--input", cohort_csv).stdout
+
     def test_non_ascii_group_under_an_ascii_stdout(self, tmp_path):
         path = tmp_path / "preds.csv"
         path.write_text(HEADER + "1,\u00e9,1,,1\n2,\u00e9,0,,0\n3,e,1,,0\n4,e,0,,1\n", encoding="utf-8")

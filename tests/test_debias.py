@@ -661,6 +661,19 @@ def _outcome(load, path):
         return type(exc), str(exc)
 
 
+def test_pooled_io_holds_a_few_small_blocks(tmp_path):
+    # two blocks per CPU are in flight, each as its lines, their pickle and
+    # its result: at 2**16 values a block the parent peaked 7.1 MB saving
+    # and 11.0 MB above the matrix loading, at 2**14 1.5 and 3.1 MB
+    rng = np.random.default_rng(0)
+    emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(2000)), vectors=rng.standard_normal((2000, 300)))
+    with embedding_io(pooled=True, block_values=debias._BLOCK_VALUES) as started:
+        save_peak = _traced_peak(lambda: save_embeddings(emb, tmp_path / "e.txt"))
+        load_peak = _traced_peak(lambda: load_embeddings(tmp_path / "e.txt"))
+    assert len(started) == 2
+    assert save_peak <= 3e6 and load_peak - emb.vectors.nbytes <= 5e6
+
+
 class TestBlockedEmbeddingIO:
     """Embedding files read and written a block of rows at a time, in this
     process or on a process pool, against the row-by-row oracles."""

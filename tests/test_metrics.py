@@ -330,6 +330,10 @@ class TestMultilabelAuc:
         with pytest.raises(ValidationError):
             multilabel_auc(np.array([[0.5], [0.4]]), np.array([[1], [0]]))
 
+    def test_no_rows_is_empty_input(self):
+        with pytest.raises(ValidationError, match="^empty input$"):
+            multilabel_auc(np.zeros((0, 2)), np.zeros((0, 2)))
+
 
 # ---------------------------------------------------------------------------
 # report assembly

@@ -635,7 +635,7 @@ def prediction_csvs(draw):
         elif column in columns:
             r[columns.index(column)] = value
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     writer.writerow(columns)
     for r in rows:
         writer.writerow(r)
@@ -664,6 +664,37 @@ class TestColumnReader:
         path.write_text("id,group,y_true,score,y_hat,score_m,score_m\n1,g,1,0.5,,0.1,0.2\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"repeats columns \['score_m'\]"):
             read_prediction_file(path)
+
+
+class TestColumnCapacity:
+    """A read sizes its columns by a count of the file's line feeds, and
+    grows them when its records outnumber those."""
+
+    @pytest.mark.parametrize("block_chars", [4, 1 << 16])
+    @pytest.mark.parametrize("text", [
+        "id,group,y_true,score,y_hat\na,A,0,,1\nb,B,1,,0\n",
+        "id,group,y_true,score,y_hat,score_m\n"
+        + "".join(f"r{i},{'AB'[i % 2]},{i % 3 % 2},0.{i},{i % 2},0.{i}5\n" for i in range(50)),
+    ], ids=["shortest", "fifty-rows"])
+    def test_lone_carriage_returns_read_as_line_feeds(self, tmp_path, text, block_chars):
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_bytes(text.encode())
+        cr.write_bytes(text.replace("\n", "\r").encode())
+        got, expected = _read_both(cr, block_chars)
+        _assert_same(got, expected)
+        _assert_same(got, read_prediction_file(lf))
+
+    @pytest.mark.parametrize("block_chars", [4, 1 << 16])
+    def test_quoted_line_feeds_read_as_written(self, tmp_path, block_chars):
+        preds = LabeledPredictions(
+            ids=("a\n\nb", "c\n", "d", "\n"), y_true=[0, 1, 0, 1], groups=("x\ny", "x\ny", "z", "z"), y_hat=[1, 0, 1, 1],
+        )
+        path = tmp_path / "p.csv"
+        write_predictions(preds, path)
+        got, expected = _read_both(path, block_chars)
+        _assert_same(got, expected)
+        assert got.predictions.ids == preds.ids and got.predictions.groups == preds.groups
+        assert got.predictions.y_hat.tolist() == [1, 0, 1, 1]
 
 
 HEADER = "id,group,y_true,score,y_hat\n"
@@ -715,7 +746,7 @@ def id_csvs(draw):
         st.sampled_from(["x" * 15, "x" * 16, "é" * 7 + "x", "é" * 8]),
     )
     buf = io.StringIO(newline="")
-    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer = csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"])))
     writer.writerow(["id", "group", "y_true", "score", "y_hat"])
     writer.writerows([i, "g", "1", "", "0"] for i in draw(st.lists(ids, min_size=1, max_size=12)))
     return buf.getvalue()
@@ -796,6 +827,19 @@ class TestIdMemory:
         finally:
             tracemalloc.stop()
         assert len(preds) == self.N and kept <= 24 * self.N
+
+    def test_a_read_peaks_at_most_48_bytes_a_row(self, path, monkeypatch):
+        # small blocks, so that the columns dominate: filling columns sized
+        # by a count of line feeds peaked at 40 bytes a row, and keeping
+        # each block's arrays to concatenate at the end at 63
+        monkeypatch.setattr(predictions, "_BLOCK_CHARS", 1 << 12)
+        tracemalloc.start()
+        try:
+            preds = read_predictions(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(preds) == self.N and peak <= 48 * self.N
 
     def test_apply_hard_peaks_at_most_40_bytes_a_row(self, path):
         preds = read_predictions(path)
