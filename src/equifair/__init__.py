@@ -12,7 +12,7 @@ BLAS thread defaults before that happens (see ``__main__``).
 
 from importlib import import_module
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 _EXPORTS = {
     "debias": (

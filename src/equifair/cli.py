@@ -542,6 +542,16 @@ def _escaped_stdout():
         stdout.reconfigure(errors=errors)
 
 
+# each character str.splitlines breaks a line at, as its backslash escape, so an error is one line whatever it names
+_ONE_LINE = str.maketrans({c: ascii(c)[1:-1] for c in "\n\r\x1c\x1d\x1e\x85\u2028\u2029"} | {"\v": r"\v", "\f": r"\f"})
+
+
+def _fail(category: str, message, code: int) -> int:
+    """Print the error line ``<category>: <message>`` on stderr; returns the exit code."""
+    print(f"{category}: {message}".translate(_ONE_LINE), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -554,17 +564,14 @@ def main(argv=None) -> int:
         with _escaped_stdout():  # its exit flushes stdout, so a closed pipe raises here
             return args.func(args)
     except EquifairError as exc:
-        print(f"{exc.category}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return _fail(exc.category, exc, exc.exit_code)
     except BrokenPipeError:  # stdout's reader is gone: end quietly, exit-time flush included
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141  # 128 + SIGPIPE, as if the signal had ended the command
     except OSError as exc:  # a path the OS refuses: absent, a directory, too long, a symlink loop, ...
-        print(f"missing-file: {exc}", file=sys.stderr)
-        return 3
+        return _fail("missing-file", exc, 3)
     except (UnicodeDecodeError, csv.Error) as exc:
-        print(f"format-error: {exc}", file=sys.stderr)
-        return 4
+        return _fail("format-error", exc, 4)
 
 
 if __name__ == "__main__":

@@ -117,26 +117,40 @@ def expected_loss_of_rates(rates: Mapping[str, GroupRateEntry], loss: LossSpec) 
 
 
 # ---------------------------------------------------------------------------
-# counter-based randomness: one digest per (seed, purpose, sample id)
+# counter-based randomness: one digest per sample id, one key per (seed, purpose, column)
 
-_HASH_CHUNK = 1 << 12  # ids per joined digest buffer
+_CHUNK_IDS, _CHUNK_CODE_POINTS = 1 << 12, 1 << 20  # ids digested at once, and the cells their code points may fill
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finaliser (Steele, Lea & Flood 2014) of a uint64 array, in place."""
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        z ^= z >> shift
+        z *= factor
+    z ^= z >> 31
+    return z
 
 
 def sample_uniforms(seed: int, purpose: str, sample_ids: Sequence[str] | np.ndarray, n: int = 3) -> np.ndarray:
-    """A (len(sample_ids), n) array of uniforms in [0, 1).  Row i is the
-    blake2b digest of (seed, purpose, sample_ids[i]) read as n big-endian
-    64-bit integers over 2**64, capped below 1, so it depends on that id alone."""
-    prefix = hashlib.blake2b(f"{seed}\x1f{purpose}\x1f".encode(), digest_size=8 * n)
+    """A (len(sample_ids), n) array of uniforms in [0, 1).  Row i's digest starts as the length of
+    sample_ids[i] and folds in each of its code points c as mix(digest ^ c); column k is the top 53
+    bits of mix(digest ^ derive_seed(seed, f"{purpose}\x1f{k}")) over 2**53, so it depends on that id alone."""
+    keys = np.array([derive_seed(seed, f"{purpose}\x1f{k}") for k in range(n)], dtype=np.uint64)
     column = as_id_column(sample_ids)
-    out = np.empty((len(column), n))
-    for start in range(0, len(column), _HASH_CHUNK):
-        digests = []
-        for sample_id in column[start : start + _HASH_CHUNK].tolist():
-            h = prefix.copy()  # cheaper than a new blake2b object per id
-            h.update(sample_id.encode())
-            digests.append(h.digest())
-        out[start : start + len(digests)] = (np.frombuffer(b"".join(digests), ">u8") / 2.0**64).reshape(-1, n)
-    return np.minimum(out, np.nextafter(1.0, 0.0), out=out)
+    out, start = np.empty((len(column), n)), 0
+    while start < len(column):  # a chunk of ids, cut short where long ones would hold too many code points
+        tagged = np.strings.add(column[start : start + _CHUNK_IDS], as_id_column("\x01"))  # str_len skips trailing NULs
+        lengths = np.strings.str_len(tagged) - 1
+        cells = np.maximum.accumulate(lengths) * np.arange(1, len(lengths) + 1)
+        lengths = lengths[: max(1, np.count_nonzero(cells <= _CHUNK_CODE_POINTS))]
+        stop, width = start + len(lengths), int(lengths.max()) + 1
+        code_points = tagged[: len(lengths)].astype(f"U{width}").view(np.uint32).reshape(-1, width)
+        digest = lengths.astype(np.uint64)
+        for j in range(width - 1):  # an id folds in its own code points alone, so its chunk does not matter
+            digest = np.where(lengths > j, _mix(digest ^ code_points[:, j]), digest)
+        np.multiply(_mix(digest[:, None] ^ keys) >> 11, 2.0**-53, out=out[start:stop])
+        start = stop
+    return out
 
 
 def apply_draws(variant: str, seed: int, sample_ids) -> np.ndarray:

@@ -497,10 +497,30 @@ def derived_predictor_dict_oracle(dp):
     }
 
 
+def _splitmix64(z):
+    """The SplitMix64 finaliser of a 64-bit Python int."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
+    return z ^ (z >> 31)
+
+
 def sample_uniforms_oracle(seed, purpose, sample_id, n=3):
+    """n uniforms in [0, 1) of one sample id, in Python ints: the id's
+    length folded with each code point through the SplitMix64 finaliser,
+    then draw k is the top 53 bits of the finaliser of that digest xor the
+    key blake2b gives (seed, purpose, k), over 2**53."""
+    digest = len(sample_id)
+    for ch in sample_id:
+        digest = _splitmix64(digest ^ ord(ch))
+    keys = (hashlib.blake2b(f"{seed}\x1f{purpose}\x1f{k}".encode(), digest_size=8).digest() for k in range(n))
+    return tuple((_splitmix64(digest ^ int.from_bytes(key, "big") >> 1) >> 11) / 2**53 for key in keys)
+
+
+def sample_uniforms_blake2b_oracle(seed, purpose, sample_id, n=3):
     """n uniforms in [0, 1) from one blake2b digest of (seed, purpose,
-    sample id): the per-row draw the library used to make, each kept
-    below the 1.0 that the top 1024 integers round to."""
+    sample id): the per-row draw of versions up to 0.3.0, each kept below
+    the 1.0 that the top 1024 integers round to.  The record of the old
+    contract: with these draws, apply_hard and apply_soft write 0.3.0's bytes."""
     msg = f"{seed}\x1f{purpose}\x1f{sample_id}".encode()
     digest = hashlib.blake2b(msg, digest_size=8 * n).digest()
     below_one = math.nextafter(1.0, 0.0)

@@ -26,7 +26,7 @@ from equifair.synth import GROUP_PRESETS, CohortConfig, EmbeddingPlantConfig, ge
 from equifair.wordsets import GENDER_SETS
 
 from helpers import MALFORMED_EMBEDDINGS, report_from_json
-from oracles import preds_from_counts
+from oracles import preds_from_counts, sample_uniforms_blake2b_oracle
 
 
 def run_cli(*args, env=None):
@@ -688,45 +688,56 @@ class TestPinnedArtifacts:
     fitting, metrics, serialisation or the realised draws shows here.
     The eo-soft predictor was re-pinned in 0.3.0: its thresholds are
     ensemble scores of a cohort whose planted means moved in their last
-    bits."""
+    bits.  postprocessed.csv and post_report.json were re-pinned in 0.4.0,
+    whose draws fold each id's code points through SplitMix64 instead of
+    hashing it with blake2b; DRAWN_0_3 keeps their 0.3.0 hashes."""
 
     PINS = {
         ("eo-hard",): {
             "derived_predictor.json": "95e68f04b3ea7a1e3edeb13fbd4b7ca9b1a16e5cf8c545bad412b0e63652278e",
-            "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
+            "postprocessed.csv": "e19f1227948d2e522a1408756436099489e97dad0b5499d3378cdbdc96535ad3",
             "base_report.json": "a7f138c78377f6f1e154e13f88dc287f7409f3cba0a1e5e141914ba7e81404be",
-            "post_report.json": "5aadb68f2cdd977c1d951fa27fa9a2c19c69314891ffc8f266c62042ec83968e",
+            "post_report.json": "142432d9bd985ac2bf47a35f2b3eb2543cd5d6139ae3757be4d72fd7bc1863c0",
         },
         ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
             "derived_predictor.json": "75cee5a745fd907fc1a0944bc2bb48388d4395f31e9deba4cb827d5a8df1fab3",
-            "postprocessed.csv": "60fd79bd0dfe6249c561fbee65379713025f71bb74c38120d4ef34a236adaccb",
+            "postprocessed.csv": "109af5ea3fbac0fa1b8253845aa6c36cabd3e9fe6969f91350b90e9bbe34a7e9",
             "base_report.json": "7e501643ccd896bb00c879f9821a4d16d5a13dab92762a0dc17d85f1730e41e3",
-            "post_report.json": "3f03018e0429c40e8902355cdaa2b94fa4955960237c472c4e690a63b899b0af",
+            "post_report.json": "e163a82658dc81195c3d3f7ea1987132893f8b8f46f2148ca6988134bd5b69ca",
         },
     }
 
+    @staticmethod
+    def _pinned_argv(variant, tmp_path):
+        """The pipeline of a ``PINS`` variant, or of a ``QUOTED_PINS`` one on
+        the quoted CRLF files it writes into ``tmp_path``; it writes to ``tmp_path / "out"``."""
+        if isinstance(variant, tuple):
+            return ["pipeline", "--intervention", *variant, "--preset", "ethnicity", "--n", "3000",
+                    "--seed", "11", "--cost-fn", "3", "--out", tmp_path / "out"]
+        TestPinnedArtifacts._quoted_crlf_csv(tmp_path / "fit.csv", 0)
+        TestPinnedArtifacts._quoted_crlf_csv(tmp_path / "eval.csv", 1)
+        return ["pipeline", "--intervention", variant, "--fit-input", tmp_path / "fit.csv",
+                "--input", tmp_path / "eval.csv", "--seed", "3", "--cost-fn", "2", "--out", tmp_path / "out"]
+
     @pytest.mark.parametrize("variant", list(PINS), ids=lambda v: v[0])
     def test_artifact_hashes(self, variant, tmp_path):
-        res = run_cli(
-            "pipeline", "--intervention", *variant, "--preset", "ethnicity", "--n", "3000",
-            "--seed", "11", "--cost-fn", "3", "--out", tmp_path,
-        )
+        res = run_cli(*self._pinned_argv(variant, tmp_path))
         assert res.returncode == 0, res.stderr
         for name, digest in self.PINS[variant].items():
-            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
     QUOTED_PINS = {
         "eo-hard": {
             "derived_predictor.json": "9d8cf45edc0ef4401021a93c8d0a18861c299ddf6900437101225886efb262c3",
-            "postprocessed.csv": "fddd65ee9814fc94291187c4869f0a8f50f5a5eb4799c7e0ee8681d3f0824284",
+            "postprocessed.csv": "203bdb44e0786caad46c4271b71ebf0a54d9749b480c8bf1ebc8a93de1cff8c8",
             "base_report.json": "7c940c7377b992b18db07f0e935d7abb9e3329823cd846d23d55864dcf564606",
-            "post_report.json": "f9ac126c19d01e673c016972aa67151f919569eafcdab2110cd618873306d74f",
+            "post_report.json": "eb64f5f8a48f2cc31e1c48f9cb410891bc2c5f8dc93c97258cf70c8dcedd4923",
         },
         "eo-soft": {
             "derived_predictor.json": "a4998da06d914b09dfaebee461156fd8eb2bb0b12a41f9701dd0db5d859eed00",
-            "postprocessed.csv": "38d59a52d9e2a61ba59755d155efb8003f587d22dcd466c948000dd215224046",
+            "postprocessed.csv": "ffd869dd7ceb1b067a52cc048aae1136341da0b099528de6f4a10e62c9c30d03",
             "base_report.json": "3388a6a25e6c8aadc711514fc06d8d003a1c556825c5c161d399f965575acad6",
-            "post_report.json": "52baaeefb2a71652e7897b5e4cb65b0bace99e722b36e74c340e1a716771a4dd",
+            "post_report.json": "7c662b3663bd1becbb7724d33bdfd32772566cd8bfa54c540e48a2a4581b4a18",
         },
     }
 
@@ -744,14 +755,46 @@ class TestPinnedArtifacts:
 
     @pytest.mark.parametrize("variant", list(QUOTED_PINS))
     def test_quoted_crlf_input_hashes(self, variant, tmp_path):
-        self._quoted_crlf_csv(tmp_path / "fit.csv", 0)
-        self._quoted_crlf_csv(tmp_path / "eval.csv", 1)
-        res = run_cli(
-            "pipeline", "--intervention", variant, "--fit-input", tmp_path / "fit.csv",
-            "--input", tmp_path / "eval.csv", "--seed", "3", "--cost-fn", "2", "--out", tmp_path / "out",
-        )
+        res = run_cli(*self._pinned_argv(variant, tmp_path))
         assert res.returncode == 0, res.stderr
         for name, digest in self.QUOTED_PINS[variant].items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+    DRAWN_0_3 = {  # the artifacts the 0.4.0 draws re-pinned, as 0.3.0 wrote them
+        ("eo-hard",): {
+            "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
+            "post_report.json": "5aadb68f2cdd977c1d951fa27fa9a2c19c69314891ffc8f266c62042ec83968e",
+        },
+        ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
+            "postprocessed.csv": "60fd79bd0dfe6249c561fbee65379713025f71bb74c38120d4ef34a236adaccb",
+            "post_report.json": "3f03018e0429c40e8902355cdaa2b94fa4955960237c472c4e690a63b899b0af",
+        },
+        "eo-hard": {
+            "postprocessed.csv": "fddd65ee9814fc94291187c4869f0a8f50f5a5eb4799c7e0ee8681d3f0824284",
+            "post_report.json": "f9ac126c19d01e673c016972aa67151f919569eafcdab2110cd618873306d74f",
+        },
+        "eo-soft": {
+            "postprocessed.csv": "38d59a52d9e2a61ba59755d155efb8003f587d22dcd466c948000dd215224046",
+            "post_report.json": "52baaeefb2a71652e7897b5e4cb65b0bace99e722b36e74c340e1a716771a4dd",
+        },
+    }
+
+    @pytest.mark.parametrize("variant", list(DRAWN_0_3), ids=lambda v: f"quoted-{v}" if isinstance(v, str) else v[0])
+    def test_blake2b_draws_give_back_every_0_3_artifact(self, variant, tmp_path, monkeypatch):
+        # the 0.4.0 re-pin comes from the draws alone: handed 0.3.0's draws
+        # through draws=, apply_hard and apply_soft write 0.3.0's bytes
+        apply_stage = cli._eo_apply_stage
+
+        def blake2b_drawn(dp, preds, seed, draws=None):
+            n = 1 if dp.variant == "hard" else 3
+            ids = preds.id_column.tolist()
+            draws = np.array([sample_uniforms_blake2b_oracle(seed, f"eo-{dp.variant}", i, n) for i in ids]).reshape(-1, n)
+            return apply_stage(dp, preds, seed, draws)
+
+        monkeypatch.setattr(cli, "_eo_apply_stage", blake2b_drawn)
+        assert main([str(a) for a in self._pinned_argv(variant, tmp_path)]) == 0
+        pins = {**(self.PINS if isinstance(variant, tuple) else self.QUOTED_PINS)[variant], **self.DRAWN_0_3[variant]}
+        for name, digest in pins.items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
 
@@ -815,6 +858,12 @@ MALFORMED = {
     "predictor-infinite-target": ("eo-apply", _with("target", {"fpr": float("inf"), "tpr": 0.5}), 4, "format-error", "Infinity"),
     "predictor-nan-objective": ("eo-apply", _with("objective", float("nan")), 4, "format-error", "NaN"),
     "predictor-unknown-field": ("eo-apply", _with("bogus", 1), 4, "format-error", "unknown field bogus"),
+    # a key or a path that holds a line break is written escaped, on the one line
+    "predictor-key-with-a-line-feed": ("eo-apply", _with("a\nb", 1), 4, "format-error", "unknown field a\\nb"),
+    "predictor-key-with-a-line-separator": ("eo-apply", _with("a\u2028b", 1), 4, "format-error", "unknown field a\\u2028b"),
+    "input-name-with-a-line-feed": (
+        "metrics-named", ("bad\nname.csv", b"id,y_true\n"), 4, "format-error", "bad\\nname.csv: header is missing columns",
+    ),
     "predictor-not-utf8": ("eo-apply", b'{"variant": "h\xe9rd"}', 4, "format-error", "byte offset 14 (line 1)"),
     "synth-config-groups-not-an-object": ("synth-config", '{"groups": 3}', 4, "format-error", "field groups"),
     "synth-config-fractional-n-samples": ("synth-config", '{"n_samples": 10.5}', 4, "format-error", "n_samples"),
@@ -1055,12 +1104,13 @@ class TestMalformedInputs:
         elif arg == "dir":
             argv = ["metrics", "--input", tmp_path]
         else:
-            bad = tmp_path / "bad.csv"
+            name, arg = arg if command == "metrics-named" else ("bad.csv", arg)
+            bad = tmp_path / name
             bad.write_bytes(arg)
             argv = ["metrics", "--input", bad]
         argv = [tmp_path / a if a == "missing.csv" else a for a in argv]
         assert main([str(a) for a in argv]) == code
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(f"{category}: "), err
+        assert len(err.splitlines()) == 1 and err.endswith("\n") and err.startswith(f"{category}: "), err
         assert needle in err
         assert not out.exists()

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -557,24 +558,10 @@ class TestSampleUniforms:
         assert ((0.0 <= u) & (u < 1.0)).all()
 
     def test_a_saturated_digest_stays_below_one(self, monkeypatch):
-        class Saturated:
-            """A blake2b whose every digest is all 0xff bytes."""
-
-            def __init__(self, data=b"", *, digest_size):
-                self.digest_size = digest_size
-
-            def copy(self):
-                return self
-
-            def update(self, data):
-                pass
-
-            def digest(self):
-                return b"\xff" * self.digest_size
-
-        monkeypatch.setattr(eo.hashlib, "blake2b", Saturated)
+        # every finaliser output all ones: the top 53 bits over 2**53 are 1 - 2**-53
+        monkeypatch.setattr(eo, "_mix", lambda z: np.full_like(z, 2**64 - 1))
         u = sample_uniforms(1, "eo-hard", ["a", "b"], n=3)
-        assert (u < 1.0).all() and u.tobytes() == np.array([sample_uniforms_oracle(1, "eo-hard", "a")] * 2).tobytes()
+        assert u.shape == (2, 3) and (u == 1.0 - 2.0**-53).all()
         preds = preds_from_counts({"A": (5, 4, 5, 1), "B": (5, 3, 5, 2)})
         dp = DerivedPredictor(
             policies={"A": HardGroupPolicy(0.0, 1.0), "B": HardGroupPolicy(0.0, 1.0)},
@@ -584,11 +571,69 @@ class TestSampleUniforms:
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_batch_equals_per_id_oracle_across_chunks(self, n, monkeypatch):
-        monkeypatch.setattr(eo, "_HASH_CHUNK", 7)
-        ids = [f"id{i}" for i in range(30)] + ["", "é,\"x\"", "\x00"]
+        monkeypatch.setattr(eo, "_CHUNK_IDS", 7)
+        monkeypatch.setattr(eo, "_CHUNK_CODE_POINTS", 24)  # the long id is a chunk of its own
+        ids = [f"id{i}" for i in range(30)] + ["", "é,\"x\"", "\x00", "x" * 40, "a\x00\x00"]
         u = sample_uniforms(12, "eo-soft", ids, n=n)
         expected = np.array([sample_uniforms_oracle(12, "eo-soft", i, n=n) for i in ids])
         assert u.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(alphabet="a\x00é\U0001d11e\U0001d11f\U0010ffff", max_size=5), min_size=1, max_size=30),
+        st.integers(1, 9), st.integers(1, 12), st.integers(0, 2**64 - 1),
+    )
+    def test_distinct_ids_draw_distinct_rows_in_any_chunks(self, texts, chunk_ids, chunk_code_points, seed):
+        # ids that differ only in trailing NULs, in one non-BMP character or in length
+        ids = sorted({t + tail for t in texts for tail in ("", "\x00", "\x00\x00", "\U0001d11e")})
+        whole = sample_uniforms(seed, "eo-soft", ids, n=3)
+        assert len({row.tobytes() for row in whole}) == len(ids)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eo, "_CHUNK_IDS", chunk_ids)
+            mp.setattr(eo, "_CHUNK_CODE_POINTS", chunk_code_points)
+            chunked = sample_uniforms(seed, "eo-soft", ids, n=3)
+        assert chunked.tobytes() == whole.tobytes()
+        assert whole.tolist() == [list(sample_uniforms_oracle(seed, "eo-soft", i, n=3)) for i in ids]
+
+    @pytest.mark.parametrize("purpose, n", [("eo-hard", 1), ("eo-soft", 3)])
+    def test_each_column_is_uniform_by_kolmogorov_smirnov(self, purpose, n):
+        # fixed seed and ids, so the check is deterministic; 1.36 / sqrt(m) is its 5% critical value
+        m = 100_000
+        u = sample_uniforms(20, purpose, [f"e{i:06d}" for i in range(m)], n=n)
+        edges = np.arange(m + 1) / m
+        for column in np.sort(u, axis=0).T:
+            assert max((edges[1:] - column).max(), (column - edges[:-1]).max()) <= 1.36 / np.sqrt(m)
+
+    PINNED = {  # sample_uniforms(7, purpose, ids) as float.hex, one list per id
+        "eo-hard": {
+            "": ["0x1.d2f17f5f8176cp-3"],
+            "a": ["0x1.81a9ab1efc4b0p-5"],
+            "a\x00": ["0x1.5f37a51bd8122p-2"],
+            "\U0001d11e": ["0x1.b155e45434ae8p-1"],
+            "e000001": ["0x1.d78fc7676f762p-2"],
+        },
+        "eo-soft": {
+            "": ["0x1.bce538f437d36p-1", "0x1.4a6c63d2fb164p-2", "0x1.f0950fab6af4cp-3"],
+            "a": ["0x1.77d2b71fe5516p-2", "0x1.948daac81dca8p-2", "0x1.d7a06974f5f04p-2"],
+            "a\x00": ["0x1.d9c3bff61108ep-1", "0x1.56ff65ea559a0p-4", "0x1.5c309ea44db2ap-1"],
+            "\U0001d11e": ["0x1.393c5da7a7645p-1", "0x1.79284e54168b4p-2", "0x1.00075e49bfda1p-1"],
+            "e000001": ["0x1.95bd553b4bdf4p-2", "0x1.ddf70caf19d34p-3", "0x1.0059062682e44p-2"],
+        },
+    }
+
+    @pytest.mark.parametrize("purpose", list(PINNED))
+    def test_pinned_draws(self, purpose):
+        table = self.PINNED[purpose]
+        u = sample_uniforms(7, purpose, list(table), n=len(table[""]))
+        assert [[x.hex() for x in row] for row in u.tolist()] == list(table.values())
+        assert [list(sample_uniforms_oracle(7, purpose, i, n=len(table[""]))) for i in table] == u.tolist()
+
+    def test_no_warning_at_the_widest_seed_and_code_points(self):
+        # numpy warns on a uint64 scalar that overflows, never on an array
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = sample_uniforms(2**64 - 1, "eo-soft", ["\U0010ffff" * 9, "", "\x00", "e000001"], n=3)
+        assert ((0.0 <= u) & (u < 1.0)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +685,7 @@ class TestBatchedApply:
         dp, preds, seed = case
         apply, oracle = (apply_hard, apply_hard_oracle) if dp.variant == "hard" else (apply_soft, apply_soft_oracle)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(eo, "_HASH_CHUNK", 3)  # several digest buffers per call
+            mp.setattr(eo, "_CHUNK_IDS", 3)  # several chunks per call
             out = apply(dp, preds, seed)
         expected = oracle(dp, preds, seed)
         assert out.dtype == np.int8 and out.tobytes() == expected.tobytes()
