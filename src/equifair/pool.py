@@ -1,7 +1,8 @@
-"""Worker processes of the embedding file I/O and ``pipeline``, used from a
-size floor set by each caller where more than one CPU is usable.  They start
-by the platform's default method, so a job's function is module-level.  A
-job whose worker dies or cannot start runs in this process instead."""
+"""Worker processes of the embedding file I/O, the prediction writer and
+``pipeline``, used from a size floor set by each caller where more than one
+CPU is usable.  They start by the platform's default method, so a job's
+function is module-level.  A job whose worker dies or cannot start runs in
+this process instead."""
 
 from __future__ import annotations
 

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .errors import EmptyInputError, FormatError, ValidationError
+from .pool import _pooled, _process_pool
 from .schema import decode_error
 
 REQUIRED_COLUMNS = ("id", "y_true", "score", "y_hat")
@@ -493,10 +494,14 @@ def read_predictions(path: str | Path, group_col: str = "group", universe: tuple
 
 
 # rows of a prediction CSV formatted and written at a time
-_WRITE_ROWS = 1 << 15
+_WRITE_ROWS = 1 << 13
+# real values (rows x real columns) from which the rows are formatted on a
+# process pool (see ``pool``); below it, starting the workers costs more
+_POOL_FLOOR = 1 << 17
 # characters that make csv.writer quote a field; it quotes a carriage
 # return only under a terminator that holds one, and these files quote it
 _NEEDS_QUOTES = re.compile('[,"\n\r]')
+_BITS = np.array(("0", "1"), dtype=object)
 
 
 def _csv_fields(values: list[str]) -> list[str]:
@@ -506,34 +511,46 @@ def _csv_fields(values: list[str]) -> list[str]:
     return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in values]
 
 
+def _format_rows(ids, labels, codes, y_true, scores, y_hat, consts) -> str:
+    """The CSV lines of a block of rows, each ending in a newline."""
+    columns = (
+        _csv_fields(ids),
+        labels[codes].tolist(),
+        _BITS[y_true].tolist(),
+        repeat("") if scores is None else map(float.__repr__, scores.tolist()),
+        repeat("") if y_hat is None else _BITS[y_hat].tolist(),
+        *(map(float.__repr__, values.tolist()) for values in consts),
+    )
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def write_predictions(
     preds: LabeledPredictions,
     path: str | Path,
     constituent_scores: dict[str, np.ndarray] | None = None,
 ) -> None:
     """Write predictions as CSV, deterministically, ``_WRITE_ROWS`` rows at
-    a time, each chunk a column at a time.  A constituent column that does
-    not hold one finite real in [0, 1] per row raises ValidationError
-    naming it, before anything is written."""
+    a time.  From ``_POOL_FLOOR`` real values on, the blocks are formatted
+    on one worker process per usable CPU, with the same bytes.  A
+    constituent column that does not hold one finite real in [0, 1] per
+    row raises ValidationError naming it, before anything is written."""
     n = len(preds)
     consts = {name: _column(as_probabilities, v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
     labels = np.array(_csv_fields(list(preds.universe)), dtype=object)
-    bits = np.array(("0", "1"), dtype=object)
     header = ",".join(_csv_fields(["id", "group", "y_true", "score", "y_hat", *(f"score_{c}" for c in consts)])) + "\n"
     try:
         header.encode()
     except UnicodeEncodeError:
         raise ValidationError("constituent names must be encodable as UTF-8") from None
+    # a block's ids go as a list, which pickles faster than a StringDType slice
+    jobs = (
+        (preds.id_column[rows].tolist(), labels, preds.group_codes[rows], preds.y_true[rows],
+         None if preds.scores is None else preds.scores[rows], None if preds.y_hat is None else preds.y_hat[rows],
+         [values[rows] for values in consts.values()])
+        for rows in (slice(lo, lo + _WRITE_ROWS) for lo in range(0, n, _WRITE_ROWS))
+    )
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(header)
-        for lo in range(0, n, _WRITE_ROWS):
-            rows = slice(lo, lo + _WRITE_ROWS)
-            columns = (
-                _csv_fields(preds.id_column[rows].tolist()),
-                labels[preds.group_codes[rows]].tolist(),
-                bits[preds.y_true[rows]].tolist(),
-                repeat("") if preds.scores is None else map(float.__repr__, preds.scores[rows].tolist()),
-                repeat("") if preds.y_hat is None else bits[preds.y_hat[rows]].tolist(),
-                *(map(float.__repr__, values[rows].tolist()) for values in consts.values()),
-            )
-            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
+        with _process_pool(n * ((preds.scores is not None) + len(consts)), _POOL_FLOOR) as executor:
+            for _, text in _pooled(executor, _format_rows, jobs):
+                fh.write(text)

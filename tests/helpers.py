@@ -1,11 +1,15 @@
-"""Geometry, ROC and report helpers that only the tests use."""
+"""Geometry, ROC, report and worker-pool helpers that only the tests use."""
 
+import concurrent.futures
 import json
+import tracemalloc
+from contextlib import contextmanager
 from typing import Mapping
 
 import numpy as np
+import pytest
 
-from equifair import DegenerateInputError, EmbeddingMatrix, LossSpec, ValidationError, schema
+from equifair import DegenerateInputError, EmbeddingMatrix, LossSpec, ValidationError, pool, schema
 from equifair.debias import NEUTRALIZE_EPS
 from equifair.ensemble import _loss_grad_p
 from equifair.eo import _group_coefficients, _hard_region, expected_loss_of_rates
@@ -151,3 +155,34 @@ MALFORMED_EMBEDDINGS = {
         {2: f"w{'a' * 8100} 0.5 0.5", 3: f"w{'b' * 200}\xe9 0.5 0.5"}
     ).replace(b"\xc3\xa9", b"\xe9"),
 }
+
+
+@contextmanager
+def recorded_pools(module, floor: int | None = None, **constants):
+    """Two usable CPUs, ``module``'s ``_POOL_FLOOR`` set to ``floor`` (if
+    given) and its other ``constants`` set.  Yields the list of the process
+    pools started."""
+    started = []
+
+    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
+        mp.setattr(pool, "_usable_cpus", lambda: 2)
+        for name, value in {"_POOL_FLOOR": floor, **constants}.items():
+            if value is not None:
+                mp.setattr(module, name, value)
+        yield started
+
+
+def traced_peak(fn) -> int:
+    """Bytes ``fn()`` holds at its peak, as tracemalloc sees them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

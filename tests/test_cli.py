@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from equifair import (
     gap_ranges,
     pool,
     predictions,
+    schema,
 )
 from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
@@ -25,8 +27,8 @@ from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import GROUP_PRESETS, CohortConfig, EmbeddingPlantConfig, generate_cohort, generate_embeddings
 from equifair.wordsets import GENDER_SETS
 
-from helpers import MALFORMED_EMBEDDINGS, report_from_json
-from oracles import preds_from_counts, sample_uniforms_blake2b_oracle
+from helpers import MALFORMED_EMBEDDINGS, recorded_pools, report_from_json
+from oracles import preds_from_counts, sample_uniforms_blake2b_oracle, write_predictions_oracle
 
 
 def run_cli(*args, env=None):
@@ -104,6 +106,21 @@ class TestSynthCommand:
         assert main(["synth", "--synth-config", str(config), "--seed", "7", "--out", str(tmp_path / "out")]) == 0
         digest = hashlib.sha256((tmp_path / "out/modality_0.csv").read_bytes()).hexdigest()
         assert digest == "8e95237f8d8a20c07ec6a522504fc4c41553e456833cd0d3ca6e2291a4a83d71"
+
+    def test_modality_files_above_the_pool_floor_equal_the_oracle(self, tmp_path):
+        # one real column a row: each file of 2**17 rows is formatted on a pool
+        doc = {"n_samples": predictions._POOL_FLOOR, "modality_windows": [[0, 0.6], [0.4, 1]]}
+        (tmp_path / "cohort.json").write_text(json.dumps(doc))
+        with recorded_pools(predictions) as started:
+            assert main(["synth", "--synth-config", str(tmp_path / "cohort.json"), "--seed", "5", "--out", str(tmp_path / "out")]) == 0
+        assert len(started) == 2
+        outputs = json.loads((tmp_path / "out/manifest.json").read_text())["outputs"]
+        cohort = generate_cohort(replace(schema.load(CohortConfig, doc, "cohort config"), seed=5))
+        for m, preds in enumerate(cohort.modalities):
+            path = tmp_path / f"out/modality_{m}.csv"
+            write_predictions_oracle(preds, tmp_path / "oracle.csv")
+            assert path.read_bytes() == (tmp_path / "oracle.csv").read_bytes(), m
+            assert outputs[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
 
     @pytest.mark.parametrize("command", ["synth", "pipeline"])
     def test_synth_config_draws_under_the_seed_flag(self, command, tmp_path, monkeypatch):

@@ -7,8 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
-import tracemalloc
-from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
 
@@ -24,6 +23,7 @@ from equifair import (
     EmbeddingMatrix,
     EqualitySets,
     FormatError,
+    LabeledPredictions,
     ValidationError,
     equalize,
     hard_debias,
@@ -33,12 +33,12 @@ from equifair import (
     project,
     save_embeddings,
 )
-from equifair import cli, debias, pool
+from equifair import cli, debias, predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
 
-from helpers import MALFORMED_EMBEDDINGS
-from oracles import format_embeddings_oracle, hard_debias_oracle, load_embeddings_oracle
+from helpers import MALFORMED_EMBEDDINGS, recorded_pools, traced_peak
+from oracles import format_embeddings_oracle, hard_debias_oracle, load_embeddings_oracle, write_predictions_oracle
 
 E1 = BiasSubspace(basis=np.array([[1.0, 0.0, 0.0]]))
 
@@ -376,16 +376,6 @@ class TestHardDebiasInPlace:
         assert tuple(got[3]["skipped_words"]) == skipped
 
 
-def _traced_peak(fn) -> int:
-    """Bytes ``fn()`` holds at its peak, as tracemalloc sees them."""
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestDebiasMemory:
     """``hard_debias`` and ``load_embeddings`` hold one new matrix, not two
     (the copying code peaked at 2.16 and 2.22 matrices)."""
@@ -401,11 +391,11 @@ class TestDebiasMemory:
 
     def test_hard_debias_peak(self, emb):
         sets = EqualitySets((("w0", "w1"), ("w2", "w3"), ("w4", "w5", "w6")))
-        assert _traced_peak(lambda: hard_debias(emb, sets)) <= 1.3 * emb.vectors.nbytes
+        assert traced_peak(lambda: hard_debias(emb, sets)) <= 1.3 * emb.vectors.nbytes
 
     def test_load_peak(self, emb, tmp_path):
         save_embeddings(emb, tmp_path / "e.txt")
-        assert _traced_peak(lambda: load_embeddings(tmp_path / "e.txt")) <= 1.3 * emb.vectors.nbytes
+        assert traced_peak(lambda: load_embeddings(tmp_path / "e.txt")) <= 1.3 * emb.vectors.nbytes
 
     def test_debias_command_peak(self, emb, tmp_path):
         # the command holds the matrix it loads and one block of debiased
@@ -413,7 +403,7 @@ class TestDebiasMemory:
         save_embeddings(emb, tmp_path / "e.txt")
         (tmp_path / "sets.json").write_text('[["w0", "w1"], ["w2", "w3"], ["w4", "w5", "w6"]]', encoding="utf-8")
         argv = ["debias", "--embeddings", str(tmp_path / "e.txt"), "--equality-sets", str(tmp_path / "sets.json")]
-        peak = _traced_peak(lambda: cli.main([*argv, "--out", str(tmp_path / "out")]))
+        peak = traced_peak(lambda: cli.main([*argv, "--out", str(tmp_path / "out")]))
         assert (tmp_path / "out" / "debiased_embeddings.txt").exists()
         assert peak <= 1.3 * emb.vectors.nbytes
 
@@ -601,24 +591,11 @@ class TestEmbeddingIO:
         assert not (tmp_path / "emb.txt").exists()
 
 
-@contextmanager
 def embedding_io(pooled: bool, block_values: int = debias._BLOCK_VALUES):
     """Embedding file I/O in blocks of ``block_values`` values, on a pool
     of 2 workers from 0 values on, or always in this process.  Yields the
     list of the pools started."""
-    started = []
-
-    class RecordedPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(concurrent.futures, "ProcessPoolExecutor", RecordedPool)
-        mp.setattr(pool, "_usable_cpus", lambda: 2)
-        mp.setattr(debias, "_POOL_FLOOR", 0 if pooled else 1 << 62)
-        mp.setattr(debias, "_BLOCK_VALUES", block_values)
-        yield started
+    return recorded_pools(debias, 0 if pooled else 1 << 62, _BLOCK_VALUES=block_values)
 
 
 TOKENS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=" \n\r"), max_size=6)
@@ -668,8 +645,8 @@ def test_pooled_io_holds_a_few_small_blocks(tmp_path):
     rng = np.random.default_rng(0)
     emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(2000)), vectors=rng.standard_normal((2000, 300)))
     with embedding_io(pooled=True, block_values=debias._BLOCK_VALUES) as started:
-        save_peak = _traced_peak(lambda: save_embeddings(emb, tmp_path / "e.txt"))
-        load_peak = _traced_peak(lambda: load_embeddings(tmp_path / "e.txt"))
+        save_peak = traced_peak(lambda: save_embeddings(emb, tmp_path / "e.txt"))
+        load_peak = traced_peak(lambda: load_embeddings(tmp_path / "e.txt"))
     assert len(started) == 2
     assert save_peak <= 3e6 and load_peak - emb.vectors.nbytes <= 5e6
 
@@ -766,32 +743,41 @@ class TestBlockedEmbeddingIO:
 @pytest.mark.parametrize("method", [None, "spawn"], ids=["default-start", "spawn"])
 def test_a_script_without_a_main_guard_gets_its_file(method, tmp_path):
     # spawned workers re-run such a script and die starting a pool of their
-    # own; the file is then handled in the script's process
+    # own; the files are then handled in the script's process
     dim = 64
     rows = -(-debias._POOL_FLOOR // dim)
     (tmp_path / "in.txt").write_text(
         f"{rows} {dim}\n" + "".join(f"w{i} " + " ".join([str(i % 7 / 4)] * dim) + "\n" for i in range(rows)),
         encoding="utf-8",
     )
+    # a prediction file of three real columns, at the writer's floor
+    n = -(-predictions._POOL_FLOOR // 3)
+    rng = np.random.default_rng(0)
+    preds = LabeledPredictions(ids=tuple(f"r{i}" for i in range(n)), y_true=rng.integers(0, 2, n), groups=("a", "b") * (n // 2) + ("a",) * (n % 2), scores=rng.random(n))
+    write_predictions_oracle(preds, tmp_path / "in.csv", {"m0": rng.random(n), "m1": rng.random(n)})
     start = "" if method is None else f"import multiprocessing\nmultiprocessing.set_start_method({method!r}, force=True)\n"
     (tmp_path / "script.py").write_text(
         start + "import sys\n"
         "from equifair.debias import load_embeddings, save_embeddings\n"
+        "from equifair.predictions import read_prediction_file, write_predictions\n"
         "emb = load_embeddings(sys.argv[1])\n"
         "save_embeddings(emb, sys.argv[2])\n"
-        "print(len(emb))\n",
+        "pfile = read_prediction_file(sys.argv[3])\n"
+        "write_predictions(pfile.predictions, sys.argv[4], pfile.constituent_scores)\n"
+        "print(len(emb), len(pfile.predictions))\n",
         encoding="utf-8",
     )
     res = subprocess.run(
-        [sys.executable, tmp_path / "script.py", tmp_path / "in.txt", tmp_path / "out.txt"],
+        [sys.executable, tmp_path / "script.py", *(tmp_path / name for name in ("in.txt", "out.txt", "in.csv", "out.csv"))],
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert (res.returncode, res.stdout) == (0, f"{rows}\n"), res.stderr
+    assert (res.returncode, res.stdout) == (0, f"{rows} {n}\n"), res.stderr
     if method is None and multiprocessing.get_start_method() == "fork":
         assert res.stderr == ""
     assert (tmp_path / "out.txt").read_bytes() == format_embeddings_oracle(load_embeddings_oracle(tmp_path / "in.txt")).encode()
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "in.csv").read_bytes()
 
 
 def _running(pid: int) -> bool:

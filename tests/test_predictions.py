@@ -1,7 +1,11 @@
+import concurrent.futures
 import csv
 import io
 import math
+import multiprocessing
+import os
 import re
+import signal
 import subprocess
 import tracemalloc
 
@@ -42,6 +46,7 @@ from equifair.predictions import (
     write_predictions,
 )
 
+from helpers import recorded_pools, traced_peak
 from oracles import read_prediction_file_oracle, sample_uniforms_oracle, write_predictions_oracle
 
 
@@ -448,19 +453,27 @@ class TestCsvRoundTrip:
         write_predictions(back.predictions, again, back.constituent_scores)
         assert again.read_bytes() == csv_path.read_bytes()
 
-    @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), write_rows=st.integers(1, 5))
-    def test_equals_row_oracle(self, csv_path, data, write_rows):
+    def _check_row_oracle(self, csv_path, data, write_rows, pooled):
         n = data.draw(st.sampled_from([write_rows - 1, write_rows, write_rows + 1, 2 * write_rows + 1]).filter(bool))
         preds, consts = data.draw(labeled_predictions(st.just(n)))
         expected = csv_path.with_name("oracle.csv")
         write_predictions_oracle(preds, expected, consts)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(predictions, "_WRITE_ROWS", write_rows)
+        with prediction_io(pooled, write_rows) as started:
             write_predictions(preds, csv_path, consts)
+        assert len(started) == pooled
         assert csv_path.read_bytes() == expected.read_bytes()
 
-    def test_equals_row_oracle_across_a_chunk_boundary(self, tmp_path):
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), write_rows=st.integers(1, 5))
+    def test_equals_row_oracle(self, csv_path, data, write_rows):
+        self._check_row_oracle(csv_path, data, write_rows, pooled=False)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data(), write_rows=st.integers(1, 5))
+    def test_pooled_equals_row_oracle(self, csv_path, data, write_rows):
+        self._check_row_oracle(csv_path, data, write_rows, pooled=True)
+
+    def _check_chunk_boundary(self, tmp_path, pooled):
         n = predictions._WRITE_ROWS + 1
         rng = np.random.default_rng(0)
         preds = LabeledPredictions(
@@ -470,9 +483,17 @@ class TestCsvRoundTrip:
             scores=rng.random(n),
         )
         consts = {"m": rng.random(n)}
-        write_predictions(preds, tmp_path / "a.csv", consts)
+        with prediction_io(pooled) as started:
+            write_predictions(preds, tmp_path / "a.csv", consts)
         write_predictions_oracle(preds, tmp_path / "b.csv", consts)
+        assert len(started) == pooled
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+    def test_equals_row_oracle_across_a_chunk_boundary(self, tmp_path):
+        self._check_chunk_boundary(tmp_path, pooled=False)
+
+    def test_pooled_equals_row_oracle_across_a_chunk_boundary(self, tmp_path):
+        self._check_chunk_boundary(tmp_path, pooled=True)
 
     def test_short_constituent_column_rejected(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -480,12 +501,13 @@ class TestCsvRoundTrip:
             write_predictions(small_preds(), path, {"m0": np.array([0.1, 0.2])})
         assert not path.exists()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0, -0.5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 2.0, 1.5, -0.5])
     def test_constituent_value_outside_unit_interval_rejected(self, tmp_path, bad):
+        # refused before the file is opened or a worker started, from 0 real values on
         path = tmp_path / "p.csv"
-        with pytest.raises(ValidationError, match=r"^column 'score_m1' must be finite reals in \[0, 1\]$"):
+        with prediction_io(pooled=True) as started, pytest.raises(ValidationError, match=r"^column 'score_m1' must be finite reals in \[0, 1\]$"):
             write_predictions(small_preds(), path, {"m0": [0.1, 0.2, 0.3, 0.4], "m1": [0.1, bad, 0.3, 0.4]})
-        assert not path.exists()
+        assert started == [] and not path.exists()
 
     def test_score_only_file(self, tmp_path):
         preds = small_preds(y_hat=None)
@@ -796,9 +818,9 @@ class TestUtf8:
 
     def test_writer_rejects_a_constituent_name_and_writes_nothing(self, tmp_path):
         path = tmp_path / "p.csv"
-        with pytest.raises(ValidationError, match="^constituent names must be encodable as UTF-8$"):
+        with prediction_io(pooled=True) as started, pytest.raises(ValidationError, match="^constituent names must be encodable as UTF-8$"):
             write_predictions(small_preds(), path, {"m\ud800": np.full(4, 0.5)})
-        assert not path.exists()
+        assert started == [] and not path.exists()
 
     def test_sample_uniforms_rejects(self):
         with pytest.raises(ValidationError, match="^sample ids must be encodable as UTF-8$"):
@@ -870,6 +892,88 @@ class TestIdMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 40 * self.N
+
+
+def prediction_io(pooled: bool, write_rows: int | None = None):
+    """Prediction writes in blocks of ``write_rows`` rows (if given), on a
+    pool of 2 workers from 0 real values on, or always in this process.
+    Yields the list of the pools started."""
+    return recorded_pools(predictions, 0 if pooled else 1 << 62, _WRITE_ROWS=write_rows)
+
+
+_format_rows = predictions._format_rows
+
+
+def _format_rows_or_die(ids, *columns):
+    """``_format_rows``, except that a pool worker given the row of ``r2`` dies."""
+    if multiprocessing.parent_process() is not None and ids[0] == "r2":
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _format_rows(ids, *columns)
+
+
+class TestPooledWrite:
+    """A write whose pool cannot start, or whose worker dies, formats those
+    rows in this process: the bytes are the oracle's either way."""
+
+    N = 8
+
+    @pytest.fixture
+    def data(self):
+        rng = np.random.default_rng(0)
+        preds = LabeledPredictions(
+            ids=tuple(f"r{i}" for i in range(self.N)), y_true=rng.integers(0, 2, self.N),
+            groups=tuple(rng.choice(["a", "b,c"], self.N)), scores=rng.random(self.N), y_hat=rng.integers(0, 2, self.N),
+        )
+        return preds, {"m0": rng.random(self.N), "m1": rng.random(self.N)}
+
+    def _check(self, tmp_path, preds, consts):
+        write_predictions_oracle(preds, tmp_path / "oracle.csv", consts)
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+    @pytest.mark.parametrize("error", [OSError, NotImplementedError])
+    def test_no_pool_falls_back_to_this_process(self, error, data, tmp_path):
+        def unavailable(*args, **kwargs):
+            raise error("no pool here")
+
+        preds, consts = data
+        with prediction_io(True, write_rows=2), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+            write_predictions(preds, tmp_path / "p.csv", consts)
+        self._check(tmp_path, preds, consts)
+
+    def test_a_dead_worker_leaves_its_jobs_to_this_process(self, data, tmp_path):
+        preds, consts = data
+        with prediction_io(True, write_rows=2) as started, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(predictions, "_format_rows", _format_rows_or_die)
+            write_predictions(preds, tmp_path / "p.csv", consts)
+        assert len(started) == 1
+        with pytest.raises(concurrent.futures.process.BrokenProcessPool):
+            started[0].submit(int)
+        self._check(tmp_path, preds, consts)
+
+
+class TestWriteMemory:
+    """A write holds a few blocks of 2**13 rows: in this process one, on a
+    pool the blocks in flight, as their ids and their text."""
+
+    N = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def cohort(self):
+        return generate_cohort(CohortConfig(groups={"a": 0.5, "b": 0.5}, n_samples=self.N, seed=1, modality_windows=((0, 0.6), (0.4, 1))))
+
+    def test_a_write_without_real_columns_stays_in_process_and_peaks_at_most_3_mb(self, cohort, tmp_path):
+        # with blocks of 2**15 rows the peak was 6.0 MB
+        preds = cohort.modalities[0].with_outputs(y_hat=cohort.modalities[0].y_hat)
+        with recorded_pools(predictions) as started:
+            peak = traced_peak(lambda: write_predictions(preds, tmp_path / "p.csv"))
+        assert started == [] and peak <= 3e6
+
+    def test_a_pooled_write_of_three_real_columns_peaks_at_most_8_mb(self, cohort, tmp_path):
+        consts = {f"m{j}": m.scores for j, m in enumerate(cohort.modalities)}
+        with recorded_pools(predictions) as started:
+            peak = traced_peak(lambda: write_predictions(cohort.modalities[0], tmp_path / "p.csv", consts))
+        assert len(started) == 1 and peak <= 8e6
 
 
 class TestMalformedFiles:
