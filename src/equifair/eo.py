@@ -396,7 +396,7 @@ def _roc_hull(pts: np.ndarray) -> list[int]:
     so a point where two diagonal steps of different slope meet is kept.
     The result equals the hull of the whole curve whenever the chain's
     ``EPS`` test decides every turn exactly, which holds while a group's
-    n_pos * n_neg stays below 1e11.
+    n_pos * n_neg stays below about 1e12, where one count unit of turn reaches it.
     """
     moves = np.diff(pts, axis=0) != 0.0  # does each step move in fpr, in tpr
     inner = (moves[:-1] | moves[1:]).all(axis=1)
@@ -435,26 +435,18 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
 def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, draws: np.ndarray | None = None) -> np.ndarray:
     """Apply the fitted randomized-threshold policies to scores.
 
-    Deterministic in (dp, preds, seed); per-sample draws are derived from
-    the sample id, so row order does not matter.  A degenerate
-    single-threshold policy reduces to plain thresholding: its rows draw
-    nothing, or leave unread the ``draws`` given for every row.
+    Deterministic in (dp, preds, seed); per-sample draws (``apply_draws``,
+    or ``draws`` if given) depend on the sample id alone, so row order does
+    not matter.  Every row follows one rule: a degenerate single-threshold
+    policy (no coin, ``lam`` 0 or 1, or equal thresholds) reads its draws
+    and gives plain thresholding, since every draw lies in [0, 1).
     """
     if preds.scores is None:
         raise ValidationError("apply_soft requires scores")
     t_lo, t_hi, lam, p_coin, coin_rate = _policy_table(dp, preds, "t_lo", "t_hi", "lam", "p_coin", "coin_rate").T
-    degenerate = (p_coin == 0.0) & ((lam == 0.0) | (lam == 1.0) | (t_lo == t_hi))
-    codes, scores = preds.group_codes, preds.scores
-    out = scores >= np.where(lam > 0.0, t_lo, t_hi)[codes]  # the degenerate rule, kept for degenerate rows
-    rows = np.flatnonzero(~degenerate[codes])
-    if draws is None:
-        draws = apply_draws("soft", seed, preds.id_column[rows])
-    elif len(rows) < len(codes):
-        draws = draws[rows]
-    u_sel, u_coin, u_mix = draws.T
-    g = codes[rows]
-    threshold = np.where(u_mix < lam[g], t_lo[g], t_hi[g])
-    out[rows] = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], scores[rows] >= threshold)
+    u_sel, u_coin, u_mix = (apply_draws("soft", seed, preds.id_column) if draws is None else draws).T
+    g = preds.group_codes
+    out = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], preds.scores >= np.where(u_mix < lam[g], t_lo[g], t_hi[g]))
     return out.astype(np.int8)
 
 

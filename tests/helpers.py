@@ -36,6 +36,21 @@ def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> b
     return all(cross(p, q, point) >= -tol for p, q in polygon_edges(verts))
 
 
+def squared_distance_to_polygon(point, vertices):
+    """Squared distance from ``point`` to the convex polygon of CCW
+    ``vertices`` (a segment if two), 0 inside; exact on Fractions."""
+    edges = list(zip(vertices, vertices[1:] + vertices[:1]))
+    if len(vertices) > 2 and all(cross(p, q, point) >= 0 for p, q in edges):
+        return 0
+
+    def to_edge(a, b):
+        d, r = (b[0] - a[0], b[1] - a[1]), (point[0] - a[0], point[1] - a[1])
+        t = min(max((r[0] * d[0] + r[1] * d[1]) / (d[0] ** 2 + d[1] ** 2), 0), 1)
+        return (r[0] - t * d[0]) ** 2 + (r[1] - t * d[1]) ** 2
+
+    return min(to_edge(a, b) for a, b in edges)
+
+
 def group_masks(preds) -> dict[str, np.ndarray]:
     """Row mask of each group present in ``preds``, universe order, read
     off the group codes."""

@@ -1,15 +1,16 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is deliberately brute force (pairwise enumeration,
-threshold sweeps, grid searches) and shares no code with the library
-paths it checks.
+threshold sweeps, exact rational enumeration) and shares no code with
+the library paths it checks.
 """
 
 import csv
 import hashlib
 import math
 from dataclasses import asdict
-from itertools import repeat
+from fractions import Fraction
+from itertools import combinations, repeat
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,12 +29,11 @@ from equifair import (
     neutralize,
 )
 from equifair.ensemble import GRAD_TOL, MAX_ITER
-from equifair.eo import loss_coefficients
 from equifair.predictions import REQUIRED_COLUMNS, PredictionFile
 from equifair.schema import decode_error
-from equifair.metrics import GroupRateEntry, roc_curve
+from equifair.metrics import roc_curve
 
-from helpers import group_masks, logistic_loss_and_grad, soft_regions_of, unit_normalized
+from helpers import group_masks, logistic_loss_and_grad, unit_normalized
 
 
 def pairwise_auc_oracle(scores, y_true):
@@ -97,66 +97,82 @@ def tally_rates_oracle(ids, y_true, groups, y_hat, universe=()):
     return out
 
 
-def hard_grid_oracle(rates, loss, step=0.02):
-    """Exhaustive search over on-grid randomizations of each group in turn,
-    with the remaining groups solved exactly for the implied common target.
-    Returns the best objective over constraint-satisfying combinations."""
-    groups = list(rates)
-    k_fp, k_fn = loss_coefficients(rates, loss)
-    grid = np.round(np.arange(0.0, 1.0 + step / 2, step), 10)
-    best = np.inf
-    for pivot in groups:
-        f0, t0 = rates[pivot].fpr, rates[pivot].tpr
-        for p0 in grid:
-            for p1 in grid:
-                x = p0 * (1 - f0) + p1 * f0
-                y = p0 * (1 - t0) + p1 * t0
-                feasible = True
-                for other in groups:
-                    if other == pivot:
-                        continue
-                    f, t = rates[other].fpr, rates[other].tpr
-                    det = f - t
-                    if abs(det) < 1e-12:
-                        if abs(x - y) > 1e-9:
-                            feasible = False
-                            break
-                        continue
-                    q0 = (y * f - t * x) / det
-                    q1 = ((1 - t) * x - (1 - f) * y) / det
-                    if not (-1e-9 <= q0 <= 1 + 1e-9 and -1e-9 <= q1 <= 1 + 1e-9):
-                        feasible = False
-                        break
-                if feasible:
-                    best = min(best, k_fp * x + k_fn * (1 - y))
-    return best
+def _cross(o, a, b):
+    """z-component of (a - o) x (b - o); positive for a left turn."""
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def soft_grid_oracle(preds, loss, resolution=1e-3):
-    """Dense raster over [0,1]^2 kept to points inside every group's
-    achievable region; returns the best objective over the raster."""
-    regions = soft_regions_of(preds)
-    counts = {}
-    for g, m in group_masks(preds).items():
-        n_pos = int(preds.y_true[m].sum())
-        counts[g] = GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=int(m.sum()) - n_pos)
-    k_fp, k_fn = loss_coefficients(counts, loss)
-    axis = np.arange(0.0, 1.0 + resolution / 2, resolution)
-    xx, yy = np.meshgrid(axis, axis)
-    inside = np.ones(xx.shape, dtype=bool)
-    for region in regions.values():
-        verts = np.asarray(region)
-        if len(verts) == 2:
-            d = verts[1] - verts[0]
-            crossv = d[0] * (yy - verts[0, 1]) - d[1] * (xx - verts[0, 0])
-            inside &= np.abs(crossv) <= 1e-9
-            continue
-        for i in range(len(verts)):
-            p, q = verts[i], verts[(i + 1) % len(verts)]
-            crossv = (q[0] - p[0]) * (yy - p[1]) - (q[1] - p[1]) * (xx - p[0])
-            inside &= crossv >= -1e-9
-    objective = k_fp * xx + k_fn * (1.0 - yy)
-    return float(objective[inside].min())
+def _exact_hull(points):
+    """CCW hull of exact (x, y) points by the monotone chain, collinear
+    points dropped: the two ends of a segment, or one point."""
+    pts = sorted(set(points))
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return pts if len(pts) <= 2 else chain(pts)[:-1] + chain(pts[::-1])[:-1]
+
+
+def _exact_inside(q, region):
+    """Is q in the CCW hull ``region``? A segment admits only its own points."""
+    if len(region) == 2:
+        return _cross(region[0], region[1], q) == 0 and region[0] <= q <= region[1]
+    return all(_cross(p, r, q) >= 0 for p, r in zip(region, region[1:] + region[:1]))
+
+
+def _exact_crossing(a, b, c, d):
+    """The point where segments ab and cd cross, or None if they are parallel or miss."""
+    r, s, ac = (b[0] - a[0], b[1] - a[1]), (d[0] - c[0], d[1] - c[1]), (c[0] - a[0], c[1] - a[1])
+    den = r[0] * s[1] - r[1] * s[0]
+    if den == 0:
+        return None
+    t, u = (ac[0] * s[1] - ac[1] * s[0]) / den, (ac[0] * r[1] - ac[1] * r[0]) / den
+    return (a[0] + t * r[0], a[1] + t * r[1]) if 0 <= t <= 1 and 0 <= u <= 1 else None
+
+
+def exact_eo_oracle(preds, loss, variant):
+    """The least expected loss of a common (fpr, tpr) over every group's
+    achievable region, and the feasible polygon (CCW vertices), both in
+    ``Fraction``.  Counts, regions and coefficients come from the rows:
+    a hard group's region is the hull of (0, 0), its (fpr, tpr), (1, 1)
+    and their reflection, a soft group's the hull of its ROC points, one
+    per distinct score, and (0, 0).  The optimum is the best of the region
+    vertices and edge crossings that lie in every region."""
+    rows, zero, one = {}, Fraction(0), Fraction(1)
+    values = preds.y_hat if variant == "hard" else preds.scores
+    for g, y, v in zip(preds.groups, preds.y_true.tolist(), values.tolist()):
+        rows.setdefault(g, []).append((v, y))
+    regions, k_fp, k_fn = [], zero, zero
+    weights = {g: Fraction(len(r)) if loss.group_weights is None else Fraction(loss.group_weights[g]) for g, r in rows.items()}
+    for g, r in rows.items():
+        n_pos = sum(y for _, y in r)
+        n_neg = len(r) - n_pos
+
+        def point(threshold):  # (fpr, tpr) of predicting 1 at value >= threshold
+            return (
+                Fraction(sum(v >= threshold for v, y in r if y == 0), n_neg),
+                Fraction(sum(v >= threshold for v, y in r if y == 1), n_pos),
+            )
+
+        if variant == "hard":
+            f, t = point(1)
+            regions.append(_exact_hull([(zero, zero), (f, t), (one, one), (1 - f, 1 - t)]))
+        else:
+            regions.append(_exact_hull([(zero, zero)] + [point(v) for v, _ in r]))
+        w = weights[g] / sum(weights.values())
+        k_fp += Fraction(loss.cost_fp) * w * Fraction(n_neg, len(r))
+        k_fn += Fraction(loss.cost_fn) * w * Fraction(n_pos, len(r))
+    edges = [(i, p, q) for i, region in enumerate(regions) for p, q in zip(region, region[1:] + region[:1])]
+    candidates = [v for region in regions for v in region] + [
+        _exact_crossing(a, b, c, d) for (i, a, b), (j, c, d) in combinations(edges, 2) if i != j
+    ]
+    feasible = [v for v in candidates if v is not None and all(_exact_inside(v, region) for region in regions)]
+    return min(k_fp * x + k_fn * (1 - y) for x, y in feasible), _exact_hull(feasible)
 
 
 def upper_chain_oracle(points):
@@ -179,13 +195,10 @@ def convex_hull_oracle(points):
     """``geometry.convex_hull_indices`` as it was before it walked Python
     floats: the same dedup and monotone chain over numpy scalars."""
 
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
     def chain_of(pts, order):
         chain = []
         for i in order:
-            while len(chain) >= 2 and cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 1e-12:
+            while len(chain) >= 2 and _cross(pts[chain[-2]], pts[chain[-1]], pts[i]) <= 1e-12:
                 chain.pop()
             chain.append(i)
         return chain

@@ -1,5 +1,6 @@
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,16 +36,15 @@ from equifair.eo import (
 from equifair.geometry import convex_hull_indices
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
-from helpers import point_in_convex_polygon, soft_regions_of, unconstrained_optimum_loss
+from helpers import point_in_convex_polygon, soft_regions_of, squared_distance_to_polygon, unconstrained_optimum_loss
 from oracles import (
     apply_hard_oracle,
     apply_soft_oracle,
     derived_predictor_dict_oracle,
-    hard_grid_oracle,
+    exact_eo_oracle,
     preds_from_counts,
     roc_hull_oracle,
     sample_uniforms_oracle,
-    soft_grid_oracle,
     upper_chain_oracle,
 )
 
@@ -92,27 +92,25 @@ class TestFitHard:
         tpr_range, _ = gap_ranges(expected_rates(dp))
         assert tpr_range <= 1e-9
 
-    def test_two_group_objective_matches_grid_oracle(self):
-        # base (tpr, fpr) = (0.9, 0.2) and (0.6, 0.3)
-        preds = preds_from_counts({"A": (10, 9, 10, 2), "B": (10, 6, 10, 3)})
-        loss = LossSpec()
+    @pytest.mark.parametrize(
+        "spec, loss",
+        [
+            # base (tpr, fpr) = (0.9, 0.2) and (0.6, 0.3)
+            ({"A": (10, 9, 10, 2), "B": (10, 6, 10, 3)}, LossSpec()),
+            ({"A": (20, 17, 30, 5), "B": (25, 14, 25, 8)}, LossSpec(cost_fp=0.5, cost_fn=2.0)),
+        ],
+        ids=["unit-costs", "skewed-costs"],
+    )
+    def test_two_group_objective_matches_exact_oracle(self, spec, loss):
+        preds = preds_from_counts(spec)
         dp = fit_eo_hard(preds, loss)
-        oracle = hard_grid_oracle(confusion_rates(preds), loss, step=0.02)
-        assert dp.objective <= oracle + 1e-12
-        assert abs(dp.objective - oracle) <= 1e-3
+        exact, _ = exact_eo_oracle(preds, loss, "hard")
+        assert abs(dp.objective - exact) <= 1e-12
         # substituting the solved policies into the closed form reproduces
         # one common operating point for both groups
         er = expected_rates(dp)
         assert abs(er["A"].tpr - er["B"].tpr) <= 1e-9
         assert abs(er["A"].fpr - er["B"].fpr) <= 1e-9
-
-    def test_grid_oracle_with_skewed_costs(self):
-        preds = preds_from_counts({"A": (20, 17, 30, 5), "B": (25, 14, 25, 8)})
-        loss = LossSpec(cost_fp=0.5, cost_fn=2.0)
-        dp = fit_eo_hard(preds, loss)
-        oracle = hard_grid_oracle(confusion_rates(preds), loss, step=0.02)
-        assert dp.objective <= oracle + 1e-12
-        assert abs(dp.objective - oracle) <= 1e-3
 
     def test_exactness_on_three_groups(self):
         preds = preds_from_counts(
@@ -250,13 +248,12 @@ class TestFitSoft:
         x, y_t = dp.target
         assert abs(x - y_t) <= 1e-9
 
-    def test_two_group_objective_matches_grid_oracle(self):
+    def test_two_group_objective_matches_exact_oracle(self):
         preds = scored_preds(seed=21, n=400)
         loss = LossSpec()
         dp = fit_eo_soft(preds, loss)
-        oracle = soft_grid_oracle(preds, loss, resolution=1e-3)
-        assert dp.objective <= oracle + 1e-12
-        assert abs(dp.objective - oracle) <= 1e-3
+        exact, _ = exact_eo_oracle(preds, loss, "soft")
+        assert abs(dp.objective - exact) <= 1e-12
 
     def test_exactness_many_groups(self):
         preds = scored_preds(seed=5, n=900, groups=("A", "B", "C", "D"))
@@ -459,6 +456,74 @@ class TestLossProperties:
             tpr_range, tnr_range = gap_ranges(expected_rates(dp))
             assert tpr_range <= 1e-9
             assert tnr_range <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# both fits against the exact rational oracle
+
+TIED_SCORES = (0.0, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
+
+
+@st.composite
+def exact_oracle_cases(draw):
+    """2-4 groups of 2-14 rows, each holding both classes, with scores
+    that often tie, base predictions, costs and optional group weights."""
+    labels, groups = [], []
+    n_groups = draw(st.integers(2, 4))
+    for j in range(n_groups):
+        n = draw(st.integers(2, 14))
+        labels += [0, 1] + draw(st.lists(st.integers(0, 1), min_size=n - 2, max_size=n - 2))
+        groups += [f"g{j}"] * n
+    rows = st.lists(st.sampled_from(TIED_SCORES) | st.floats(0.0, 1.0), min_size=len(labels), max_size=len(labels))
+    y_hat = st.lists(st.integers(0, 1), min_size=len(labels), max_size=len(labels))
+    preds = LabeledPredictions(
+        ids=[f"r{i}" for i in range(len(labels))], y_true=np.array(labels), groups=groups,
+        scores=np.array(draw(rows)), y_hat=np.array(draw(y_hat), dtype=np.int8),
+    )
+    costs = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+    weights = st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0]), min_size=n_groups, max_size=n_groups).filter(any)
+    weights = draw(st.none() | weights.map(lambda ws: {f"g{j}": w for j, w in enumerate(ws)}))
+    return preds, LossSpec(cost_fp=draw(costs), cost_fn=draw(costs), group_weights=weights)
+
+
+def exact_policy_rates(dp, preds):
+    """Each group's expected (fpr, tpr) under its fitted policy, in
+    Fraction and from the rows: a hard policy randomizes the group's
+    exact base rates, a soft one mixes the operating points of its two
+    thresholds, counted from the scores at or above each, with its coin.
+    A soft policy's stored points must be those counted points."""
+    out = {}
+    for code, g in enumerate(preds.universe):
+        m, pol = preds.group_codes == code, dp.policies[g]
+        y = preds.y_true[m]
+
+        def point(values, threshold):
+            return tuple(Fraction(int((y[values >= threshold] == c).sum()), int((y == c).sum())) for c in (0, 1))
+
+        if dp.variant == "hard":
+            (f, t), p0, p1 = point(preds.y_hat[m], 1), Fraction(pol.p0), Fraction(pol.p1)
+            out[g] = (p0 * (1 - f) + p1 * f, p0 * (1 - t) + p1 * t)
+        else:
+            lo, hi = point(preds.scores[m], pol.t_lo), point(preds.scores[m], pol.t_hi)
+            assert (pol.point_lo, pol.point_hi) == (tuple(map(float, lo)), tuple(map(float, hi)))
+            lam, p_coin, coin = Fraction(pol.lam), Fraction(pol.p_coin), Fraction(pol.coin_rate)
+            out[g] = tuple((1 - p_coin) * (lam * a + (1 - lam) * b) + p_coin * coin for a, b in zip(lo, hi))
+    return out
+
+
+class TestExactOracle:
+    @pytest.mark.parametrize("variant", ["hard", "soft"])
+    @settings(deadline=None)
+    @given(exact_oracle_cases())
+    def test_fit_matches_exact_oracle(self, variant, case):
+        preds, loss = case
+        dp = (fit_eo_hard if variant == "hard" else fit_eo_soft)(preds, loss)
+        exact, polygon = exact_eo_oracle(preds, loss, variant)
+        assert abs(dp.objective - exact) <= 1e-12
+        rates = exact_policy_rates(dp, preds).values()
+        for axis in (0, 1):
+            assert max(r[axis] for r in rates) - min(r[axis] for r in rates) <= 1e-9
+        assert squared_distance_to_polygon(tuple(map(Fraction, dp.target)), polygon) <= Fraction(1e-12) ** 2
 
 
 class TestLossSpec:

@@ -235,8 +235,8 @@ def _scored_split(prefix: str, seed: int, n: int = 200) -> LabeledPredictions:
 
 @pytest.mark.parametrize("where", list(WHERE))
 def test_a_degenerate_soft_policy_leaves_every_row_its_draws(where, tmp_path, monkeypatch, capsys):
-    # every eval row is drawn for ahead; the rows of the one-threshold
-    # group are then not read, and the others get the bits they drew alone
+    # every eval row is drawn for ahead and reads its draws: the one-threshold
+    # group's give plain thresholding, and the others get the bits they drew alone
     for part, seed in (("fit", 1), ("eval", 2)):
         write_predictions(_scored_split(part[0], seed), tmp_path / f"{part}.csv")
     on_worker(monkeypatch, **WHERE[where])
@@ -247,7 +247,7 @@ def test_a_degenerate_soft_policy_leaves_every_row_its_draws(where, tmp_path, mo
     apply_seed = derive_seed(3, "apply")
     want = apply_soft_oracle(dp, read_predictions(tmp_path / "eval.csv"), apply_seed)
     assert read_predictions(tmp_path / "out" / "postprocessed.csv").y_hat.tobytes() == want.tobytes()
-    # eo-apply draws for the other group's rows only, and writes the same file
+    # eo-apply draws for every row itself, and writes the same file
     argv = ["eo-apply", "--input", tmp_path / "eval.csv", "--predictor", tmp_path / "out" / "derived_predictor.json",
             "--seed", apply_seed, "--out", tmp_path / "apply"]
     assert main([str(a) for a in argv]) == 0
