@@ -19,12 +19,14 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateInputError, FormatError, ValidationError
+from .floatrepr import float_reprs
 from .pool import _pooled, _process_pool
 from .predictions import _owned, readonly
 from .schema import decode_error
@@ -484,14 +486,13 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
 
 def _format_block(tokens: Sequence[str], vectors: np.ndarray) -> str:
     """The file lines of a block of rows, each ending in a newline."""
-    return "".join(
-        tok + " " + " ".join(map(float.__repr__, row)) + "\n" for tok, row in zip(tokens, vectors.tolist())
-    )
+    values = iter(float_reprs(vectors))
+    return "".join(tok + " " + " ".join(islice(values, vectors.shape[1])) + "\n" for tok in tokens)
 
 
 def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
-    """Write ``emb`` as a plain-text embedding file; every value is
-    rendered by ``float.__repr__``, which round-trips.  ``emb`` may be a
+    """Write ``emb`` as a plain-text embedding file; ``float_reprs`` writes
+    each value as ``repr`` would, which round-trips.  ``emb`` may be a
     debias plan, whose rows are made as they are written.  A token the file
     cannot hold is refused before it is opened."""
     for tok in emb.tokens:

@@ -26,6 +26,7 @@ import numpy as np
 from numpy.dtypes import StringDType
 
 from .errors import EmptyInputError, FormatError, ValidationError
+from .floatrepr import float_reprs
 from .pool import _pooled, _process_pool
 from .schema import decode_error
 
@@ -517,9 +518,9 @@ def _format_rows(ids, labels, codes, y_true, scores, y_hat, consts) -> str:
         _csv_fields(ids),
         labels[codes].tolist(),
         _BITS[y_true].tolist(),
-        repeat("") if scores is None else map(float.__repr__, scores.tolist()),
+        repeat("") if scores is None else float_reprs(scores),
         repeat("") if y_hat is None else _BITS[y_hat].tolist(),
-        *(map(float.__repr__, values.tolist()) for values in consts),
+        *map(float_reprs, consts),
     )
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
@@ -529,11 +530,11 @@ def write_predictions(
     path: str | Path,
     constituent_scores: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write predictions as CSV, deterministically, ``_WRITE_ROWS`` rows at
-    a time.  From ``_POOL_FLOOR`` real values on, the blocks are formatted
-    on one worker process per usable CPU, with the same bytes.  A
-    constituent column that does not hold one finite real in [0, 1] per
-    row raises ValidationError naming it, before anything is written."""
+    """Write predictions as CSV, ``_WRITE_ROWS`` rows at a time, each real
+    as ``repr`` writes it.  From ``_POOL_FLOOR`` real values on, the
+    blocks are formatted on one worker process per usable CPU, with the same
+    bytes.  A constituent column that does not hold one finite real in [0, 1]
+    per row raises ValidationError naming it, before anything is written."""
     n = len(preds)
     consts = {name: _column(as_probabilities, v, n, f"column 'score_{name}'") for name, v in (constituent_scores or {}).items()}
     labels = np.array(_csv_fields(list(preds.universe)), dtype=object)

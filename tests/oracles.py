@@ -347,6 +347,11 @@ def read_prediction_file_oracle(path, group_col="group", universe=()):
     return PredictionFile(predictions=preds, constituent_scores=consts)
 
 
+def float_reprs_oracle(values):
+    """The text of each float64 value, one ``float.__repr__`` call each."""
+    return list(map(float.__repr__, np.asarray(values, dtype=np.float64).reshape(-1).tolist()))
+
+
 def write_predictions_oracle(preds, path, constituent_scores=None):
     """The prediction CSV written one csv.writer row at a time, as the
     library did before it wrote chunks of rows a column at a time."""

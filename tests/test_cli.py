@@ -777,6 +777,23 @@ class TestPinnedArtifacts:
         for name, digest in self.QUOTED_PINS[variant].items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
+    # the text files whose every value is a rendered float64, as written
+    # while each value went through float.__repr__ one at a time
+    TEXT_PINS = {
+        "emb/embeddings.txt": "42872e0109d1545d1e1b4f238cfe4afc0dc2773c17a1e32e2cf58ffe3d9f295b",
+        "deb/debiased_embeddings.txt": "959bb7bf7f0918c9a9b2f4dd3cd9c2200623cb706d86e025672e7d5e77441ead",
+        "syn/modality_0.csv": "9961e4d43be6275f8bcbefefa401aaaaa56d24186c7dd59a94ccb557a68bdbfa",
+    }
+
+    def test_rendered_text_hashes(self, tmp_path):
+        out = tmp_path / "out"
+        for argv in (["synth", "--plant-embeddings", "--vocab", "300", "--dim", "20", "--noise", "0.05", "--seed", "4", "--out", out / "emb"],
+                     ["debias", "--embeddings", out / "emb/embeddings.txt", "--out", out / "deb"],
+                     ["synth", "--preset", "insurance", "--n", "4000", "--seed", "9", "--modality-windows", "0:0.6,0.4:1", "--out", out / "syn"]):
+            assert main([str(a) for a in argv]) == 0
+        for name, digest in self.TEXT_PINS.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
     DRAWN_0_3 = {  # the artifacts the 0.4.0 draws re-pinned, as 0.3.0 wrote them
         ("eo-hard",): {
             "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
