@@ -30,7 +30,7 @@ def _tables():
     logs = [(k, (-k * 913_124_641_741) >> 38) for k in range(_K_MIN, _K_MAX + 1)]  # floor(log2(10**-k))
     g = [(10 ** max(-k, 0) << max(125 - r, 0)) // (10 ** max(k, 0) << max(r - 125, 0)) + 1 for k, r in logs]
     halves = [(x >> 63, x >> 95, x >> 63 & 0xFFFFFFFF, x & (1 << 63) - 1, x >> 32 & 0x7FFFFFFF, x & 0xFFFFFFFF) for x in g]
-    quads = np.frombuffer("".join(f"{i:04d}" for i in range(10**4)).encode() + b".-e+\0\0\0\0", dtype=np.uint32)
+    quads = np.append(np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"), [*b".-e+", 0, 0, 0, 0]).astype(np.uint8)
     layouts = []
     for neg in (0, 1):
         for n in range(1, 18):
@@ -42,7 +42,7 @@ def _tables():
             for sign, wide in ((_MINUS, 0), (_MINUS, 1), (_PLUS, 0), (_PLUS, 1)):
                 layouts.append([_MINUS] * neg + d[:1] + [_DOT] * (n > 1) + d[1:] + [_E, sign] + [21, 22, 23][1 - wide :])
     layouts = [row + [_NUL] * (_LENGTH - len(row)) for row in layouts]
-    return np.array(halves, dtype=np.uint64).T.copy(), quads, np.array(layouts, dtype=np.intp)
+    return np.array(halves, dtype=np.uint64).T.copy(), quads.view(np.uint32), np.array(layouts, dtype=np.intp)
 
 
 def _product(g, gh, gl, cp, cl, ch):
