@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import math
 import os
 import sys
@@ -427,12 +428,15 @@ def _add_common_io(p):
     p.add_argument("--group-col", default="group", help="sensitive-attribute column name")
 
 
-# Defaults of the synthetic-cohort flags: a flag not given stays unset until
-# a cohort is generated, so a run that generates none can refuse those given.
-COHORT_DEFAULTS = {"preset": "sex", "n": 1000, "positive_rate": 0.131, "tpr_low": 0.60, "tpr_high": 0.85,
-                   "fpr": 0.15, "modality_windows": "0:1", "synth_config": None}
+# Defaults of the synthetic-cohort flags, synth's own but for the preset and windows: a flag not given
+# stays unset until a cohort is generated, so a run that generates none can refuse those given.
+COHORT_DEFAULTS = {"preset": "sex", "n": CohortConfig.n_samples, "positive_rate": CohortConfig.positive_rate,
+                   **{k: p.default for k, p in inspect.signature(gapped_score_models).parameters.items() if k != "groups"},
+                   "modality_windows": "0:1", "synth_config": None}
+DEFAULT_EQUALITY_SETS = "gender"  # of synth --plant-embeddings and of debias
 # Defaults of the flags of ``synth --plant-embeddings``, unset until then alike.
-EMBEDDING_DEFAULTS = {"equality_sets": "gender", "vocab": 50, "dim": 25, "noise": 0.01}
+EMBEDDING_DEFAULTS = {"equality_sets": DEFAULT_EQUALITY_SETS, "vocab": EmbeddingPlantConfig.vocab_size,
+                      "dim": EmbeddingPlantConfig.dim, "noise": 0.01}
 
 
 def _add_cohort_flags(p):
@@ -492,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("debias", help="hard-debias an embedding file")
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--equality-sets", default="gender", help="preset name (gender, race) or JSON path")
+    p.add_argument("--equality-sets", default=DEFAULT_EQUALITY_SETS, help="preset name (gender, race) or JSON path")
     p.add_argument("--k", type=int, default=None, help="bias-subspace dimension")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_debias)

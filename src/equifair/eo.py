@@ -39,7 +39,7 @@ import numpy as np
 from . import schema
 from .errors import GroupMismatchError, ValidationError
 from .geometry import argmin_linear, convex_hull_indices, intersect_regions
-from .metrics import GroupRateEntry, confusion_counts, confusion_rates, roc_curve
+from .metrics import GroupRateEntry, _counts_by_code, _descending, _roc, confusion_rates
 from .predictions import LabeledPredictions, as_id_column
 
 _DIAG_TOL = 1e-12
@@ -412,16 +412,16 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     built from the curve's staircase corners only (``_roc_hull``)."""
     if preds.scores is None:
         raise ValidationError("fit_eo_soft requires scores")
-    classes = confusion_counts(preds).sum(axis=2).tolist()
+    # the score column's one sort, for every group's counts and curve
+    by_code = _counts_by_code(preds.scores, preds.y_true, _descending(preds.scores), preds.group_codes)
+    by_group = {preds.universe[code]: c for code, c in by_code}
     counts = {
-        g: GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=n_pos, n_neg=n_neg)
-        for g, (n_neg, n_pos) in zip(preds.universe, classes)
-        if n_pos + n_neg
+        g: GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=int(tp[-1]), n_neg=int(fp[-1]))
+        for g, (_, tp, fp) in by_group.items()
     }
     curves: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
     for g in _fit_groups(counts):
-        m = preds.group_codes == preds.universe.index(g)
-        curve = roc_curve(preds.scores[m], preds.y_true[m])
+        curve = _roc(*by_group.pop(g))  # each group's counts or its curve, not both
         pts = np.column_stack((curve.fpr, curve.tpr))
         curves[g] = (pts, np.minimum(curve.thresholds, _NEVER_POSITIVE), _roc_hull(pts))
     x, y, objective = _common_target(counts, loss, [pts[hull] for pts, _, hull in curves.values()])

@@ -9,12 +9,16 @@ which equals the rank statistic: ties between a positive and a negative
 score contribute one half.  AUC PRC is the step-wise
 average-precision sum over distinct score thresholds (no linear
 interpolation between operating points).
+
+A score column is sorted once, however many groups or labels it holds: a
+stable sort of their integer codes in that order gives each one its rows
+in descending-score order, from which its areas and curve are counted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -35,15 +39,6 @@ class GroupRateEntry:
     n_neg: int
 
 
-def confusion_counts(preds: LabeledPredictions) -> np.ndarray:
-    """Samples per (group code, y_true, y_hat) cell, a (len(universe), 2, 2)
-    integer array; without ``y_hat`` every sample counts as y_hat = 0."""
-    cells = preds.group_codes.astype(np.intp) * 4 + 2 * preds.y_true
-    if preds.y_hat is not None:
-        cells += preds.y_hat
-    return np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 2, 2)
-
-
 def confusion_rates(preds: LabeledPredictions) -> dict[str, GroupRateEntry]:
     """Exact per-group tpr/tnr/fpr/fnr from hard predictions, keyed by
     group label in universe order.
@@ -53,8 +48,11 @@ def confusion_rates(preds: LabeledPredictions) -> dict[str, GroupRateEntry]:
     """
     if preds.y_hat is None:
         raise ValidationError("confusion_rates requires hard predictions (y_hat)")
+    cells = preds.group_codes.astype(np.intp) * 4 + 2 * preds.y_true  # one (group, y_true, y_hat) cell a sample
+    cells += preds.y_hat
+    counts = np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 2, 2).tolist()
     out: dict[str, GroupRateEntry] = {}
-    for g, ((tn, fp), (fn, tp)) in zip(preds.universe, confusion_counts(preds).tolist()):
+    for g, ((tn, fp), (fn, tp)) in zip(preds.universe, counts):
         n_pos, n_neg = tp + fn, tn + fp
         out[g] = GroupRateEntry(
             tpr=tp / n_pos if n_pos else None,
@@ -82,7 +80,7 @@ def gap_ranges(rates: Mapping[str, GroupRateEntry]) -> tuple[float | None, float
     return tpr_range, tnr_range
 
 
-def _check_binary_scores(scores, y_true) -> tuple[np.ndarray, np.ndarray]:
+def _check_binary_scores(scores, y_true) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=np.float64).ravel()
     y = as_binary(y_true, "labels").ravel()
     if s.shape != y.shape:
@@ -91,19 +89,31 @@ def _check_binary_scores(scores, y_true) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("empty input")
     if not np.isfinite(s).all():
         raise ValidationError("scores must be finite")
-    return s, y
+    return s, y, _descending(s)
 
 
-def _threshold_counts(s: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort by descending score once: each distinct score as a threshold,
-    with the cumulative true and false positives of predicting positive
-    at or above it."""
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
+def _descending(s: np.ndarray) -> np.ndarray:
+    return np.argsort(-s, kind="stable")  # ties in row order
+
+
+def _threshold_counts(s: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each distinct score of ``rows``, given in descending-score order, as
+    a threshold, with the cumulative true and false positives of predicting
+    positive at or above it."""
+    s, y = s[rows], y[rows]
     # last index of each distinct-score block = the point traced at that threshold
-    block_end = np.nonzero(np.append(s_sorted[1:] != s_sorted[:-1], True))[0]
-    tp = np.cumsum(y[order] == 1)[block_end]
-    return s_sorted[block_end], tp, block_end + 1 - tp
+    block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tp = np.cumsum(y == 1)[block_end]
+    return s[block_end], tp, block_end + 1 - tp
+
+
+def _counts_by_code(s: np.ndarray, y: np.ndarray, order: np.ndarray, codes: np.ndarray) -> Iterator[tuple[int, tuple]]:
+    """(code, ``_threshold_counts``) of each code with rows, ``codes`` one a
+    row: a stable sort of the codes in the descending-score ``order`` (radix,
+    for 8- and 16-bit codes) keeps each code's rows in that order.  Lazily,
+    so a caller need hold one code's counts at a time."""
+    by_code = np.split(order[np.argsort(codes[order], kind="stable")], np.cumsum(np.bincount(codes))[:-1])
+    return ((code, _threshold_counts(s, y, rows)) for code, rows in enumerate(by_code) if len(rows))
 
 
 def auc_roc(scores, y_true) -> float:
@@ -162,7 +172,10 @@ class RocCurve:
 def roc_curve(scores, y_true) -> RocCurve:
     """Exact empirical ROC operating points with their thresholds; refuses
     what ``auc_roc`` refuses."""
-    thresholds, tp, fp = _threshold_counts(*_check_binary_scores(scores, y_true))
+    return _roc(*_threshold_counts(*_check_binary_scores(scores, y_true)))
+
+
+def _roc(thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocCurve:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_curve requires both classes present")
@@ -183,41 +196,37 @@ class MultilabelAucResult:
 
 
 def multilabel_auc(scores, y_true) -> MultilabelAucResult:
-    """Macro (unweighted per-label mean) and micro (flattened-pair) AUC ROC.
+    """Macro (unweighted per-label mean) and micro (flattened-pair) AUC ROC
+    from one sort of the flattened matrix.
 
     Label columns with a single class are excluded from the macro average
     and reported in ``excluded_labels`` with a warning record.  Refuses a
-    label other than 0 and 1 in any column, and a score that is not finite."""
+    label other than 0 and 1 in any column, then a matrix whose every
+    column has a single class, then a score that is not finite."""
     s = np.asarray(scores, dtype=np.float64)
     y = as_binary(y_true, "labels")
     if s.ndim != 2 or s.shape != y.shape:
         raise ValidationError("scores and labels must be matrices of equal shape")
-    if s.shape[1] < 2:
+    n_labels = s.shape[1]
+    if n_labels < 2:
         raise ValidationError("multilabel_auc requires at least 2 labels")
     if not len(s):
         raise ValidationError("empty input")
-    per_label: list[float | None] = []
-    excluded: list[int] = []
-    warnings: list[str] = []
-    for j in range(s.shape[1]):
-        col = y[:, j]
-        if col.min() == col.max():
-            per_label.append(None)
-            excluded.append(j)
-            warnings.append(f"label {j} has a single class; excluded from macro AUC")
-        else:
-            per_label.append(auc_roc(s[:, j], col))
-    defined = [v for v in per_label if v is not None]
-    if not defined:
+    two_class = (y.min(axis=0) != y.max(axis=0)).tolist()
+    if not any(two_class):
         raise ValidationError("every label column has a single class")
-    macro = float(np.mean(defined))
-    micro = auc_roc(s.ravel(), y.ravel())
+    s, y, order = _check_binary_scores(s, y)  # flattened row by row: element k is label k % n_labels
+    _, tp, fp = _threshold_counts(s, y, order)
+    micro = _trapezoid_auc(tp, fp)
+    by_label = _counts_by_code(s, y, order, (np.arange(s.size) % n_labels).astype(np.min_scalar_type(n_labels - 1)))
+    per_label = [_trapezoid_auc(tp, fp) if two else None for two, (_, (_, tp, fp)) in zip(two_class, by_label)]
+    excluded = [j for j, two in enumerate(two_class) if not two]
     return MultilabelAucResult(
-        macro=macro,
+        macro=float(np.mean([v for v in per_label if v is not None])),
         micro=micro,
         per_label=tuple(per_label),
         excluded_labels=tuple(excluded),
-        warnings=tuple(warnings),
+        warnings=tuple(f"label {j} has a single class; excluded from macro AUC" for j in excluded),
     )
 
 
@@ -244,8 +253,9 @@ def build_report(
 
     Group rates are computed from ``y_hat`` when present, and the
     metadata's ``timestamp`` is always null.  Score-based metrics are
-    filled when scores are present; per-group AUCs that are undefined
-    (single-class group) are reported as null with a warning.
+    filled when scores are present, all from one sort of the scores;
+    per-group AUCs that are undefined (single-class group) are reported
+    as null with a warning.
     """
     warnings: list[str] = []
     rates = confusion_rates(preds) if preds.y_hat is not None else None
@@ -255,15 +265,14 @@ def build_report(
     auc_overall = prc_overall = None
     per_group: dict[str, float | None] = {}
     if preds.scores is not None:
-        _, tp, fp = _threshold_counts(preds.scores, preds.y_true)  # one sort for both overall areas
+        order = _descending(preds.scores)  # the column's one sort, for both overall areas and every group's AUC
+        _, tp, fp = _threshold_counts(preds.scores, preds.y_true, order)
         auc_overall = _trapezoid_auc(tp, fp)
         prc_overall = _step_prc(tp, fp)
-        for code, g in enumerate(preds.universe):
-            m = preds.group_codes == code
-            if not m.any():
-                continue
+        for code, (_, tp, fp) in _counts_by_code(preds.scores, preds.y_true, order, preds.group_codes):
+            g = preds.universe[code]
             try:
-                per_group[g] = auc_roc(preds.scores[m], preds.y_true[m])
+                per_group[g] = _trapezoid_auc(tp, fp)
             except ValidationError:
                 per_group[g] = None
                 warnings.append(f"group {g!r} has a single class; per-group AUC undefined")

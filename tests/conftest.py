@@ -2,6 +2,7 @@
 property at 2,000 examples, as the CI's long exact-oracle job does:
 
     python -m pytest tests/test_eo.py -k exact -q --hypothesis-profile eo-long
+    python -m pytest tests/test_metrics.py::TestGroupedCounts -q --hypothesis-profile eo-long
 """
 
 from hypothesis import settings

@@ -17,6 +17,7 @@ from equifair import (
     roc_curve,
     schema,
 )
+from equifair.metrics import _counts_by_code, _descending, _threshold_counts
 from equifair.synth import generate_multilabel
 
 from helpers import group_masks, group_rates_from_dict, report_from_json, roc_points, total_samples, trapezoid_area
@@ -333,6 +334,85 @@ class TestMultilabelAuc:
     def test_no_rows_is_empty_input(self):
         with pytest.raises(ValidationError, match="^empty input$"):
             multilabel_auc(np.zeros((0, 2)), np.zeros((0, 2)))
+
+    @pytest.mark.parametrize(
+        "labels, nan_at, message",
+        [
+            # a two-class column's score, whatever the other columns hold
+            ([[1, 1], [0, 1], [1, 1]], (1, 0), "^scores must be finite$"),
+            # only a one-class column's score: the micro AUC sees it
+            ([[1, 1], [0, 1], [1, 1]], (1, 1), "^scores must be finite$"),
+            # no two-class column at all: the single classes come first
+            ([[1, 0], [1, 0], [1, 0]], (0, 1), "^every label column has a single class$"),
+            ([[1, 0], [1, 0], [1, 0]], (2, 0), "^every label column has a single class$"),
+        ],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_precedence(self, labels, nan_at, message, bad):
+        scores = np.array([[0.9, 0.8], [0.2, 0.7], [0.6, 0.1]])
+        scores[nan_at] = bad
+        with pytest.raises(ValidationError, match=message):
+            multilabel_auc(scores, np.array(labels))
+
+
+# ---------------------------------------------------------------------------
+# one sort of a score column, split by group or label
+
+
+@st.composite
+def tied_scores(draw, n):
+    """``n`` scores drawn from a pool of one to six distinct values: heavy ties."""
+    pool = draw(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0]) | st.floats(0, 1), min_size=1, max_size=6))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)))
+
+
+@st.composite
+def grouped_cases(draw):
+    """Predictions over a universe of up to six groups, or of 300 (16-bit
+    codes), where some groups have no rows, one row or one class."""
+    n = draw(st.integers(2, 60))
+    n_groups = draw(st.integers(1, 6) | st.just(300))
+    codes = draw(st.lists(st.integers(0, min(n_groups, 8) - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels[0], labels[-1] = 0, 1  # both classes overall, which the overall areas need
+    return LabeledPredictions(
+        ids=tuple(f"r{i}" for i in range(n)), y_true=np.array(labels), group_codes=np.array(codes),
+        universe=tuple(f"g{k}" for k in range(n_groups)), scores=draw(tied_scores(n)),
+    )
+
+
+class TestGroupedCounts:
+    """The per-mask computations are the references: each group's (or
+    label's) rows sorted on their own."""
+
+    @given(grouped_cases())
+    def test_grouped_counts_match_masked_slices(self, preds):
+        s, y = preds.scores, preds.y_true
+        by_code = dict(_counts_by_code(s, y, _descending(s), preds.group_codes))
+        masks = [preds.group_codes == code for code in range(len(preds.universe))]
+        assert list(by_code) == [code for code, m in enumerate(masks) if m.any()]  # no entry for an empty group
+        for code, counts in by_code.items():
+            m = masks[code]
+            expected = _threshold_counts(s[m], y[m], np.argsort(-s[m], kind="stable"))
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(counts, expected))
+        report = build_report(preds)
+        assert report.auc_roc_per_group.keys() == group_masks(preds).keys()
+        for g, m in group_masks(preds).items():
+            defined = 0 < preds.y_true[m].sum() < m.sum()
+            expected = pairwise_auc_oracle(s[m], y[m]) if defined else None
+            assert report.auc_roc_per_group[g] == expected
+
+    @given(st.integers(2, 12), st.integers(2, 5), st.data())
+    def test_grouped_label_aucs_match_pairwise_oracle(self, n, n_labels, data):
+        scores = data.draw(tied_scores(n * n_labels)).reshape(n, n_labels)
+        y = np.array(data.draw(st.lists(st.sampled_from([0, 1]), min_size=n * n_labels, max_size=n * n_labels)))
+        y = y.reshape(n, n_labels)
+        y[0, 0], y[-1, 0] = 0, 1  # one two-class column, which multilabel_auc needs
+        res = multilabel_auc(scores, y)
+        assert res.micro == pairwise_auc_oracle(scores.ravel(), y.ravel())
+        for j in range(n_labels):
+            defined = y[:, j].min() != y[:, j].max()
+            assert res.per_label[j] == (pairwise_auc_oracle(scores[:, j], y[:, j]) if defined else None)
 
 
 # ---------------------------------------------------------------------------
