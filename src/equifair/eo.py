@@ -18,10 +18,14 @@ regions:
   ROC upper envelope, additionally mixes in a score-independent coin so
   the target is met exactly in expectation.
 
-The optimization is solved exactly: the feasible set is a convex polygon
-obtained by half-plane clipping, the objective is linear, and the optimum
-is found by a vertex scan with deterministic tie-breaking (tpr descending,
-then fpr ascending).
+The optimization is solved exactly, in integers and Fractions, since every
+quantity in it is a ratio of integer counts: each region is the hull of
+integer (fp, tp) counts, the feasible set is the unit square clipped by
+the regions' integer half-planes, and the optimum is found by a vertex
+scan with exact loss coefficients and an exact tie rule (tpr descending,
+then fpr ascending).  No step needs a tolerance.  The target, the
+objective and every policy probability are rounded to float once, from
+their exact values, so renaming the groups changes no fitted number.
 
 Randomized application derives all per-sample draws from
 (seed, sample id), so results are reproducible and order-independent.
@@ -37,12 +41,11 @@ from typing import ClassVar, Literal, Mapping, Sequence
 import numpy as np
 
 from . import schema
-from .errors import GroupMismatchError, ValidationError
-from .geometry import argmin_linear, convex_hull_indices, intersect_regions
-from .metrics import GroupRateEntry, _counts_by_code, _descending, _roc, confusion_rates
+from .errors import GroupMismatchError, ValidationError, name_groups
+from .geometry import argmin_linear, clip_unit_square, convex_hull, halfplanes
+from .metrics import GroupRateEntry, _confusion_counts, _counts_by_code, _descending, _rates_of_counts
 from .predictions import LabeledPredictions, as_id_column
 
-_DIAG_TOL = 1e-12
 # threshold of the ROC point (0, 0): no score in [0, 1] reaches it, and
 # unlike +inf it is a finite number in a derived predictor's JSON
 _NEVER_POSITIVE = math.nextafter(1.0, math.inf)
@@ -77,36 +80,31 @@ class LossSpec:
             object.__setattr__(self, "group_weights", gw)
 
 
-def _group_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> dict[str, tuple[float, float]]:
-    """Per non-empty group, (k_fp, k_fn) such that its operating point
-    (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
+def _group_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> dict:
+    """Per non-empty group, the exact (k_fp, k_fn), as Fractions of the
+    float costs and weights and the integer counts, such that its
+    operating point (x, y) adds k_fp * x + k_fn * (1 - y) to the loss."""
+    from fractions import Fraction  # a fit's alone: importing the CLI does not load it
+
     sizes = {g: e.n_pos + e.n_neg for g, e in rates.items() if e.n_pos + e.n_neg > 0}
     weights = sizes if loss.group_weights is None else loss.group_weights
     missing = [g for g in sizes if g not in weights]
     if missing:
-        raise ValidationError(f"group weights missing for groups {missing}")
-    total = sum(weights[g] for g in sizes)
+        raise ValidationError(f"group weights missing for groups {name_groups(missing)}")
+    total = sum(Fraction(weights[g]) for g in sizes)
+    cost_fp, cost_fn = Fraction(loss.cost_fp), Fraction(loss.cost_fn)
     out = {}
     for g, n in sizes.items():
-        w = weights[g] / total
-        out[g] = (loss.cost_fp * w * (rates[g].n_neg / n), loss.cost_fn * w * (rates[g].n_pos / n))
+        w = Fraction(weights[g]) / total
+        out[g] = (cost_fp * w * Fraction(rates[g].n_neg, n), cost_fn * w * Fraction(rates[g].n_pos, n))
     return out
-
-
-def loss_coefficients(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> tuple[float, float]:
-    """(k_fp, k_fn) such that a common operating point (x, y) of every
-    non-empty group costs k_fp * x + k_fn * (1 - y)."""
-    k_fp = k_fn = 0.0
-    for kf, kn in _group_coefficients(rates, loss).values():
-        k_fp += kf
-        k_fn += kn
-    return k_fp, k_fn
 
 
 def expected_loss_of_rates(rates: Mapping[str, GroupRateEntry], loss: LossSpec) -> float:
     """Expected weighted loss of a predictor whose per-group operating
-    points are given by ``rates``.  Groups with an undefined rate
-    contribute nothing through that rate (its class share is zero)."""
+    points are given by ``rates``, in floats from the exact coefficients.
+    Groups with an undefined rate contribute nothing through that rate
+    (its class share is zero)."""
     total = 0.0
     for g, (kf, kn) in _group_coefficients(rates, loss).items():
         if rates[g].fpr is not None:
@@ -191,16 +189,11 @@ class HardGroupPolicy:
         )
 
 
-def _hard_region(base_fpr: float, base_tpr: float) -> np.ndarray:
-    pts = np.array(
-        [
-            [0.0, 0.0],
-            [base_fpr, base_tpr],
-            [1.0, 1.0],
-            [1.0 - base_fpr, 1.0 - base_tpr],
-        ]
-    )
-    return pts[convex_hull_indices(pts)]
+def _hard_region(tn: int, fp: int, fn: int, tp: int) -> list[tuple[int, int, int]]:
+    """Integer half-planes of a group's hard region: the hull, in (fp, tp)
+    counts, of (0, 0), the base point, (n_neg, n_pos) and its reflection."""
+    points = sorted({(0, 0), (fp, tp), (tn + fp, fn + tp), (tn, fn)})
+    return halfplanes([points[i] for i in convex_hull(*zip(*points))], tn + fp, fn + tp)
 
 
 def _policy_table(dp: DerivedPredictor, preds: LabeledPredictions, *names: str) -> np.ndarray:
@@ -209,7 +202,7 @@ def _policy_table(dp: DerivedPredictor, preds: LabeledPredictions, *names: str) 
     and a universe group without samples, which no row reads, gets zeros."""
     unknown = set(preds.present_groups()) - set(dp.policies)
     if unknown:
-        raise GroupMismatchError(f"groups not covered by the derived predictor: {sorted(unknown)}")
+        raise GroupMismatchError(f"groups not covered by the derived predictor: {name_groups(sorted(unknown))}")
     rows = []
     for g in preds.universe:
         p = dp.policies.get(g)
@@ -224,42 +217,41 @@ def _fit_groups(rates: Mapping[str, GroupRateEntry]) -> tuple[str, ...]:
         raise ValidationError("equalized-odds fitting requires at least 2 groups")
     lacking = [g for g in groups if rates[g].n_pos == 0 or rates[g].n_neg == 0]
     if lacking:
-        raise ValidationError(f"groups missing a class: {lacking}")
+        raise ValidationError(f"groups missing a class: {name_groups(lacking)}")
     return groups
 
 
-def _common_target(rates: Mapping[str, GroupRateEntry], loss: LossSpec, regions: list[np.ndarray]) -> tuple[float, float, float]:
-    """The (fpr, tpr) of least expected loss in the achievable region of
-    each group of ``_fit_groups(rates)``, in order, and that loss.  Every
-    region holds the diagonal, so an intersection too thin to clip falls
-    back to it."""
-    k_fp, k_fn = loss_coefficients(rates, loss)
-    vertices = intersect_regions(regions)
-    if len(vertices) == 0:
-        vertices = np.array([[0.0, 0.0], [1.0, 1.0]])
-    x, y = argmin_linear(vertices, k_fp, -k_fn)
-    return x, y, k_fp * x + k_fn * (1.0 - y)
+def _common_target(rates: Mapping[str, GroupRateEntry], loss: LossSpec, regions: list[list[tuple[int, int, int]]]):
+    """The exact (fpr, tpr), as Fractions, of least expected loss in the
+    achievable region of each group of ``_fit_groups(rates)``, each given
+    by its integer half-planes, and that loss rounded once.  Every region
+    holds the diagonal, so their intersection is never empty."""
+    coefficients = _group_coefficients(rates, loss).values()
+    k_fp, k_fn = sum(kf for kf, _ in coefficients), sum(kn for _, kn in coefficients)
+    x, y = argmin_linear(clip_unit_square([h for planes in regions for h in planes]), k_fp, -k_fn)
+    return x, y, float(k_fp * x + k_fn * (1 - y))
 
 
 def fit_eo_hard(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomization of hard predictions so that derived
-    tpr and fpr are exactly equal across groups, minimizing expected loss."""
-    rates = confusion_rates(preds)
+    tpr and fpr are exactly equal across groups, minimizing expected loss.
+    A group's p0 and p1 solve its two rate equations exactly, in counts,
+    and are rounded once."""
+    counts = _confusion_counts(preds)
+    rates = _rates_of_counts(counts)
     groups = _fit_groups(rates)
-    x, y, objective = _common_target(rates, loss, [_hard_region(rates[g].fpr, rates[g].tpr) for g in groups])
+    x, y, objective = _common_target(rates, loss, [_hard_region(*counts[g]) for g in groups])
     policies: dict[str, HardGroupPolicy] = {}
     for g in groups:
-        f, t = rates[g].fpr, rates[g].tpr
-        det = f - t
-        if abs(det) <= _DIAG_TOL:
-            p0 = p1 = min(max(y, 0.0), 1.0) + 0.0
+        tn, fp, fn, tp = counts[g]
+        det = fp * (fn + tp) - tp * (tn + fp)  # (fpr - tpr) * n_neg * n_pos: 0 when the region is the diagonal
+        if det == 0:
+            p0 = p1 = y
         else:
-            p0 = (y * f - t * x) / det
-            p1 = ((1.0 - t) * x - (1.0 - f) * y) / det
-            p0 = min(max(p0, 0.0), 1.0) + 0.0  # +0.0 folds -0.0 into 0.0
-            p1 = min(max(p1, 0.0), 1.0) + 0.0
-        policies[g] = HardGroupPolicy(p0=p0, p1=p1)
-    return DerivedPredictor(policies=policies, target=(x, y), fit_rates=rates, loss=loss, objective=objective)
+            p0 = (y * fp * (fn + tp) - x * tp * (tn + fp)) / det
+            p1 = (x * fn * (tn + fp) - y * tn * (fn + tp)) / det
+        policies[g] = HardGroupPolicy(p0=float(p0), p1=float(p1))
+    return DerivedPredictor(policies=policies, target=(float(x), float(y)), fit_rates=rates, loss=loss, objective=objective)
 
 
 def apply_hard(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, draws: np.ndarray | None = None) -> np.ndarray:
@@ -315,64 +307,41 @@ class SoftGroupPolicy:
         )
 
 
-def _decompose_soft(
-    curve_pts: np.ndarray, thresholds: np.ndarray, chain: list[int], x: float, y: float
-) -> SoftGroupPolicy:
-    """Express the target (x, y) as a mixture the group can realize.
+def _decompose_soft(envelope: list[tuple[int, int, float]], x, y) -> SoftGroupPolicy:
+    """Express the exact target (x, y) as a mixture the group can realize,
+    each probability rounded once from its exact value.
 
-    On the envelope: a two-threshold mixture.  Strictly inside: the
-    envelope mixture at the same fpr blended with a Bernoulli(x) coin.
-    On the diagonal: a mixture of the all-negative and all-positive
-    thresholds.
+    ``envelope`` holds the (fp, tp, threshold) of each vertex of the
+    group's upper ROC envelope in counts, left to right, from (0, 0) to
+    (n_neg, n_pos).  On the diagonal: a mixture of the all-negative and
+    all-positive thresholds.  On the envelope: the two-threshold mixture
+    of the envelope edge over x, or the one threshold of its vertex at x.
+    Strictly inside: that mixture blended with a Bernoulli(x) coin.
     """
-    if y - x <= _DIAG_TOL:
-        i_zero = chain[0]  # (0, 0), never positive
-        i_all = int(np.argmin(thresholds))  # (1, 1) at the lowest threshold
-        lam = min(max(y, 0.0), 1.0)
-        return SoftGroupPolicy(
-            t_lo=float(thresholds[i_all]),
-            t_hi=float(thresholds[i_zero]),
-            lam=lam,
-            point_lo=(float(curve_pts[i_all, 0]), float(curve_pts[i_all, 1])),
-            point_hi=(float(curve_pts[i_zero, 0]), float(curve_pts[i_zero, 1])),
-        )
-    # locate the envelope segment covering x, taking the highest attainable y
-    best = None
-    for a, b in zip(chain, chain[1:]):
-        xa, xb = curve_pts[a, 0], curve_pts[b, 0]
-        if x < xa - 1e-12 or x > xb + 1e-12:
-            continue
-        if xb - xa <= 1e-15:
-            top = a if curve_pts[a, 1] >= curve_pts[b, 1] else b
-            cand = (1.0, top, top, float(curve_pts[top, 1]))
-        else:
-            lam = (x - xa) / (xb - xa)
-            lam = min(max(lam, 0.0), 1.0)
-            mix_y = lam * curve_pts[b, 1] + (1.0 - lam) * curve_pts[a, 1]
-            cand = (lam, b, a, mix_y)
-        if best is None or cand[3] > best[3]:
-            best = cand
-    if best is None:  # x outside the chain span; clamp to the nearest endpoint
-        idx = chain[0] if x <= curve_pts[chain[0], 0] else chain[-1]
-        best = (1.0, idx, idx, float(curve_pts[idx, 1]))
-    lam, i_lo, i_hi, mix_y = best
-    # snap near-degenerate mixtures onto the exact vertex (clipping noise)
-    if lam >= 1.0 - 1e-12:
-        lam, i_hi, mix_y = 1.0, i_lo, float(curve_pts[i_lo, 1])
-    elif lam <= 1e-12:
-        lam, i_lo, mix_y = 1.0, i_hi, float(curve_pts[i_hi, 1])
+    n_neg, n_pos, _ = envelope[-1]
+    if x == y:
+        lam, lo, hi, top = y, envelope[-1], envelope[0], y
+    else:
+        # the first edge that is not vertical and reaches x: its left end is at or before x
+        x_fp = x * n_neg
+        hi, lo = next((a, b) for a, b in zip(envelope, envelope[1:]) if a[0] < b[0] and x_fp <= b[0])
+        lam = (x_fp - hi[0]) / (lo[0] - hi[0])  # the weight of the farther vertex, lo
+        top = (hi[1] + lam * (lo[1] - hi[1])) / n_pos
+        if lam == 0:
+            lam, lo = 1, hi
+        elif lam == 1:
+            hi = lo
     policy = SoftGroupPolicy(
-        t_lo=float(thresholds[i_lo]),
-        t_hi=float(thresholds[i_hi]),
+        t_lo=lo[2],
+        t_hi=hi[2],
         lam=float(lam),
-        point_lo=(float(curve_pts[i_lo, 0]), float(curve_pts[i_lo, 1])),
-        point_hi=(float(curve_pts[i_hi, 0]), float(curve_pts[i_hi, 1])),
+        point_lo=(lo[0] / n_neg, lo[1] / n_pos),
+        point_hi=(hi[0] / n_neg, hi[1] / n_pos),
     )
-    if mix_y <= y + _DIAG_TOL:
+    if top == y:
         return policy
-    alpha = (y - x) / (mix_y - x)
-    alpha = min(max(float(alpha), 0.0), 1.0)
-    return replace(policy, p_coin=1.0 - alpha, coin_rate=float(x))
+    alpha = (y - x) / (top - x)
+    return replace(policy, p_coin=float(1 - alpha), coin_rate=float(x))
 
 
 def _upper_envelope(hull: list[int], last: int) -> list[int]:
@@ -384,32 +353,31 @@ def _upper_envelope(hull: list[int], last: int) -> list[int]:
     return [hull[0], *hull[turn:][::-1]]
 
 
-def _roc_hull(pts: np.ndarray) -> list[int]:
-    """CCW hull indices into an ROC curve's (fpr, tpr) points.
+def _roc_hull(fp: np.ndarray, tp: np.ndarray) -> list[int]:
+    """CCW hull indices into an ROC curve's integer (fp, tp) counts.
 
-    Only the staircase corners go to ``convex_hull_indices``: the two end
-    points and every point whose two adjacent steps are not both vertical
-    or both horizontal.  A point inside a straight run lies on the segment
-    between the run's ends, so it is never a strict hull vertex.  The test
-    is exact on floats: equal fp (tp) counts give equal fpr (tpr).  Tied
-    scores make diagonal steps, and both end points of one are corners,
-    so a point where two diagonal steps of different slope meet is kept.
-    The result equals the hull of the whole curve whenever the chain's
-    ``EPS`` test decides every turn exactly, which holds while a group's
-    n_pos * n_neg stays below about 1e12, where one count unit of turn reaches it.
+    Only the staircase corners go to ``convex_hull``: the two end points
+    and every point whose two adjacent steps are not both vertical or both
+    horizontal.  A point inside a straight run lies on the segment between
+    the run's ends, so it is never a strict hull vertex.  Tied scores make
+    diagonal steps, and both end points of one are corners, so a point
+    where two diagonal steps of different slope meet is kept.  The curve's
+    points are distinct and already in lexicographic order, and every turn
+    is an exact integer cross product, so the result is the hull of the
+    whole curve at any counts.
     """
-    moves = np.diff(pts, axis=0) != 0.0  # does each step move in fpr, in tpr
+    moves = np.column_stack((np.diff(fp), np.diff(tp))) != 0  # does each step move in fp, in tp
     inner = (moves[:-1] | moves[1:]).all(axis=1)
     corners = np.flatnonzero(np.concatenate(([True], inner, [True])))
-    return corners[convex_hull_indices(pts[corners])].tolist()
+    return corners[convex_hull(fp[corners].tolist(), tp[corners].tolist())].tolist()
 
 
 def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> DerivedPredictor:
     """Fit per-group randomized thresholds on scores so that derived tpr
     and fpr are exactly equal across groups, minimizing expected loss.
 
-    Each group's achievable region is the convex hull of its ROC curve,
-    built from the curve's staircase corners only (``_roc_hull``)."""
+    Each group's achievable region is the convex hull of its ROC curve in
+    counts, built from the curve's staircase corners only (``_roc_hull``)."""
     if preds.scores is None:
         raise ValidationError("fit_eo_soft requires scores")
     # the score column's one sort, for every group's counts and curve
@@ -419,17 +387,17 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
         g: GroupRateEntry(tpr=None, tnr=None, fpr=None, fnr=None, n_pos=int(tp[-1]), n_neg=int(fp[-1]))
         for g, (_, tp, fp) in by_group.items()
     }
-    curves: dict[str, tuple[np.ndarray, np.ndarray, list[int]]] = {}
+    envelopes, regions = {}, []
     for g in _fit_groups(counts):
-        curve = _roc(*by_group.pop(g))  # each group's counts or its curve, not both
-        pts = np.column_stack((curve.fpr, curve.tpr))
-        curves[g] = (pts, np.minimum(curve.thresholds, _NEVER_POSITIVE), _roc_hull(pts))
-    x, y, objective = _common_target(counts, loss, [pts[hull] for pts, _, hull in curves.values()])
-    policies = {
-        g: _decompose_soft(pts, thresholds, _upper_envelope(hull, len(pts) - 1), x, y)
-        for g, (pts, thresholds, hull) in curves.items()
-    }
-    return DerivedPredictor(policies=policies, target=(x, y), fit_rates=counts, loss=loss, objective=objective)
+        thresholds, tp, fp = by_group.pop(g)  # one group's counts at a time; its hull and envelope are kept
+        fp, tp = np.append(0, fp), np.append(0, tp)  # the curve starts at (0, 0), where no score is positive
+        thresholds = np.append(_NEVER_POSITIVE, thresholds)
+        hull = _roc_hull(fp, tp)
+        regions.append(halfplanes([(int(fp[i]), int(tp[i])) for i in hull], int(fp[-1]), int(tp[-1])))
+        envelopes[g] = [(int(fp[i]), int(tp[i]), float(thresholds[i])) for i in _upper_envelope(hull, len(fp) - 1)]
+    x, y, objective = _common_target(counts, loss, regions)
+    policies = {g: _decompose_soft(envelope, x, y) for g, envelope in envelopes.items()}
+    return DerivedPredictor(policies=policies, target=(float(x), float(y)), fit_rates=counts, loss=loss, objective=objective)
 
 
 def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, draws: np.ndarray | None = None) -> np.ndarray:
@@ -543,7 +511,7 @@ def expected_rates(
     rates = base_rates if base_rates is not None else dp.fit_rates
     missing = [g for g in dp.groups if g not in rates]
     if missing:
-        raise GroupMismatchError(f"base rates missing groups: {missing}")
+        raise GroupMismatchError(f"base rates missing groups: {name_groups(missing)}")
     out: dict[str, GroupRateEntry] = {}
     for g in dp.groups:
         base = rates[g]

@@ -47,3 +47,11 @@ class GroupMismatchError(ValidationError):
 
     category = "group-mismatch"
     exit_code = 8
+
+
+def name_groups(groups) -> str:
+    """Group labels as an error message lists them: the list itself up to
+    five labels, else its first five and how many more there are, so a
+    message stays short however many groups it names."""
+    groups = list(groups)
+    return repr(groups) if len(groups) <= 5 else f"{groups[:5]!r} and {len(groups) - 5} more"

@@ -1,19 +1,28 @@
-"""Small exact 2D geometry kit: convex hulls, half-plane clipping, and
-linear minimization over polygon vertices.
+"""Exact 2D geometry in Python integers: convex hulls, half-plane clipping
+of the unit square, and linear minimization over polygon vertices.
 
-All polygons are vertex lists in counter-clockwise order.  Operating
-regions in this package live inside the unit square, so clipping always
-starts from it.  Tolerances are absolute; coordinates are O(1).
+A point is an integer pair, or an integer triple (X, Y, W) with W > 0
+standing for (X / W, Y / W).  A half-plane is an integer triple (a, b, c)
+holding the points with a*x + b*y + c >= 0.  The cross product of two
+lines is the point on both, so every vertex of a clipped polygon is the
+cross product of two of the input lines, and its size stays bounded by
+theirs.  Every test is the sign of an integer: no tolerance is needed.
 """
 
 from __future__ import annotations
 
-import numpy as np
+# the unit square's edges, CCW from the bottom one: y >= 0, x <= 1, y <= 1, x >= 0
+UNIT_SQUARE = ((0, 1, 0), (-1, 0, 1), (0, -1, 1), (1, 0, 0))
 
-EPS = 1e-12
+
+def cross(u: tuple[int, int, int], v: tuple[int, int, int]) -> tuple[int, int, int]:
+    """The cross product of two integer triples: the point on two lines, or
+    the line through two points.  For consecutive CCW edge lines the point's
+    W is positive."""
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _monotone_chain(xs: list[float], ys: list[float], order: list[int]) -> list[int]:
+def _monotone_chain(xs: list[int], ys: list[int], order) -> list[int]:
     """Walk ``order``, keeping only strict left turns: the lower hull for
     lexicographic order, the upper hull for its reverse.  A turn o -> a ->
     b is the z-component of (a - o) x (b - o), positive to the left."""
@@ -22,130 +31,70 @@ def _monotone_chain(xs: list[float], ys: list[float], order: list[int]) -> list[
         bx, by = xs[i], ys[i]
         while len(chain) >= 2:
             o, a = chain[-2], chain[-1]
-            if (xs[a] - xs[o]) * (by - ys[o]) - (ys[a] - ys[o]) * (bx - xs[o]) <= EPS:
-                chain.pop()
-            else:
+            if (xs[a] - xs[o]) * (by - ys[o]) - (ys[a] - ys[o]) * (bx - xs[o]) > 0:
                 break
+            chain.pop()
         chain.append(i)
     return chain
 
 
-def convex_hull_indices(points: np.ndarray) -> list[int]:
-    """Monotone-chain hull of (n, 2) points; returns CCW vertex indices.
+def convex_hull(xs: list[int], ys: list[int]) -> list[int]:
+    """Monotone-chain hull (Andrew 1979) of distinct integer points given in
+    lexicographic order; returns CCW vertex indices.
 
-    The hull starts at the lexicographically smallest point and runs along
-    the lower chain to the largest, then back along the upper chain.
-    Collinear boundary points are dropped.  Degenerate inputs (all points
-    collinear) yield the 2 extreme indices, or 1 for a single point.
-
-    The dedup and the chain walk Python floats (``tolist()``): float64
-    arithmetic is the same on them as on numpy scalars, so the hull is
-    too, at a fraction of the cost.  Callers with many points on straight
-    runs, such as ROC staircases, pass only the run ends (see
-    ``eo._roc_hull``).
+    The hull starts at the first point and runs along the lower chain to
+    the last, then back along the upper chain.  Collinear boundary points
+    are dropped, so collinear inputs yield their 2 end indices.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
-    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    uniq: list[int] = []
-    for i in order:
-        if uniq and abs(xs[i] - xs[uniq[-1]]) <= EPS and abs(ys[i] - ys[uniq[-1]]) <= EPS:
+    if len(xs) <= 2:
+        return list(range(len(xs)))
+    order = range(len(xs))
+    return _monotone_chain(xs, ys, order)[:-1] + _monotone_chain(xs, ys, reversed(order))[:-1]
+
+
+def halfplanes(vertices: list[tuple[int, int]], sx: int, sy: int) -> list[tuple[int, int, int]]:
+    """Integer half-planes (a, b, c), one per edge, whose intersection is the
+    CCW polygon with vertices (x / sx, y / sy) for (x, y) in ``vertices``;
+    sx, sy > 0.  A 2-vertex polygon (a segment) yields both of its sides."""
+    ring = zip(vertices, vertices[1:] + vertices[:1])
+    return [(-(y2 - y1) * sx, (x2 - x1) * sy, (y2 - y1) * x1 - (x2 - x1) * y1) for (x1, y1), (x2, y2) in ring]
+
+
+def clip_unit_square(planes: list[tuple[int, int, int]]) -> list[tuple[int, int, int]]:
+    """CCW vertices (X, Y, W), W > 0, of the unit square cut by every
+    half-plane of ``planes``, each of which must hold the diagonal from
+    (0, 0) to (1, 1).  The result may repeat a vertex.
+
+    The polygon is its CCW list of edge lines, each with its start vertex,
+    the cross product of the line before it and itself.  A cut keeps every
+    edge with an end on its inner side, its boundary included, and inserts
+    its own line after the edge that strictly leaves that side.  An edge
+    that only touches the line keeps zero length, so a cut down to the
+    diagonal still has non-parallel neighbouring lines.
+    """
+    polygon = [(line, cross(UNIT_SQUARE[i - 1], line)) for i, line in enumerate(UNIT_SQUARE)]
+    for h in planes:
+        side = [h[0] * x + h[1] * y + h[2] * w for _, (x, y, w) in polygon]
+        if min(side) >= 0:
             continue
-        uniq.append(i)
-    if len(uniq) <= 2:
-        return uniq
-    hull = _monotone_chain(xs, ys, uniq)[:-1] + _monotone_chain(xs, ys, uniq[::-1])[:-1]
-    return hull if len(hull) >= 2 else uniq[:1]
+        cut = []
+        for i, (line, start) in enumerate(polygon):
+            inside, ahead = side[i] >= 0, side[(i + 1) % len(polygon)] >= 0
+            if inside:
+                cut.append((line, start))
+                if not ahead:
+                    cut.append((h, cross(line, h)))
+            elif ahead:
+                cut.append((line, cross(h, line)))
+        polygon = cut
+    return [start for _, start in polygon]
 
 
-def polygon_edges(vertices: np.ndarray):
-    n = len(vertices)
-    for i in range(n):
-        yield vertices[i], vertices[(i + 1) % n]
+def argmin_linear(vertices: list[tuple[int, int, int]], cx, cy):
+    """The exact (x, y), as Fractions, of the vertex least in (cx*x + cy*y,
+    -y, x): ties broken by y descending, then x ascending.  ``cx`` and
+    ``cy`` are ints or Fractions."""
+    from fractions import Fraction  # a fit's alone: importing the CLI does not load it
 
-
-def clip_polygon_halfplane(vertices: np.ndarray, a: float, b: float, c: float) -> np.ndarray:
-    """Sutherland-Hodgman clip of a convex polygon by a*x + b*y + c >= 0."""
-    if len(vertices) == 0:
-        return vertices
-    out: list[np.ndarray] = []
-    n = len(vertices)
-    dist = a * vertices[:, 0] + b * vertices[:, 1] + c
-    for i in range(n):
-        p, q = vertices[i], vertices[(i + 1) % n]
-        dp, dq = dist[i], dist[(i + 1) % n]
-        if dp >= -EPS:
-            out.append(p)
-        if (dp > EPS and dq < -EPS) or (dp < -EPS and dq > EPS):
-            t = dp / (dp - dq)
-            out.append(p + t * (q - p))
-    return _dedupe(np.array(out)) if out else np.empty((0, 2))
-
-
-def _dedupe(vertices: np.ndarray) -> np.ndarray:
-    if len(vertices) <= 1:
-        return vertices
-    keep = [0]
-    for i in range(1, len(vertices)):
-        if abs(vertices[i, 0] - vertices[keep[-1], 0]) > EPS or abs(vertices[i, 1] - vertices[keep[-1], 1]) > EPS:
-            keep.append(i)
-    # first and last may also coincide
-    if len(keep) > 1 and abs(vertices[keep[0], 0] - vertices[keep[-1], 0]) <= EPS and abs(
-        vertices[keep[0], 1] - vertices[keep[-1], 1]
-    ) <= EPS:
-        keep.pop()
-    return vertices[keep]
-
-
-def halfplanes_of_polygon(vertices: np.ndarray) -> list[tuple[float, float, float]]:
-    """Half-planes (a, b, c) with a*x + b*y + c >= 0 inside, for a CCW
-    polygon.  A 2-vertex polygon (segment) yields both bordering
-    half-planes, so the intersection is the segment's supporting line."""
-    planes = []
-    verts = np.asarray(vertices, dtype=np.float64)
-    if len(verts) == 2:
-        pairs = [(verts[0], verts[1]), (verts[1], verts[0])]
-    else:
-        pairs = list(polygon_edges(verts))
-    for p, q in pairs:
-        # CCW traversal: the interior is to the left of p->q
-        a, b = -(q[1] - p[1]), q[0] - p[0]
-        norm = np.hypot(a, b)
-        if norm <= EPS:
-            continue
-        a, b = a / norm, b / norm
-        c = -(a * p[0] + b * p[1])
-        planes.append((float(a), float(b), float(c)))
-    return planes
-
-
-UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-
-
-def intersect_regions(polygons: list[np.ndarray]) -> np.ndarray:
-    """Vertices of the intersection of convex polygons within [0, 1]^2."""
-    region = UNIT_SQUARE.copy()
-    for poly in polygons:
-        for a, b, c in halfplanes_of_polygon(poly):
-            region = clip_polygon_halfplane(region, a, b, c)
-            if len(region) == 0:
-                return region
-    return region
-
-
-def argmin_linear(vertices: np.ndarray, cx: float, cy: float) -> tuple[float, float]:
-    """Vertex minimizing cx*x + cy*y, ties broken by (y descending,
-    x ascending).  The tie tolerance scales with the objective size."""
-    if len(vertices) == 0:
-        raise ValueError("empty polygon")
-    tie = 1e-12 * (abs(cx) + abs(cy) + 1.0)
-    best = None
-    best_obj = np.inf
-    for v in vertices:
-        obj = cx * v[0] + cy * v[1]
-        if best is None or obj < best_obj - tie:
-            best, best_obj = v, obj
-        elif obj <= best_obj + tie:
-            if v[1] > best[1] + 1e-15 or (abs(v[1] - best[1]) <= 1e-15 and v[0] < best[0] - 1e-15):
-                best, best_obj = v, min(best_obj, obj)
-    return float(best[0]), float(best[1])
+    points = [(Fraction(x, w), Fraction(y, w)) for x, y, w in vertices]
+    return min(points, key=lambda p: (cx * p[0] + cy * p[1], -p[1], p[0]))

@@ -46,13 +46,23 @@ def confusion_rates(preds: LabeledPredictions) -> dict[str, GroupRateEntry]:
     Requires ``y_hat``.  Groups from the declared universe with no samples
     appear with zero counts and all rates undefined.
     """
+    return _rates_of_counts(_confusion_counts(preds))
+
+
+def _confusion_counts(preds: LabeledPredictions) -> dict[str, list[int]]:
+    """[tn, fp, fn, tp] of each universe group, one ``bincount`` over the
+    (group, y_true, y_hat) cell of every sample; requires ``y_hat``."""
     if preds.y_hat is None:
         raise ValidationError("confusion_rates requires hard predictions (y_hat)")
-    cells = preds.group_codes.astype(np.intp) * 4 + 2 * preds.y_true  # one (group, y_true, y_hat) cell a sample
+    cells = preds.group_codes.astype(np.intp) * 4 + 2 * preds.y_true
     cells += preds.y_hat
-    counts = np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 2, 2).tolist()
+    return dict(zip(preds.universe, np.bincount(cells, minlength=4 * len(preds.universe)).reshape(-1, 4).tolist()))
+
+
+def _rates_of_counts(counts: Mapping[str, list[int]]) -> dict[str, GroupRateEntry]:
+    """The rates of each group's [tn, fp, fn, tp]; a rate over an empty class is None."""
     out: dict[str, GroupRateEntry] = {}
-    for g, ((tn, fp), (fn, tp)) in zip(preds.universe, counts):
+    for g, (tn, fp, fn, tp) in counts.items():
         n_pos, n_neg = tp + fn, tn + fp
         out[g] = GroupRateEntry(
             tpr=tp / n_pos if n_pos else None,

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .errors import EmptyInputError, FormatError, ValidationError
+from .errors import EmptyInputError, FormatError, ValidationError, name_groups
 from .floatrepr import float_reprs
 from .pool import _pooled, _process_pool
 from .schema import decode_error
@@ -133,7 +133,7 @@ def _recode(labels: dict[str, int], codes: np.ndarray, universe: tuple[str, ...]
     universe = tuple(universe) or tuple(sorted(labels))
     index = {g: i for i, g in enumerate(universe)}
     if unknown := labels.keys() - index.keys():
-        raise ValidationError(f"group labels outside the declared universe: {sorted(unknown)}")
+        raise ValidationError(f"group labels outside the declared universe: {name_groups(sorted(unknown))}")
     return universe, readonly(np.array([index[g] for g in labels], dtype=np.min_scalar_type(len(universe) - 1))[codes])
 
 

@@ -12,9 +12,9 @@ import pytest
 from equifair import DegenerateInputError, EmbeddingMatrix, LossSpec, ValidationError, pool, schema
 from equifair.debias import NEUTRALIZE_EPS
 from equifair.ensemble import _loss_grad_p
-from equifair.eo import _group_coefficients, _hard_region, expected_loss_of_rates
-from equifair.geometry import argmin_linear, convex_hull_indices, polygon_edges
-from equifair.metrics import FairnessReport, GroupRateEntry, roc_curve
+from equifair.eo import _group_coefficients, expected_loss_of_rates
+from equifair.geometry import convex_hull
+from equifair.metrics import FairnessReport, GroupRateEntry, _descending, _threshold_counts
 from equifair.predictions import readonly
 
 
@@ -33,7 +33,7 @@ def point_in_convex_polygon(point, vertices: np.ndarray, tol: float = 1e-9) -> b
         t = np.dot(r, d) / np.dot(d, d)
         proj = verts[0] + np.clip(t, 0.0, 1.0) * d
         return bool(np.hypot(point[0] - proj[0], point[1] - proj[1]) <= tol)
-    return all(cross(p, q, point) >= -tol for p, q in polygon_edges(verts))
+    return all(cross(p, q, point) >= -tol for p, q in zip(verts, np.roll(verts, -1, axis=0)))
 
 
 def squared_distance_to_polygon(point, vertices):
@@ -58,15 +58,22 @@ def group_masks(preds) -> dict[str, np.ndarray]:
     return {g: m for g, m in masks.items() if m.any()}
 
 
+def roc_counts(scores, y_true) -> tuple[list[int], list[int]]:
+    """The integer (fp, tp) counts of every ROC point of one group, (0, 0) first."""
+    s, y = np.asarray(scores, dtype=np.float64), np.asarray(y_true)
+    _, tp, fp = _threshold_counts(s, y, _descending(s))
+    return [0, *fp.tolist()], [0, *tp.tolist()]
+
+
 def soft_regions_of(preds) -> dict[str, np.ndarray]:
-    """Convex achievable region (hull vertices) per group, from scores."""
+    """Convex achievable region (hull vertices, as rates) per group, from
+    the exact hull of its ROC counts."""
     if preds.scores is None:
         raise ValidationError("scores required")
     out = {}
     for g, m in group_masks(preds).items():
-        curve = roc_curve(preds.scores[m], preds.y_true[m])
-        pts = np.column_stack((curve.fpr, curve.tpr))
-        out[g] = pts[convex_hull_indices(pts)]
+        fp, tp = roc_counts(preds.scores[m], preds.y_true[m])
+        out[g] = np.array([(fp[i] / fp[-1], tp[i] / tp[-1]) for i in convex_hull(fp, tp)])
     return out
 
 
@@ -90,9 +97,9 @@ def unconstrained_optimum_loss(rates: Mapping[str, GroupRateEntry], loss: LossSp
     point.  Lower-bounds every equalized-odds fit on the same data."""
     total = 0.0
     for g, (kf, kn) in _group_coefficients(rates, loss).items():
-        region = soft_regions[g] if soft_regions is not None else _hard_region(rates[g].fpr, rates[g].tpr)
-        x, y = argmin_linear(np.asarray(region, dtype=np.float64), kf, -kn)
-        total += kf * x + kn * (1.0 - y)
+        f, t = rates[g].fpr, rates[g].tpr
+        region = soft_regions[g] if soft_regions is not None else [(0.0, 0.0), (f, t), (1.0, 1.0), (1.0 - f, 1.0 - t)]
+        total += min(kf * x + kn * (1.0 - y) for x, y in region)  # a linear loss is least at a vertex
     return total
 
 

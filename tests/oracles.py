@@ -137,8 +137,8 @@ def _exact_crossing(a, b, c, d):
 
 def exact_eo_oracle(preds, loss, variant):
     """The least expected loss of a common (fpr, tpr) over every group's
-    achievable region, and the feasible polygon (CCW vertices), both in
-    ``Fraction``.  Counts, regions and coefficients come from the rows:
+    achievable region, the feasible polygon (CCW vertices) and the target,
+    the feasible point least in (loss, -tpr, fpr), all in ``Fraction``.  Counts, regions and coefficients come from the rows:
     a hard group's region is the hull of (0, 0), its (fpr, tpr), (1, 1)
     and their reflection, a soft group's the hull of its ROC points, one
     per distinct score, and (0, 0).  The optimum is the best of the region
@@ -172,7 +172,36 @@ def exact_eo_oracle(preds, loss, variant):
         _exact_crossing(a, b, c, d) for (i, a, b), (j, c, d) in combinations(edges, 2) if i != j
     ]
     feasible = [v for v in candidates if v is not None and all(_exact_inside(v, region) for region in regions)]
-    return min(k_fp * x + k_fn * (1 - y) for x, y in feasible), _exact_hull(feasible)
+    target = min(feasible, key=lambda v: (k_fp * v[0] + k_fn * (1 - v[1]), -v[1], v[0]))
+    return k_fp * target[0] + k_fn * (1 - target[1]), _exact_hull(feasible), target
+
+
+def once_rounded_policies(dp, preds, target):
+    """Each group's policy probabilities as the exact ``target`` gives
+    them, rounded once: a hard policy's p0 and p1 solve its two rate
+    equations; a soft one's lam mixes the operating points of its two
+    thresholds, counted from the rows, to the target's fpr, and its coin
+    makes up the tpr they miss."""
+    x, y = target
+    out = {}
+    for code, g in enumerate(preds.universe):
+        m, pol = preds.group_codes == code, dp.policies[g]
+        labels = preds.y_true[m]
+
+        def point(values, threshold):
+            return tuple(Fraction(int((labels[values >= threshold] == c).sum()), int((labels == c).sum())) for c in (0, 1))
+
+        if dp.variant == "hard":
+            f, t = point(preds.y_hat[m], 1)
+            p0, p1 = (y, y) if f == t else ((y * f - t * x) / (f - t), ((1 - t) * x - (1 - f) * y) / (f - t))
+            out[g] = {"p0": float(p0), "p1": float(p1)}
+            continue
+        lo, hi = point(preds.scores[m], pol.t_lo), point(preds.scores[m], pol.t_hi)
+        lam = Fraction(1) if lo == hi else (x - hi[0]) / (lo[0] - hi[0])
+        top = lam * lo[1] + (1 - lam) * hi[1]
+        p_coin, coin_rate = (0, 0) if top == y else (1 - (y - x) / (top - x), x)
+        out[g] = {"lam": float(lam), "p_coin": float(p_coin), "coin_rate": float(coin_rate)}
+    return out
 
 
 def upper_chain_oracle(points):
@@ -192,8 +221,10 @@ def upper_chain_oracle(points):
 
 
 def convex_hull_oracle(points):
-    """``geometry.convex_hull_indices`` as it was before it walked Python
-    floats: the same dedup and monotone chain over numpy scalars."""
+    """The float hull of versions up to 0.4.0, as it was before it walked
+    Python floats: a lexsort, a dedup and a monotone chain over numpy
+    scalars, each with an absolute tolerance of 1e-12.  It equals the
+    exact hull while every turn is far from that tolerance."""
 
     def chain_of(pts, order):
         chain = []

@@ -160,7 +160,7 @@ def test_criterion_3_lp_exact_oracle_equivalence():
     ):
         preds = preds_from_counts(spec)
         dp = fit_eo_hard(preds, loss)
-        exact, _ = exact_eo_oracle(preds, loss, "hard")
+        exact, _, _ = exact_eo_oracle(preds, loss, "hard")
         hard_gaps.append(abs(dp.objective - exact))
         assert hard_gaps[-1] <= 1e-12
 
@@ -169,7 +169,7 @@ def test_criterion_3_lp_exact_oracle_equivalence():
     for seed, loss in ((21, LossSpec()), (22, LossSpec(1.0, 2.0))):
         preds = fixed_cohort({"A": 0.5, "B": 0.5}, 500, seed, 0.4, loss_spread=(0.55, 0.9))
         dp = fit_eo_soft(preds, loss)
-        exact, _ = exact_eo_oracle(preds, loss, "soft")
+        exact, _, _ = exact_eo_oracle(preds, loss, "soft")
         soft_gaps.append(abs(dp.objective - exact))
         assert soft_gaps[-1] <= 1e-12
 

@@ -12,9 +12,14 @@ import numpy as np
 import pytest
 
 from equifair import (
+    LabeledPredictions,
+    LossSpec,
+    ValidationError,
+    apply_hard,
     cli,
     confusion_rates,
     debias,
+    expected_rates,
     fit_eo_hard,
     gap_ranges,
     pool,
@@ -28,7 +33,13 @@ from equifair.synth import GROUP_PRESETS, CohortConfig, EmbeddingPlantConfig, ge
 from equifair.wordsets import GENDER_SETS
 
 from helpers import MALFORMED_EMBEDDINGS, recorded_pools, report_from_json
-from oracles import preds_from_counts, sample_uniforms_blake2b_oracle, write_predictions_oracle
+from oracles import (
+    exact_eo_oracle,
+    once_rounded_policies,
+    preds_from_counts,
+    sample_uniforms_blake2b_oracle,
+    write_predictions_oracle,
+)
 
 
 def run_cli(*args, env=None):
@@ -707,20 +718,24 @@ class TestPinnedArtifacts:
     ensemble scores of a cohort whose planted means moved in their last
     bits.  postprocessed.csv and post_report.json were re-pinned in 0.4.0,
     whose draws fold each id's code points through SplitMix64 instead of
-    hashing it with blake2b; DRAWN_0_3 keeps their 0.3.0 hashes."""
+    hashing it with blake2b; DRAWN_0_3 keeps their 0.3.0 hashes.
+    derived_predictor.json and post_report.json were re-pinned in 0.5.0,
+    whose fit rounds its target, objective and policy probabilities once
+    from the exact optimum; FIT_0_4 keeps 0.4.0's float values of those
+    numbers, and FITTED_0_4 the hashes they gave."""
 
     PINS = {
         ("eo-hard",): {
-            "derived_predictor.json": "95e68f04b3ea7a1e3edeb13fbd4b7ca9b1a16e5cf8c545bad412b0e63652278e",
+            "derived_predictor.json": "fb7a6bb92f85c6755682304790692c8818289b06e391ea15f41818fa9e684239",
             "postprocessed.csv": "e19f1227948d2e522a1408756436099489e97dad0b5499d3378cdbdc96535ad3",
             "base_report.json": "a7f138c78377f6f1e154e13f88dc287f7409f3cba0a1e5e141914ba7e81404be",
-            "post_report.json": "142432d9bd985ac2bf47a35f2b3eb2543cd5d6139ae3757be4d72fd7bc1863c0",
+            "post_report.json": "a4a2a911fca7e1e1c04b7b13a2841053b6233ec2c8529715ecfb1372b7887acd",
         },
         ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
-            "derived_predictor.json": "75cee5a745fd907fc1a0944bc2bb48388d4395f31e9deba4cb827d5a8df1fab3",
+            "derived_predictor.json": "4b5d0a56df3d94d120057aa4d41ad36564453c0998b94efb5402a0b944345c4a",
             "postprocessed.csv": "109af5ea3fbac0fa1b8253845aa6c36cabd3e9fe6969f91350b90e9bbe34a7e9",
             "base_report.json": "7e501643ccd896bb00c879f9821a4d16d5a13dab92762a0dc17d85f1730e41e3",
-            "post_report.json": "e163a82658dc81195c3d3f7ea1987132893f8b8f46f2148ca6988134bd5b69ca",
+            "post_report.json": "ddb32cbfb5a766d6e6481304a8cf99ff3f9e74a5cae3cae5e1c272c1600971d2",
         },
     }
 
@@ -745,16 +760,16 @@ class TestPinnedArtifacts:
 
     QUOTED_PINS = {
         "eo-hard": {
-            "derived_predictor.json": "9d8cf45edc0ef4401021a93c8d0a18861c299ddf6900437101225886efb262c3",
+            "derived_predictor.json": "591b51e47e4dca63260fc2f7fa925cc3556b00ee1dc30d433db93bd26f2eb6cc",
             "postprocessed.csv": "203bdb44e0786caad46c4271b71ebf0a54d9749b480c8bf1ebc8a93de1cff8c8",
             "base_report.json": "7c940c7377b992b18db07f0e935d7abb9e3329823cd846d23d55864dcf564606",
-            "post_report.json": "eb64f5f8a48f2cc31e1c48f9cb410891bc2c5f8dc93c97258cf70c8dcedd4923",
+            "post_report.json": "83ba9e44ef199180ecfeb64f52f90e9d75fced19bf0224f8b48c029f9b7964bc",
         },
         "eo-soft": {
-            "derived_predictor.json": "a4998da06d914b09dfaebee461156fd8eb2bb0b12a41f9701dd0db5d859eed00",
+            "derived_predictor.json": "c1c3cf9549cd2dfe5c5dc07435324dde64c7d36fb5de66e254196a435909a6a9",
             "postprocessed.csv": "ffd869dd7ceb1b067a52cc048aae1136341da0b099528de6f4a10e62c9c30d03",
             "base_report.json": "3388a6a25e6c8aadc711514fc06d8d003a1c556825c5c161d399f965575acad6",
-            "post_report.json": "7c662b3663bd1becbb7724d33bdfd32772566cd8bfa54c540e48a2a4581b4a18",
+            "post_report.json": "e34f7c3c1a69bee59b333de0696c4880011c72e6d2ab610ed5f4d5ec31a35957",
         },
     }
 
@@ -794,6 +809,103 @@ class TestPinnedArtifacts:
         for name, digest in self.TEXT_PINS.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    FIT_0_4 = {  # the numbers the 0.5.0 fit moved, as 0.4.0's float fit gave them
+        ("eo-hard",): {
+            "target": (0.16326530612244894, 0.4999999999999999), "objective": 0.3539727891156463,
+            "groups": {
+                "ASIAN": {"p0": 0.0, "p1": 0.9999999999999997},
+                "BLACK": {"p0": 0.04061464585834334, "p1": 0.6766866746698678},
+                "HISPANIC": {"p0": 0.049640347942455657, "p1": 0.5818835731013715},
+                "OTHER": {"p0": 0.08247946481497158, "p1": 0.6098738250486917},
+                "WHITE": {"p0": 0.08635941980097821, "p1": 0.55662000337325},
+            },
+        },
+        ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
+            "target": (0.015690153272517687, 0.18169505837258842), "objective": 0.3636862064221707,
+            "groups": {
+                "ASIAN": {"lam": 0.3844087551766834, "p_coin": 0.1918443109796668, "coin_rate": 0.015690153272517687},
+                "BLACK": {"lam": 0.8329680599238148, "p_coin": 0.3433559949106576, "coin_rate": 0.015690153272517687},
+                "HISPANIC": {"lam": 0.05171939412052126, "p_coin": 0.0, "coin_rate": 0.0},
+                "OTHER": {"lam": 0.7755418617558743, "p_coin": 0.0, "coin_rate": 0.0},
+                "WHITE": {"lam": 0.3631067926622744, "p_coin": 0.28557015595717605, "coin_rate": 0.015690153272517687},
+            },
+        },
+        "eo-hard": {
+            "target": (0.20779220779220775, 0.7674418604651163), "objective": 0.30128662035638776,
+            "groups": {
+                "A": {"p0": 0.0, "p1": 1.0},
+                "B": {"p0": 0.012269037997621971, "p1": 0.9666083191378619},
+                "C": {"p0": 0.04250707721005342, "p1": 0.9124288171161291},
+            },
+        },
+        "eo-soft": {
+            "target": (0.3951219512195123, 0.991304347826087), "objective": 0.2578798161894663,
+            "groups": {
+                "A": {"lam": 0.9794425087108017, "p_coin": 0.0017520139311654193, "coin_rate": 0.3951219512195123},
+                "B": {"lam": 1.0, "p_coin": 0.0, "coin_rate": 0.0},
+                "C": {"lam": 0.03987611304684496, "p_coin": 0.014375876577840008, "coin_rate": 0.3951219512195123},
+            },
+        },
+    }
+    FITTED_0_4 = {  # the artifacts the 0.5.0 fit re-pinned, as 0.4.0 wrote them
+        ("eo-hard",): {
+            "derived_predictor.json": "95e68f04b3ea7a1e3edeb13fbd4b7ca9b1a16e5cf8c545bad412b0e63652278e",
+            "post_report.json": "142432d9bd985ac2bf47a35f2b3eb2543cd5d6139ae3757be4d72fd7bc1863c0",
+        },
+        ("eo-soft", "--modality-windows", "0:0.5,0.5:1"): {
+            "derived_predictor.json": "75cee5a745fd907fc1a0944bc2bb48388d4395f31e9deba4cb827d5a8df1fab3",
+            "post_report.json": "e163a82658dc81195c3d3f7ea1987132893f8b8f46f2148ca6988134bd5b69ca",
+        },
+        "eo-hard": {
+            "derived_predictor.json": "9d8cf45edc0ef4401021a93c8d0a18861c299ddf6900437101225886efb262c3",
+            "post_report.json": "eb64f5f8a48f2cc31e1c48f9cb410891bc2c5f8dc93c97258cf70c8dcedd4923",
+        },
+        "eo-soft": {
+            "derived_predictor.json": "a4998da06d914b09dfaebee461156fd8eb2bb0b12a41f9701dd0db5d859eed00",
+            "post_report.json": "7c662b3663bd1becbb7724d33bdfd32772566cd8bfa54c540e48a2a4581b4a18",
+        },
+    }
+
+    @staticmethod
+    def _fit_as_in_0_4(monkeypatch, variant):
+        """The pipeline's EO fit hands over 0.4.0's target, objective and
+        policy probabilities for ``variant``, and its own values of all else."""
+        numbers = TestPinnedArtifacts.FIT_0_4[variant]
+        for name in ("fit_eo_hard", "fit_eo_soft"):
+            def as_in_0_4(preds, loss, fit=getattr(cli, name)):
+                dp = fit(preds, loss)
+                policies = {g: replace(p, **numbers["groups"][g]) for g, p in dp.policies.items()}
+                return replace(dp, target=numbers["target"], objective=numbers["objective"], policies=policies)
+
+            monkeypatch.setattr(cli, name, as_in_0_4)
+
+    @pytest.mark.parametrize("variant", list(FIT_0_4), ids=lambda v: f"quoted-{v}" if isinstance(v, str) else v[0])
+    def test_0_4_fit_numbers_give_back_every_0_4_artifact(self, variant, tmp_path, monkeypatch):
+        # the 0.5.0 re-pin comes from those numbers alone: handed 0.4.0's
+        # values of them, the pipeline writes 0.4.0's bytes
+        self._fit_as_in_0_4(monkeypatch, variant)
+        assert main([str(a) for a in self._pinned_argv(variant, tmp_path)]) == 0
+        pins = {**(self.PINS if isinstance(variant, tuple) else self.QUOTED_PINS)[variant], **self.FITTED_0_4[variant]}
+        for name, digest in pins.items():
+            assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
+
+    @pytest.mark.parametrize("variant", list(FIT_0_4), ids=lambda v: f"quoted-{v}" if isinstance(v, str) else v[0])
+    def test_moved_numbers_are_the_exact_optimum_rounded_once(self, variant, tmp_path, monkeypatch):
+        fits = []
+        for name in ("fit_eo_hard", "fit_eo_soft"):
+            def recorded(preds, loss, fit=getattr(cli, name)):
+                fits.append((preds, loss, fit(preds, loss)))
+                return fits[-1][2]
+
+            monkeypatch.setattr(cli, name, recorded)
+        assert main([str(a) for a in self._pinned_argv(variant, tmp_path)]) == 0
+        (preds, loss, dp), = fits
+        exact, _, target = exact_eo_oracle(preds, loss, dp.variant)
+        assert dp.target == (float(target[0]), float(target[1])) and dp.objective == float(exact)
+        expected = once_rounded_policies(dp, preds, target)
+        assert {g: {f: getattr(dp.policies[g], f) for f in fields} for g, fields in expected.items()} == expected
+        assert dp.target != self.FIT_0_4[variant]["target"]  # 0.4.0's float clip missed it in the last bits
+
     DRAWN_0_3 = {  # the artifacts the 0.4.0 draws re-pinned, as 0.3.0 wrote them
         ("eo-hard",): {
             "postprocessed.csv": "cb0dc86a904bcf529bb3f8ba87d83506c2ebfc260fcfb0effd3f2429b8153f03",
@@ -816,7 +928,8 @@ class TestPinnedArtifacts:
     @pytest.mark.parametrize("variant", list(DRAWN_0_3), ids=lambda v: f"quoted-{v}" if isinstance(v, str) else v[0])
     def test_blake2b_draws_give_back_every_0_3_artifact(self, variant, tmp_path, monkeypatch):
         # the 0.4.0 re-pin comes from the draws alone: handed 0.3.0's draws
-        # through draws=, apply_hard and apply_soft write 0.3.0's bytes
+        # through draws=, and the fit numbers 0.3.0 and 0.4.0 shared,
+        # apply_hard and apply_soft write 0.3.0's bytes
         apply_stage = cli._eo_apply_stage
 
         def blake2b_drawn(dp, preds, seed, draws=None):
@@ -826,8 +939,13 @@ class TestPinnedArtifacts:
             return apply_stage(dp, preds, seed, draws)
 
         monkeypatch.setattr(cli, "_eo_apply_stage", blake2b_drawn)
+        self._fit_as_in_0_4(monkeypatch, variant)
         assert main([str(a) for a in self._pinned_argv(variant, tmp_path)]) == 0
-        pins = {**(self.PINS if isinstance(variant, tuple) else self.QUOTED_PINS)[variant], **self.DRAWN_0_3[variant]}
+        pins = {
+            **(self.PINS if isinstance(variant, tuple) else self.QUOTED_PINS)[variant],
+            **self.FITTED_0_4[variant],
+            **self.DRAWN_0_3[variant],
+        }
         for name, digest in pins.items():
             assert hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest() == digest, name
 
@@ -1148,3 +1266,65 @@ class TestMalformedInputs:
         assert len(err.splitlines()) == 1 and err.endswith("\n") and err.startswith(f"{category}: "), err
         assert needle in err
         assert not out.exists()
+
+
+class TestGroupListsInErrors:
+    """An error line that lists groups names at most five of them, then
+    how many more there are; five or fewer keep the whole list."""
+
+    def test_twenty_thousand_groups_missing_a_class_give_one_short_line(self, tmp_path, capsys):
+        lacking = "".join(f"c{i},G{i:05d},1,,1\n" for i in range(20_000))
+        (tmp_path / "fit.csv").write_text(HEADER + ROWS + lacking, encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["eo-fit", "--input", str(tmp_path / "fit.csv"), "--variant", "hard", "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == "invalid-input: groups missing a class: ['G00000', 'G00001', 'G00002', 'G00003', 'G00004'] and 19995 more\n"
+        assert len(err.encode()) < 200 and not out.exists()
+
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_every_message_that_lists_groups(self, n):
+        names = [f"g{i}" for i in range(n)]
+        listed = str(names) if n <= 5 else f"{names[:5]} and {n - 5} more"
+        base = preds_from_counts({"A": (10, 8, 10, 2), "B": (10, 6, 10, 3)})
+        dp = fit_eo_hard(base)
+        others = preds_from_counts({g: (2, 1, 2, 1) for g in names})
+        cases = {
+            "groups missing a class:": lambda: fit_eo_hard(preds_from_counts({"A": (2, 1, 2, 1), **{g: (2, 1, 0, 0) for g in names}})),
+            "group weights missing for groups": lambda: fit_eo_hard(others, LossSpec(group_weights={"A": 1.0})),
+            "groups not covered by the derived predictor:": lambda: apply_hard(dp, others, seed=0),
+            "base rates missing groups:": lambda: expected_rates(replace(dp, policies={g: dp.policies["A"] for g in names}), {}),
+            "group labels outside the declared universe:": lambda: LabeledPredictions(
+                ids=names, y_true=np.zeros(n), groups=names, y_hat=np.zeros(n), universe=("A",)
+            ),
+        }
+        for message, call in cases.items():
+            with pytest.raises(ValidationError) as info:
+                call()
+            assert str(info.value) == f"{message} {listed}"
+
+
+class TestGroupRenaming:
+    @pytest.mark.parametrize("variant", ["eo-hard", "eo-soft"])
+    def test_pipeline_derived_predictor_follows_a_renaming(self, variant, tmp_path):
+        """Renaming the groups so that their sorted order reverses renames
+        the entries of ``derived_predictor.json`` and changes none of its
+        numbers, bit for bit."""
+        renaming = {"A": "Z", "B": "Y", "C": "X"}
+        docs = []
+        for run, names in (("given", {g: g for g in renaming}), ("renamed", renaming)):
+            (tmp_path / run).mkdir()
+            for split, name in enumerate(("fit.csv", "eval.csv")):
+                path = tmp_path / run / name
+                TestPinnedArtifacts._quoted_crlf_csv(path, split)
+                text = path.read_bytes()
+                for old, new in names.items():  # each id ends in a quote, so this is the group field
+                    text = text.replace(f'",{old},'.encode(), f'",{new},'.encode())
+                path.write_bytes(text)
+            argv = ["pipeline", "--intervention", variant, "--fit-input", tmp_path / run / "fit.csv",
+                    "--input", tmp_path / run / "eval.csv", "--seed", "3", "--cost-fn", "2", "--out", tmp_path / run / "out"]
+            assert main([str(a) for a in argv]) == 0
+            docs.append(json.loads((tmp_path / run / "out" / "derived_predictor.json").read_text(encoding="utf-8")))
+        given, renamed = docs
+        assert renamed["groups"] == {renaming[g]: p for g, p in given["groups"].items()}
+        assert renamed["fit_rates"] == {renaming[g]: r for g, r in given["fit_rates"].items()}
+        assert json.dumps({**renamed, "groups": {}, "fit_rates": {}}) == json.dumps({**given, "groups": {}, "fit_rates": {}})

@@ -1,3 +1,4 @@
+import json
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -33,15 +34,24 @@ from equifair.eo import (
     expected_loss_of_rates,
     sample_uniforms,
 )
-from equifair.geometry import convex_hull_indices
+from equifair.geometry import convex_hull
 from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
 
-from helpers import point_in_convex_polygon, soft_regions_of, squared_distance_to_polygon, unconstrained_optimum_loss
+from helpers import (
+    point_in_convex_polygon,
+    roc_counts,
+    soft_regions_of,
+    squared_distance_to_polygon,
+    unconstrained_optimum_loss,
+)
 from oracles import (
+    _exact_hull,
     apply_hard_oracle,
     apply_soft_oracle,
+    convex_hull_oracle,
     derived_predictor_dict_oracle,
     exact_eo_oracle,
+    once_rounded_policies,
     preds_from_counts,
     roc_hull_oracle,
     sample_uniforms_oracle,
@@ -104,7 +114,7 @@ class TestFitHard:
     def test_two_group_objective_matches_exact_oracle(self, spec, loss):
         preds = preds_from_counts(spec)
         dp = fit_eo_hard(preds, loss)
-        exact, _ = exact_eo_oracle(preds, loss, "hard")
+        exact, _, _ = exact_eo_oracle(preds, loss, "hard")
         assert abs(dp.objective - exact) <= 1e-12
         # substituting the solved policies into the closed form reproduces
         # one common operating point for both groups
@@ -252,7 +262,7 @@ class TestFitSoft:
         preds = scored_preds(seed=21, n=400)
         loss = LossSpec()
         dp = fit_eo_soft(preds, loss)
-        exact, _ = exact_eo_oracle(preds, loss, "soft")
+        exact, _, _ = exact_eo_oracle(preds, loss, "soft")
         assert abs(dp.objective - exact) <= 1e-12
 
     def test_exactness_many_groups(self):
@@ -518,12 +528,71 @@ class TestExactOracle:
     def test_fit_matches_exact_oracle(self, variant, case):
         preds, loss = case
         dp = (fit_eo_hard if variant == "hard" else fit_eo_soft)(preds, loss)
-        exact, polygon = exact_eo_oracle(preds, loss, variant)
-        assert abs(dp.objective - exact) <= 1e-12
+        exact, polygon, target = exact_eo_oracle(preds, loss, variant)
+        # the target and the objective are the oracle's optimum, rounded once, bit for bit
+        assert dp.target == (float(target[0]), float(target[1]))
+        assert dp.objective == float(exact)
         rates = exact_policy_rates(dp, preds).values()
         for axis in (0, 1):
             assert max(r[axis] for r in rates) - min(r[axis] for r in rates) <= 1e-9
         assert squared_distance_to_polygon(tuple(map(Fraction, dp.target)), polygon) <= Fraction(1e-12) ** 2
+        expected = once_rounded_policies(dp, preds, target)
+        assert {g: {f: getattr(dp.policies[g], f) for f in fields} for g, fields in expected.items()} == expected
+
+
+@st.composite
+def renaming_cases(draw):
+    """2-4 groups of 20-400 rows in all, each group with both classes,
+    raw or 2-decimal scores, base predictions, costs, optional group
+    weights, and a renaming of the groups that changes their sorted order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_groups, n = draw(st.integers(2, 4)), draw(st.integers(20, 400))
+    codes = np.concatenate([np.repeat(np.arange(n_groups), 2), rng.integers(0, n_groups, n - 2 * n_groups)])
+    labels = np.concatenate([np.tile([0, 1], n_groups), rng.integers(0, 2, n - 2 * n_groups)])
+    scores = np.clip(0.5 + rng.uniform(0.0, 0.6) * (labels - 0.5) + rng.normal(0.0, 0.2, n), 0.0, 1.0)
+    if draw(st.booleans()):
+        scores = np.round(scores, 2)
+    perm = draw(st.permutations(range(n_groups)))
+    perm = perm[::-1] if perm == sorted(perm) else perm
+    renaming = {f"g{j}": f"r{perm[j]}" for j in range(n_groups)}
+    costs = st.sampled_from([0.5, 1.0, 3.0, 0.1])
+    cost_fp, cost_fn = draw(costs), draw(costs)
+    weights = draw(st.none() | st.lists(st.sampled_from([0.0, 0.3, 1.0, 2.5]), min_size=n_groups, max_size=n_groups).filter(any))
+    cases = []
+    for names in ({g: g for g in renaming}, renaming):
+        preds = LabeledPredictions(
+            ids=[f"i{k}" for k in range(n)], y_true=labels, groups=[names[f"g{c}"] for c in codes.tolist()],
+            scores=scores, y_hat=(scores >= 0.5).astype(np.int8),
+        )
+        group_weights = None if weights is None else {names[f"g{j}"]: w for j, w in enumerate(weights)}
+        cases.append((preds, LossSpec(cost_fp, cost_fn, group_weights)))
+    return cases, renaming
+
+
+def renamed_doc(doc, renaming):
+    """A derived predictor's JSON form with its groups renamed, as canonical JSON."""
+    weights = doc["loss"]["group_weights"]
+    doc = {
+        **doc,
+        "groups": {renaming[g]: p for g, p in doc["groups"].items()},
+        "fit_rates": {renaming[g]: r for g, r in doc["fit_rates"].items()},
+        "loss": {**doc["loss"], "group_weights": None if weights is None else {renaming[g]: w for g, w in weights.items()}},
+    }
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestGroupRenaming:
+    """A bijection on the group labels permutes each fit's per-group
+    entries and changes no number, bit for bit, even where it changes the
+    groups' sorted order, and with it the order the regions are clipped in."""
+
+    @settings(deadline=None)
+    @given(renaming_cases())
+    def test_a_renaming_changes_no_fitted_number(self, case):
+        ((preds, loss), (renamed, renamed_loss)), renaming = case
+        for fit in (fit_eo_hard, fit_eo_soft):
+            dp, renamed_dp = fit(preds, loss), fit(renamed, renamed_loss)
+            assert json.dumps(renamed_dp.to_dict(), sort_keys=True) == renamed_doc(dp.to_dict(), renaming)
 
 
 class TestLossSpec:
@@ -797,9 +866,9 @@ class TestUpperEnvelope:
     def test_hull_envelope_equals_oracle(self, data):
         scores, labels = data
         curve = roc_curve(scores, labels)
-        pts = np.column_stack((curve.fpr, curve.tpr))
-        envelope = _upper_envelope(convex_hull_indices(pts), len(pts) - 1)
-        assert envelope == upper_chain_oracle(pts)
+        fp, tp = roc_counts(scores, labels)
+        envelope = _upper_envelope(convex_hull(fp, tp), len(fp) - 1)
+        assert envelope == upper_chain_oracle(np.column_stack((curve.fpr, curve.tpr)))
 
 
 # ---------------------------------------------------------------------------
@@ -831,18 +900,56 @@ class TestRocHull:
     @example((np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0]), np.array([1, 1, 0, 1, 0, 0])))
     def test_corner_hull_equals_full_curve_oracle(self, data):
         scores, labels = data
-        pts, hull = roc_hull_oracle(scores, labels)
-        assert _roc_hull(pts) == hull
+        _, hull = roc_hull_oracle(scores, labels)
+        assert _roc_hull(*map(np.array, roc_counts(scores, labels))) == hull
 
     def test_only_corners_reach_the_hull(self, monkeypatch):
         seen = []
 
-        def spy(pts):
-            seen.append(pts.tolist())
-            return convex_hull_indices(pts)
+        def spy(xs, ys):
+            seen.append((xs, ys))
+            return convex_hull(xs, ys)
 
-        monkeypatch.setattr(eo, "convex_hull_indices", spy)
-        # (0,0) (0,1/3) (0,2/3) (0,1) (1/2,1) (1,1): a vertical run, then a horizontal one
-        curve = roc_curve([0.9, 0.8, 0.7, 0.2, 0.1], [1, 1, 1, 0, 0])
-        assert _roc_hull(np.column_stack((curve.fpr, curve.tpr))) == [0, 5, 3]
-        assert seen == [[[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]]
+        monkeypatch.setattr(eo, "convex_hull", spy)
+        # (0,0) (0,1) (0,2) (0,3) (1,3) (2,3): a vertical run, then a horizontal one
+        fp, tp = roc_counts([0.9, 0.8, 0.7, 0.2, 0.1], [1, 1, 1, 0, 0])
+        assert _roc_hull(np.array(fp), np.array(tp)) == [0, 5, 3]
+        assert seen == [([0, 0, 2], [0, 3, 3])]
+
+
+@st.composite
+def large_roc_counts(draw):
+    """The (fp, tp) counts of an ROC curve, from (0, 0) to (n_neg, n_pos),
+    with n_neg and n_pos near and past 10**6: a few runs of steps that
+    differ by at most one count, so that turns of one count unit, at most
+    1e-12 in rates, are common."""
+    fp, tp = [0], [0]
+    for _ in range(draw(st.integers(1, 5))):
+        small, large = draw(st.integers(0, 3)), draw(st.integers(0, 600_000))
+        run = (small, large) if draw(st.booleans()) else (large, small)
+        for _ in range(draw(st.integers(1, 6))):
+            step = (run[0] + draw(st.integers(0, 1)), run[1] + draw(st.integers(0, 1)))
+            if step != (0, 0):
+                fp.append(fp[-1] + step[0])
+                tp.append(tp[-1] + step[1])
+    n_neg, n_pos = (max(last + 1, draw(st.integers(10**6 - 2, 3 * 10**6))) for last in (fp[-1], tp[-1]))
+    return np.array([*fp, n_neg]), np.array([*tp, n_pos])
+
+
+class TestCountHull:
+    @settings(deadline=None)
+    @given(large_roc_counts())
+    # a one-count turn at (1, 500001): 1 / (n_neg * n_pos) = 2.5e-13 in rates
+    @example((np.array([0, 1, 2, 2_000_000]), np.array([0, 500_001, 1_000_001, 2_000_000])))
+    def test_equals_the_oracle_fraction_hull_at_large_counts(self, counts):
+        # the hull exact_eo_oracle builds each soft region with, from the same points in Fraction
+        fp, tp = counts
+        n_neg, n_pos = int(fp[-1]), int(tp[-1])
+        rates = [(Fraction(f, n_neg), Fraction(t, n_pos)) for f, t in zip(fp.tolist(), tp.tolist())]
+        assert [rates[i] for i in _roc_hull(fp, tp)] == _exact_hull(rates)
+
+    def test_the_float_hull_missed_a_one_count_turn(self):
+        # the retired limit: the float chain's 1e-12 tolerance took this strict turn for none
+        fp, tp = np.array([0, 1, 2, 2_000_000]), np.array([0, 500_001, 1_000_001, 2_000_000])
+        assert _roc_hull(fp, tp) == [0, 3, 2, 1]
+        assert convex_hull_oracle(np.column_stack((fp / fp[-1], tp / tp[-1]))) == [0, 3, 2]

@@ -84,14 +84,14 @@ def test_version_has_one_source():
 
 def test_one_equalized_odds_solver():
     """Both EO fits find their common operating point through
-    ``eo._common_target``, the one caller of ``intersect_regions``."""
+    ``eo._common_target``, the one caller of ``clip_unit_square``."""
     sites = []
     for path in sorted(Path(equifair.__file__).parent.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         defs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
         for node in ast.walk(tree):
             func = getattr(node, "func", None)
-            if isinstance(node, ast.Call) and "intersect_regions" in (getattr(func, "id", None), getattr(func, "attr", None)):
+            if isinstance(node, ast.Call) and "clip_unit_square" in (getattr(func, "id", None), getattr(func, "attr", None)):
                 inner = [d for d in defs if d.lineno <= node.lineno <= d.end_lineno]
                 where = max(inner, key=lambda d: d.lineno).name if inner else "<module>"
                 sites.append(f"{path.stem}.{where}")
