@@ -12,7 +12,7 @@ BLAS thread defaults before that happens (see ``__main__``).
 
 from importlib import import_module
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 _EXPORTS = {
     "debias": (

@@ -71,7 +71,7 @@ def _sha256(path: Path) -> str:
     # into one buffer: a read's new chunk would be made while the last is held
     digest = hashlib.sha256()
     buf = memoryview(bytearray(1 << 18))
-    with path.open("rb", buffering=0) as fh:
+    with schema.open_input(path) as fh:
         while n := fh.readinto(buf):
             digest.update(buf[:n])
     return digest.hexdigest()
@@ -85,12 +85,16 @@ def _write_json(path: Path, doc) -> None:
 _INPUT_FLAGS = ("input", "fit_input", "predictor", "model", "embeddings", "synth_config", "equality_sets")
 
 
-def _input_digests(args) -> dict[str, str]:
-    """The manifest's ``inputs``: the sha256 of each file a flag of ``args`` names;
-    an --equality-sets preset name is no file, even where a file has that name."""
+def _input_paths(args) -> list[str]:
+    """The files the flags of ``args`` name; an --equality-sets preset name
+    is no file, even where a file has that name."""
     flags = vars(args)
-    paths = [flags.get(k) for k in _INPUT_FLAGS if k != "equality_sets" or flags.get(k) not in PRESETS]
-    return {str(Path(p)): _sha256(Path(p)) for p in paths if p}
+    return [str(Path(p)) for k in _INPUT_FLAGS if (p := flags.get(k)) and (k != "equality_sets" or p not in PRESETS)]
+
+
+def _input_digests(args) -> dict[str, str]:
+    """The manifest's ``inputs``: the sha256 of each file a flag of ``args`` names."""
+    return {p: _sha256(Path(p)) for p in _input_paths(args)}
 
 
 def _finish(args, writers: Mapping[str, object], status=lambda out, paths: f"wrote {paths[0]}", seed: int | None = None,
@@ -303,8 +307,9 @@ def _cmd_ensemble_fit(args) -> int:
     pfile = read_prediction_file(Path(args.input), group_col=args.group_col)
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
-    model = fit_ensemble(np.column_stack(list(pfile.constituent_scores.values())), pfile.predictions.y_true, C=args.C)
-    return _finish(args, {"ensemble_model.json": _ensemble_doc(model, pfile.constituent_scores)},
+    names = sorted(pfile.constituent_scores)  # as pipeline orders them
+    model = fit_ensemble(np.column_stack([pfile.constituent_scores[n] for n in names]), pfile.predictions.y_true, C=args.C)
+    return _finish(args, {"ensemble_model.json": _ensemble_doc(model, names)},
                    lambda _, paths: f"wrote {paths[0]} (converged={model.converged}, iterations={model.n_iter})")
 
 
@@ -334,9 +339,10 @@ def _pipeline_split(args, cfg: CohortConfig | None, seed: int, tag: str) -> tupl
 _FIT_WORKER_FLOOR = 1 << 20  # eval-file bytes from which the fit runs on a worker beside the eval read
 
 
-def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C: float, group_col: str = "group"):
+def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C: float, group_col: str = "group", copies=()):
     """(ensemble model or None, its constituents, derived predictor or None) fitted
     on the fit ``split``: its (predictions, constituent scores), or its file."""
+    schema._copies.update(copies)  # the command's copies of its pipes, which a worker that was not forked lacks
     fit_preds, fit_features = read_prediction_file(split, group_col=group_col) if isinstance(split, Path) else split
     model = dp = None
     names = sorted(eval_names.intersection(fit_features))
@@ -372,7 +378,7 @@ def _cmd_pipeline(args) -> int:
         header = read_prediction_header(Path(args.input), group_col=args.group_col)
         metadata["fit_split"] = "separate fit input"  # its path is kept in manifest.json, not in the reports
         eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
-        job = (Path(args.fit_input), eval_names, intervention, loss, args.C, args.group_col)
+        job = (Path(args.fit_input), eval_names, intervention, loss, args.C, args.group_col, schema._copies)
         with _beside(Path(args.input).stat().st_size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
             try:
                 eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
@@ -565,7 +571,7 @@ def main(argv=None) -> int:
                 raise ValidationError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if "C" in vars(args):  # checked even where no ensemble stage runs
             check_C(args.C)
-        with _escaped_stdout():  # its exit flushes stdout, so a closed pipe raises here
+        with _escaped_stdout(), schema.copied_inputs(_input_paths(args)):  # stdout flushed on exit, so a closed pipe raises here
             return args.func(args)
     except EquifairError as exc:
         return _fail(exc.category, exc, exc.exit_code)

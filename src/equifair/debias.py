@@ -16,6 +16,7 @@ single-space separators and round-trip decimal rendering.
 
 from __future__ import annotations
 
+import io
 import os
 from contextlib import suppress
 from dataclasses import dataclass, field
@@ -29,7 +30,7 @@ from .errors import DegenerateInputError, FormatError, ValidationError
 from .floatrepr import float_reprs
 from .pool import _pooled, _process_pool
 from .predictions import _owned, readonly
-from .schema import decode_error
+from .schema import decode_error, open_input
 
 NEUTRALIZE_EPS = 1e-8
 
@@ -439,7 +440,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
     own chunk or later; a word count other than the header's comes last."""
     path = Path(path)
     try:
-        with path.open("r", encoding="utf-8") as fh:
+        with io.TextIOWrapper(open_input(path), encoding="utf-8") as fh:
             header = fh.readline()
             parts = header.split()
             if len(parts) != 2:
@@ -451,16 +452,14 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             if vocab_size < 1 or dim < 1:
                 raise FormatError(f"{path}: line 1: header values must be positive")
             # a row takes at least 2 * dim + 1 bytes (one less unterminated), so a header that lies
-            # allocates no more rows than a file can hold, and rows past them are checked, then
-            # dropped.  A pipe has no size: rows are allocated as they come, at most twice as many.
-            size = os.fstat(fh.fileno()).st_size
-            room = (size - len(header.encode()) + 1) // (2 * dim + 1) if size else vocab_size
-            vectors = np.empty((min(vocab_size, room) if size else 0, dim))
+            # allocates no more rows than the file can hold, and rows past them are checked, then dropped
+            room = (os.fstat(fh.fileno()).st_size - len(header.encode()) + 1) // (2 * dim + 1)
+            vectors = np.empty((min(vocab_size, room), dim))
             tokens: list[str] = []
             seen: set[str] = set()
             lineno = 2
             undecodable: list[UnicodeDecodeError] = []
-            with _process_pool(min(vocab_size, room) * dim, _POOL_FLOOR) as executor:
+            with _process_pool(len(vectors) * dim, _POOL_FLOOR) as executor:
                 jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
                 for (lines, _), parsed in _pooled(executor, _parse_block, jobs):
                     if parsed is not None:
@@ -468,10 +467,7 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
                     if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
                         parsed = _replay_block(path, lines, lineno, dim, set(tokens))
                         seen.update(parsed[0])
-                    n = len(tokens) + len(parsed[0])
-                    if len(vectors) < min(n, vocab_size):
-                        vectors = np.concatenate((vectors, np.empty((min(2 * n, vocab_size) - len(vectors), dim))))
-                    rows = vectors[len(tokens) : n]
+                    rows = vectors[len(tokens) : len(tokens) + len(parsed[0])]
                     rows[:] = parsed[1][: len(rows)]
                     tokens += parsed[0]
                     lineno += len(lines)

@@ -50,8 +50,9 @@ class GroupMismatchError(ValidationError):
 
 
 def name_groups(groups) -> str:
-    """Group labels as an error message lists them: the list itself up to
-    five labels, else its first five and how many more there are, so a
-    message stays short however many groups it names."""
+    """Group labels as an error message lists them: at most the first five,
+    then how many more there are, each past 40 characters cut to those and
+    a count of the rest, so a message stays short whatever groups it names."""
     groups = list(groups)
-    return repr(groups) if len(groups) <= 5 else f"{groups[:5]!r} and {len(groups) - 5} more"
+    shown = [f"{g[:40]!r}... ({len(g) - 40} more characters)" if isinstance(g, str) and len(g) > 40 else repr(g) for g in groups[:5]]
+    return f"[{', '.join(shown)}]" + (f" and {len(groups) - 5} more" if len(groups) > 5 else "")

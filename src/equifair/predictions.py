@@ -13,9 +13,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import os
 import re
-import stat
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -28,7 +26,7 @@ from numpy.dtypes import StringDType
 from .errors import EmptyInputError, FormatError, ValidationError, name_groups
 from .floatrepr import float_reprs
 from .pool import _pooled, _process_pool
-from .schema import decode_error
+from .schema import decode_error, open_input
 
 REQUIRED_COLUMNS = ("id", "y_true", "score", "y_hat")
 
@@ -321,7 +319,7 @@ def _binary(values: list[str]) -> np.ndarray | None:
 
 class _Columns:
     """The columns of a prediction CSV, parsed a block at a time into columns
-    of ``capacity`` rows, which grow as ``load_embeddings`` grows its rows.
+    of ``capacity`` rows, at least as many as the file has records.
 
     Each block's columns are checked with whole-column operations; when a
     check fails, the block's rows are checked one by one to raise the
@@ -365,10 +363,6 @@ class _Columns:
         ids, groups = column["id"], column[self.group_col]
         parsed.update(id=np.array(ids, dtype=StringDType()), hash=_hashes(ids), code=_intern(self.labels, groups))
         self.n_rows += len(groups)
-        if self.n_rows > self.capacity:
-            self.capacity = 2 * self.n_rows
-            for c, a in self.columns.items():  # each old column freed as its successor is made
-                self.columns[c] = np.concatenate((a, np.empty(self.capacity - len(a), a.dtype)))
         for c, values in parsed.items():
             if c not in self.columns:
                 self.columns[c] = np.empty(self.capacity, values.dtype)
@@ -408,9 +402,9 @@ class _Columns:
             raise EmptyInputError(f"{self.path}: no data rows")
         if late := self.unfilled & self.columns.keys():  # at most one: rows leaving it empty fill the other
             raise FormatError(f"{self.path}: {late.pop()} column must be filled for all rows or none")
-        column, self.columns = self.columns, {}  # each shared, not copied, unless a pipe's doubling left over 1/8 spare
+        column, self.columns = self.columns, {}  # each shared, not copied
         for c, a in column.items():
-            column[c] = readonly(a[: self.n_rows].copy()) if 8 * self.capacity > 9 * self.n_rows else readonly(a)[: self.n_rows]
+            column[c] = readonly(a)[: self.n_rows]
         universe, codes = _recode(self.labels, column["code"], universe)
         preds = LabeledPredictions(
             id_column=column["id"],
@@ -425,16 +419,16 @@ class _Columns:
         return PredictionFile(predictions=preds, constituent_scores=consts)
 
 
-def _line_feeds(fh) -> int:
-    """The line feeds in the regular file ``fh`` reads, counted through one
-    reused buffer and its read position kept; 0 for a pipe, read only once."""
+def _line_ends(fh) -> int:
+    """The line ends (a line feed, or a carriage return no line feed
+    follows) in the file ``fh`` reads, which are at least its records,
+    counted through one reused buffer and its read position kept."""
     raw = fh.buffer.raw
-    if not stat.S_ISREG(os.fstat(raw.fileno()).st_mode):
-        return 0
     at, count, buf = raw.tell(), 0, bytearray(_BLOCK_CHARS)
     raw.seek(0)
     while k := raw.readinto(buf):
-        count += buf.count(b"\n", 0, k)
+        cr = buf.count(b"\r", 0, k)
+        count += buf.count(b"\n", 0, k) + (cr and cr - buf.count(b"\r\n", 0, k))
     raw.seek(at)
     return count
 
@@ -445,7 +439,7 @@ def _opened(path: Path, group_col: str):
     header must name each required column and ``group_col``, and no
     column twice.  A byte that is not UTF-8 raises ``decode_error``."""
     try:
-        with path.open("r", encoding="utf-8", newline="") as fh:
+        with io.TextIOWrapper(open_input(path), encoding="utf-8", newline="") as fh:
             try:
                 header = next(csv.reader(fh))
             except StopIteration:
@@ -475,13 +469,13 @@ def read_prediction_file(
     """Parse a prediction CSV, including any ``score_<name>`` feature columns.
 
     The file is read in blocks of about ``_BLOCK_CHARS`` characters and
-    parsed into columns sized by a count of its line feeds, grown when that
-    falls short.  A malformed file raises the error of its first bad row,
-    naming its line (record number, header = 1), unless reading up to its
-    block met a byte that is not UTF-8: that error names the byte's offset."""
+    parsed into columns sized by a count of its line ends.  A malformed
+    file raises the error of its first bad row, naming its line (record
+    number, header = 1), unless reading up to its block met a byte that is
+    not UTF-8: that error names the byte's offset."""
     path = Path(path)
     with _opened(path, group_col) as (fh, header):
-        columns = _Columns(path, header, group_col, _line_feeds(fh))
+        columns = _Columns(path, header, group_col, _line_ends(fh))
         lineno = 2
         while block := fh.read(_BLOCK_CHARS):
             count, fields, records = _tokenise(block + fh.readline(), fh, len(header))

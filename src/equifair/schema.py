@@ -10,28 +10,78 @@ unknown or ill-typed field is a FormatError naming the file or the field's
 path, e.g. ``derived predictor: field groups.A.p0 must be a number, got
 'x'``.  Value constraints (ranges, sums) stay with the dataclasses
 (ValidationError).
+
+``open_input`` opens every input, JSON or not, as a regular file: a pipe
+is read from a copy of its bytes, so a reader can size, seek and reread it.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
 import reprlib
+import shutil
+import stat
 import sys
-from collections.abc import Mapping
+import tempfile
+from collections.abc import Iterable, Mapping
+from contextlib import contextmanager
 from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
-from typing import Literal, get_args, get_origin, get_type_hints
+from typing import BinaryIO, Literal, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 
 
+_copies: dict[str, str] = {}  # each piped input of the running command -> the file holding its bytes
+
+
+@contextmanager
+def copied_inputs(paths: Iterable[str]):
+    """Until the block ends, ``open_input`` reads each of ``paths`` that is
+    no regular file (stdin, ``<(...)``, a FIFO) from one copy of its bytes,
+    made here in a file under ``TMPDIR`` that is removed on leaving.  A path
+    that cannot be opened is skipped, for its reader to report."""
+    try:
+        for path in paths:
+            try:
+                if path in _copies or stat.S_ISREG(os.stat(path).st_mode):
+                    continue
+                src = open(path, "rb", buffering=0)
+            except OSError:
+                continue
+            with src, tempfile.NamedTemporaryFile(prefix="equifair-", delete=False) as copy:
+                _copies[path] = copy.name
+                shutil.copyfileobj(src, copy, io.DEFAULT_BUFFER_SIZE)
+        yield
+    finally:
+        for copy in _copies.values():
+            os.unlink(copy)
+        _copies.clear()
+
+
+def open_input(path: str | Path) -> BinaryIO:
+    """``path`` open to read its bytes from a regular file, which a reader
+    may size, seek and read again: the file itself, the command's copy of a
+    pipe (see ``copied_inputs``), or else an unlinked copy made here."""
+    fh = open(_copies.get(str(path), path), "rb")
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        return fh
+    with fh, tempfile.TemporaryFile(buffering=0) as copy:  # in small chunks, unbuffered: the read peaks later
+        shutil.copyfileobj(fh.raw, copy, io.DEFAULT_BUFFER_SIZE)
+        copy.seek(0)
+        return open(os.dup(copy.fileno()), "rb")
+
+
 def decode_error(path: Path) -> FormatError:
     """FormatError naming the byte offset and line of the first byte of
     ``path`` that is not UTF-8 (a stream's decode error only knows its
     position in the decoder's current chunk)."""
-    data = path.read_bytes()
+    with open_input(path) as fh:
+        data = fh.read()
     try:
         data.decode("utf-8")
         return FormatError(f"{path}: not valid utf-8")
@@ -58,7 +108,8 @@ def read(path: str | Path):
     which json.loads accepts by default, are a FormatError."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
+        with io.TextIOWrapper(open_input(path), encoding="utf-8") as fh:
+            return json.loads(fh.read(), parse_constant=_reject_constant)
     except UnicodeDecodeError:
         raise decode_error(path) from None
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import tempfile
 import tracemalloc
 from contextlib import contextmanager
 from typing import Mapping
@@ -208,3 +209,10 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def warm_pipe_copy() -> None:
+    """Make and drop one temporary file, so that the traced peak of a later
+    pipe read holds none of the one-time allocations of the process's
+    first temporary file."""
+    tempfile.TemporaryFile().close()

@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equifair import (
     LabeledPredictions,
@@ -28,6 +31,8 @@ from equifair import (
 )
 from equifair.cli import COHORT_DEFAULTS, EMBEDDING_DEFAULTS, _sha256, main
 from equifair.debias import save_embeddings
+from equifair.eo import derive_seed
+from equifair.errors import name_groups
 from equifair.predictions import read_predictions, write_predictions
 from equifair.synth import GROUP_PRESETS, CohortConfig, EmbeddingPlantConfig, generate_cohort, generate_embeddings
 from equifair.wordsets import GENDER_SETS
@@ -508,7 +513,7 @@ class TestEnsembleCommands:
         fit = run_cli("ensemble-fit", "--input", feats, "--C", "1.0", "--out", tmp_path / "m")
         assert fit.returncode == 0, fit.stderr
         doc = json.loads((tmp_path / "m/ensemble_model.json").read_text())
-        assert doc["constituents"] == ["text", "tab"]
+        assert doc["constituents"] == ["tab", "text"]  # sorted, as pipeline orders them, not in the header's order
         pred = run_cli(
             "ensemble-predict", "--input", feats, "--model", tmp_path / "m/ensemble_model.json",
             "--out", tmp_path / "p",
@@ -1281,6 +1286,19 @@ class TestGroupListsInErrors:
         assert err == "invalid-input: groups missing a class: ['G00000', 'G00001', 'G00002', 'G00003', 'G00004'] and 19995 more\n"
         assert len(err.encode()) < 200 and not out.exists()
 
+    def test_a_ten_thousand_character_label_gives_one_short_line(self, tmp_path, capsys):
+        # each label is cut to its first 40 characters and a count of the rest; the whole label made a 10,044-byte line
+        label = "L" * 10_000
+        (tmp_path / "fit.csv").write_text(HEADER + ROWS + f"c1,{label},1,,1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["eo-fit", "--input", str(tmp_path / "fit.csv"), "--variant", "hard", "--out", str(out)]) == 6
+        err = capsys.readouterr().err
+        assert err == f"invalid-input: groups missing a class: [{'L' * 40!r}... (9960 more characters)]\n"
+        assert len(err.encode()) < 300 and not out.exists()
+
+    def test_a_label_of_40_characters_is_named_whole(self):
+        assert name_groups(["x" * 40, "y" * 41]) == f"[{'x' * 40!r}, {'y' * 40!r}... (1 more characters)]"
+
     @pytest.mark.parametrize("n", [5, 7])
     def test_every_message_that_lists_groups(self, n):
         names = [f"g{i}" for i in range(n)]
@@ -1328,3 +1346,52 @@ class TestGroupRenaming:
         assert renamed["groups"] == {renaming[g]: p for g, p in given["groups"].items()}
         assert renamed["fit_rates"] == {renaming[g]: r for g, r in given["fit_rates"].items()}
         assert json.dumps({**renamed, "groups": {}, "fit_rates": {}}) == json.dumps({**given, "groups": {}, "fit_rates": {}})
+
+
+def _constituent_csv(path, order, split):
+    """An ethnicity cohort of three modalities, written with its constituent
+    columns score_a, score_b, score_c in ``order``; modality j is always
+    constituent "abc"[j]."""
+    cohort = generate_cohort(CohortConfig(
+        groups=GROUP_PRESETS["ethnicity"], n_samples=1500, positive_rate=0.3, seed=split + 5,
+        modality_windows=((0.0, 0.4), (0.3, 0.7), (0.6, 1.0)),
+    ))
+    scores = {name: m.scores for name, m in zip("abc", cohort.modalities)}
+    write_predictions(cohort.modalities[0], path, constituent_scores={n: scores[n] for n in order})
+
+
+class TestComposition:
+    """``pipeline`` on a fit and an eval file writes the artifacts of the
+    chain ensemble-fit -> ensemble-predict -> eo-fit -> ensemble-predict ->
+    eo-apply on the same files and seed, byte for byte, whatever the order
+    of the constituent columns (D10's composition relation)."""
+
+    @settings(max_examples=16, deadline=None)
+    @given(order=st.permutations("abc"), variant=st.sampled_from(["hard", "soft"]), seed=st.integers(0, 2**31))
+    def test_pipeline_equals_its_chain(self, order, variant, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            d = Path(tmp)
+            _constituent_csv(d / "fit.csv", order, 0)
+            _constituent_csv(d / "eval.csv", order, 1)
+            runs = [
+                ["pipeline", "--intervention", f"eo-{variant}", "--fit-input", d / "fit.csv", "--input", d / "eval.csv",
+                 "--seed", seed, "--out", d / "pipeline"],
+                ["ensemble-fit", "--input", d / "fit.csv", "--out", d / "chain"],
+                ["ensemble-predict", "--input", d / "fit.csv", "--model", d / "chain/ensemble_model.json", "--out", d / "fit"],
+                ["eo-fit", "--variant", variant, "--input", d / "fit/ensemble_predictions.csv", "--out", d / "chain"],
+                ["ensemble-predict", "--input", d / "eval.csv", "--model", d / "chain/ensemble_model.json", "--out", d / "eval"],
+                ["eo-apply", "--input", d / "eval/ensemble_predictions.csv", "--predictor", d / "chain/derived_predictor.json",
+                 "--seed", derive_seed(seed, "apply"), "--out", d / "chain"],
+            ]
+            for argv in runs:
+                assert main([str(a) for a in argv]) == 0, argv
+            for name in ("ensemble_model.json", "derived_predictor.json", "postprocessed.csv"):
+                assert (d / "chain" / name).read_bytes() == (d / "pipeline" / name).read_bytes(), name
+            assert json.loads((d / "chain/ensemble_model.json").read_text())["constituents"] == ["a", "b", "c"]
+
+    def test_a_sorted_header_fits_the_model_it_fitted_before(self, tmp_path):
+        # the sha256 of ensemble_model.json as ensemble-fit wrote it in 0.5.0, in the file's column order
+        _constituent_csv(tmp_path / "fit.csv", "abc", 0)
+        assert main(["ensemble-fit", "--input", str(tmp_path / "fit.csv"), "--out", str(tmp_path / "m")]) == 0
+        digest = hashlib.sha256((tmp_path / "m/ensemble_model.json").read_bytes()).hexdigest()
+        assert digest == "873cfc3d228e4f0a95845d88d841497f600762df225fd4aa8e19773d9ea64d72"

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -37,7 +38,7 @@ from equifair import cli, debias, predictions
 from equifair.synth import EmbeddingPlantConfig, generate_embeddings
 from equifair.wordsets import GENDER_SETS, RACE_SETS, preset_sets
 
-from helpers import MALFORMED_EMBEDDINGS, recorded_pools, traced_peak
+from helpers import MALFORMED_EMBEDDINGS, recorded_pools, traced_peak, warm_pipe_copy
 from oracles import format_embeddings_oracle, hard_debias_oracle, load_embeddings_oracle, write_predictions_oracle
 
 E1 = BiasSubspace(basis=np.array([[1.0, 0.0, 0.0]]))
@@ -567,17 +568,26 @@ class TestEmbeddingIO:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_a_pipe_is_read_whole(self, tmp_path):
-        # a pipe has no size to bound the matrix by
+        # a pipe is read from a copy of its bytes, which bounds the matrix as a file's size does
         path = tmp_path / "emb.fifo"
         os.mkfifo(path)
         text = "3 2\na 1 2\nb 3 4\nc 5 6\n"
+        (tmp_path / "emb.file").write_text(text)  # a name as long as the pipe's, so their Paths take the same memory
+        file_peak = traced_peak(lambda: load_embeddings(tmp_path / "emb.file"))
+        warm_pipe_copy()
         writer = subprocess.Popen([sys.executable, "-c", f"open({str(path)!r}, 'w').write({text!r})"])
         try:
-            emb = load_embeddings(path)
+            tracemalloc.start()
+            try:
+                emb = load_embeddings(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         finally:
             writer.wait(timeout=60)
         assert emb.tokens == ("a", "b", "c")
         assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+        assert peak <= file_peak
 
     @pytest.mark.parametrize(
         "token, reason",
@@ -700,14 +710,25 @@ class TestBlockedEmbeddingIO:
     @pytest.mark.skipif(not Path("/dev/fd").exists(), reason="opens a pipe by its /dev/fd path")
     @pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
     def test_a_pipe_loads_as_its_file_does(self, pooled, tmp_path):
-        # a pipe has no size, so its rows are allocated as they arrive: here one at a time
-        emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(50)), vectors=np.arange(150.0).reshape(50, 3) / 7)
+        # a pipe is read from a copy of its bytes, so its matrix is allocated
+        # at once, as a file's is.  Rows allocated as they came, 4 a block,
+        # once peaked 150 KB above the file, at twice the last rows
+        emb = EmbeddingMatrix(tokens=tuple(f"w{i}" for i in range(2049)), vectors=np.arange(2049 * 16.0).reshape(2049, 16) / 7)
         save_embeddings(emb, tmp_path / "emb.txt")
         cat = [sys.executable, "-c", "import sys; sys.stdout.buffer.write(open(sys.argv[1], 'rb').read())", tmp_path / "emb.txt"]
-        with embedding_io(pooled, block_values=3), subprocess.Popen(cat, stdout=subprocess.PIPE) as writer:
-            again = load_embeddings(f"/dev/fd/{writer.stdout.fileno()}")
+        with embedding_io(pooled, block_values=64):
+            file_peak = traced_peak(lambda: load_embeddings(tmp_path / "emb.txt"))
+            warm_pipe_copy()
+            with subprocess.Popen(cat, stdout=subprocess.PIPE) as writer:
+                tracemalloc.start()
+                try:
+                    again = load_embeddings(f"/dev/fd/{writer.stdout.fileno()}")
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
         assert again.tokens == emb.tokens
         np.testing.assert_array_equal(again.vectors.view(np.int64), emb.vectors.view(np.int64))
+        assert peak <= file_peak
 
     @pytest.mark.parametrize("error", [OSError, NotImplementedError])
     def test_no_pool_falls_back_to_this_process(self, error, tmp_path):
