@@ -221,6 +221,20 @@ def _ensemble_doc(model: EnsembleModel, names) -> dict:
     return {**model.to_dict(), "constituents": list(names)}
 
 
+def _stacked(columns: dict[str, np.ndarray], names, pop: bool = True) -> np.ndarray:
+    """The (n, k) feature matrix of ``columns``' ``names``, filled a column
+    at a time, each popped from ``columns`` as it is copied if ``pop``."""
+    x = np.empty((len(columns[names[0]]), len(names)))
+    for j, name in enumerate(names):
+        x[:, j] = columns.pop(name) if pop else columns[name]
+    return x
+
+
+def _unscored(preds: LabeledPredictions) -> LabeledPredictions:
+    """``preds`` without the scores an ensemble's replace, unless they are its only output."""
+    return preds if preds.y_hat is None else preds.with_outputs(y_hat=preds.y_hat)
+
+
 def _ensemble_scored(preds: LabeledPredictions, model: EnsembleModel, features: np.ndarray, threshold: float) -> LabeledPredictions:
     scores = readonly(predict_proba(model, features))
     return preds.with_outputs(scores=scores, y_hat=readonly((scores >= threshold).astype(np.int8)))
@@ -308,7 +322,7 @@ def _cmd_ensemble_fit(args) -> int:
     if not pfile.constituent_scores:
         raise ValidationError("ensemble-fit needs score_<name> constituent columns")
     names = sorted(pfile.constituent_scores)  # as pipeline orders them
-    model = fit_ensemble(np.column_stack([pfile.constituent_scores[n] for n in names]), pfile.predictions.y_true, C=args.C)
+    model = fit_ensemble(_stacked(pfile.constituent_scores, names), pfile.predictions.y_true, C=args.C)
     return _finish(args, {"ensemble_model.json": _ensemble_doc(model, names)},
                    lambda _, paths: f"wrote {paths[0]} (converged={model.converged}, iterations={model.n_iter})")
 
@@ -349,7 +363,9 @@ def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C
     if fit_features and eval_names:
         if not names:
             raise ValidationError("fit and eval constituent columns do not overlap")
-        features = np.column_stack([fit_features[n] for n in names])
+        # its own scores, which the ensemble's replace, go first; a split read here gives up its columns as stacked
+        fit_preds = _unscored(fit_preds)
+        features = _stacked(fit_features, names, pop=isinstance(split, Path))
         model = fit_ensemble(features, fit_preds.y_true, C=C)
         fit_preds = _ensemble_scored(fit_preds, model, features, 0.5)
     if intervention != "none":
@@ -379,7 +395,8 @@ def _cmd_pipeline(args) -> int:
         metadata["fit_split"] = "separate fit input"  # its path is kept in manifest.json, not in the reports
         eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
         job = (Path(args.fit_input), eval_names, intervention, loss, args.C, args.group_col, schema._copies)
-        with _beside(Path(args.input).stat().st_size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
+        size = os.stat(schema._copies.get(str(Path(args.input)), args.input)).st_size  # of a pipe, its copy's
+        with _beside(size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
             try:
                 eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
                 # what needs only the eval split, done while the fit runs
@@ -401,8 +418,9 @@ def _cmd_pipeline(args) -> int:
             eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
     if model is not None:
         metadata["ensemble"] = {"constituents": names, "C": args.C}
-        # each constituent column is dropped once stacked, the matrix once scored
-        eval_preds = _ensemble_scored(eval_preds, model, np.column_stack([eval_features.pop(n) for n in names]), 0.5)
+        # the file's own scores are dropped before the ensemble's are made, each column once stacked, the matrix once scored
+        eval_preds = _unscored(eval_preds)
+        eval_preds = _ensemble_scored(eval_preds, model, _stacked(eval_features, names), 0.5)
 
     if dp is not None:  # applied first, so the draws are dropped before the reports
         try:

@@ -367,26 +367,23 @@ def _block_rows(dim: int) -> int:
     return max(1, _BLOCK_VALUES // max(dim, 1))
 
 
-def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray] | None:
-    """The tokens and the (rows, dim) vectors of a block of lines, blank
-    lines skipped; None when a line has the wrong number of fields or a
-    value is not a number.  numpy's str -> float cast accepts and rejects
-    the same strings as float()."""
+def _parse_block(lines: list[str], dim: int) -> tuple[list[str], np.ndarray] | list[str]:
+    """The tokens and the (rows, dim) vectors of a block of lines, or the
+    lines themselves when one is blank, has the wrong number of fields or
+    a value that is not a number.  numpy's str -> float cast accepts and
+    rejects the same strings as float()."""
     tokens: list[str] = []
     values: list[str] = []
     for line in lines:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        fields = line.split(" ")
-        if len(fields) != dim + 1:
-            return None
+        fields = line.rstrip("\n").split(" ")
+        if len(fields) != dim + 1:  # a blank line too, as dim >= 1
+            return lines
         tokens.append(fields[0])
         values += fields[1:]
     try:
         return tokens, np.array(values, dtype=np.float64).reshape(len(tokens), dim)
     except ValueError:
-        return None
+        return lines
 
 
 def _replay_block(path: Path, lines: list[str], lineno: int, dim: int, seen: set[str]) -> tuple[list[str], np.ndarray]:
@@ -461,16 +458,18 @@ def load_embeddings(path: str | Path) -> EmbeddingMatrix:
             undecodable: list[UnicodeDecodeError] = []
             with _process_pool(len(vectors) * dim, _POOL_FLOOR) as executor:
                 jobs = ((lines, dim) for lines in _line_blocks(fh, _block_rows(dim), undecodable))
-                for (lines, _), parsed in _pooled(executor, _parse_block, jobs):
-                    if parsed is not None:
-                        seen.update(parsed[0])
-                    if parsed is None or len(seen) != len(tokens) + len(parsed[0]):
-                        parsed = _replay_block(path, lines, lineno, dim, set(tokens))
-                        seen.update(parsed[0])
+                for parsed in _pooled(executor, _parse_block, jobs):
+                    n_lines = len(parsed) if isinstance(parsed, list) else len(parsed[0])
+                    if isinstance(parsed, list):  # the block's own lines: one is blank or bad
+                        parsed = _replay_block(path, parsed, lineno, dim, set(tokens))
+                    seen.update(parsed[0])
+                    if len(seen) != len(tokens) + len(parsed[0]):  # a duplicate in a block without blank lines:
+                        # a replay of its tokens, one a line, names the first
+                        _replay_block(path, [tok + " 0" * dim for tok in parsed[0]], lineno, dim, set(tokens))
                     rows = vectors[len(tokens) : len(tokens) + len(parsed[0])]
                     rows[:] = parsed[1][: len(rows)]
                     tokens += parsed[0]
-                    lineno += len(lines)
+                    lineno += n_lines
             if undecodable:
                 raise undecodable[0]
     except UnicodeDecodeError:
@@ -501,5 +500,5 @@ def save_embeddings(emb: EmbeddingMatrix, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.write(f"{len(emb.tokens)} {emb.dim}\n")
         with _process_pool(len(emb.tokens) * emb.dim, _POOL_FLOOR) as executor:
-            for _, text in _pooled(executor, _format_block, emb._row_blocks(_block_rows(emb.dim))):
+            for text in _pooled(executor, _format_block, emb._row_blocks(_block_rows(emb.dim))):
                 fh.write(text)

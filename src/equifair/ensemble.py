@@ -20,13 +20,17 @@ GRAD_TOL = 1e-8
 MAX_ITER = 100
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, from one e^-|z| for either sign."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Numerically stable logistic function, from one e^-|z| for either
+    sign; into ``out`` if given, which may be ``z`` itself."""
     z = np.asarray(z, dtype=np.float64)
-    e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, 1.0, e)
-    out /= 1.0 + e
-    return out
+    pos = z >= 0
+    e = np.abs(z, out=np.empty_like(z) if out is None else out)
+    np.exp(np.negative(e, out=e), out=e)
+    denom = 1.0 + e
+    np.copyto(e, 1.0, where=pos)
+    e /= denom
+    return e
 
 
 @dataclass(frozen=True)
@@ -71,15 +75,20 @@ def _check_features(features, n_expected: int | None = None) -> np.ndarray:
     return x
 
 
-def _loss_grad_p(x, y, weights, intercept, C) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _loss_grad_p(x, y, weights, intercept, C, p=None, scratch=None) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Objective value, its gradient in (weights, intercept), and the
-    probabilities p computed on the way."""
+    probabilities p computed on the way: into ``p`` if given, through the
+    two n-row ``scratch`` buffers if given."""
     n = x.shape[0]
-    z = x @ weights + intercept
-    p = sigmoid(z)
+    z, r = np.empty((2, n)) if scratch is None else scratch
+    np.matmul(x, weights, out=z)
+    z += intercept
+    p = sigmoid(z, out=p)
     # log(1 + e^z) - y*z, computed stably via logaddexp
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + float(weights @ weights) / (2.0 * C * n)
-    resid = p - y
+    np.logaddexp(0.0, z, out=r)
+    r -= np.multiply(y, z, out=z)
+    loss = float(np.mean(r)) + float(weights @ weights) / (2.0 * C * n)
+    resid = np.subtract(p, y, out=r)
     grad_w = x.T @ resid / n + weights / (C * n)
     grad_b = float(np.mean(resid))
     return loss, grad_w, grad_b, p
@@ -110,7 +119,9 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
     n, k = x.shape
     w = np.zeros(k)
     b = 0.0
-    loss, grad_w, grad_b, p = _loss_grad_p(x, y, w, b, C)
+    # n-row buffers: the accepted and the trial step's probabilities, and scratch
+    p, p_new, *scratch = np.empty((4, n))
+    loss, grad_w, grad_b, p = _loss_grad_p(x, y, w, b, C, p, scratch)
     history = [loss]
     n_iter = 0
     for n_iter in range(1, MAX_ITER + 1):
@@ -118,13 +129,14 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm <= GRAD_TOL:
             break
-        s = p * (1.0 - p)  # p of the accepted (w, b)
+        s = np.multiply(p, np.subtract(1.0, p, out=scratch[0]), out=scratch[0])  # p of the accepted (w, b)
         xs = x * s[:, None]
         hess = np.empty((k + 1, k + 1))
         hess[:k, :k] = x.T @ xs / n + np.eye(k) / (C * n)
         hess[:k, k] = xs.sum(axis=0) / n
         hess[k, :k] = hess[:k, k]
         hess[k, k] = float(np.mean(s))
+        del xs
         try:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
@@ -136,9 +148,9 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
             for _ in range(50):
                 w_new = w + t * trial[:k]
                 b_new = b + t * trial[k]
-                loss_new, gw_new, gb_new, p_new = _loss_grad_p(x, y, w_new, b_new, C)
+                loss_new, gw_new, gb_new, p_new = _loss_grad_p(x, y, w_new, b_new, C, p_new, scratch)
                 if loss_new < loss:
-                    w, b, loss, grad_w, grad_b, p = w_new, b_new, loss_new, gw_new, gb_new, p_new
+                    w, b, loss, grad_w, grad_b, p, p_new = w_new, b_new, loss_new, gw_new, gb_new, p_new, p
                     history.append(loss)
                     accepted = True
                     break
@@ -162,5 +174,6 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
 def predict_proba(model: EnsembleModel, features) -> np.ndarray:
     """Sigmoid of the fitted affine combination, per sample; refuses the
     features ``fit_ensemble`` refuses."""
-    x = _check_features(features, n_expected=model.n_features)
-    return sigmoid(x @ model.weights + model.intercept)
+    z = _check_features(features, n_expected=model.n_features) @ model.weights
+    z += model.intercept
+    return sigmoid(z, out=z)

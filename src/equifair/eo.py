@@ -118,6 +118,7 @@ def expected_loss_of_rates(rates: Mapping[str, GroupRateEntry], loss: LossSpec) 
 # counter-based randomness: one digest per sample id, one key per (seed, purpose, column)
 
 _CHUNK_IDS, _CHUNK_CODE_POINTS = 1 << 12, 1 << 20  # ids digested at once, and the cells their code points may fill
+_APPLY_ROWS = 1 << 14  # rows whose soft rule ``apply_soft`` works out at a time
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -412,10 +413,12 @@ def apply_soft(dp: DerivedPredictor, preds: LabeledPredictions, seed: int, *, dr
     if preds.scores is None:
         raise ValidationError("apply_soft requires scores")
     t_lo, t_hi, lam, p_coin, coin_rate = _policy_table(dp, preds, "t_lo", "t_hi", "lam", "p_coin", "coin_rate").T
-    u_sel, u_coin, u_mix = (apply_draws("soft", seed, preds.id_column) if draws is None else draws).T
-    g = preds.group_codes
-    out = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], preds.scores >= np.where(u_mix < lam[g], t_lo[g], t_hi[g]))
-    return out.astype(np.int8)
+    u = apply_draws("soft", seed, preds.id_column) if draws is None else draws
+    out = np.empty(len(preds), dtype=np.int8)
+    for rows in (slice(lo, lo + _APPLY_ROWS) for lo in range(0, len(out), _APPLY_ROWS)):  # a row's rule reads that row alone
+        (u_sel, u_coin, u_mix), g = u[rows].T, preds.group_codes[rows]
+        out[rows] = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], preds.scores[rows] >= np.where(u_mix < lam[g], t_lo[g], t_hi[g]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,15 @@ def _threshold_counts(s: np.ndarray, y: np.ndarray, rows: np.ndarray) -> tuple[n
     """Each distinct score of ``rows``, given in descending-score order, as
     a threshold, with the cumulative true and false positives of predicting
     positive at or above it."""
-    s, y = s[rows], y[rows]
+    s = s[rows]
     # last index of each distinct-score block = the point traced at that threshold
     block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
-    tp = np.cumsum(y == 1)[block_end]
-    return s[block_end], tp, block_end + 1 - tp
+    thresholds = s[block_end]
+    del s
+    tp = np.cumsum(y[rows] == 1)[block_end]
+    block_end += 1
+    block_end -= tp  # the false positives
+    return thresholds, tp, block_end
 
 
 def _counts_by_code(s: np.ndarray, y: np.ndarray, order: np.ndarray, codes: np.ndarray) -> Iterator[tuple[int, tuple]]:
@@ -143,7 +147,10 @@ def _trapezoid_auc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("auc_roc requires both classes present")
-    two_u = int(np.dot(np.diff(fp, prepend=0), tp + np.append(0, tp[:-1])))
+    run = np.diff(fp, prepend=0)
+    rise = np.append(0, tp[:-1])  # at most two n-row temporaries at once
+    rise += tp
+    two_u = int(np.dot(run, rise))
     return two_u / (2 * n_pos * n_neg)
 
 
@@ -161,9 +168,12 @@ def _step_prc(tp: np.ndarray, fp: np.ndarray) -> float:
     n_pos = int(tp[-1])
     if n_pos == 0:
         raise ValidationError("auc_prc requires at least one positive")
-    precision = tp / (tp + fp)
-    recall = tp / n_pos
-    return float(np.sum(precision * np.diff(recall, prepend=0.0)))
+    # at most two n-row temporaries at once: the recall step, then precision
+    step = tp / n_pos
+    step[1:] -= step[:-1]
+    precision = np.add(tp, fp, dtype=np.float64)  # exact: counts are below 2**53
+    np.divide(tp, precision, out=precision)
+    return float(np.sum(np.multiply(precision, step, out=precision)))
 
 
 @dataclass(frozen=True)
@@ -276,7 +286,7 @@ def build_report(
     per_group: dict[str, float | None] = {}
     if preds.scores is not None:
         order = _descending(preds.scores)  # the column's one sort, for both overall areas and every group's AUC
-        _, tp, fp = _threshold_counts(preds.scores, preds.y_true, order)
+        tp, fp = _threshold_counts(preds.scores, preds.y_true, order)[1:]  # its thresholds dropped at once
         auc_overall = _trapezoid_auc(tp, fp)
         prc_overall = _step_prc(tp, fp)
         for code, (_, tp, fp) in _counts_by_code(preds.scores, preds.y_true, order, preds.group_codes):

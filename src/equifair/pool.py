@@ -77,17 +77,17 @@ def _submit(executor, fn, job: tuple):
 
 
 def _pooled(executor, fn, jobs: Iterable[tuple]):
-    """``(job, fn(*job))`` in job order, two jobs per CPU in flight on ``executor``."""
+    """``fn(*job)`` of each job in job order, two jobs per CPU in flight on
+    ``executor``; a job is let go once its result is made."""
     window = 2 * _usable_cpus() if executor is not None else 0
     pending: deque = deque()
     for job in jobs:
-        pending.append((job, _submit(executor, fn, job)))
+        pending.append(_submit(executor, fn, job))
+        del job  # kept only for a worker that dies, until its result is made
         if len(pending) > window:
-            job, result = pending.popleft()
-            yield job, result()
+            yield pending.popleft()()
     while pending:
-        job, result = pending.popleft()
-        yield job, result()
+        yield pending.popleft()()
 
 
 @contextmanager

@@ -547,5 +547,5 @@ def write_predictions(
     with Path(path).open("w", encoding="utf-8", newline="") as fh:
         fh.write(header)
         with _process_pool(n * ((preds.scores is not None) + len(consts)), _POOL_FLOOR) as executor:
-            for _, text in _pooled(executor, _format_rows, jobs):
+            for text in _pooled(executor, _format_rows, jobs):
                 fh.write(text)

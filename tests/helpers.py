@@ -158,6 +158,8 @@ MALFORMED_EMBEDDINGS = {
     "crlf": embedding_file({6: "w4 0.5"}, newline="\r\n"),
     "bare-cr": embedding_file({6: "w4 0.5"}, newline="\r"),
     "blank-lines": embedding_file({3: "", 4: "", 7: "w5 0.5 0.5 0.5"}, n=7),
+    "duplicate-after-a-blank-line-of-its-block": embedding_file({4: "", 5: "w0 0.5 0.5"}),
+    "duplicate-in-the-block-after-a-blank-one": embedding_file({4: "", 5: "", 6: "w0 0.5 0.5"}, n=7),
     "word-count": embedding_file({1: "7 2"}),
     "non-finite": embedding_file({5: "w3 0.5 nan"}),
     "not-utf8-deep": embedding_file({_DEEP_WORDS: "w\xe9 0.5 0.5"}, n=_DEEP_WORDS).replace(b"\xc3\xa9", b"\xe9"),

@@ -669,3 +669,54 @@ def fit_ensemble_oracle(x, y, C=1.0):
             break
     grad_norm = float(np.linalg.norm(np.append(grad_w, grad_b)))
     return w, b, n_iter, grad_norm, tuple(history)
+
+
+def sigmoid_where_oracle(z):
+    """The logistic function as the library computed it before it worked
+    in place: one e^-|z|, its numerator picked by ``np.where``."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, 1.0, e)
+    out /= 1.0 + e
+    return out
+
+
+def predict_proba_oracle(model, features):
+    """Ensemble scores as the library made them before the sigmoid worked
+    in place on ``x @ w + b``."""
+    x = np.asarray(features, dtype=np.float64)
+    return sigmoid_where_oracle((x[:, None] if x.ndim == 1 else x) @ model.weights + model.intercept)
+
+
+def apply_soft_whole_oracle(dp, preds, draws):
+    """Soft EO from the (n, 3) uniforms ``draws``, every row at once, as
+    the library applied it before it worked in row blocks."""
+    fields = ("t_lo", "t_hi", "lam", "p_coin", "coin_rate")
+    table = [[getattr(dp.policies[g], f) for f in fields] if g in dp.policies else [0.0] * 5 for g in preds.universe]
+    t_lo, t_hi, lam, p_coin, coin_rate = np.array(table, dtype=np.float64).T
+    u_sel, u_coin, u_mix = np.asarray(draws).T
+    g = preds.group_codes
+    out = np.where(u_sel < p_coin[g], u_coin < coin_rate[g], preds.scores >= np.where(u_mix < lam[g], t_lo[g], t_hi[g]))
+    return out.astype(np.int8)
+
+
+def threshold_counts_oracle(s, y, rows):
+    """(thresholds, tp, fp) of ``rows``, given in descending-score order,
+    as the library counted them before it freed each temporary early."""
+    s, y = s[rows], y[rows]
+    block_end = np.nonzero(np.append(s[1:] != s[:-1], True))[0]
+    tp = np.cumsum(y == 1)[block_end]
+    return s[block_end], tp, block_end + 1 - tp
+
+
+def trapezoid_auc_oracle(tp, fp):
+    """The trapezoid AUC of two-class counts, from whole-array temporaries."""
+    two_u = int(np.dot(np.diff(fp, prepend=0), tp + np.append(0, tp[:-1])))
+    return two_u / (2 * int(tp[-1]) * int(fp[-1]))
+
+
+def step_prc_oracle(tp, fp):
+    """The step-wise PRC area of counts with a positive, from whole-array temporaries."""
+    precision = tp / (tp + fp)
+    recall = tp / int(tp[-1])
+    return float(np.sum(precision * np.diff(recall, prepend=0.0)))

@@ -15,9 +15,10 @@ from equifair import (
 )
 from equifair import ensemble
 from equifair.ensemble import sigmoid
+from equifair.synth import GROUP_PRESETS
 
-from helpers import logistic_loss_and_grad
-from oracles import fit_ensemble_oracle, sigmoid_oracle
+from helpers import logistic_loss_and_grad, traced_peak
+from oracles import fit_ensemble_oracle, predict_proba_oracle, sigmoid_oracle, sigmoid_where_oracle
 
 
 def fd_gradient(x, y, w, b, C, h=1e-5):
@@ -178,6 +179,68 @@ class TestSigmoid:
         z = np.array(SIGMOID_EDGES + [np.inf, -np.inf])
         assert sigmoid(z).tobytes() == sigmoid_oracle(z).tobytes()
         assert sigmoid(2.5).tobytes() == sigmoid_oracle(2.5).tobytes()
+
+
+class TestInPlaceBits:
+    """``sigmoid`` into a buffer (``z`` itself when scoring) and
+    ``predict_proba`` against the whole-array versions they replaced, bit
+    for bit on every non-NaN input."""
+
+    @settings(deadline=None)
+    @given(
+        arrays(
+            np.float64,
+            st.integers(0, 40),
+            elements=st.floats(-40, 40) | st.floats(allow_nan=False) | st.sampled_from(SIGMOID_EDGES),
+        )
+    )
+    def test_sigmoid_in_place_keeps_the_bits(self, z):
+        want, given_z = sigmoid_where_oracle(z), z.copy()
+        assert sigmoid(z).tobytes() == want.tobytes() and z.tobytes() == given_z.tobytes()
+        assert sigmoid(z, out=z) is z and z.tobytes() == want.tobytes()
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_scores_keep_the_bits(self, data):
+        n, k = data.draw(st.integers(1, 300)), data.draw(st.integers(1, 4))
+        x = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).random((n, k))
+        if data.draw(st.booleans()):
+            x = np.round(x, 1)  # tied rows, and features of exactly 0 and 1
+        if data.draw(st.booleans()):  # z is the intercept: the exp's edges and both zeros
+            weights, intercept = np.zeros(k), data.draw(st.sampled_from(SIGMOID_EDGES))
+        else:
+            weights = data.draw(arrays(np.float64, k, elements=st.floats(-60, 60)))
+            intercept = data.draw(st.floats(-60, 60) | st.sampled_from(SIGMOID_EDGES))
+        model = EnsembleModel(weights=weights, intercept=intercept, C=1.0, n_iter=0, grad_norm=0.0, converged=True)
+        features = x[:, 0] if k == 1 and data.draw(st.booleans()) else x
+        got = predict_proba(model, features)
+        assert got.dtype == np.float64 and got.tobytes() == predict_proba_oracle(model, features).tobytes()
+
+
+class TestMemory:
+    """Traced peak bytes a row at 2^16 rows of two features, about 20% over
+    what the fit and the scoring hold now: the fit four n-row buffers, its
+    labels and one Newton step's x * s; the scoring z and the sigmoid's
+    denominator."""
+
+    N = 1 << 16
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        cfg = CohortConfig(groups=GROUP_PRESETS["ethnicity"], n_samples=self.N, seed=1, modality_windows=((0.0, 0.5), (0.5, 1.0)))
+        m0, m1 = generate_cohort(cfg).modalities
+        return np.column_stack([m0.scores, m1.scores]), m0.y_true
+
+    def test_a_fit_holds_at_most_68_bytes_a_row(self, data):
+        # 72 bytes a row when each objective evaluation made its own n-row temporaries
+        x, y = data
+        assert traced_peak(lambda: fit_ensemble(x, y)) <= 68 * self.N
+
+    def test_scoring_holds_at_most_20_bytes_a_row(self, data):
+        # 32 bytes a row when the sigmoid made whole-array temporaries
+        x, y = data
+        model = fit_ensemble(x, y)
+        assert traced_peak(lambda: predict_proba(model, x)) <= 20 * self.N
 
 
 class TestPredictProba:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from equifair import (
     GroupMismatchError,
@@ -31,23 +32,26 @@ from equifair.eo import (
     SoftGroupPolicy,
     _roc_hull,
     _upper_envelope,
+    apply_draws,
     expected_loss_of_rates,
     sample_uniforms,
 )
 from equifair.geometry import convex_hull
-from equifair.synth import CohortConfig, gapped_score_models, generate_cohort
+from equifair.synth import GROUP_PRESETS, CohortConfig, gapped_score_models, generate_cohort
 
 from helpers import (
     point_in_convex_polygon,
     roc_counts,
     soft_regions_of,
     squared_distance_to_polygon,
+    traced_peak,
     unconstrained_optimum_loss,
 )
 from oracles import (
     _exact_hull,
     apply_hard_oracle,
     apply_soft_oracle,
+    apply_soft_whole_oracle,
     convex_hull_oracle,
     derived_predictor_dict_oracle,
     exact_eo_oracle,
@@ -834,6 +838,65 @@ class TestBatchedApply:
             universe=preds.universe[::-1],
         )
         assert apply(dp, shuffled, seed).tobytes() == out[perm].tobytes()
+
+
+@st.composite
+def soft_policies(draw, universe):
+    """A random soft policy for each group of ``universe``: thresholds on
+    the score levels (so scores tie with them), coins or none."""
+    policies = {}
+    for g in universe:
+        t_lo = draw(st.sampled_from(_LEVELS))
+        t_hi = t_lo if draw(st.booleans()) else draw(st.sampled_from(_LEVELS + (_NEVER_POSITIVE,)))
+        coin = draw(st.booleans())
+        policies[g] = SoftGroupPolicy(
+            t_lo=t_lo, t_hi=t_hi, lam=draw(_PROBS), point_lo=(0.0, 0.0), point_hi=(1.0, 1.0),
+            p_coin=draw(_PROBS) if coin else 0.0, coin_rate=draw(_PROBS) if coin else 0.0,
+        )
+    return DerivedPredictor(policies=policies, target=(0.5, 0.5), fit_rates={}, loss=LossSpec(), objective=0.0)
+
+
+class TestSoftApplyBlocks:
+    """``apply_soft`` works its rule ``_APPLY_ROWS`` rows at a time; the
+    whole-array rule it replaced is the oracle, bit for bit, at the sizes
+    around a block: B - 1, B, B + 1 and 3B + 7."""
+
+    @settings(deadline=None)
+    @given(st.data())
+    def test_blocks_keep_the_bits(self, data):
+        block = data.draw(st.integers(1, 8))
+        n = data.draw(st.sampled_from([block + 1, block, 3 * block + 7] + [block - 1] * (block > 1)) | st.integers(1, 40))
+        universe = tuple(f"g{i}" for i in range(data.draw(st.integers(1, 4))))
+        preds = LabeledPredictions(
+            ids=tuple(map(str, range(n))),
+            y_true=np.zeros(n, dtype=np.int8),
+            groups=tuple(data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n))),
+            scores=np.array(data.draw(st.lists(st.sampled_from(_LEVELS) | st.floats(0.0, 1.0), min_size=n, max_size=n))),
+            universe=universe,
+        )
+        dp = data.draw(soft_policies(universe))
+        draws = data.draw(arrays(np.float64, (n, 3), elements=st.sampled_from((0.0, 0.5)) | st.floats(0.0, 1.0, exclude_max=True)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(eo, "_APPLY_ROWS", block)
+            got, drawn = apply_soft(dp, preds, 7, draws=draws), apply_soft(dp, preds, 7)
+        assert got.dtype == np.int8 and got.tobytes() == apply_soft_whole_oracle(dp, preds, draws).tobytes()
+        assert drawn.tobytes() == apply_soft_whole_oracle(dp, preds, apply_draws("soft", 7, preds.id_column)).tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2 * eo._APPLY_ROWS + 7])
+    def test_the_blocks_of_a_fitted_predictor_keep_the_bits(self, extra):
+        n = eo._APPLY_ROWS + extra
+        preds = scored_preds(seed=n, n=n, groups=("A", "B", "C"))
+        preds = preds.with_outputs(scores=np.round(preds.scores, 2))  # heavy ties
+        dp, draws = fit_eo_soft(preds), np.random.default_rng(n).random((n, 3))
+        assert apply_soft(dp, preds, 0, draws=draws).tobytes() == apply_soft_whole_oracle(dp, preds, draws).tobytes()
+
+    def test_an_apply_holds_at_most_10_bytes_a_row(self):
+        # 27 bytes a row when the rule made whole-array temporaries; the count of each
+        # group's rows (8 bytes a row) is now the largest
+        n = 1 << 16
+        preds = generate_cohort(CohortConfig(groups=GROUP_PRESETS["ethnicity"], n_samples=n, seed=1)).modalities[0]
+        dp, draws = fit_eo_soft(preds), apply_draws("soft", 3, preds.id_column)
+        assert traced_peak(lambda: apply_soft(dp, preds, 3, draws=draws)) <= 10 * n
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equifair import (
@@ -17,15 +17,18 @@ from equifair import (
     roc_curve,
     schema,
 )
-from equifair.metrics import _counts_by_code, _descending, _threshold_counts
-from equifair.synth import generate_multilabel
+from equifair.metrics import _counts_by_code, _descending, _step_prc, _threshold_counts, _trapezoid_auc
+from equifair.synth import GROUP_PRESETS, CohortConfig, generate_cohort, generate_multilabel
 
-from helpers import group_masks, group_rates_from_dict, report_from_json, roc_points, total_samples, trapezoid_area
+from helpers import group_masks, group_rates_from_dict, report_from_json, roc_points, total_samples, trapezoid_area, traced_peak
 from oracles import (
     pairwise_auc_oracle,
     prc_enumeration_oracle,
     roc_sweep_oracle,
+    step_prc_oracle,
     tally_rates_oracle,
+    threshold_counts_oracle,
+    trapezoid_auc_oracle,
 )
 
 # ---------------------------------------------------------------------------
@@ -413,6 +416,67 @@ class TestGroupedCounts:
         for j in range(n_labels):
             defined = y[:, j].min() != y[:, j].max()
             assert res.per_label[j] == (pairwise_auc_oracle(scores[:, j], y[:, j]) if defined else None)
+
+
+@st.composite
+def count_cases(draw):
+    """Scores with heavy ties or none, labels of one class or both, and a
+    non-empty subset of the rows in descending-score order."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.integers(1, 6) | st.integers(7, 10**6))
+    s = np.floor(rng.random(n) * levels) / levels
+    y = (rng.random(n) < draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))).astype(np.int8)
+    order = _descending(s)
+    rows = order[rng.random(n)[order] < draw(st.just(1.0) | st.floats(0.05, 1.0))]
+    return s, y, rows if len(rows) else order
+
+
+def _hex(area):
+    return None if area is None else area.hex()
+
+
+class TestCountBits:
+    """The counts and areas against the whole-array versions they replaced
+    (``tests/oracles.py``), bit for bit."""
+
+    @settings(deadline=None)
+    @given(count_cases())
+    def test_counts_and_areas_keep_their_bits(self, case):
+        s, y, rows = case
+        got, want = _threshold_counts(s, y, rows), threshold_counts_oracle(s, y, rows)
+        assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        _, tp, fp = want
+        if tp[-1] and fp[-1]:
+            assert _trapezoid_auc(tp, fp).hex() == trapezoid_auc_oracle(tp, fp).hex()
+        else:
+            with pytest.raises(ValidationError, match="both classes"):
+                _trapezoid_auc(tp, fp)
+        if tp[-1]:
+            assert _step_prc(tp, fp).hex() == step_prc_oracle(tp, fp).hex()
+        else:
+            with pytest.raises(ValidationError, match="at least one positive"):
+                _step_prc(tp, fp)
+
+    @settings(deadline=None)
+    @given(grouped_cases())
+    def test_report_areas_keep_their_bits(self, preds):
+        s, y, order = preds.scores, preds.y_true, _descending(preds.scores)
+        report = build_report(preds)
+        _, tp, fp = threshold_counts_oracle(s, y, order)
+        assert (report.auc_roc_overall.hex(), report.auc_prc_overall.hex()) == (
+            trapezoid_auc_oracle(tp, fp).hex(), step_prc_oracle(tp, fp).hex())
+        for code, g in enumerate(preds.universe):
+            rows = order[preds.group_codes[order] == code]
+            if len(rows):
+                _, tp, fp = threshold_counts_oracle(s, y, rows)
+                assert _hex(report.auc_roc_per_group[g]) == (trapezoid_auc_oracle(tp, fp).hex() if tp[-1] and fp[-1] else None)
+
+    def test_a_report_holds_at_most_54_bytes_a_row(self):
+        # 64 bytes a row when the counts and areas kept every whole-array temporary
+        n = 1 << 16
+        preds = generate_cohort(CohortConfig(groups=GROUP_PRESETS["ethnicity"], n_samples=n, seed=1)).modalities[0]
+        assert traced_peak(lambda: build_report(preds)) <= 54 * n
 
 
 # ---------------------------------------------------------------------------

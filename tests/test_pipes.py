@@ -57,6 +57,7 @@ CASES = {
     "input": ("feats.csv", ["report", "--input", "{}", "--seed", "1"]),
     "input-eval-split": ("feats.csv", ["pipeline", "--intervention", "eo-soft", "--fit-input", "fit.csv", "--input", "{}", "--seed", "3"]),
     "fit-input": ("fit.csv", ["pipeline", "--intervention", "eo-soft", "--fit-input", "{}", "--input", "big.csv", "--seed", "3"]),
+    "input-eval-split-over-the-floor": ("big.csv", ["pipeline", "--intervention", "eo-soft", "--fit-input", "fit.csv", "--input", "{}", "--seed", "3"]),
     "predictor": ("eo/derived_predictor.json", ["eo-apply", "--input", "feats.csv", "--predictor", "{}", "--seed", "1"]),
     "model": ("ens/ensemble_model.json", ["ensemble-predict", "--input", "feats.csv", "--model", "{}"]),
     "embeddings": ("emb.txt", ["debias", "--embeddings", "{}"]),
@@ -139,7 +140,8 @@ def test_a_pipe_reads_as_its_file(case, mode, inputs, tmp_path, capsys):
     pipe_inputs = json.loads((tmp_path / "pipe/manifest.json").read_text())["inputs"]
     assert file_inputs.pop(str(inputs / name)) == hashlib.sha256(data).hexdigest()
     assert pipe_inputs == {**file_inputs, path: hashlib.sha256(data).hexdigest()}
-    if case == "fit-input" and mode != "stdin":  # the piped fit split was read on the fit worker
+    if case in ("fit-input", "input-eval-split-over-the-floor") and mode != "stdin":
+        # the fit ran on the fit worker: a piped eval split is sized by the command's copy
         assert len(started) == 1
     assert list((tmp_path / "tmp").iterdir()) == []
 

@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from equifair import (
     fit_ensemble,
     generate_cohort,
     multilabel_auc,
+    pool,
     predict_proba,
     predictions,
     roc_curve,
@@ -986,6 +988,32 @@ class TestWriteMemory:
         with recorded_pools(predictions) as started:
             peak = traced_peak(lambda: write_predictions(cohort.modalities[0], tmp_path / "p.csv", consts))
         assert len(started) == 1 and peak <= 8e6
+
+
+class _Watched:
+    """A job's payload whose release ``refs`` can see."""
+
+    def __init__(self, k: int, refs: list):
+        self.k = k
+        refs.append(weakref.ref(self))
+
+
+class _DoneAtOnce:
+    """An executor that does each job as it is submitted and keeps none."""
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        future.set_result(fn(*args))
+        return future
+
+
+@pytest.mark.parametrize("executor", [None, _DoneAtOnce()], ids=["in-process", "pooled"])
+def test_pooled_yields_results_and_lets_each_job_go_once_its_result_is_made(executor):
+    # it held every job until its result was yielded, and yielded both
+    refs: list = []
+    results = pool._pooled(executor, lambda job: job.k, ((_Watched(k, refs),) for k in range(8)))
+    for k, result in enumerate(results):
+        assert result == k and refs[k]() is None
 
 
 class TestMalformedFiles:
