@@ -49,8 +49,8 @@ from .metrics import FairnessReport, build_report
 from .pool import _beside
 from .predictions import (
     LabeledPredictions,
+    read_constituent_names,
     read_prediction_file,
-    read_prediction_header,
     readonly,
     write_predictions,
 )
@@ -65,6 +65,7 @@ from .synth import (
 from .wordsets import PRESETS, resolve_equality_sets
 
 INTERVENTIONS = ("none", "eo-hard", "eo-soft")
+_ENSEMBLE_THRESHOLD = 0.5  # y_hat of ensemble scores: ensemble-predict's default, pipeline's on either split
 
 
 def _sha256(path: Path) -> str:
@@ -353,9 +354,9 @@ def _pipeline_split(args, cfg: CohortConfig | None, seed: int, tag: str) -> tupl
 _FIT_WORKER_FLOOR = 1 << 20  # eval-file bytes from which the fit runs on a worker beside the eval read
 
 
-def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C: float, group_col: str = "group", copies=()):
-    """(ensemble model or None, its constituents, derived predictor or None) fitted
-    on the fit ``split``: its (predictions, constituent scores), or its file."""
+def _fit_stage(split, eval_names: set[str], variant: str | None, loss: LossSpec, C: float, group_col: str = "group", copies=()):
+    """(ensemble model or None, its constituents, EO ``variant``'s derived predictor or None)
+    fitted on the fit ``split``: its (predictions, constituent scores), or its file."""
     schema._copies.update(copies)  # the command's copies of its pipes, which a worker that was not forked lacks
     fit_preds, fit_features = read_prediction_file(split, group_col=group_col) if isinstance(split, Path) else split
     model = dp = None
@@ -367,11 +368,11 @@ def _fit_stage(split, eval_names: set[str], intervention: str, loss: LossSpec, C
         fit_preds = _unscored(fit_preds)
         features = _stacked(fit_features, names, pop=isinstance(split, Path))
         model = fit_ensemble(features, fit_preds.y_true, C=C)
-        fit_preds = _ensemble_scored(fit_preds, model, features, 0.5)
-    if intervention != "none":
-        if fit_preds.y_hat is None and intervention == "eo-hard":
+        fit_preds = _ensemble_scored(fit_preds, model, features, _ENSEMBLE_THRESHOLD)
+    if variant is not None:
+        if fit_preds.y_hat is None and variant == "hard":
             raise ValidationError("eo-hard requires hard predictions in the fit split")
-        dp = _eo_functions(intervention.removeprefix("eo-"))[0](fit_preds, loss)
+        dp = _eo_functions(variant)[0](fit_preds, loss)
     return model, names, dp
 
 
@@ -386,22 +387,22 @@ def _cmd_pipeline(args) -> int:
     seed = _resolve_seed(args)
     cfg = None if args.input else _load_cohort_config(args, seed)
     loss = LossSpec(cost_fp=args.cost_fp, cost_fn=args.cost_fn)
+    variant = None if intervention == "none" else intervention.removeprefix("eo-")
+    apply_seed = derive_seed(seed, "apply")
     metadata: dict = {"interventions": [intervention], "costs": {"fp": args.cost_fp, "fn": args.cost_fn}}
 
     # Nothing is written until both splits are read and fitted.  Errors come
     # in this order: eval header, fit side (beside or before), eval rows.
     if args.fit_input:
-        header = read_prediction_header(Path(args.input), group_col=args.group_col)
+        eval_names = read_constituent_names(Path(args.input), group_col=args.group_col)
         metadata["fit_split"] = "separate fit input"  # its path is kept in manifest.json, not in the reports
-        eval_names = {c.removeprefix("score_") for c in header if c.startswith("score_")}
-        job = (Path(args.fit_input), eval_names, intervention, loss, args.C, args.group_col, schema._copies)
+        job = (Path(args.fit_input), eval_names, variant, loss, args.C, args.group_col, schema._copies)
         size = os.stat(schema._copies.get(str(Path(args.input)), args.input)).st_size  # of a pipe, its copy's
         with _beside(size, _FIT_WORKER_FLOOR, _fit_stage, job) as fitted:
             try:
                 eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
                 # what needs only the eval split, done while the fit runs
-                draws = None if intervention == "none" else apply_draws(
-                    intervention.removeprefix("eo-"), derive_seed(seed, "apply"), eval_preds.id_column)
+                draws = None if variant is None else apply_draws(variant, apply_seed, eval_preds.id_column)
                 digests = _input_digests(args)
             except Exception:
                 fitted()  # a fit-side error wins
@@ -412,7 +413,7 @@ def _cmd_pipeline(args) -> int:
         # the eval file is the fit split too; a synthetic one is dropped for the eval cohort
         eval_preds, eval_features = _pipeline_split(args, cfg, seed, "fit")
         draws = digests = None  # the inputs are digested at the finish
-        model, names, dp = _fit_stage((eval_preds, eval_features), set(eval_features), intervention, loss, args.C)
+        model, names, dp = _fit_stage((eval_preds, eval_features), set(eval_features), variant, loss, args.C)
         if cfg is not None:
             del eval_preds, eval_features
             eval_preds, eval_features = _pipeline_split(args, cfg, seed, "eval")
@@ -420,11 +421,11 @@ def _cmd_pipeline(args) -> int:
         metadata["ensemble"] = {"constituents": names, "C": args.C}
         # the file's own scores are dropped before the ensemble's are made, each column once stacked, the matrix once scored
         eval_preds = _unscored(eval_preds)
-        eval_preds = _ensemble_scored(eval_preds, model, _stacked(eval_features, names), 0.5)
+        eval_preds = _ensemble_scored(eval_preds, model, _stacked(eval_features, names), _ENSEMBLE_THRESHOLD)
 
     if dp is not None:  # applied first, so the draws are dropped before the reports
         try:
-            post_preds = _eo_apply_stage(dp, eval_preds, derive_seed(seed, "apply"), draws)
+            post_preds = _eo_apply_stage(dp, eval_preds, apply_seed, draws)
         except Exception:
             build_report(eval_preds, task=args.task, seed=seed)  # the base report's error comes first
             raise
@@ -534,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble-predict", help="combine constituent scores")
     _add_common_io(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=_ENSEMBLE_THRESHOLD)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ensemble_predict)
 

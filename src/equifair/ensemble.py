@@ -3,8 +3,8 @@
 Features are the constituent models' predicted probabilities.  The fit
 minimizes mean logistic loss plus ||w||^2 / (2*C*n) with the intercept
 unpenalized (C is inverse regularization strength, default 1.0), using
-damped Newton steps with a gradient-descent fallback, started from zero.
-The fit is deterministic.
+damped Newton steps started from zero; it stops where no step size lowers
+the objective.  The fit is deterministic.
 """
 
 from __future__ import annotations
@@ -75,12 +75,12 @@ def _check_features(features, n_expected: int | None = None) -> np.ndarray:
     return x
 
 
-def _loss_grad_p(x, y, weights, intercept, C, p=None, scratch=None) -> tuple[float, np.ndarray, float, np.ndarray]:
+def _loss_grad_p(x, y, weights, intercept, C, p, scratch) -> tuple[float, np.ndarray, float, np.ndarray]:
     """Objective value, its gradient in (weights, intercept), and the
-    probabilities p computed on the way: into ``p`` if given, through the
-    two n-row ``scratch`` buffers if given."""
+    probabilities p computed on the way, into the n-row ``p``, through the
+    two n-row ``scratch`` buffers."""
     n = x.shape[0]
-    z, r = np.empty((2, n)) if scratch is None else scratch
+    z, r = scratch
     np.matmul(x, weights, out=z)
     z += intercept
     p = sigmoid(z, out=p)
@@ -105,9 +105,8 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
 
     Refuses features that are not finite reals in [0, 1] (they are
     probabilities), labels other than 0 and 1, and a single class.
-    Converges to gradient norm <= 1e-8 via damped Newton iterations; if a
-    Newton direction fails to decrease the objective, the step falls back
-    to backtracked gradient descent."""
+    Converges to gradient norm <= 1e-8 via damped Newton iterations, or
+    stops where no halving of the step lowers the objective."""
     x = _check_features(features)
     y = as_binary(y_true, "labels").ravel().astype(np.float64)  # the Newton steps take float64 labels
     if y.shape[0] != x.shape[0]:
@@ -141,24 +140,19 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
-        # damping: halve until the objective decreases, else steepest descent
-        for trial in (step, -grad):
-            t = 1.0
-            accepted = False
-            for _ in range(50):
-                w_new = w + t * trial[:k]
-                b_new = b + t * trial[k]
-                loss_new, gw_new, gb_new, p_new = _loss_grad_p(x, y, w_new, b_new, C, p_new, scratch)
-                if loss_new < loss:
-                    w, b, loss, grad_w, grad_b, p, p_new = w_new, b_new, loss_new, gw_new, gb_new, p_new, p
-                    history.append(loss)
-                    accepted = True
-                    break
-                t *= 0.5
-            if accepted:
+        # damping: halve until the objective decreases
+        t = 1.0
+        for _ in range(50):
+            w_new = w + t * step[:k]
+            b_new = b + t * step[k]
+            loss_new, gw_new, gb_new, p_new = _loss_grad_p(x, y, w_new, b_new, C, p_new, scratch)
+            if loss_new < loss:
+                w, b, loss, grad_w, grad_b, p, p_new = w_new, b_new, loss_new, gw_new, gb_new, p_new, p
+                history.append(loss)
                 break
+            t *= 0.5
         else:
-            break  # no direction makes progress; gradient is numerically flat
+            break  # no step size lowers the objective; the gradient is numerically flat
     grad_norm = float(np.linalg.norm(np.append(grad_w, grad_b)))
     return EnsembleModel(
         weights=w,

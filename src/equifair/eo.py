@@ -43,7 +43,7 @@ import numpy as np
 from . import schema
 from .errors import GroupMismatchError, ValidationError, name_groups
 from .geometry import argmin_linear, clip_unit_square, convex_hull, halfplanes
-from .metrics import GroupRateEntry, _confusion_counts, _counts_by_code, _descending, _rates_of_counts
+from .metrics import GroupRateEntry, _confusion_counts, _counts_by_code, _descending, _from_origin, _rates_of_counts
 from .predictions import LabeledPredictions, as_id_column
 
 # threshold of the ROC point (0, 0): no score in [0, 1] reaches it, and
@@ -390,9 +390,8 @@ def fit_eo_soft(preds: LabeledPredictions, loss: LossSpec = LossSpec()) -> Deriv
     }
     envelopes, regions = {}, []
     for g in _fit_groups(counts):
-        thresholds, tp, fp = by_group.pop(g)  # one group's counts at a time; its hull and envelope are kept
-        fp, tp = np.append(0, fp), np.append(0, tp)  # the curve starts at (0, 0), where no score is positive
-        thresholds = np.append(_NEVER_POSITIVE, thresholds)
+        # one group's counts at a time; its hull and envelope are kept
+        thresholds, tp, fp = _from_origin(_NEVER_POSITIVE, *by_group.pop(g))
         hull = _roc_hull(fp, tp)
         regions.append(halfplanes([(int(fp[i]), int(tp[i])) for i in hull], int(fp[-1]), int(tp[-1])))
         envelopes[g] = [(int(fp[i]), int(tp[i]), float(thresholds[i])) for i in _upper_envelope(hull, len(fp) - 1)]
@@ -442,6 +441,11 @@ class DerivedPredictor:
         if len({type(p) for p in self.policies.values()}) != 1:
             raise ValidationError("a derived predictor needs policies of exactly one variant")
         _require_unit(self, "target")
+        for g, rates in self.fit_rates.items():  # each rate null or in [0, 1], each count non-negative
+            for name, v in vars(rates).items():
+                if v is not None and not 0 <= v <= (math.inf if name.startswith("n_") else 1):
+                    bound = "be non-negative" if name.startswith("n_") else "lie in [0, 1]"
+                    raise ValidationError(f"DerivedPredictor.fit_rates{name_groups([g])}.{name} must {bound}, got {v}")
 
     @property
     def groups(self) -> tuple[str, ...]:

@@ -189,21 +189,19 @@ class RocCurve:
     thresholds: np.ndarray
 
 
+def _from_origin(top: float, thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_threshold_counts``' curve with its origin first: (0, 0) at ``top``, a threshold no score reaches."""
+    return np.append(top, thresholds), np.append(0, tp), np.append(0, fp)
+
+
 def roc_curve(scores, y_true) -> RocCurve:
     """Exact empirical ROC operating points with their thresholds; refuses
     what ``auc_roc`` refuses."""
-    return _roc(*_threshold_counts(*_check_binary_scores(scores, y_true)))
-
-
-def _roc(thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocCurve:
+    thresholds, tp, fp = _from_origin(np.inf, *_threshold_counts(*_check_binary_scores(scores, y_true)))
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("roc_curve requires both classes present")
-    return RocCurve(
-        fpr=np.concatenate(([0.0], fp / n_neg)),
-        tpr=np.concatenate(([0.0], tp / n_pos)),
-        thresholds=np.concatenate(([np.inf], thresholds)),
-    )
+    return RocCurve(fpr=fp / n_neg, tpr=tp / n_pos, thresholds=thresholds)
 
 
 @dataclass(frozen=True)

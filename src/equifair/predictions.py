@@ -455,10 +455,10 @@ def _opened(path: Path, group_col: str):
         raise decode_error(path) from None
 
 
-def read_prediction_header(path: str | Path, group_col: str = "group") -> list[str]:
-    """The checked header of a prediction CSV, read without its rows."""
+def read_constituent_names(path: str | Path, group_col: str = "group") -> set[str]:
+    """The ``<name>`` of each ``score_<name>`` column of a prediction CSV, from its checked header alone."""
     with _opened(Path(path), group_col) as (_, header):
-        return header
+        return {name.removeprefix("score_") for name in header if name.startswith("score_")}
 
 
 def read_prediction_file(

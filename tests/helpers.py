@@ -130,7 +130,8 @@ def unit_normalized(emb: EmbeddingMatrix) -> EmbeddingMatrix:
 
 def logistic_loss_and_grad(x, y, weights, intercept: float, C: float) -> tuple[float, np.ndarray, float]:
     """The ensemble fit's objective value and its gradient in (weights, intercept)."""
-    return _loss_grad_p(x, y, weights, intercept, C)[:3]
+    n = len(x)
+    return _loss_grad_p(x, y, weights, intercept, C, np.empty(n), np.empty((2, n)))[:3]
 
 
 def embedding_file(edits: Mapping[int, str] = {}, n: int = 6, newline: str = "\n") -> bytes:

@@ -622,10 +622,13 @@ def sigmoid_oracle(z):
     return out
 
 
-def fit_ensemble_oracle(x, y, C=1.0):
+def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
     """The damped Newton fit as the library ran it before each iteration
     reused the accepted step's probabilities: (weights, intercept, n_iter,
-    grad_norm, loss_history) of valid features ``x`` and labels ``y``."""
+    grad_norm, loss_history) of valid features ``x`` and labels ``y``.
+    With ``gradient_trial``, as it ran before it stopped where no halving
+    of the Newton step lowers the objective: it then tried the halvings of
+    a steepest-descent step."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, k = x.shape
@@ -650,7 +653,7 @@ def fit_ensemble_oracle(x, y, C=1.0):
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
-        for trial in (step, -grad):
+        for trial in (step, -grad)[: 1 + gradient_trial]:
             t = 1.0
             accepted = False
             for _ in range(50):

@@ -967,6 +967,10 @@ def _policies(**edit):
     return lambda d: {**d, "groups": {g: {**p, **edit} for g, p in d["groups"].items()}}
 
 
+def _fit_rates(**edit):
+    return lambda d: {**d, "fit_rates": {g: {**e, **edit} for g, e in d["fit_rates"].items()}}
+
+
 SOFT_POLICY = {"t_lo": 0.4, "t_hi": 0.6, "lam": 0.5, "point_lo": [0.3, 0.8], "point_hi": [0.1, 0.5]}
 
 
@@ -1010,6 +1014,13 @@ MALFORMED = {
     ),
     "predictor-nan-p0": ("eo-apply", _policies(p0=float("nan")), 4, "format-error", "NaN"),
     "predictor-p0-above-one": ("eo-apply", _policies(p0=2.0), 6, "invalid-input", "p0"),
+    "predictor-fit-rate-above-one": (
+        "eo-apply", _fit_rates(tpr=2), 6, "invalid-input", "DerivedPredictor.fit_rates['A'].tpr must lie in [0, 1], got 2",
+    ),
+    "predictor-negative-fit-rate": ("eo-apply", _fit_rates(fnr=-0.25), 6, "invalid-input", "fit_rates['A'].fnr must lie in [0, 1]"),
+    "predictor-negative-fit-count": (
+        "eo-apply", _fit_rates(n_pos=-3), 6, "invalid-input", "DerivedPredictor.fit_rates['A'].n_pos must be non-negative, got -3",
+    ),
     "predictor-soft-lam-above-one": ("eo-apply", _soft(lam=5.0), 6, "invalid-input", "lam"),
     "predictor-soft-nan-t-lo": ("eo-apply", _soft(t_lo=float("nan")), 4, "format-error", "NaN"),
     "predictor-infinite-target": ("eo-apply", _with("target", {"fpr": float("inf"), "tpr": 0.5}), 4, "format-error", "Infinity"),

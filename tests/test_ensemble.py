@@ -123,10 +123,18 @@ def ensemble_cases(draw):
     return x, y, draw(st.sampled_from([0.01, 1.0, 100.0]))
 
 
+def flat_end_case(seed):
+    """(features, labels, C): 200 uniform rows of 2 features, coin-flip
+    labels and strong regularization, whose fit ends within a few ulps of
+    the objective's minimum, near ``GRAD_TOL``."""
+    rng = np.random.default_rng(seed)
+    return rng.random((200, 2)), (rng.random(200) < 0.5).astype(np.int8), 0.01
+
+
 class TestFitEnsembleOracle:
     @staticmethod
-    def _assert_bit_equal(model, x, y, C):
-        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C)
+    def _assert_bit_equal(model, x, y, C, gradient_trial=False):
+        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C, gradient_trial)
         assert model.weights.tobytes() == weights.tobytes()
         assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
         assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
@@ -138,6 +146,29 @@ class TestFitEnsembleOracle:
         # of recomputing them; every fitted number keeps its bits
         x, y, C = case
         self._assert_bit_equal(fit_ensemble(x, y, C=C), x, y, C)
+
+    @pytest.mark.parametrize("seed, n_iter", [(3165, 2), (7244, 3)])
+    def test_a_flat_end_is_where_the_old_rule_stopped(self, seed, n_iter, monkeypatch):
+        # all 50 halvings of the last Newton step fail just above GRAD_TOL;
+        # so did the old rule's gradient trial, and both fits stop there
+        x, y, C = flat_end_case(seed)
+        losses, loss_grad_p = [], ensemble._loss_grad_p
+        monkeypatch.setattr(ensemble, "_loss_grad_p", lambda *args: losses.append(loss_grad_p(*args)) or losses[-1])
+        model = fit_ensemble(x, y, C=C)
+        assert (model.n_iter, model.converged) == (n_iter, False) and 1e-8 < model.grad_norm < 1.4e-8
+        assert len(losses) == len(model.loss_history) + 50 and min(r[0] for r in losses[-50:]) >= model.loss_history[-1]
+        self._assert_bit_equal(model, x, y, C, gradient_trial=True)
+
+    @pytest.mark.parametrize("seed", [3263, 9009])
+    def test_the_fit_stops_where_the_old_rule_took_a_gradient_step(self, seed):
+        # there the old rule's gradient trial lowered the objective by one
+        # ulp, to a gradient norm below GRAD_TOL; the fit stops a step short
+        x, y, C = flat_end_case(seed)
+        model = fit_ensemble(x, y, C=C)
+        _, _, _, grad_norm, history = fit_ensemble_oracle(x, y, C, gradient_trial=True)
+        assert not model.converged and grad_norm <= ensemble.GRAD_TOL < model.grad_norm
+        assert history[:-1] == model.loss_history and history[-1] < model.loss_history[-1]
+        self._assert_bit_equal(model, x, y, C)
 
     def test_a_damped_step_is_bit_equal_to_the_oracle(self, monkeypatch):
         # nearly separable and weakly regularized: one full Newton step

@@ -599,6 +599,54 @@ class TestGroupRenaming:
             assert json.dumps(renamed_dp.to_dict(), sort_keys=True) == renamed_doc(dp.to_dict(), renaming)
 
 
+FITS = {"hard": fit_eo_hard, "soft": fit_eo_soft}
+
+
+def _doc_without(dp, *keys):
+    """A derived predictor's JSON form without ``keys``, as canonical JSON:
+    each float as its shortest repr, so equal documents hold equal bits."""
+    return json.dumps({k: v for k, v in dp.to_dict().items() if k not in keys}, sort_keys=True)
+
+
+class TestCostScaling:
+    """Scaling both costs by the same power of two keeps the target, every
+    policy number and ``fit_rates``, bit for bit, and scales the objective
+    exactly."""
+
+    @pytest.mark.parametrize("variant", FITS)
+    @settings(deadline=None)
+    @given(renaming_cases(), st.integers(-8, 8))
+    def test_a_power_of_two_scales_only_the_objective(self, variant, case, j):
+        ((preds, loss), _), _ = case
+        scaled = replace(loss, cost_fp=loss.cost_fp * 2.0**j, cost_fn=loss.cost_fn * 2.0**j)
+        dp, scaled_dp = FITS[variant](preds, loss), FITS[variant](preds, scaled)
+        assert _doc_without(scaled_dp, "loss", "objective") == _doc_without(dp, "loss", "objective")
+        assert scaled_dp.objective.hex() == (dp.objective * 2.0**j).hex()
+
+
+class TestUniversePadding:
+    """Declaring universe labels that no row has, anywhere in the universe,
+    changes no fitted number, bit for bit, and no applied y_hat;
+    ``fit_rates`` gains only zero-count entries."""
+
+    @pytest.mark.parametrize("variant", FITS)
+    @settings(deadline=None)
+    @given(renaming_cases(), st.lists(st.sampled_from(["a", "g0a", "g1a", "g2a", "h", "r0", "zz"]), min_size=1, unique=True),
+           st.randoms(use_true_random=False))
+    def test_groups_without_rows_change_no_fit(self, variant, case, pads, rnd):
+        ((preds, loss), _), _ = case
+        universe = [*preds.universe, *pads]
+        rnd.shuffle(universe)
+        padded = LabeledPredictions(ids=preds.ids, y_true=preds.y_true, groups=preds.groups, scores=preds.scores,
+                                    y_hat=preds.y_hat, universe=universe)
+        dp, padded_dp = FITS[variant](preds, loss), FITS[variant](padded, loss)
+        assert _doc_without(padded_dp, "fit_rates") == _doc_without(dp, "fit_rates")
+        assert {g: e for g, e in padded_dp.fit_rates.items() if g in dp.fit_rates} == dict(dp.fit_rates)
+        assert all(e.n_pos == e.n_neg == 0 for g, e in padded_dp.fit_rates.items() if g not in dp.fit_rates)
+        apply = apply_hard if variant == "hard" else apply_soft
+        assert apply(padded_dp, padded, seed=3).tobytes() == apply(dp, preds, seed=3).tobytes()
+
+
 class TestLossSpec:
     @pytest.mark.parametrize(
         "kwargs",
