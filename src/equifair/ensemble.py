@@ -106,7 +106,7 @@ def fit_ensemble(features, y_true, C: float = 1.0) -> EnsembleModel:
     Refuses features that are not finite reals in [0, 1] (they are
     probabilities), labels other than 0 and 1, and a single class.
     Converges to gradient norm <= 1e-8 via damped Newton iterations, or
-    stops where no halving of the step lowers the objective."""
+    stops, unconverged, where no halving of the step lowers the objective."""
     x = _check_features(features)
     y = as_binary(y_true, "labels").ravel().astype(np.float64)  # the Newton steps take float64 labels
     if y.shape[0] != x.shape[0]:

@@ -443,9 +443,9 @@ class DerivedPredictor:
         _require_unit(self, "target")
         for g, rates in self.fit_rates.items():  # each rate null or in [0, 1], each count non-negative
             for name, v in vars(rates).items():
-                if v is not None and not 0 <= v <= (math.inf if name.startswith("n_") else 1):
-                    bound = "be non-negative" if name.startswith("n_") else "lie in [0, 1]"
-                    raise ValidationError(f"DerivedPredictor.fit_rates{name_groups([g])}.{name} must {bound}, got {v}")
+                count = name.startswith("n_")
+                if v is not None and not 0 <= v <= (math.inf if count else 1):
+                    raise ValidationError(f"DerivedPredictor.fit_rates{name_groups([g])}.{name} must {'be non-negative' if count else 'lie in [0, 1]'}, got {v}")
 
     @property
     def groups(self) -> tuple[str, ...]:

@@ -622,13 +622,14 @@ def sigmoid_oracle(z):
     return out
 
 
-def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
+def fit_ensemble_oracle(x, y, C=1.0):
     """The damped Newton fit as the library ran it before each iteration
-    reused the accepted step's probabilities: (weights, intercept, n_iter,
-    grad_norm, loss_history) of valid features ``x`` and labels ``y``.
-    With ``gradient_trial``, as it ran before it stopped where no halving
-    of the Newton step lowers the objective: it then tried the halvings of
-    a steepest-descent step."""
+    reused the accepted step's probabilities, and before it stopped where
+    no halving of the Newton step lowers the objective: it then tried the
+    halvings of a steepest-descent step.  (weights, intercept, n_iter,
+    grad_norm, loss_history, gradient_iter) of valid features ``x`` and
+    labels ``y``, where ``gradient_iter`` is the first iteration whose
+    steepest-descent trial was accepted, or None."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, k = x.shape
@@ -636,7 +637,7 @@ def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
     b = 0.0
     loss, grad_w, grad_b = logistic_loss_and_grad(x, y, w, b, C)
     history = [loss]
-    n_iter = 0
+    n_iter, gradient_iter = 0, None
     for n_iter in range(1, MAX_ITER + 1):
         grad = np.append(grad_w, grad_b)
         if float(np.linalg.norm(grad)) <= GRAD_TOL:
@@ -653,7 +654,7 @@ def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
             step = np.linalg.solve(hess, -grad)
         except np.linalg.LinAlgError:
             step = -grad
-        for trial in (step, -grad)[: 1 + gradient_trial]:
+        for trial in (step, -grad):
             t = 1.0
             accepted = False
             for _ in range(50):
@@ -664,6 +665,8 @@ def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
                     w, b, loss, grad_w, grad_b = w_new, b_new, loss_new, gw_new, gb_new
                     history.append(loss)
                     accepted = True
+                    if trial is not step and gradient_iter is None:
+                        gradient_iter = n_iter
                     break
                 t *= 0.5
             if accepted:
@@ -671,7 +674,7 @@ def fit_ensemble_oracle(x, y, C=1.0, gradient_trial=True):
         else:
             break
     grad_norm = float(np.linalg.norm(np.append(grad_w, grad_b)))
-    return w, b, n_iter, grad_norm, tuple(history)
+    return w, b, n_iter, grad_norm, tuple(history), gradient_iter
 
 
 def sigmoid_where_oracle(z):

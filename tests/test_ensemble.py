@@ -17,6 +17,7 @@ from equifair import ensemble
 from equifair.ensemble import sigmoid
 from equifair.synth import GROUP_PRESETS
 
+import helpers
 from helpers import logistic_loss_and_grad, traced_peak
 from oracles import fit_ensemble_oracle, predict_proba_oracle, sigmoid_oracle, sigmoid_where_oracle
 
@@ -131,44 +132,76 @@ def flat_end_case(seed):
     return rng.random((200, 2)), (rng.random(200) < 0.5).astype(np.int8), 0.01
 
 
+def flattened(loss_grad_p, k):
+    """``loss_grad_p`` whose objective, once the fit has started and taken
+    ``k`` steps, never falls below its last value, so every later trial
+    fails; ``trials`` counts the evaluations since the last accepted one."""
+
+    def flat(*args):
+        loss, *rest = loss_grad_p(*args)
+        if flat.lows and (loss >= flat.lows[-1] or len(flat.lows) > k):
+            flat.trials += 1
+            return (max(loss, flat.lows[-1]), *rest)
+        flat.lows.append(loss)
+        flat.trials = 0
+        return (loss, *rest)
+
+    flat.lows, flat.trials = [], 0
+    return flat
+
+
 class TestFitEnsembleOracle:
     @staticmethod
-    def _assert_bit_equal(model, x, y, C, gradient_trial=False):
-        weights, intercept, n_iter, grad_norm, history = fit_ensemble_oracle(x, y, C, gradient_trial)
+    def _assert_as_the_old_rule(model, x, y, C):
+        """The fit is bit-equal to the two-rule oracle, unless the oracle's
+        steepest-descent trial was accepted: then the fit stops, unconverged,
+        at the iteration that took it, its objective at most a few ulps above
+        the oracle's last.  Returns whether that trial was accepted."""
+        weights, intercept, n_iter, grad_norm, history, gradient_iter = fit_ensemble_oracle(x, y, C)
+        if gradient_iter is not None:
+            assert (model.n_iter, model.converged) == (gradient_iter, False)
+            assert [v.hex() for v in model.loss_history] == [v.hex() for v in history[:gradient_iter]]
+            assert history[-1] < model.loss_history[-1] <= history[-1] + 4 * np.spacing(history[-1])
+            return True
         assert model.weights.tobytes() == weights.tobytes()
         assert (model.intercept.hex(), model.n_iter, model.grad_norm.hex()) == (intercept.hex(), n_iter, grad_norm.hex())
         assert [v.hex() for v in model.loss_history] == [v.hex() for v in history]
+        return False
 
     @settings(max_examples=200, deadline=None)
     @given(ensemble_cases())
     def test_fit_is_bit_equal_to_the_oracle(self, case):
         # each Newton step reuses the accepted step's probabilities instead
-        # of recomputing them; every fitted number keeps its bits
+        # of recomputing them; every fitted number keeps its bits, save
+        # where the oracle's gradient trial went a few ulps further
         x, y, C = case
-        self._assert_bit_equal(fit_ensemble(x, y, C=C), x, y, C)
+        self._assert_as_the_old_rule(fit_ensemble(x, y, C=C), x, y, C)
 
-    @pytest.mark.parametrize("seed, n_iter", [(3165, 2), (7244, 3)])
-    def test_a_flat_end_is_where_the_old_rule_stopped(self, seed, n_iter, monkeypatch):
-        # all 50 halvings of the last Newton step fail just above GRAD_TOL;
-        # so did the old rule's gradient trial, and both fits stop there
-        x, y, C = flat_end_case(seed)
-        losses, loss_grad_p = [], ensemble._loss_grad_p
-        monkeypatch.setattr(ensemble, "_loss_grad_p", lambda *args: losses.append(loss_grad_p(*args)) or losses[-1])
-        model = fit_ensemble(x, y, C=C)
-        assert (model.n_iter, model.converged) == (n_iter, False) and 1e-8 < model.grad_norm < 1.4e-8
-        assert len(losses) == len(model.loss_history) + 50 and min(r[0] for r in losses[-50:]) >= model.loss_history[-1]
-        self._assert_bit_equal(model, x, y, C, gradient_trial=True)
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_the_fit_stops_where_no_step_lowers_the_objective(self, k, monkeypatch):
+        # nearly separable and weakly regularized, the fit takes many steps;
+        # after k of them no trial lowers the objective: the next Newton
+        # step fails all 50 halvings, and the fit stops there, unconverged,
+        # where the old rule stopped after its gradient trial failed too
+        rng = np.random.default_rng(5)
+        x = rng.random((200, 2))
+        y = (x[:, 0] + 0.05 * rng.standard_normal(200) > 0.5).astype(np.int8)
+        new, old = flattened(ensemble._loss_grad_p, k), flattened(helpers._loss_grad_p, k)
+        monkeypatch.setattr(ensemble, "_loss_grad_p", new)
+        model = fit_ensemble(x, y, C=100.0)
+        assert (model.n_iter, model.converged, new.trials) == (k + 1, False, 50)
+        assert [v.hex() for v in model.loss_history] == [v.hex() for v in new.lows]
+        monkeypatch.setattr(helpers, "_loss_grad_p", old)
+        assert not self._assert_as_the_old_rule(model, x, y, 100.0) and old.trials == 100
 
-    @pytest.mark.parametrize("seed", [3263, 9009])
-    def test_the_fit_stops_where_the_old_rule_took_a_gradient_step(self, seed):
-        # there the old rule's gradient trial lowered the objective by one
-        # ulp, to a gradient norm below GRAD_TOL; the fit stops a step short
+    @pytest.mark.parametrize("seed", [3165, 7244, 3263, 9009])
+    def test_a_fit_at_the_float_floor_keeps_to_the_old_rule(self, seed):
+        # the last Newton step fails all 50 halvings just above GRAD_TOL; with
+        # numpy 2.4 and OpenBLAS on x86-64 the old rule's gradient trial then
+        # failed too at seeds 3165 and 7244, and lowered the objective by an
+        # ulp, below GRAD_TOL, at seeds 3263 and 9009
         x, y, C = flat_end_case(seed)
-        model = fit_ensemble(x, y, C=C)
-        _, _, _, grad_norm, history = fit_ensemble_oracle(x, y, C, gradient_trial=True)
-        assert not model.converged and grad_norm <= ensemble.GRAD_TOL < model.grad_norm
-        assert history[:-1] == model.loss_history and history[-1] < model.loss_history[-1]
-        self._assert_bit_equal(model, x, y, C)
+        self._assert_as_the_old_rule(fit_ensemble(x, y, C=C), x, y, C)
 
     def test_a_damped_step_is_bit_equal_to_the_oracle(self, monkeypatch):
         # nearly separable and weakly regularized: one full Newton step
@@ -179,7 +212,7 @@ class TestFitEnsembleOracle:
         model = fit_ensemble(x, y, C=C)
         # one objective evaluation per accepted step and the start, one more per rejected trial
         assert model.converged and len(evaluations) == len(model.loss_history) + 1
-        self._assert_bit_equal(model, x, y, C)
+        assert not self._assert_as_the_old_rule(model, x, y, C)
 
 
 # both zeros, subnormal and tiny values, exp's overflow edge (about 709.8)
